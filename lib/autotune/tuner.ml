@@ -177,6 +177,17 @@ let timed_phase name f =
     ~finally:(fun () -> Obs_metrics.incr ~by:(now_s () -. t0) ("tune.phase." ^ name ^ "_s"))
     f
 
+(** Lowering and feature extraction, the two layers inside propose and
+    prepare, timed into [tune.phase.lower_s] / [tune.phase.feature_s].
+    These are busy time summed over every domain that runs them (worker
+    domains buffer them under [Metrics.with_local_counters]), so at
+    [-j N] they can exceed the wall time of the phases they sit in. An
+    instantiation that raises is an invalid configuration: [None]. *)
+let instantiate template cfg =
+  try Some (timed_phase "lower" (fun () -> template.tpl_instantiate cfg)) with _ -> None
+
+let features stmt = timed_phase "feature" (fun () -> Feature.extract stmt)
+
 let tune ?(spec = Tvm_spec.Job_spec.default) ?db ?cache ?measure_batch
     ~(method_ : method_) ~(measure : measure_fn) ~(n_trials : int)
     (template : template) : result =
@@ -226,8 +237,8 @@ let tune ?(spec = Tvm_spec.Job_spec.default) ?db ?cache ?measure_batch
           ~name:template.tpl_name ()
   in
   let compile cfg =
-    match (try Some (template.tpl_instantiate cfg) with _ -> None) with
-    | Some s -> Compile_cache.Valid { feats = Feature.extract s; stmt = Some s }
+    match instantiate template cfg with
+    | Some s -> Compile_cache.Valid { feats = features s; stmt = Some s }
     | None -> Compile_cache.Invalid
   in
   (* Record one measured configuration: training set, incumbent, db,
@@ -364,15 +375,10 @@ let tune ?(spec = Tvm_spec.Job_spec.default) ?db ?cache ?measure_batch
               | Some (Compile_cache.Valid { feats; stmt = None }) ->
                   (* features cached, program evicted or never retained;
                      measurement still needs the program *)
-                  let stmt =
-                    try Some (template.tpl_instantiate cfg) with _ -> None
-                  in
-                  (cfg, stmt, Some feats)
+                  (cfg, instantiate template cfg, Some feats)
               | None -> (
-                  match
-                    (try Some (template.tpl_instantiate cfg) with _ -> None)
-                  with
-                  | Some s -> (cfg, Some s, Some (Feature.extract s))
+                  match instantiate template cfg with
+                  | Some s -> (cfg, Some s, Some (features s))
                   | None -> (cfg, None, None))))
         (Array.init (Array.length tagged) Fun.id)
     in

@@ -150,28 +150,120 @@ let rec equal a b =
 (* Hash-consing                                                         *)
 (* ------------------------------------------------------------------ *)
 
+(** Structural hash of an expression, shared by both tables below.
+
+    It walks the node in pre-order and stops after [hash_budget] nodes,
+    mixing only immediates: constructor and operator codes, integer
+    constants, float bit patterns, var [vid]s and buffer [bid]s. Var
+    names and buffer records are never hashed; the one string it
+    hashes is an intrinsic call's name. So the cost is bounded by the
+    budget, not the node size, and families such as fused-axis chains
+    [((((o*12544 + ...)/28)/28)/128)] that differ only deep inside
+    still spread over the buckets.
+
+    It agrees with both equalities the tables use: physically equal
+    nodes are structurally identical, and {!Hashcons.shallow_equal}
+    nodes have the same constructor, immediates and vid/bid, and
+    physically equal (so identical) children.
+
+    The walk allocates nothing: one immediate int carries the running
+    hash in its high bits and the remaining node budget in its low
+    [budget_bits]. *)
+let hash_budget = 32
+let budget_bits = 6
+let budget_mask = (1 lsl budget_bits) - 1
+
+(* Fold one word into the hash field. The multiplier is 1 modulo
+   2^[budget_bits], so the product leaves the budget field as it was. *)
+let[@inline] mix st x = (st lxor (x lsl budget_bits)) * 0x1e3779b97f4a7c01
+
+let binop_code = function
+  | Add -> 0 | Sub -> 1 | Mul -> 2 | Div -> 3 | FloorMod -> 4 | Min -> 5 | Max -> 6
+
+let cmpop_code = function Eq -> 0 | Ne -> 1 | Lt -> 2 | Le -> 3 | Gt -> 4 | Ge -> 5
+
+let dtype_code = function
+  | Dtype.Float32 -> 0 | Dtype.Float16 -> 1 | Dtype.Int64 -> 2 | Dtype.Int32 -> 3
+  | Dtype.Int8 -> 4 | Dtype.UInt1 -> 5 | Dtype.UInt2 -> 6 | Dtype.Bool -> 7
+
+(* A node's first word: constructor tag in the low 4 bits, operator or
+   dtype code above it. *)
+let rec hash_walk st e =
+  if st land budget_mask = 0 then st
+  else
+    let st = st - 1 in
+    match e with
+    | IntImm n -> mix (mix st 0) n
+    | FloatImm f -> mix (mix st 1) (Int64.to_int (Int64.bits_of_float f))
+    | Var v -> mix (mix st 2) v.vid
+    | Binop (op, a, b) -> hash_walk (hash_walk (mix st (3 lor (binop_code op lsl 4))) a) b
+    | Cmp (op, a, b) -> hash_walk (hash_walk (mix st (4 lor (cmpop_code op lsl 4))) a) b
+    | And (a, b) -> hash_walk (hash_walk (mix st 5) a) b
+    | Or (a, b) -> hash_walk (hash_walk (mix st 6) a) b
+    | Not a -> hash_walk (mix st 7) a
+    | Select (c, t, f) -> hash_walk (hash_walk (hash_walk (mix st 8) c) t) f
+    | Cast (d, a) -> hash_walk (mix st (9 lor (dtype_code d lsl 4))) a
+    | Load (b, idx) -> hash_list (mix (mix st 10) b.bid) idx
+    | Call (n, args) -> hash_list (mix (mix st 11) (Hashtbl.hash n)) args
+
+and hash_list st = function
+  | [] -> st
+  | e :: rest -> hash_list (hash_walk st e) rest
+
+let hash e =
+  (* final avalanche: the tables index buckets by the low bits *)
+  let h = hash_walk hash_budget e asr budget_bits in
+  let h = (h lxor (h lsr 31)) * 0x3f58476d1ce4e5b9 in
+  let h = (h lxor (h lsr 29)) * 0x14d049bb133111eb in
+  (h lxor (h lsr 32)) land max_int
+
 (** Physical-identity hash tables over expressions: the memo-table key
     type for every pass that caches per-node results ([Simplify],
-    [Analysis], [Visit], [Interval]). [Hashtbl.hash] is depth-bounded,
-    so hashing is O(1) in the node size; equality is pointer equality,
+    [Analysis], [Visit], [Interval]). Equality is pointer equality,
     which hash-consed construction makes meaningful — structurally
     equal subtrees built through the smart constructors on one domain
     are physically equal. *)
-module Phys = Hashtbl.Make (struct
-  type nonrec t = t
+module Phys = struct
+  include Hashtbl.Make (struct
+    type nonrec t = t
 
-  let equal = ( == )
-  let hash = Hashtbl.hash
-end)
+    let equal = ( == )
+    let hash = hash
+  end)
+
+  (** A memo that is valid for one call only (it closes over that
+      call's environment or callback), reused across calls: one table
+      per domain, emptied after each call instead of allocated per
+      call. [reset] merely clears a table still at its initial size. A
+      reentrant call gets a private table. *)
+  type 'a scratch_slot = { memo : 'a t; size : int; mutable busy : bool }
+
+  let scratch size =
+    Domain.DLS.new_key (fun () -> { memo = create size; size; busy = false })
+
+  let with_scratch key f =
+    let s = Domain.DLS.get key in
+    if s.busy then f (create s.size)
+    else begin
+      s.busy <- true;
+      match f s.memo with
+      | r ->
+          reset s.memo;
+          s.busy <- false;
+          r
+      | exception e ->
+          reset s.memo;
+          s.busy <- false;
+          raise e
+    end
+end
 
 (** The intern tables behind the smart constructors. Each domain owns
     its table ([Domain.DLS]): template instantiation fans out over
     [Tvm_par.Pool] domains, and per-domain tables need no locking on
     the construction fast path. Interning is only a canonicalization
     cache — two domains may hold physically distinct copies of the same
-    structure, which costs sharing but never correctness. Node ids are
-    minted from one [Atomic] counter so they stay globally unique; no
-    result depends on their numeric values. *)
+    structure, which costs sharing but never correctness. *)
 module Hashcons = struct
   (* Shallow equality: same constructor, immediates compared by value,
      children by physical identity (they are already interned when the
@@ -179,8 +271,8 @@ module Hashcons = struct
      [-0.]/[0.]/NaN payloads are never conflated — printing must not
      depend on intern insertion order. Buffers compare physically:
      [bid]-equal buffers are the same record everywhere in the
-     compiler. Consistent with the depth-bounded structural
-     [Hashtbl.hash]: every shallow-equal pair is structurally equal. *)
+     compiler. Every shallow-equal pair is structurally equal, so it
+     has equal {!hash}es. *)
   let imm_equal a b =
     a == b
     ||
@@ -222,41 +314,39 @@ module Hashcons = struct
     type nonrec t = t
 
     let equal = shallow_equal
-    let hash = Hashtbl.hash
+    let hash = hash
   end)
 
-  type state = { tbl : (t * int) Tbl.t; mutable population : int }
+  (* Maps each interned node to itself: a probe with a fresh node
+     returns the canonical one. *)
+  type state = { tbl : t Tbl.t; mutable population : int }
 
   (* Bound the per-domain table so a long tuning run cannot hold every
      expression it ever built; on overflow the table resets wholesale
      (plain FIFO would need a second structure on the hot path). *)
   let limit = 1 lsl 17
-  let ids = Atomic.make 0
 
   let key =
     Domain.DLS.new_key (fun () -> { tbl = Tbl.create 4096; population = 0 })
 
-  (** Canonical representative of [node] on this domain; interns it
-      (minting a fresh unique id) on first sight. *)
+  (** Canonical representative of [node] on this domain; interns it on
+      first sight. *)
   let cons node =
     let st = Domain.DLS.get key in
     match Tbl.find_opt st.tbl node with
-    | Some (canon, _) -> canon
+    | Some canon -> canon
     | None ->
         if st.population >= limit then begin
           Tbl.reset st.tbl;
           st.population <- 0
         end;
-        Tbl.add st.tbl node (node, 1 + Atomic.fetch_and_add ids 1);
+        Tbl.add st.tbl node node;
         st.population <- st.population + 1;
         node
 
-  (** Unique id of an interned node on this domain, if it is (still)
-      the canonical representative. *)
-  let id node = Option.map snd (Tbl.find_opt (Domain.DLS.get key).tbl node)
-
-  (** (nodes live in this domain's table, ids minted process-wide). *)
-  let stats () = ((Domain.DLS.get key).population, Atomic.get ids)
+  (** Longest bucket of this domain's intern table: the hash-quality
+      figure a test bounds. *)
+  let max_bucket () = (Tbl.stats (Domain.DLS.get key).tbl).Hashtbl.max_bucket_length
 end
 
 (* ------------------------------------------------------------------ *)

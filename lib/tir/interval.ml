@@ -89,24 +89,33 @@ let rec eval_memo memo env (e : Expr.t) : t =
           Expr.Phys.add memo e i;
           i)
 
-(** Evaluate expression [e] to an interval under [env : var id -> t].
-    Raises {!Not_analyzable} on constructs outside the affine fragment
-    (calls, loads); callers either guarantee affine indices or catch. *)
 (* Leaf evaluations never consult the memo; sharing one empty table
    avoids an allocation on those (frequent) calls. *)
 let leaf_memo : t Expr.Phys.t = Expr.Phys.create 1
 
+(* Composite evaluations reuse one memo per domain: feature extraction
+   evaluates every access at every loop level, too often to allocate a
+   table per call. *)
+let scratch = Expr.Phys.scratch 16
+
+(** Evaluate expression [e] to an interval under [env : var id -> t].
+    Raises {!Not_analyzable} on constructs outside the affine fragment
+    (calls, loads); callers either guarantee affine indices or catch. *)
 let eval env (e : Expr.t) : t =
   match e with
   | Expr.Binop _ | Expr.Select _ | Expr.Cast _ ->
-      eval_memo (Expr.Phys.create 16) env e
+      Expr.Phys.with_scratch scratch (fun memo -> eval_memo memo env e)
   | _ -> eval_memo leaf_memo env e
 
-(** Evaluate under an association list from vars to intervals. *)
+(** Evaluate under an association list from vars to intervals. As with
+    a table filled in list order, the last binding of a var wins. *)
 let eval_under bindings e =
-  let table = Hashtbl.create 16 in
-  List.iter (fun (v, i) -> Hashtbl.replace table v.Expr.vid i) bindings;
-  eval (Hashtbl.find_opt table) e
+  let rec last vid found = function
+    | [] -> found
+    | ((v : Expr.var), i) :: rest ->
+        last vid (if v.Expr.vid = vid then Some i else found) rest
+  in
+  eval (fun vid -> last vid None bindings) e
 
 (** Constant-fold an expression to an int if the interval is a point. *)
 let const_of_expr e =

@@ -17,37 +17,44 @@ let rec map_expr f (e : Expr.t) : Expr.t =
   in
   f e
 
+(* [Stmt.map_exprs] maps a program's expressions one by one, so the
+   memo is reused per domain rather than allocated per expression. *)
+let scratch = Expr.Phys.scratch 64
+
 (** Like {!map_expr} for a {e pure} [f], exploiting structural sharing:
     each physically distinct subtree is visited once per call, so DAGs
     that print exponentially large map in time linear in their node
     count. Not for stateful [f] — a callback counting visits would see
     each shared node once, not once per occurrence. *)
 let map_expr_shared f (e : Expr.t) : Expr.t =
-  let memo = Expr.Phys.create 64 in
-  let rec go e =
-    match e with
-    | Expr.IntImm _ | Expr.FloatImm _ -> f e
-    | _ -> (
-        match Expr.Phys.find_opt memo e with
-        | Some r -> r
-        | None ->
-            let r =
-              match e with
-              | Expr.IntImm _ | Expr.FloatImm _ | Expr.Var _ -> f e
-              | Expr.Binop (op, a, b) -> f (Expr.binop op (go a) (go b))
-              | Expr.Cmp (op, a, b) -> f (Expr.cmp op (go a) (go b))
-              | Expr.And (a, b) -> f (Expr.and_ (go a) (go b))
-              | Expr.Or (a, b) -> f (Expr.or_ (go a) (go b))
-              | Expr.Not a -> f (Expr.not_ (go a))
-              | Expr.Select (c, t, fl) -> f (Expr.select (go c) (go t) (go fl))
-              | Expr.Cast (d, a) -> f (Expr.cast d (go a))
-              | Expr.Load (b, idx) -> f (Expr.load b (List.map go idx))
-              | Expr.Call (n, args) -> f (Expr.call n (List.map go args))
-            in
-            Expr.Phys.add memo e r;
-            r)
-  in
-  go e
+  match e with
+  | Expr.IntImm _ | Expr.FloatImm _ | Expr.Var _ -> f e  (* nothing to share *)
+  | _ ->
+      Expr.Phys.with_scratch scratch @@ fun memo ->
+      let rec go e =
+        match e with
+        | Expr.IntImm _ | Expr.FloatImm _ -> f e
+        | _ -> (
+            match Expr.Phys.find_opt memo e with
+            | Some r -> r
+            | None ->
+                let r =
+                  match e with
+                  | Expr.IntImm _ | Expr.FloatImm _ | Expr.Var _ -> f e
+                  | Expr.Binop (op, a, b) -> f (Expr.binop op (go a) (go b))
+                  | Expr.Cmp (op, a, b) -> f (Expr.cmp op (go a) (go b))
+                  | Expr.And (a, b) -> f (Expr.and_ (go a) (go b))
+                  | Expr.Or (a, b) -> f (Expr.or_ (go a) (go b))
+                  | Expr.Not a -> f (Expr.not_ (go a))
+                  | Expr.Select (c, t, fl) -> f (Expr.select (go c) (go t) (go fl))
+                  | Expr.Cast (d, a) -> f (Expr.cast d (go a))
+                  | Expr.Load (b, idx) -> f (Expr.load b (List.map go idx))
+                  | Expr.Call (n, args) -> f (Expr.call n (List.map go args))
+                in
+                Expr.Phys.add memo e r;
+                r)
+      in
+      go e
 
 let rec fold_expr f acc (e : Expr.t) =
   let acc = f acc e in

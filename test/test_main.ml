@@ -16,6 +16,7 @@ let () =
       ("autotune", Test_autotune.suite);
       ("par", Test_par.suite);
       ("cache", Test_cache.suite);
+      ("golden", Test_golden.suite);
       ("validate", Test_validate.suite);
       ("faults", Test_faults.suite);
       ("sim", Test_sim.suite);
