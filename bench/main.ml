@@ -441,16 +441,16 @@ let bench_serve_rt () =
 (* Measurement fleet                                                    *)
 (* ------------------------------------------------------------------ *)
 
-module Fl = Tvm_rpc.Fleet
+module Fl = Tvm_rpc.Device_pool
 
 (* Fleet scaling: one fixed synthetic workload dispatched to sharded
    fleets of 8/64/256/1000 heterogeneous devices. Everything is
-   virtual-clock ([Fleet.simulate]), so the makespans, the scaling
+   virtual-clock ([Device_pool.simulate]), so the makespans, the scaling
    efficiency ((T(8)/T(256)) / (usable(256)/usable(8))), the steal rate
    and the speculation speedup are all deterministic and gate-able. *)
 let bench_fleet () =
   E.banner "Measurement fleet: sharded scaling, stealing, speculation";
-  let kind = Tvm_rpc.Device_pool.Gpu_dev Tvm_sim.Machine.titan_x in
+  let kind = Fl.Gpu_dev Tvm_sim.Machine.titan_x in
   let n_jobs = 2000 in
   (* Deterministic spread of model times around ~77 ms: with per-job
      dispatch 0.05 s and 3 repeats, one job charges ~0.28 s. *)

@@ -18,6 +18,7 @@ module Workloads = Tvm_models.Workloads
 module Machine = Tvm_sim.Machine
 module Rt = Tvm_runtime.Rt_module
 module Obs = Tvm_obs
+module Pool = Tvm_rpc.Device_pool
 
 (* ---- shared observability flags ---- *)
 
@@ -232,9 +233,9 @@ let tune_cmd =
       value & opt int 1
       & info [ "devices" ]
           ~doc:
-            "Simulated devices in the measurement pool. Unlike -j this CAN \
-             change outcomes (fault draws are per-device), so it is a \
-             separate knob.")
+            "Simulated replicas of the target board in the measurement \
+             pool. Like -j it never changes outcomes (fault draws are keyed \
+             by job, not device); it changes the simulated makespan.")
   in
   let straggler =
     Arg.(
@@ -242,10 +243,11 @@ let tune_cmd =
       & opt (some int) None
       & info [ "straggler" ]
           ~doc:
-            "Make device N a straggler: heavy transient fault rates on that \
-             device only (timeouts dominate, so its jobs burn the per-job \
-             budget). Use with --journal-out and `tvmc report` to see the \
-             outlier detection attribute the damage.")
+            "Make device N a straggler: 12x slower than its peers (on a \
+             $(b,--fleet) roster it is forced to the target kind, as \
+             speculation bait). Results do not change; use with \
+             --journal-out and `tvmc report` to see the outlier detection \
+             single it out.")
   in
   let tune_log =
     Arg.(
@@ -261,29 +263,30 @@ let tune_cmd =
       value & opt int 0
       & info [ "fleet" ]
           ~doc:
-            "Measure on a sharded fleet of N simulated heterogeneous \
-             devices instead of the classic pool (0 = classic). Results \
-             are placement-invariant: the log is byte-identical across \
-             -j, $(b,--shards) and $(b,--speculate). With \
-             $(b,--straggler) the straggler is a 12x-slow device of the \
-             target kind (speculation bait), not a fault source.")
+            "Measure on a roster of N simulated heterogeneous devices \
+             (mixed gpu/cpu kinds, jobs pinned to the target's kind) \
+             instead of $(b,--devices) replicas of the target (0 = \
+             replicas). Results are placement-invariant: the log is \
+             byte-identical across -j, $(b,--devices), $(b,--shards) and \
+             $(b,--speculate).")
   in
   let shards =
     Arg.(
       value & opt int 0
       & info [ "shards" ]
           ~doc:
-            "Shards per device kind with $(b,--fleet) (0 = auto, about \
-             one per 32 devices)")
+            "Shards per device kind in the measurement pool (0 = auto, \
+             about one per 32 devices); idle shards steal backlog from \
+             busy ones")
   in
   let speculate =
     Arg.(
       value & flag
       & info [ "speculate" ]
           ~doc:
-            "With $(b,--fleet): duplicate straggling measurements on an \
-             idle device; first finisher wins. Never changes results, \
-             only the simulated makespan.")
+            "Duplicate straggling measurements on an idle device of the \
+             same kind; first finisher wins. Never changes results, only \
+             the simulated makespan.")
   in
   let run workload trials method_name fault_rate max_retries timeout_ms seed
       jobs devices fleet_n shards speculate straggler tune_log validate
@@ -301,53 +304,28 @@ let tune_cmd =
     let tpl = Tvm_autotune.Templates.gpu_flat ~name:("tvmc_" ^ workload) out in
     let par = Tvm_par.Pool.create ~domains:jobs () in
     let method_ = Tvm_autotune.Tuner.method_of_name method_name in
-    (* Classic pool and fleet expose the same measurement callbacks;
-       the fleet additionally widens the measurement batch to keep its
-       shards saturated. *)
-    let pool = ref None and fl = ref None in
-    let spec, measure, measure_batch =
-      if fleet_n > 0 then begin
-        let f = Tvm_rpc.Fleet.of_spec spec in
-        fl := Some f;
-        let kind = Tvm_rpc.Device_pool.kind_of_target spec.target in
-        let spec =
-          {
-            spec with
-            Tvm_spec.Job_spec.batch =
-              Tvm_rpc.Fleet.suggested_batch f ~kind ~base:spec.batch;
-          }
-        in
-        ( spec,
-          Tvm_rpc.Fleet.measure_fn f ~kind,
-          Tvm_rpc.Fleet.batch_measure_fn ~par f ~kind )
-      end
-      else begin
-        let p = Tvm_rpc.Device_pool.of_spec spec in
-        pool := Some p;
-        ( spec,
-          Tvm_rpc.Device_pool.measure_fn p ~kind_pred:(fun _ -> true),
-          Tvm_rpc.Device_pool.batch_measure_fn ~par p ~kind_pred:(fun _ -> true)
-        )
-      end
+    (* Widen the measurement batch to keep the pool's shards saturated
+       (a no-op for up to 8 devices at the default batch of 16). *)
+    let pool = Pool.of_spec spec in
+    let kind = Pool.kind_of_target spec.target in
+    let spec =
+      { spec with
+        Tvm_spec.Job_spec.batch = Pool.suggested_batch pool ~kind ~base:spec.batch }
     in
-    (match !fl with
-    | Some f ->
-        Printf.printf
-          "tuning %s (%s) on a %d-device fleet (%d shards%s), %d trials, \
-           batch %d, space %d, -j %d...\n\
-           %!"
-          (Workloads.to_string w) method_name (Tvm_rpc.Fleet.devices f)
-          (Tvm_rpc.Fleet.shard_count f)
-          (if speculate then ", speculative" else "")
-          trials spec.Tvm_spec.Job_spec.batch
-          (Tvm_autotune.Cfg_space.size tpl.Tvm_autotune.Tuner.tpl_space)
-          jobs
-    | None ->
-        Printf.printf
-          "tuning %s (%s) on %d x titan-x, %d trials, space %d, -j %d...\n%!"
-          (Workloads.to_string w) method_name (max 1 devices) trials
-          (Tvm_autotune.Cfg_space.size tpl.Tvm_autotune.Tuner.tpl_space)
-          jobs);
+    let kind_pred _ = true in
+    let measure = Pool.measure_fn pool ~kind_pred in
+    let measure_batch = Pool.batch_measure_fn ~par pool ~kind_pred in
+    let roster = Pool.stats pool in
+    Printf.printf
+      "tuning %s (%s) on %d devices in %d shard(s)%s, %d trials, batch %d, \
+       space %d, -j %d...\n\
+       %!"
+      (Workloads.to_string w) method_name roster.Pool.fs_devices
+      roster.Pool.fs_shards
+      (if speculate then ", speculative" else "")
+      trials spec.Tvm_spec.Job_spec.batch
+      (Tvm_autotune.Cfg_space.size tpl.Tvm_autotune.Tuner.tpl_space)
+      jobs;
     let db = Tvm_autotune.Tuner.Db.create () in
     let res =
       Tvm_autotune.Tuner.tune ~spec ~db ~measure_batch ~method_ ~measure
@@ -367,30 +345,13 @@ let tune_cmd =
          (List.map
             (fun (s, n) -> Printf.sprintf "%s=%d" s n)
             (Tvm_autotune.Tuner.Db.status_counts db)));
-    let metric name =
-      match Obs.Metrics.get name with Some v -> int_of_float v | None -> 0
-    in
-    (match !pool with
-    | Some p when fault_rate > 0. ->
-        Printf.printf
-          "pool: %d retries, %d timeouts, %d crashes, %d unstable, %d quarantined\n"
-          (metric "pool.retries") (metric "pool.timeouts")
-          (metric "pool.crashes") (metric "pool.corrupt")
-          (Tvm_rpc.Device_pool.quarantined_count p)
-    | _ -> ());
-    (match !fl with
-    | Some f ->
-        let s = Tvm_rpc.Fleet.stats f in
-        Printf.printf
-          "fleet: %d jobs, %d attempts, %d retries; %d steals (%d jobs \
-           moved); speculation %d launched / %d won / %d lost; makespan \
-           %.2f s\n"
-          s.Tvm_rpc.Fleet.fs_jobs s.Tvm_rpc.Fleet.fs_attempts
-          s.Tvm_rpc.Fleet.fs_retries s.Tvm_rpc.Fleet.fs_steals
-          s.Tvm_rpc.Fleet.fs_stolen_jobs s.Tvm_rpc.Fleet.fs_spec_launched
-          s.Tvm_rpc.Fleet.fs_spec_wins s.Tvm_rpc.Fleet.fs_spec_losses
-          (Tvm_rpc.Fleet.makespan f)
-    | None -> ());
+    let st = Pool.stats pool in
+    Printf.printf
+      "pool: %d jobs, %d attempts, %d retries; %d steals (%d jobs moved); \
+       speculation %d launched / %d won / %d lost; makespan %.2f s\n"
+      st.Pool.fs_jobs st.Pool.fs_attempts st.Pool.fs_retries st.Pool.fs_steals
+      st.Pool.fs_stolen_jobs st.Pool.fs_spec_launched st.Pool.fs_spec_wins
+      st.Pool.fs_spec_losses (Pool.makespan pool);
     if validate then begin
       let stmt =
         tpl.Tvm_autotune.Tuner.tpl_instantiate res.Tvm_autotune.Tuner.best_config

@@ -12,6 +12,7 @@ module Templates = Tvm_autotune.Templates
 module Tuner = Tvm_autotune.Tuner
 module Cfg = Tvm_autotune.Cfg_space
 module Pool = Tvm_rpc.Device_pool
+module Spec = Tvm_spec.Job_spec
 module Machine = Tvm_sim.Machine
 
 let () =
@@ -29,7 +30,7 @@ let () =
 
   (* The measurement side: a simulated RPC device pool with one GPU
      (Fig 11's device cluster). *)
-  let pool = Pool.create [ Pool.Gpu_dev Machine.titan_x ] in
+  let pool = Pool.of_spec ~kind:(Pool.Gpu_dev Machine.titan_x) Spec.default in
   let measure = Pool.measure_fn pool ~kind_pred:Pool.is_gpu in
 
   let budget = 128 in
@@ -44,25 +45,22 @@ let () =
       Printf.printf "  best config: %s\n" (Cfg.to_string res.Tuner.best_config))
     [ Tuner.Ml_model; Tuner.Random_search; Tuner.Genetic_algorithm ];
 
-  let devices = Pool.stats pool in
-  Printf.printf "\ndevice pool: %s\n"
-    (String.concat "; "
-       (List.map
-          (fun (name, jobs, busy) -> Printf.sprintf "%s ran %d jobs (%.1fs busy)" name jobs busy)
-          devices));
-
-  (* The same search on an unreliable fleet: two GPUs with 20%
-     transient faults, one of which also dies early. Retries and
-     quarantine keep the loop converging on the survivors. *)
-  Printf.printf "\n--- fault-tolerant tuning on a flaky fleet ---\n";
-  let fault_plan =
-    Tvm_rpc.Fault.with_device
-      (Tvm_rpc.Fault.transient ~seed:1 ~rate:0.2 ())
-      1
-      { Tvm_rpc.Fault.no_fault_rates with Tvm_rpc.Fault.death_rate = 0.1 }
+  let print_pool pool =
+    let st = Pool.stats pool in
+    Printf.printf "device pool: %d jobs, %d attempts, %d retries, %.1fs makespan\n"
+      st.Pool.fs_jobs st.Pool.fs_attempts st.Pool.fs_retries (Pool.makespan pool)
   in
+  print_newline ();
+  print_pool pool;
+
+  (* The same search on an unreliable pool: two GPUs with 20% transient
+     faults (timeouts, crashes, corrupted runs). Bounded retries keep
+     the loop converging; a job that exhausts its retries becomes a
+     failed trial instead of stopping the search. *)
+  Printf.printf "\n--- fault-tolerant tuning on a flaky pool ---\n";
   let flaky =
-    Pool.create ~fault_plan [ Pool.Gpu_dev Machine.titan_x; Pool.Gpu_dev Machine.titan_x ]
+    Pool.of_spec ~kind:(Pool.Gpu_dev Machine.titan_x)
+      (Spec.make ~devices:2 ~fault_rate:0.2 ~seed:1 ())
   in
   let db = Tuner.Db.create () in
   let res =
@@ -71,14 +69,8 @@ let () =
       ~measure:(Pool.measure_fn flaky ~kind_pred:Pool.is_gpu)
       ~n_trials:budget tpl
   in
-  Printf.printf "best on flaky fleet: %.3f ms\n" (1e3 *. res.Tuner.best_time);
+  Printf.printf "best on flaky pool: %.3f ms\n" (1e3 *. res.Tuner.best_time);
   Printf.printf "trial outcomes: %s\n"
     (String.concat ", "
        (List.map (fun (s, n) -> Printf.sprintf "%s=%d" s n) (Tuner.Db.status_counts db)));
-  List.iter
-    (fun (h : Pool.device_health) ->
-      Printf.printf "  device %d: %d ok / %d attempts, %d failures%s%s\n"
-        h.Pool.h_dev_id h.Pool.h_jobs_run h.Pool.h_attempts h.Pool.h_failures
-        (if h.Pool.h_dead then " [dead]" else "")
-        (if h.Pool.h_quarantined then " [quarantined]" else ""))
-    (Pool.health flaky)
+  print_pool flaky

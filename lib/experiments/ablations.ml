@@ -92,7 +92,9 @@ let ablation_features ?(n = 120) () =
 let ablation_explorer ?(n_trials = 240) () =
   banner "Ablation: SA explorer vs greedy ranked-random proposals";
   let tpl, _ = Fig_micro.fig12_template () in
-  let pool = Pool.create [ Pool.Gpu_dev Machine.titan_x ] in
+  let pool =
+    Pool.of_spec ~kind:(Pool.Gpu_dev Machine.titan_x) Tvm_spec.Job_spec.default
+  in
   let measure = Pool.measure_fn pool ~kind_pred:(fun _ -> true) in
   let sa =
     Tuner.tune

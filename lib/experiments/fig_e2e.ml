@@ -137,7 +137,9 @@ let per_op_speedups ~label ~machine ~baseline_lib ~target ~trials:n workloads =
         | Tvm.Target.Llvm _ -> Templates.cpu_flat ~name:(label ^ w.Workloads.name) out
         | _ -> Templates.gpu_flat ~name:(label ^ w.Workloads.name) out
       in
-      let pool = Pool.create [ Tvm.Target.device_kind target ] in
+      let pool =
+        Pool.of_spec ~kind:(Tvm.Target.device_kind target) Tvm_spec.Job_spec.default
+      in
       let measure = Pool.measure_fn pool ~kind_pred:(fun _ -> true) in
       let res = robust_tune ~measure ~trials:(n / 2) tpl in
       (w, baseline, res.Tuner.best_time))
@@ -147,7 +149,7 @@ let fig15 () =
   banner "Figure 15: per-operator relative speedup on Titan X (baseline = cuDNN / MXNet)";
   let machine = Vendor.Gpu_m titan in
   let target = Tvm.Target.cuda () in
-  let pool = Pool.create [ Pool.Gpu_dev titan ] in
+  let pool = Pool.of_spec ~kind:(Pool.Gpu_dev titan) Tvm_spec.Job_spec.default in
   let measure = Pool.measure_fn pool ~kind_pred:(fun _ -> true) in
   subbanner "conv2d C1-C12 (relative to cuDNN)";
   let conv_rows =

@@ -28,11 +28,10 @@ let force_knob (tpl : Tuner.template) (k, v) =
   }
 
 let tune_gpu ?(method_ = Tuner.Ml_model) ?(seed = 42) ~trials tpl =
-  let pool = Pool.create [ Pool.Gpu_dev titan ] in
+  let spec = Tvm_spec.Job_spec.make ~seed () in
+  let pool = Pool.of_spec ~kind:(Pool.Gpu_dev titan) spec in
   let measure = Pool.measure_fn pool ~kind_pred:Pool.is_gpu in
-  Tuner.tune
-    ~spec:(Tvm_spec.Job_spec.make ~seed ())
-    ~method_ ~measure ~n_trials:trials tpl
+  Tuner.tune ~spec ~method_ ~measure ~n_trials:trials tpl
 
 (* ------------------------------------------------------------------ *)
 (* Fig 4: operator fusion                                               *)
@@ -293,8 +292,10 @@ let fig12 ?(n_trials = 800) () =
     devices in the measurement pool {e and} [j] host domains for the
     parallel phases, mirroring the paper's setup where exploration
     fans out over a device fleet. Throughput is trials per second of
-    simulated fleet time ([Device_pool.makespan]) — the quantity the
-    device count actually scales — with host wall-clock reported
+    simulated pool time ([Device_pool.makespan], which closes each
+    measurement batch at its last job, since the tuner waits for the
+    whole batch) — the quantity the device count actually scales —
+    with host wall-clock reported
     alongside. Both runs share one seed and no fault plan, so the best
     configuration must come out identical; the comparison is pure
     throughput. *)
@@ -305,15 +306,16 @@ let partune ?(jobs = 4) ?(seed = 11) ?(n_trials = 160) () =
   let n_trials = trials n_trials in
   let run ?(use_cache = true) j =
     let tpl, _ = fig12_template () in
-    let pool = Pool.create (List.init j (fun _ -> Pool.Gpu_dev titan)) in
+    let spec =
+      Tvm_spec.Job_spec.make ~seed ~jobs:j ~devices:j ~use_compile_cache:use_cache ()
+    in
+    let pool = Pool.of_spec ~kind:(Pool.Gpu_dev titan) spec in
     let par = Tvm_par.Pool.create ~domains:j () in
     let measure = Pool.measure_fn pool ~kind_pred:Pool.is_gpu in
     let measure_batch = Pool.batch_measure_fn ~par pool ~kind_pred:Pool.is_gpu in
     let t0 = Unix.gettimeofday () in
     let res =
-      Tuner.tune
-        ~spec:(Tvm_spec.Job_spec.make ~seed ~jobs:j ~use_compile_cache:use_cache ())
-        ~measure_batch ~method_:Tuner.Ml_model ~measure ~n_trials tpl
+      Tuner.tune ~spec ~measure_batch ~method_:Tuner.Ml_model ~measure ~n_trials tpl
     in
     let wall = Unix.gettimeofday () -. t0 in
     (res, Pool.makespan pool, wall)

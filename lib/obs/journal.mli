@@ -14,8 +14,8 @@
       whether it compiled to a valid program;
     - {b dispatch} — one record per measurement attempt on the device
       pool: device id and name, attempt number, outcome ([ok] /
-      [timeout] / [crash] / [corrupt] / [device_death] /
-      [invalid_config]), the attempt's simulated cost and queue wait;
+      [timeout] / [crash] / [corrupt] / [invalid_config] /
+      [cancelled]), the attempt's simulated cost and queue wait;
     - {b measure} — the trial's final status and time, with the total
       attempt count.
 

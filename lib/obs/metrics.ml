@@ -88,6 +88,24 @@ let hist_percentile h p =
 
 let hist_mean h = if h.h_count = 0 then Float.nan else h.h_sum /. Float.of_int h.h_count
 
+(** Exact nearest-rank percentile of an ascending [sorted] array, [p]
+    in [0, 100]; nan when empty. For reports that must be bit-stable,
+    where a histogram estimate will not do. *)
+let exact_percentile sorted p =
+  let n = Array.length sorted in
+  if n = 0 then Float.nan
+  else
+    let rank = int_of_float (Float.ceil (p /. 100. *. float_of_int n)) in
+    sorted.(max 0 (min (n - 1) (rank - 1)))
+
+(** Upper median of an unsorted list; nan when empty. *)
+let median = function
+  | [] -> Float.nan
+  | l ->
+      let a = Array.of_list l in
+      Array.sort compare a;
+      a.(Array.length a / 2)
+
 type metric =
   | Counter of float ref
   | Gauge of float ref

@@ -15,8 +15,8 @@ type device_stat = {
   ds_timeouts : int;
   ds_crashes : int;
   ds_corrupt : int;
-  ds_deaths : int;
   ds_cost_s : float;  (** total simulated seconds charged *)
+  ds_ok_cost_s : float;  (** ... of which on successful attempts *)
   ds_queue_s : float;  (** total simulated queue wait *)
   ds_mean_cost_s : float;
   ds_fail_rate : float;
@@ -71,17 +71,15 @@ type t = {
   rp_spec_losses : int;  (** twins cancelled by their primary *)
 }
 
-let median = function
-  | [] -> Float.nan
-  | l ->
-      let a = Array.of_list l in
-      Array.sort compare a;
-      a.(Array.length a / 2)
-
-(* A straggler is a device that did real work and is an outlier either
-   in mean attempt cost (vs the fleet median) or in failure rate (vs
-   the fleet aggregate): a flaky board burns its jobs' budgets on
-   timeouts/retries, so both signatures usually fire together. *)
+(* A straggler is an outlier either in failure rate (vs the fleet
+   aggregate) or in the mean cost of its successful attempts (vs the
+   median device): a flaky board burns its jobs' budgets on timeouts
+   and retries, a slow board takes longer over each job. Each test
+   needs [min_attempts] worth of evidence, so a device that ran one
+   unlucky job is not flagged: the fail-rate test counts attempts, the
+   cost test counts time — [min_attempts] median successful attempts'
+   worth — because a slow device runs few attempts precisely because
+   it is slow. *)
 let min_attempts = 5
 let cost_outlier_factor = 1.5
 let fail_rate_factor = 2.5
@@ -155,8 +153,8 @@ let analyze ?(top = 5) (entries : Journal.entry list) : t =
                   ref
                     { ds_dev = d_dev; ds_name = d_device; ds_attempts = 0;
                       ds_ok = 0; ds_retries = 0; ds_timeouts = 0;
-                      ds_crashes = 0; ds_corrupt = 0; ds_deaths = 0;
-                      ds_cost_s = 0.; ds_queue_s = 0.; ds_mean_cost_s = 0.;
+                      ds_crashes = 0; ds_corrupt = 0; ds_cost_s = 0.;
+                      ds_ok_cost_s = 0.; ds_queue_s = 0.; ds_mean_cost_s = 0.;
                       ds_fail_rate = 0.; ds_straggler = false }
                 in
                 Hashtbl.replace dev_tbl d_dev r;
@@ -171,9 +169,9 @@ let analyze ?(top = 5) (entries : Journal.entry list) : t =
               ds_timeouts = (d.ds_timeouts + if d_outcome = "timeout" then 1 else 0);
               ds_crashes = (d.ds_crashes + if d_outcome = "crash" then 1 else 0);
               ds_corrupt = (d.ds_corrupt + if d_outcome = "corrupt" then 1 else 0);
-              ds_deaths =
-                (d.ds_deaths + if d_outcome = "device_death" then 1 else 0);
               ds_cost_s = d.ds_cost_s +. d_cost_s;
+              ds_ok_cost_s =
+                (d.ds_ok_cost_s +. if d_outcome = "ok" then d_cost_s else 0.);
               ds_queue_s = d.ds_queue_s +. d_queue_s }
       | Journal.Measure { m_uid; m_status; m_time_s; m_attempts } ->
           incr trials;
@@ -215,7 +213,13 @@ let analyze ?(top = 5) (entries : Journal.entry list) : t =
     |> List.sort (fun a b -> compare a.ds_dev b.ds_dev)
   in
   let active = List.filter (fun d -> d.ds_attempts > 0) devices in
-  let median_cost = median (List.map (fun d -> d.ds_mean_cost_s) active) in
+  let ok_cost d = d.ds_ok_cost_s /. float_of_int d.ds_ok in
+  let median_ok_cost =
+    Metrics.median
+      (List.filter_map
+         (fun d -> if d.ds_ok > 0 then Some (ok_cost d) else None)
+         active)
+  in
   let fleet_attempts =
     List.fold_left (fun acc d -> acc + d.ds_attempts) 0 active
   in
@@ -230,16 +234,16 @@ let analyze ?(top = 5) (entries : Journal.entry list) : t =
     List.map
       (fun d ->
         let cost_outlier =
-          Float.is_finite median_cost && median_cost > 0.
-          && d.ds_mean_cost_s > cost_outlier_factor *. median_cost
+          d.ds_ok > 0 && median_ok_cost > 0.
+          && ok_cost d > cost_outlier_factor *. median_ok_cost
+          && d.ds_ok_cost_s >= float_of_int min_attempts *. median_ok_cost
         in
         let fail_outlier =
-          d.ds_fail_rate
-          > Float.max fail_rate_floor (fail_rate_factor *. fleet_fail_rate)
+          d.ds_attempts >= min_attempts
+          && d.ds_fail_rate
+             > Float.max fail_rate_floor (fail_rate_factor *. fleet_fail_rate)
         in
-        { d with
-          ds_straggler =
-            d.ds_attempts >= min_attempts && (cost_outlier || fail_outlier) })
+        { d with ds_straggler = cost_outlier || fail_outlier })
       devices
   in
   let measured =
@@ -425,15 +429,6 @@ module Serving = struct
     | Some s -> s
     | None -> default
 
-  (* Exact nearest-rank percentile: the digest must match the server's
-     own bit-stable report, so no histogram approximation. *)
-  let percentile sorted p =
-    let n = Array.length sorted in
-    if n = 0 then Float.nan
-    else
-      let rank = int_of_float (Float.ceil (p /. 100. *. float_of_int n)) in
-      sorted.(max 0 (min (n - 1) (rank - 1)))
-
   let analyze (lines : Json.t list) : t =
     let requests = ref 0 and throughput = ref 0. and max_batch = ref 0 in
     let slab = ref Float.nan and naive = ref Float.nan in
@@ -493,9 +488,10 @@ module Serving = struct
             sm_mean_s =
               (if n = 0 then Float.nan
                else Array.fold_left ( +. ) 0. a /. float_of_int n);
-            sm_p50_s = percentile a 50.;
-            sm_p90_s = percentile a 90.;
-            sm_p99_s = percentile a 99.;
+            (* exact, so the digest matches the server's own report *)
+            sm_p50_s = Metrics.exact_percentile a 50.;
+            sm_p90_s = Metrics.exact_percentile a 90.;
+            sm_p99_s = Metrics.exact_percentile a 99.;
             sm_slo_misses = !misses;
           }
           :: acc)

@@ -1,26 +1,19 @@
-(** Simulated distributed device pool with an RPC-style tracker (§5.4,
-    Fig 11).
+(* See device_pool.mli. The engine is an event-driven virtual-time
+   scheduler run entirely on the calling domain: pure model times are
+   the only thing computed in parallel, and every stateful decision
+   (placement, fault draws, steals, speculation, retries, journal
+   records) replays sequentially in a deterministic order — a min-heap
+   of run completions keyed (finish time, push sequence) with lazy
+   invalidation for cancelled twins. *)
 
-    Clients submit measurement jobs for a device type; the tracker
-    assigns each job to the first free matching device, accounting for
-    upload, compilation and repeated timed runs on a simulated wall
-    clock. This exercises the scheduling/batching code paths of the
-    paper's infrastructure while measurements themselves come from the
-    analytical machine models plus deterministic noise.
-
-    The pool is fault-tolerant: a {!Fault.plan} injects deterministic
-    transient timeouts, crashes, corrupted measurements and device
-    deaths, and a {!Retry_policy.t} governs bounded retries with
-    exponential backoff, the per-job timeout, and quarantine of
-    devices whose error rate crosses a threshold. Jobs degrade
-    gracefully to the remaining healthy devices; {!No_healthy_device}
-    is raised only when the pool is truly exhausted. *)
-
-open Tvm_tir
 module Machine = Tvm_sim.Machine
 module Cpu_model = Tvm_sim.Cpu_model
 module Gpu_model = Tvm_sim.Gpu_model
 module Measure_result = Tvm_autotune.Measure_result
+module Stmt = Tvm_tir.Stmt
+module Journal = Tvm_obs.Journal
+module Metrics = Tvm_obs.Metrics
+module Trace = Tvm_obs.Trace
 
 type device_kind =
   | Cpu_dev of Machine.cpu
@@ -30,442 +23,917 @@ let kind_name = function
   | Cpu_dev c -> c.Machine.cpu_name
   | Gpu_dev g -> g.Machine.gpu_name
 
-type device = {
-  dev_id : int;
-  dev_kind : device_kind;
-  mutable busy_until : float;  (** simulated wall-clock seconds *)
-  mutable jobs_run : int;  (** successful measurements *)
-  mutable attempts : int;  (** measurement attempts, failures included *)
-  mutable failures : int;
-  mutable dead : bool;  (** dropped out of the pool permanently *)
-  mutable quarantined : bool;  (** error rate crossed the threshold *)
-}
+let is_gpu = function Gpu_dev _ -> true | Cpu_dev _ -> false
+let is_cpu = function Cpu_dev _ -> true | Gpu_dev _ -> false
 
-type t = {
-  devices : device list;
-  mutable clock : float;
-  mutable total_jobs : int;
-  noise : float;  (** relative measurement noise amplitude *)
-  repeats : int;  (** timed repetitions per measurement *)
-  overhead_s : float;  (** upload + build + RPC round trip per job *)
-  fault_plan : Fault.plan;
-  retry : Retry_policy.t;
-}
-
-let create ?(noise = 0.05) ?(repeats = 3) ?(overhead_s = 0.5)
-    ?(fault_plan = Fault.none) ?(retry = Retry_policy.default) kinds =
-  let devices =
-    List.mapi
-      (fun i k ->
-        { dev_id = i; dev_kind = k; busy_until = 0.; jobs_run = 0;
-          attempts = 0; failures = 0; dead = false; quarantined = false })
-      kinds
-  in
-  (* Label each device's trace lane up front (labels survive trace
-     resets), so per-device job tracks come up named in Perfetto. *)
-  Tvm_obs.Trace.name_process
-    ~pid:(fst (Tvm_obs.Trace.device_lane 0))
-    "device fleet";
-  List.iter
-    (fun d ->
-      Tvm_obs.Trace.name_thread
-        ~lane:(Tvm_obs.Trace.device_lane d.dev_id)
-        (Printf.sprintf "dev %d (%s)" d.dev_id (kind_name d.dev_kind)))
-    devices;
-  {
-    devices;
-    clock = 0.;
-    total_jobs = 0;
-    noise;
-    repeats;
-    overhead_s;
-    fault_plan;
-    retry;
-  }
-
-(** Heavy transient rates for a deliberately-overloaded device
-    (timeouts dominate, so its jobs burn the per-job budget) — the
-    [--straggler] profile shared by [tvmc] and [tvmd]. *)
-let straggler_rates =
-  { Fault.timeout_rate = 0.35; crash_rate = 0.15; corrupt_rate = 0.1;
-    death_rate = 0. }
-
-(** Default device kind for a {!Tvm_spec.Job_spec.target} name. *)
 let kind_of_target = function
   | "cuda" -> Gpu_dev Machine.titan_x
   | "mali" -> Gpu_dev Machine.mali_t860
   | "arm" -> Cpu_dev Machine.arm_a53
   | _ -> Cpu_dev Machine.xeon_host
 
-(** Fault plan described by a spec's [fault_rate]/[straggler] knobs. *)
-let fault_plan_of_spec (spec : Tvm_spec.Job_spec.t) =
-  let plan =
-    if spec.Tvm_spec.Job_spec.fault_rate > 0. then
-      Fault.transient ~rate:spec.Tvm_spec.Job_spec.fault_rate ()
-    else Fault.none
-  in
-  match spec.Tvm_spec.Job_spec.straggler with
-  | Some n -> Fault.with_device plan n straggler_rates
-  | None -> plan
+(* Model run time of [stmt] on a device kind: pure, so a batch computes
+   it in parallel. *)
+let kind_time kind stmt =
+  match kind with
+  | Cpu_dev cpu -> Cpu_model.time_s cpu stmt
+  | Gpu_dev gpu -> Gpu_model.time_s gpu stmt
 
-(** Build the fleet a {!Tvm_spec.Job_spec.t} asks for: [spec.devices]
-    replicas of [kind] (defaulting from [spec.target]), the fault plan
-    from [fault_rate]/[straggler], and the retry policy from
-    [max_retries]/[timeout_s]. *)
-let of_spec ?kind (spec : Tvm_spec.Job_spec.t) =
-  let kind =
-    match kind with
-    | Some k -> k
-    | None -> kind_of_target spec.Tvm_spec.Job_spec.target
-  in
-  let retry =
-    { Retry_policy.default with
-      Retry_policy.max_retries = spec.Tvm_spec.Job_spec.max_retries;
-      timeout_s = spec.Tvm_spec.Job_spec.timeout_s }
-  in
-  create
-    ~fault_plan:(fault_plan_of_spec spec)
-    ~retry
-    (List.init (max 1 spec.Tvm_spec.Job_spec.devices) (fun _ -> kind))
-
-(** Deterministic noise in [-1,1] from a key (config hash). *)
+(* Deterministic noise in [-1, 1] from a key (config hash). *)
 let noise_of_key key =
   let h = ref (key land 0x3FFFFFFF) in
   h := (!h * 1103515245 + 12345) land 0x3FFFFFFF;
   h := (!h * 1103515245 + 12345) land 0x3FFFFFFF;
   (float_of_int !h /. float_of_int 0x3FFFFFFF *. 2.) -. 1.
 
-exception No_matching_device of string
-exception No_healthy_device of string
+type catalog = {
+  c_roster : (device_kind * float) array;
+  c_shards : int;  (* per kind; 0 = auto *)
+  c_noise : float;
+  c_repeats : int;
+  c_overhead_s : float;  (* once per device per batch *)
+  c_per_job_s : float;  (* per-job dispatch cost *)
+  c_fault_plan : Fault.plan;
+  c_retry : Retry_policy.t;
+  c_speculate : bool;
+  c_spec_factor : float;
+}
 
-let healthy d = (not d.dead) && not d.quarantined
+type fdevice = {
+  fd_id : int;
+  fd_kname : string;
+  fd_speed : float;
+  fd_shard : int;
+  mutable fd_free_at : float;
+  mutable fd_epoch : int;  (* last batch whose upload overhead is paid *)
+  mutable fd_busy_s : float;
+  mutable fd_lane_named : bool;  (* trace lane labelled *)
+}
 
-let request t ~kind_pred =
-  match List.filter (fun d -> kind_pred d.dev_kind) t.devices with
-  | [] -> raise (No_matching_device "device pool: no device of requested type")
-  | matching -> (
-      match
-        List.filter healthy matching
-        |> List.sort (fun a b -> compare a.busy_until b.busy_until)
-      with
-      | [] ->
-          raise
-            (No_healthy_device
-               "device pool: every matching device is dead or quarantined")
-      | d :: _ -> d)
+(* Shard backlogs are two-list FIFO queues of flat job indices. *)
+type shard = {
+  sh_id : int;
+  sh_kname : string;
+  sh_ndevs : int;
+  mutable sh_front : int list;
+  mutable sh_back : int list;
+  mutable sh_qlen : int;
+  mutable sh_attempts : int;
+  mutable sh_stolen : int;  (* attempts that arrived by stealing *)
+}
 
-(** Model run time of [stmt] on a device kind. Pure: depends only on
-    the machine description and the program — which is what lets
-    {!measure_batch} precompute it in parallel. *)
-let kind_time kind stmt =
-  match kind with
-  | Cpu_dev cpu -> Cpu_model.time_s cpu stmt
-  | Gpu_dev gpu -> Gpu_model.time_s gpu stmt
+type t = {
+  cat : catalog;
+  devs : fdevice array;
+  shards : shard array;
+  salt : int;
+  mutable clock : float;
+  mutable epoch : int;
+  mutable jobs_submitted : int;
+  mutable attempts_n : int;
+  mutable steals : int;
+  mutable stolen_jobs : int;
+  mutable spec_launched : int;
+  mutable spec_wins : int;
+  mutable spec_losses : int;
+  mutable retries_n : int;
+}
 
-(** Model run time of [stmt] on a device. *)
-let model_time dev stmt = kind_time dev.dev_kind stmt
+(* ------------------------------------------------------------------ *)
+(* Construction                                                        *)
+(* ------------------------------------------------------------------ *)
 
-(** Wall-clock time at which all submitted jobs have finished. *)
+let catalog ?(noise = 0.02) ?(repeats = 3) ?(overhead_s = 0.5)
+    ?(per_job_s = 0.05) ?(fault_plan = Fault.none)
+    ?(retry = Retry_policy.default) ?(speculate = false) ?(spec_factor = 1.5)
+    ?(shards = 0) roster =
+  if roster = [] then invalid_arg "Device_pool.catalog: empty roster";
+  {
+    c_roster = Array.of_list roster;
+    c_shards = shards;
+    c_noise = noise;
+    c_repeats = repeats;
+    c_overhead_s = overhead_s;
+    c_per_job_s = per_job_s;
+    c_fault_plan = fault_plan;
+    c_retry = retry;
+    c_speculate = speculate;
+    c_spec_factor = spec_factor;
+  }
+
+let palette =
+  [|
+    Gpu_dev Machine.titan_x;
+    Gpu_dev Machine.mali_t860;
+    Cpu_dev Machine.arm_a53;
+    Cpu_dev Machine.xeon_host;
+  |]
+
+(* Host-side slowness of the [straggler] device, on either roster. *)
+let straggler_speed = 12.
+
+let mixed_kinds ?(primary = Gpu_dev Machine.titan_x) ?straggler n =
+  let pname = kind_name primary in
+  let others =
+    Array.of_list
+      (List.filter
+         (fun k -> kind_name k <> pname)
+         (Array.to_list palette))
+  in
+  let others = if Array.length others = 0 then [| primary |] else others in
+  List.init n (fun i ->
+      (* The straggler slot is forced to the primary kind: a slow
+         device only exercises speculation if it competes for the
+         target's jobs. *)
+      let k =
+        if straggler = Some i then primary
+        else if i mod 2 = 0 then primary
+        else others.((i / 2) mod Array.length others)
+      in
+      let speed =
+        if straggler = Some i then straggler_speed
+        else if i mod 13 = 6 then 2.0
+        else if i mod 7 = 3 then 1.4
+        else 1.0
+      in
+      (k, speed))
+
+let catalog_of_spec ?kind (spec : Tvm_spec.Job_spec.t) =
+  let kind = match kind with Some k -> k | None -> kind_of_target spec.target in
+  (* A straggler is slowness (a speed factor), not extra faults:
+     per-device fault rates cannot apply when draws are keyed by job
+     ordinal. *)
+  let fault_plan =
+    if spec.fault_rate > 0. then
+      Fault.transient ~seed:spec.seed ~rate:spec.fault_rate ()
+    else Fault.none
+  in
+  let retry =
+    {
+      Retry_policy.default with
+      Retry_policy.max_retries = spec.max_retries;
+      timeout_s = spec.timeout_s;
+    }
+  in
+  let with_policies =
+    catalog ~fault_plan ~retry ~speculate:spec.speculate ~shards:spec.shards
+  in
+  if spec.fleet > 0 then
+    with_policies (mixed_kinds ~primary:kind ?straggler:spec.straggler spec.fleet)
+  else
+    (* Replicas of one board pay the whole 0.5 s dispatch per job and
+       no per-batch upload: the costs the replica tuning histories are
+       pinned to (test/test_golden.ml). *)
+    with_policies ~noise:0.05 ~per_job_s:0.5 ~overhead_s:0.
+      (List.init (max 1 spec.devices) (fun i ->
+           (kind, if spec.straggler = Some i then straggler_speed else 1.)))
+
+let session ?(salt = 0) cat =
+  (* Group devices by kind name (sorted for a stable shard order), cut
+     each kind's devices into contiguous shards. *)
+  let knames =
+    Array.to_list cat.c_roster
+    |> List.map (fun (k, _) -> kind_name k)
+    |> List.sort_uniq compare
+  in
+  let shards = ref [] and devs = ref [] and sh_id = ref 0 in
+  List.iter
+    (fun kname ->
+      let members =
+        Array.to_list cat.c_roster
+        |> List.mapi (fun i kd -> (i, kd))
+        |> List.filter (fun (_, (k, _)) -> kind_name k = kname)
+      in
+      let nk = List.length members in
+      let n_sh =
+        if cat.c_shards > 0 then min cat.c_shards nk
+        else max 1 (min 16 (nk / 32))
+      in
+      let members = Array.of_list members in
+      for s = 0 to n_sh - 1 do
+        let lo = s * nk / n_sh and hi = (s + 1) * nk / n_sh in
+        let id = !sh_id in
+        incr sh_id;
+        let sdevs =
+          Array.init (hi - lo) (fun i ->
+              let roster_id, (_, speed) = members.(lo + i) in
+              {
+                fd_id = roster_id;
+                fd_kname = kname;
+                fd_speed = speed;
+                fd_shard = id;
+                fd_free_at = 0.;
+                fd_epoch = -1;
+                fd_busy_s = 0.;
+                fd_lane_named = false;
+              })
+        in
+        Array.iter (fun d -> devs := d :: !devs) sdevs;
+        shards :=
+          {
+            sh_id = id;
+            sh_kname = kname;
+            sh_ndevs = hi - lo;
+            sh_front = [];
+            sh_back = [];
+            sh_qlen = 0;
+            sh_attempts = 0;
+            sh_stolen = 0;
+          }
+          :: !shards
+      done)
+    knames;
+  {
+    cat;
+    devs =
+      Array.of_list (List.sort (fun a b -> compare a.fd_id b.fd_id) !devs);
+    shards =
+      Array.of_list (List.sort (fun a b -> compare a.sh_id b.sh_id) !shards);
+    salt;
+    clock = 0.;
+    epoch = 0;
+    jobs_submitted = 0;
+    attempts_n = 0;
+    steals = 0;
+    stolen_jobs = 0;
+    spec_launched = 0;
+    spec_wins = 0;
+    spec_losses = 0;
+    retries_n = 0;
+  }
+
+let of_spec ?kind (spec : Tvm_spec.Job_spec.t) =
+  session ~salt:spec.seed (catalog_of_spec ?kind spec)
+
+let usable t ~kind =
+  let kname = kind_name kind in
+  Array.fold_left
+    (fun acc d -> if d.fd_kname = kname then acc + 1 else acc)
+    0 t.devs
+
+let suggested_batch t ~kind ~base =
+  min 512 (max base (2 * usable t ~kind))
+
 let makespan t =
-  List.fold_left (fun acc d -> Float.max acc d.busy_until) t.clock t.devices
+  Array.fold_left (fun acc d -> Float.max acc d.fd_free_at) t.clock t.devs
 
-let quarantined_count t =
-  List.length (List.filter (fun d -> d.quarantined) t.devices)
+type shard_stat = {
+  ss_shard : int;
+  ss_kind : string;
+  ss_devices : int;
+  ss_attempts : int;
+  ss_stolen : int;
+  ss_busy_s : float;
+}
 
-(** Record a failed attempt on [dev] and quarantine it if its error
-    rate has crossed the policy threshold — unless it is the last
-    healthy device, which stays in service however flaky it is:
-    quarantine must never empty the pool. *)
-let record_failure t dev =
-  dev.failures <- dev.failures + 1;
-  let r = t.retry in
-  if
-    healthy dev
-    && List.exists (fun d -> d != dev && healthy d) t.devices
-    && dev.attempts >= r.Retry_policy.quarantine_min_jobs
-    && float_of_int dev.failures /. float_of_int dev.attempts
-       > r.Retry_policy.quarantine_error_rate
-  then begin
-    dev.quarantined <- true;
-    Tvm_obs.Metrics.incr "pool.quarantined";
-    Tvm_obs.Metrics.set_gauge "pool.quarantined_devices"
-      (float_of_int (quarantined_count t));
-    if Tvm_obs.Trace.enabled () then
-      Tvm_obs.Trace.instant "pool.quarantine"
-        ~attrs:
-          [
-            ("device", kind_name dev.dev_kind);
-            ("dev_id", string_of_int dev.dev_id);
-            ("failures", string_of_int dev.failures);
-            ("attempts", string_of_int dev.attempts);
-          ]
+type stats = {
+  fs_devices : int;
+  fs_shards : int;
+  fs_jobs : int;
+  fs_attempts : int;
+  fs_steals : int;
+  fs_stolen_jobs : int;
+  fs_spec_launched : int;
+  fs_spec_wins : int;
+  fs_spec_losses : int;
+  fs_retries : int;
+  fs_shard_stats : shard_stat list;
+}
+
+let stats t =
+  let busy = Array.make (Array.length t.shards) 0. in
+  Array.iter (fun d -> busy.(d.fd_shard) <- busy.(d.fd_shard) +. d.fd_busy_s) t.devs;
+  {
+    fs_devices = Array.length t.devs;
+    fs_shards = Array.length t.shards;
+    fs_jobs = t.jobs_submitted;
+    fs_attempts = t.attempts_n;
+    fs_steals = t.steals;
+    fs_stolen_jobs = t.stolen_jobs;
+    fs_spec_launched = t.spec_launched;
+    fs_spec_wins = t.spec_wins;
+    fs_spec_losses = t.spec_losses;
+    fs_retries = t.retries_n;
+    fs_shard_stats =
+      Array.to_list
+        (Array.map
+           (fun sh ->
+             {
+               ss_shard = sh.sh_id;
+               ss_kind = sh.sh_kname;
+               ss_devices = sh.sh_ndevs;
+               ss_attempts = sh.sh_attempts;
+               ss_stolen = sh.sh_stolen;
+               ss_busy_s = busy.(sh.sh_id);
+             })
+           t.shards);
+  }
+
+
+(* ------------------------------------------------------------------ *)
+(* The schedule engine                                                 *)
+(* ------------------------------------------------------------------ *)
+
+(* A job's deterministic description. [jd_measured] already includes
+   the config-keyed noise; non-finite means the machine model rejected
+   the schedule. [jd_fid] is the fault identity: salt + submission
+   ordinal, so the fault sequence a job sees is independent of which
+   device, shard or steal schedule ran it. *)
+type jobdef = {
+  jd_measured : float;
+  jd_err : string option;  (* the model raised *)
+  jd_uid : int;  (* journal trial uid, -1 = untagged *)
+  jd_fid : int;
+}
+
+(* Per-(job, attempt) outcome: a pure function of the jobdef, so a
+   speculative twin replays exactly the outcome of its sibling. *)
+type joutcome =
+  | O_ok of float  (* measured seconds *)
+  | O_timeout  (* injected hang, killed at the budget *)
+  | O_crash
+  | O_corrupt of float  (* charged run seconds (outlier repeats) *)
+  | O_overrun  (* deterministically slower than the budget *)
+  | O_invalid
+  | O_error of string
+
+type run_rec = {
+  rn_job : int;
+  rn_attempt : int;
+  rn_spec : bool;
+  rn_stolen : bool;
+  rn_dev : fdevice;
+  rn_start : float;
+  rn_finish : float;
+  rn_outcome : joutcome;
+  rn_start_ns : int64;  (* host clock at launch, for the trace slice *)
+  mutable rn_dead : bool;  (* cancelled twin: skip its event *)
+}
+
+type jstate = {
+  js_home : int;  (* home shard id *)
+  mutable js_attempt : int;
+  mutable js_ready : float;  (* when it (re-)entered a queue *)
+  mutable js_stolen : bool;
+  mutable js_spec_used : bool;  (* one twin per attempt *)
+  mutable js_primary : run_rec option;
+  mutable js_twin : run_rec option;
+}
+
+(* Minimal binary min-heap on (finish, push-sequence). *)
+module Heap = struct
+  type elt = { h_t : float; h_seq : int; h_run : run_rec }
+  type h = { mutable a : elt array; mutable n : int; mutable seq : int }
+
+  let create () = { a = [||]; n = 0; seq = 0 }
+  let lt x y = x.h_t < y.h_t || (x.h_t = y.h_t && x.h_seq < y.h_seq)
+
+  let push h r ~at =
+    let e = { h_t = at; h_seq = h.seq; h_run = r } in
+    h.seq <- h.seq + 1;
+    if h.n = Array.length h.a then begin
+      let cap = max 64 (2 * h.n) in
+      let a' = Array.make cap e in
+      Array.blit h.a 0 a' 0 h.n;
+      h.a <- a'
+    end;
+    let i = ref h.n in
+    h.n <- h.n + 1;
+    h.a.(!i) <- e;
+    while !i > 0 && lt h.a.(!i) h.a.((!i - 1) / 2) do
+      let p = (!i - 1) / 2 in
+      let tmp = h.a.(p) in
+      h.a.(p) <- h.a.(!i);
+      h.a.(!i) <- tmp;
+      i := p
+    done
+
+  let peek h = if h.n = 0 then None else Some h.a.(0).h_run
+
+  let pop h =
+    if h.n = 0 then None
+    else begin
+      let top = h.a.(0) in
+      h.n <- h.n - 1;
+      h.a.(0) <- h.a.(h.n);
+      let i = ref 0 in
+      let continue_ = ref true in
+      while !continue_ do
+        let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
+        let s = ref !i in
+        if l < h.n && lt h.a.(l) h.a.(!s) then s := l;
+        if r < h.n && lt h.a.(r) h.a.(!s) then s := r;
+        if !s = !i then continue_ := false
+        else begin
+          let tmp = h.a.(!s) in
+          h.a.(!s) <- h.a.(!i);
+          h.a.(!i) <- tmp;
+          i := !s
+        end
+      done;
+      Some top.h_run
+    end
+end
+
+let outcome_of t jd ~attempt =
+  match jd.jd_err with
+  | Some m -> O_error m
+  | None -> (
+      match Fault.draw t.cat.c_fault_plan ~job:jd.jd_fid ~attempt with
+      | Fault.Crash -> O_crash
+      | Fault.Timeout -> O_timeout
+      | (Fault.No_fault | Fault.Corrupt _) as o ->
+          if not (Float.is_finite jd.jd_measured) then O_invalid
+          else
+            let run = float_of_int t.cat.c_repeats *. jd.jd_measured in
+            (match o with
+            | Fault.Corrupt factor -> O_corrupt (run *. factor)
+            | _ ->
+                (* The budget check uses the unscaled cost: the budget
+                   bounds the measured kernel, host-side slowness does
+                   not — which keeps the verdict placement-invariant. *)
+                if t.cat.c_per_job_s +. run > t.cat.c_retry.Retry_policy.timeout_s
+                then O_overrun
+                else O_ok jd.jd_measured))
+
+(* Charged device-seconds for running [outcome] on [dev], excluding
+   batch-upload and steal-transfer surcharges. Speed scales everything
+   except budget kills, which the tracker enforces in wall time. *)
+let charge_on t dev = function
+  | O_ok m ->
+      (t.cat.c_per_job_s +. (float_of_int t.cat.c_repeats *. m)) *. dev.fd_speed
+  | O_corrupt run_s -> (t.cat.c_per_job_s +. run_s) *. dev.fd_speed
+  | O_crash -> t.cat.c_per_job_s *. dev.fd_speed
+  | O_timeout | O_overrun -> t.cat.c_retry.Retry_policy.timeout_s
+  | O_invalid | O_error _ -> 0.01
+
+let outcome_name = function
+  | O_ok _ -> "ok"
+  | O_timeout | O_overrun -> "timeout"
+  | O_crash -> "crash"
+  | O_corrupt _ -> "corrupt"
+  | O_invalid -> "invalid_config"
+  | O_error _ -> "error"
+
+let result_of ~attempts = function
+  | O_ok m -> Measure_result.ok ~attempts m
+  | O_timeout | O_overrun -> Measure_result.fail ~attempts Measure_result.Timeout
+  | O_crash -> Measure_result.fail ~attempts Measure_result.Crash
+  | O_corrupt _ ->
+      Measure_result.fail ~attempts
+        (Measure_result.Pool_error "unstable measurement")
+  | O_invalid -> Measure_result.fail ~attempts Measure_result.Invalid_config
+  | O_error m -> Measure_result.fail ~attempts (Measure_result.Pool_error m)
+
+let retryable = function
+  | O_timeout | O_crash | O_corrupt _ -> true
+  | O_ok _ | O_overrun | O_invalid | O_error _ -> false
+
+(* Label a device's trace lane the first time it runs a traced
+   attempt (labels survive trace resets). *)
+let name_lane dev =
+  if not dev.fd_lane_named then begin
+    dev.fd_lane_named <- true;
+    Trace.name_process ~pid:(fst (Trace.device_lane 0)) "device pool";
+    Trace.name_thread ~lane:(Trace.device_lane dev.fd_id)
+      (Printf.sprintf "dev %d (%s)" dev.fd_id dev.fd_kname)
   end
 
-let job_event dev status ~measured ~queue_wait =
-  if Tvm_obs.Trace.enabled () then
-    Tvm_obs.Trace.instant "pool.job"
-      ~attrs:
-        [
-          ("device", kind_name dev.dev_kind);
-          ("status", status);
-          ( "measured_ms",
-            match measured with
-            | Some m -> Printf.sprintf "%.6f" (1e3 *. m)
-            | None -> "-" );
-          ("queue_wait_s", Printf.sprintf "%.3f" queue_wait);
-        ]
-
-(** Shared job-submission engine: identical to {!measure} except the
-    model time comes from [time_for dev] — either computed on the spot
-    (per-config path) or looked up from a table {!measure_batch}
-    precomputed in parallel. All clock/fault/retry/quarantine
-    bookkeeping lives here, on the calling domain. [job] is the batch
-    job index, used to look this job's trial uid up from the flight
-    recorder's job tags (see {!Tvm_obs.Journal.set_job_tags}); every
-    attempt then lands in the journal as a dispatch record and on the
-    device's trace lane as a slice + flow step. *)
-let submit ?(key = 0) ?(job = 0) t ~kind_pred ~(time_for : device -> float) ()
-    : Measure_result.t =
-  let retry = t.retry in
-  let uid = Tvm_obs.Journal.job_tag job in
-  (* One record per measurement attempt, however it ended. The journal
-     side is driven by the simulated clock only (deterministic); the
-     trace side places a slice on the device's lane covering the real
-     time spent in this attempt's bookkeeping, carrying the simulated
-     cost in its args, and a flow step tying it into the trial's
-     propose → dispatch → measure arrow. *)
-  let record_attempt dev ~attempt ~outcome ~cost ~queue_wait ~start_ns =
-    if uid >= 0 then
-      Tvm_obs.Journal.dispatch ~uid ~dev:dev.dev_id
-        ~device:(kind_name dev.dev_kind) ~attempt ~outcome ~cost_s:cost
-        ~queue_s:queue_wait ();
-    if Tvm_obs.Trace.enabled () then begin
-      let lane = Tvm_obs.Trace.device_lane dev.dev_id in
-      if uid >= 0 then
-        Tvm_obs.Trace.flow ~lane ~id:uid Tvm_obs.Trace.Flow_step "trial";
-      Tvm_obs.Trace.slice ~lane ~start_ns
-        ~attrs:
-          [
-            ("outcome", outcome);
-            ("trial", if uid >= 0 then string_of_int uid else "-");
-            ("attempt", string_of_int attempt);
-            ("sim_cost_s", Printf.sprintf "%.6f" cost);
-            ("sim_queue_s", Printf.sprintf "%.3f" queue_wait);
-          ]
-        (if uid >= 0 then Printf.sprintf "job %d" uid else "job")
-    end
-  in
-  let rec attempt_job n =
-    match request t ~kind_pred with
-    | exception No_healthy_device msg when n > 0 ->
-        (* The pool was lost out from under an in-flight job (its last
-           devices died or were quarantined during the retries): degrade
-           to a structured failure. A fresh submission (n = 0) to an
-           exhausted pool still raises. *)
-        Measure_result.fail ~attempts:n (Measure_result.Pool_error msg)
-    | dev ->
-    let start_ns = Tvm_obs.Trace.now_ns () in
-    dev.attempts <- dev.attempts + 1;
-    t.total_jobs <- t.total_jobs + 1;
-    Tvm_obs.Metrics.incr "pool.jobs";
-    let start = Float.max t.clock dev.busy_until in
-    let queue_wait = start -. t.clock in
-    Tvm_obs.Metrics.observe "pool.queue_wait_s" queue_wait;
-    t.clock <- Float.max t.clock start;
-    (* Account the failed attempt's cost on the device, then either
-       back off and retry on whichever device is free next, or give
-       up with the failure's category. *)
-    let transient_failure status ~outcome ~cost ~metric =
-      dev.busy_until <- start +. cost;
-      Tvm_obs.Metrics.incr metric;
-      Tvm_obs.Metrics.observe "pool.job_cost_s" cost;
-      record_failure t dev;
-      job_event dev (Measure_result.status_name status) ~measured:None ~queue_wait;
-      record_attempt dev ~attempt:n ~outcome ~cost ~queue_wait ~start_ns;
-      if n < retry.Retry_policy.max_retries then begin
-        Tvm_obs.Metrics.incr "pool.retries";
-        t.clock <- t.clock +. Retry_policy.backoff_s retry ~attempt:n;
-        attempt_job (n + 1)
-      end
-      else Measure_result.fail ~attempts:(n + 1) status
+(* Run the schedule for [defs], every job pinned to kind [kname] (which
+   the roster has). [publish] = false keeps the run out of the metrics
+   registry. Returns the results in job order. *)
+let run_defs t ~publish ~kname (defs : jobdef array) : Measure_result.t array =
+  let c = t.cat in
+  let n = Array.length defs in
+  let res : Measure_result.t option array = Array.make n None in
+  let count ?by name = if publish then Metrics.incr ?by name in
+  let observe name v = if publish then Metrics.observe name v in
+  t.jobs_submitted <- t.jobs_submitted + n;
+  count ~by:(float_of_int n) "pool.jobs";
+  if n = 0 then [||]
+  else begin
+    t.epoch <- t.epoch + 1;
+    let epoch = t.epoch in
+    let submit_clock = t.clock in
+    let done_n = ref 0 in
+    let resolve j r =
+      res.(j) <- Some r;
+      incr done_n
     in
-    match Fault.draw t.fault_plan ~dev_id:dev.dev_id ~attempt:dev.attempts with
-    | Fault.Died ->
-        (* The board drops off the tracker; the in-flight job is lost
-           and rescheduled on the remaining devices. *)
-        dev.dead <- true;
-        record_failure t dev;
-        Tvm_obs.Metrics.incr "pool.device_deaths";
-        job_event dev "device_death" ~measured:None ~queue_wait;
-        record_attempt dev ~attempt:n ~outcome:"device_death" ~cost:0.
-          ~queue_wait ~start_ns;
-        if n < retry.Retry_policy.max_retries then begin
-          Tvm_obs.Metrics.incr "pool.retries";
-          attempt_job (n + 1)
-        end
-        else Measure_result.fail ~attempts:(n + 1) Measure_result.Crash
-    | Fault.Timeout ->
-        (* The job hangs; the tracker kills it at the per-job budget. *)
-        transient_failure Measure_result.Timeout ~outcome:"timeout"
-          ~cost:retry.Retry_policy.timeout_s ~metric:"pool.timeouts"
-    | Fault.Crash ->
-        transient_failure Measure_result.Crash ~outcome:"crash"
-          ~cost:t.overhead_s ~metric:"pool.crashes"
-    | (Fault.No_fault | Fault.Corrupt _) as outcome -> (
-        let base = time_for dev in
-        if not (Float.is_finite base) then begin
-          (* The machine model rejected the schedule: this is the one
-             place where the model's infinity sentinel is translated
-             into a structured status. Deterministic, so no retry. *)
-          dev.busy_until <- start +. 0.01;
-          Tvm_obs.Metrics.incr "pool.invalid_configs";
-          job_event dev "invalid_config" ~measured:None ~queue_wait;
-          record_attempt dev ~attempt:n ~outcome:"invalid_config" ~cost:0.01
-            ~queue_wait ~start_ns;
-          Measure_result.fail ~attempts:(n + 1) Measure_result.Invalid_config
-        end
-        else
-          let measured = base *. (1. +. (t.noise *. noise_of_key key)) in
-          match outcome with
-          | Fault.Corrupt factor ->
-              (* One of the [repeats] timed runs came back as a wild
-                 outlier; the disagreement is detected and the
-                 measurement discarded as unstable. *)
-              transient_failure
-                (Measure_result.Pool_error "unstable measurement")
-                ~outcome:"corrupt"
-                ~cost:(t.overhead_s +. (float_of_int t.repeats *. measured *. factor))
-                ~metric:"pool.corrupt"
-          | _ ->
-              let run_cost = float_of_int t.repeats *. measured in
-              if t.overhead_s +. run_cost > retry.Retry_policy.timeout_s then begin
-                (* Genuine overrun: the kernel really is slower than
-                   the per-job budget. Deterministic, so no retry. *)
-                dev.busy_until <- start +. retry.Retry_policy.timeout_s;
-                Tvm_obs.Metrics.incr "pool.timeouts";
-                record_failure t dev;
-                job_event dev "timeout" ~measured:(Some measured) ~queue_wait;
-                record_attempt dev ~attempt:n ~outcome:"timeout"
-                  ~cost:retry.Retry_policy.timeout_s ~queue_wait ~start_ns;
-                Measure_result.fail ~attempts:(n + 1) Measure_result.Timeout
-              end
-              else begin
-                dev.busy_until <- start +. t.overhead_s +. run_cost;
-                dev.jobs_run <- dev.jobs_run + 1;
-                Tvm_obs.Metrics.observe "pool.job_cost_s" (t.overhead_s +. run_cost);
-                Tvm_obs.Metrics.set_gauge "pool.makespan_s" (makespan t);
-                job_event dev "ok" ~measured:(Some measured) ~queue_wait;
-                record_attempt dev ~attempt:n ~outcome:"ok"
-                  ~cost:(t.overhead_s +. run_cost) ~queue_wait ~start_ns;
-                Measure_result.ok ~attempts:(n + 1) measured
-              end)
-  in
-  attempt_job 0
-
-(** Submit a measurement job and return its structured result,
-    advancing the pool's simulated clock. [key] seeds the
-    deterministic noise so a config always measures the same.
-    Transient faults are retried per the pool's {!Retry_policy.t};
-    permanent failures (invalid configurations, deterministic
-    overruns) are not. *)
-let measure ?key t ~kind_pred (stmt : Stmt.t) : Measure_result.t =
-  submit ?key t ~kind_pred ~time_for:(fun dev -> model_time dev stmt) ()
-
-(** Measure a batch of jobs, returning result [i] for job [i] (each
-    job is (noise key, program)).
-
-    The expensive part of a simulated measurement — evaluating the
-    analytical machine model on the lowered program — is pure in
-    (device kind, program), so it fans out over [par] across every
-    (job × distinct matching kind) pair up front. The replay below
-    then runs the exact sequential bookkeeping on the calling domain:
-    device choice, fault draws (a pure function of (plan seed, device,
-    attempt) — PR-2 determinism), retries, quarantine and the
-    simulated clock, looking model times up from the precomputed
-    table. Results are byte-identical to calling {!measure} on each
-    job in order, at any domain count.
-
-    A job that raises (e.g. {!No_healthy_device} on a truly exhausted
-    pool) degrades to a [Pool_error] result carrying the exception
-    text — the same conversion the tuner applies on the per-config
-    path — so one doomed job cannot sink the rest of its batch. *)
-let measure_batch ?(par = Tvm_par.Pool.sequential) t ~kind_pred
-    (jobs : (int * Stmt.t) array) : Measure_result.t array =
-  let kinds =
-    List.filter (fun d -> kind_pred d.dev_kind) t.devices
-    |> List.map (fun d -> d.dev_kind)
-    |> List.sort_uniq (fun a b -> compare (kind_name a) (kind_name b))
-  in
-  let tasks =
-    Array.concat
-      (List.map
-         (fun k -> Array.mapi (fun j (_, stmt) -> (j, k, stmt)) jobs)
-         kinds)
-  in
-  let timed =
-    Tvm_par.Pool.parallel_map par
-      (fun (j, k, stmt) ->
-        ( j,
-          kind_name k,
-          match kind_time k stmt with
-          | v -> Ok v
-          | exception e -> Error e ))
-      tasks
-  in
-  let table = Hashtbl.create (Array.length timed) in
-  Array.iter (fun (j, kname, r) -> Hashtbl.replace table (j, kname) r) timed;
-  Array.mapi
-    (fun j (key, _) ->
-      let time_for dev =
-        match Hashtbl.find table (j, kind_name dev.dev_kind) with
-        | Ok v -> v
-        | Error e -> raise e
+    (* Home-shard assignment: the jobs are cut into contiguous
+       per-shard slices over the shards of their kind (batched
+       dispatch). *)
+    let shs =
+      Array.of_list
+        (List.filter (fun s -> s.sh_kname = kname) (Array.to_list t.shards))
+    in
+    let k = Array.length shs in
+    let homes = Array.make n 0 in
+    for s = 0 to k - 1 do
+      for j = s * n / k to ((s + 1) * n / k) - 1 do
+        homes.(j) <- shs.(s).sh_id
+      done
+    done;
+    let states =
+      Array.init n (fun j ->
+          {
+            js_home = homes.(j);
+            js_attempt = 0;
+            js_ready = submit_clock;
+            js_stolen = false;
+            js_spec_used = false;
+            js_primary = None;
+            js_twin = None;
+          })
+    in
+    let total_queued = ref 0 in
+    let q_push sh j =
+      sh.sh_back <- j :: sh.sh_back;
+      sh.sh_qlen <- sh.sh_qlen + 1;
+      incr total_queued
+    in
+    let q_pop sh =
+      let take j rest =
+        sh.sh_qlen <- sh.sh_qlen - 1;
+        decr total_queued;
+        sh.sh_front <- rest;
+        Some j
       in
-      try submit ~key ~job:j t ~kind_pred ~time_for ()
-      with e ->
-        Measure_result.fail (Measure_result.Pool_error (Printexc.to_string e)))
-    jobs
+      match sh.sh_front with
+      | j :: rest -> take j rest
+      | [] -> (
+          match List.rev sh.sh_back with
+          | [] -> None
+          | j :: rest ->
+              sh.sh_back <- [];
+              take j rest)
+    in
+    (* Victim keeps the front (oldest) of its backlog; the thief takes
+       the tail half, oldest-first. *)
+    let q_steal victim ~take =
+      let all = victim.sh_front @ List.rev victim.sh_back in
+      let keep = victim.sh_qlen - take in
+      let rec split i acc = function
+        | rest when i = keep -> (List.rev acc, rest)
+        | x :: rest -> split (i + 1) (x :: acc) rest
+        | [] -> (List.rev acc, [])
+      in
+      let kept, taken = split 0 [] all in
+      victim.sh_front <- kept;
+      victim.sh_back <- [];
+      victim.sh_qlen <- keep;
+      total_queued := !total_queued - take;
+      taken
+    in
+    Array.iteri (fun j h -> q_push t.shards.(h) j) homes;
+    let events = Heap.create () in
+    (* Retry queue: (ready time, seq, job), kept sorted; ties resolve
+       by insertion order. *)
+    let retryq = ref [] and retry_seq = ref 0 in
+    let push_retry ~at j =
+      let seq = !retry_seq in
+      incr retry_seq;
+      (* Sorted by (ready time, insertion order); existing entries all
+         have a lower seq, so ties keep them first. *)
+      let rec ins = function
+        | ((t', _, _) as x) :: rest when t' <= at -> x :: ins rest
+        | rest -> (at, seq, j) :: rest
+      in
+      retryq := ins !retryq
+    in
+    let ok_costs = ref [] and ok_count = ref 0 in
+    (* Live primary runs, for the speculation scan (lazily pruned). *)
+    let active_runs = ref [] in
+    let launch dev j ~spec =
+      let st = states.(j) and jd = defs.(j) in
+      let attempt = st.js_attempt in
+      let oc = outcome_of t jd ~attempt in
+      let stolen = st.js_stolen in
+      let charge =
+        charge_on t dev oc
+        +. (if dev.fd_epoch <> epoch then begin
+              dev.fd_epoch <- epoch;
+              c.c_overhead_s *. dev.fd_speed
+            end
+            else 0.)
+        +. if stolen then 0.25 *. c.c_overhead_s *. dev.fd_speed else 0.
+      in
+      let charge = Float.max 1e-9 charge in
+      let start = t.clock in
+      let r =
+        {
+          rn_job = j;
+          rn_attempt = attempt;
+          rn_spec = spec;
+          rn_stolen = stolen;
+          rn_dev = dev;
+          rn_start = start;
+          rn_finish = start +. charge;
+          rn_outcome = oc;
+          rn_start_ns = (if Trace.enabled () then Trace.now_ns () else 0L);
+          rn_dead = false;
+        }
+      in
+      dev.fd_free_at <- r.rn_finish;
+      let sh = t.shards.(dev.fd_shard) in
+      sh.sh_attempts <- sh.sh_attempts + 1;
+      if stolen then sh.sh_stolen <- sh.sh_stolen + 1;
+      t.attempts_n <- t.attempts_n + 1;
+      count "pool.attempts";
+      if spec then begin
+        t.spec_launched <- t.spec_launched + 1;
+        count "pool.spec_launched";
+        st.js_spec_used <- true;
+        st.js_twin <- Some r
+      end
+      else begin
+        observe "pool.queue_wait_s" (start -. st.js_ready);
+        st.js_primary <- Some r;
+        active_runs := r :: !active_runs
+      end;
+      Heap.push events r ~at:r.rn_finish
+    in
+    let try_local dev =
+      match q_pop t.shards.(dev.fd_shard) with
+      | Some j -> launch dev j ~spec:false; true
+      | None -> false
+    in
+    let try_steal dev =
+      let sh = t.shards.(dev.fd_shard) in
+      let victim =
+        Array.fold_left
+          (fun best s ->
+            if s.sh_id <> sh.sh_id && s.sh_kname = sh.sh_kname && s.sh_qlen > 0
+            then
+              match best with
+              | Some b when b.sh_qlen >= s.sh_qlen -> best
+              | _ -> Some s
+            else best)
+          None t.shards
+      in
+      match victim with
+      | None -> false
+      | Some v ->
+          let take = (v.sh_qlen + 1) / 2 in
+          let taken = q_steal v ~take in
+          List.iter
+            (fun j ->
+              states.(j).js_stolen <- true;
+              q_push sh j)
+            taken;
+          t.steals <- t.steals + 1;
+          t.stolen_jobs <- t.stolen_jobs + take;
+          count "pool.steals";
+          count ~by:(float_of_int take) "pool.stolen_jobs";
+          try_local dev
+    in
+    (* Speculative re-measurement: duplicate the in-flight run whose
+       charged time crosses [spec_factor × median completed ok cost]
+       (the journal report's straggler heuristic, pool-relative) and whose twin
+       would finish sooner here. The twin replays the same (job,
+       attempt) outcome — no new fault draw. *)
+    let try_speculate dev =
+      if (not c.c_speculate) || !ok_count < 3 then false
+      else begin
+        active_runs :=
+          List.filter
+            (fun r ->
+              (not r.rn_dead)
+              &&
+              match states.(r.rn_job).js_primary with
+              | Some r' -> r' == r
+              | None -> false)
+            !active_runs;
+        let med = Metrics.median !ok_costs in
+        let threshold = c.c_spec_factor *. med in
+        let best = ref None in
+        List.iter
+          (fun r ->
+            let st = states.(r.rn_job) in
+            if
+              st.js_twin = None
+              && (not st.js_spec_used)
+              && r.rn_dev.fd_kname = dev.fd_kname
+              && r.rn_finish -. r.rn_start > threshold
+            then begin
+              let est =
+                charge_on t dev r.rn_outcome
+                +.
+                if dev.fd_epoch <> epoch then c.c_overhead_s *. dev.fd_speed
+                else 0.
+              in
+              (* Only duplicate when the twin would actually win. *)
+              if r.rn_finish > t.clock +. est then
+                match !best with
+                | Some b
+                  when b.rn_finish > r.rn_finish
+                       || (b.rn_finish = r.rn_finish && b.rn_job < r.rn_job) ->
+                    ()
+                | _ -> best := Some r
+            end)
+          !active_runs;
+        match !best with
+        | None -> false
+        | Some r ->
+            (* The twin reuses the primary's (job, attempt): the launch
+               recomputes the identical outcome, no new fault draw. *)
+            launch dev r.rn_job ~spec:true;
+            true
+      end
+    in
+    let fill_all () =
+      (* Local backlogs first, then stealing for the still-idle, then
+         speculation once every backlog is dry. Every launch makes the
+         device busy (charges are strictly positive), so each device
+         takes at most one job per pass. *)
+      Array.iter
+        (fun d -> if d.fd_free_at <= t.clock then ignore (try_local d))
+        t.devs;
+      if !total_queued > 0 then
+        Array.iter
+          (fun d -> if d.fd_free_at <= t.clock then ignore (try_steal d))
+          t.devs;
+      if c.c_speculate && !ok_count >= 3 then
+        Array.iter
+          (fun d -> if d.fd_free_at <= t.clock then ignore (try_speculate d))
+          t.devs
+    in
+    let drain_retries () =
+      let rec go () =
+        match !retryq with
+        | (at, _, j) :: rest when at <= t.clock ->
+            retryq := rest;
+            let st = states.(j) in
+            (* A resolved job's pending retry is dropped silently — in
+               particular it charges no backoff anywhere (the
+               twin-cancelled-mid-backoff fix). *)
+            if res.(j) = None then begin
+              st.js_ready <- at;
+              st.js_stolen <- false;
+              q_push t.shards.(st.js_home) j
+            end;
+            go ()
+        | _ -> ()
+      in
+      go ()
+    in
+    (* One record per attempt, however it ended: a journal dispatch
+       record (simulated clock only, so deterministic) and, when
+       tracing, a slice on the device's lane carrying the simulated
+       cost, with a flow step tying it into the trial's propose ->
+       dispatch -> measure arrow. *)
+    let record_attempt r ~outcome ~cost =
+      let uid = defs.(r.rn_job).jd_uid in
+      let queue_s = r.rn_start -. states.(r.rn_job).js_ready in
+      if uid >= 0 then
+        Journal.dispatch ~shard:r.rn_dev.fd_shard ~stolen:r.rn_stolen
+          ~spec:r.rn_spec ~uid ~dev:r.rn_dev.fd_id ~device:r.rn_dev.fd_kname
+          ~attempt:r.rn_attempt ~outcome ~cost_s:cost ~queue_s ();
+      if Trace.enabled () then begin
+        name_lane r.rn_dev;
+        let lane = Trace.device_lane r.rn_dev.fd_id in
+        if uid >= 0 then Trace.flow ~lane ~id:uid Trace.Flow_step "trial";
+        Trace.slice ~lane ~start_ns:r.rn_start_ns
+          ~attrs:
+            [
+              ("outcome", outcome);
+              ("trial", if uid >= 0 then string_of_int uid else "-");
+              ("attempt", string_of_int r.rn_attempt);
+              ("sim_cost_s", Printf.sprintf "%.6f" cost);
+              ("sim_queue_s", Printf.sprintf "%.3f" queue_s);
+            ]
+          (if uid >= 0 then Printf.sprintf "job %d" uid else "job")
+      end
+    in
+    let process r =
+      let st = states.(r.rn_job) in
+      let j = r.rn_job in
+      r.rn_dev.fd_busy_s <- r.rn_dev.fd_busy_s +. (r.rn_finish -. r.rn_start);
+      record_attempt r ~outcome:(outcome_name r.rn_outcome)
+        ~cost:(r.rn_finish -. r.rn_start);
+      (* Cancel the slower twin: first result wins, the loser is
+         charged for the time it burned and freed now. *)
+      let other = if r.rn_spec then st.js_primary else st.js_twin in
+      (match other with
+      | Some tw when not tw.rn_dead ->
+          tw.rn_dead <- true;
+          tw.rn_dev.fd_busy_s <- tw.rn_dev.fd_busy_s +. (t.clock -. tw.rn_start);
+          tw.rn_dev.fd_free_at <- t.clock;
+          record_attempt tw ~outcome:"cancelled" ~cost:(t.clock -. tw.rn_start);
+          if tw.rn_spec then begin
+            t.spec_losses <- t.spec_losses + 1;
+            count "pool.spec_losses"
+          end
+          else begin
+            t.spec_wins <- t.spec_wins + 1;
+            count "pool.spec_wins"
+          end
+      | _ -> ());
+      st.js_primary <- None;
+      st.js_twin <- None;
+      observe "pool.job_cost_s" (r.rn_finish -. r.rn_start);
+      (match r.rn_outcome with
+      | O_timeout | O_overrun -> count "pool.timeouts"
+      | O_crash -> count "pool.crashes"
+      | O_corrupt _ -> count "pool.corrupt"
+      | O_invalid -> count "pool.invalid_configs"
+      | O_ok _ | O_error _ -> ());
+      let attempts = r.rn_attempt + 1 in
+      if retryable r.rn_outcome && r.rn_attempt < c.c_retry.Retry_policy.max_retries
+      then begin
+        st.js_attempt <- r.rn_attempt + 1;
+        st.js_spec_used <- false;
+        t.retries_n <- t.retries_n + 1;
+        count "pool.retries";
+        push_retry ~at:(Retry_policy.retry_at c.c_retry ~now:t.clock ~attempt:r.rn_attempt) j
+      end
+      else begin
+        (match r.rn_outcome with
+        | O_ok m ->
+            ok_costs :=
+              (c.c_per_job_s +. (float_of_int c.c_repeats *. m)) :: !ok_costs;
+            incr ok_count
+        | _ -> ());
+        resolve j (result_of ~attempts r.rn_outcome)
+      end
+    in
+    fill_all ();
+    while !done_n < n do
+      match Heap.peek events with
+      | Some r when r.rn_dead -> ignore (Heap.pop events)
+      | ev -> (
+          let next_retry = match !retryq with (at, _, _) :: _ -> Some at | [] -> None in
+          match (ev, next_retry) with
+          | None, None -> failwith "Device_pool: schedule stuck (no events, no retries)"
+          | Some r, Some at when at < r.rn_finish ->
+              t.clock <- Float.max t.clock at;
+              drain_retries ();
+              fill_all ()
+          | Some r, _ ->
+              ignore (Heap.pop events);
+              t.clock <- Float.max t.clock r.rn_finish;
+              process r;
+              drain_retries ();
+              fill_all ()
+          | None, Some at ->
+              t.clock <- Float.max t.clock at;
+              drain_retries ();
+              fill_all ())
+    done;
+    t.clock <- makespan t;
+    if publish then Metrics.set_gauge "pool.makespan_s" t.clock;
+    Array.map (function Some r -> r | None -> assert false) res
+  end
 
-let is_gpu = function Gpu_dev _ -> true | Cpu_dev _ -> false
-let is_cpu = function Cpu_dev _ -> true | Gpu_dev _ -> false
+(* ------------------------------------------------------------------ *)
+(* Submission fronts                                                   *)
+(* ------------------------------------------------------------------ *)
 
-(** Tuner-ready measurement callback for a pool and device predicate. *)
+(* Jobdefs for one batch: model times fan out over [par] in contiguous
+   chunks (thousands of sub-ms pure tasks), everything else is assigned
+   in input order on the caller. [time] is the unnoised model time. *)
+let defs_of ?(par = Tvm_par.Pool.sequential) t ~noise n time =
+  let timed =
+    Tvm_par.Pool.parallel_init_chunked par n (fun i ->
+        match time i with
+        | v -> Ok v
+        | exception e -> Error (Printexc.to_string e))
+  in
+  Array.init n (fun i ->
+      let jd_uid = Journal.job_tag i and jd_fid = t.salt + t.jobs_submitted + i in
+      match timed.(i) with
+      | Ok base ->
+          { jd_measured = base *. (1. +. noise i); jd_err = None; jd_uid; jd_fid }
+      | Error m -> { jd_measured = Float.nan; jd_err = Some m; jd_uid; jd_fid })
+
+(* Pin the batch to the first roster kind [kind_pred] accepts and run
+   it; with no such kind every job fails without reaching a device. *)
+let submit ?par t ~publish ~kind_pred ~noise n time =
+  match Array.find_opt (fun (k, _) -> kind_pred k) t.cat.c_roster with
+  | None ->
+      Array.make n
+        (Measure_result.fail
+           (Measure_result.Pool_error "device pool: no device of requested type"))
+  | Some (kind, _) ->
+      run_defs t ~publish ~kname:(kind_name kind)
+        (defs_of ?par t ~noise n (time kind))
+
+let measure_batch ?par t ~kind_pred (jobs : (int * Stmt.t) array) =
+  submit ?par t ~publish:true ~kind_pred (Array.length jobs)
+    ~noise:(fun i -> t.cat.c_noise *. noise_of_key (fst jobs.(i)))
+    (fun kind i -> kind_time kind (snd jobs.(i)))
+
+let simulate t ~kind ~cost_s =
+  submit t ~publish:false
+    ~kind_pred:(fun k -> kind_name k = kind_name kind)
+    (Array.length cost_s) ~noise:(fun _ -> 0.)
+    (fun _ i -> cost_s.(i))
+
 let measure_fn t ~kind_pred : Tvm_autotune.Tuner.measure_fn =
- fun cfg stmt -> measure ~key:(Tvm_autotune.Cfg_space.hash cfg) t ~kind_pred stmt
+ fun cfg stmt ->
+  (measure_batch t ~kind_pred [| (Tvm_autotune.Cfg_space.hash cfg, stmt) |]).(0)
 
-(** Tuner-ready batch callback: noise keys come from the config hash,
-    exactly as {!measure_fn} derives them. *)
 let batch_measure_fn ?par t ~kind_pred : Tvm_autotune.Tuner.batch_measure_fn =
  fun jobs ->
   measure_batch ?par t ~kind_pred
-    (Array.map
-       (fun (cfg, stmt) -> (Tvm_autotune.Cfg_space.hash cfg, stmt))
-       jobs)
-
-let stats t =
-  List.map (fun d -> (kind_name d.dev_kind, d.jobs_run, d.busy_until)) t.devices
-
-type device_health = {
-  h_dev_id : int;
-  h_name : string;
-  h_jobs_run : int;
-  h_attempts : int;
-  h_failures : int;
-  h_dead : bool;
-  h_quarantined : bool;
-}
-
-(** Per-device health snapshot (job/failure counts, quarantine, death). *)
-let health t =
-  List.map
-    (fun d ->
-      {
-        h_dev_id = d.dev_id;
-        h_name = kind_name d.dev_kind;
-        h_jobs_run = d.jobs_run;
-        h_attempts = d.attempts;
-        h_failures = d.failures;
-        h_dead = d.dead;
-        h_quarantined = d.quarantined;
-      })
-    t.devices
+    (Array.map (fun (cfg, stmt) -> (Tvm_autotune.Cfg_space.hash cfg, stmt)) jobs)

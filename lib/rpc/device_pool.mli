@@ -1,21 +1,46 @@
-(** Simulated distributed device pool with an RPC-style tracker (§5.4,
-    Fig 11).
+(** Simulated measurement device pool behind an RPC tracker (§5.4,
+    Fig 11), from a handful of replicas of one board up to sharded
+    fleets of a thousand heterogeneous devices.
 
-    Clients submit measurement jobs for a device type; the tracker
-    assigns each job to the first free matching device, accounting for
-    upload, compilation and repeated timed runs on a simulated wall
-    clock. Measurements come from the analytical machine models plus
-    deterministic noise keyed by the configuration, and are returned
-    as structured {!Measure_result.t} values.
+    A pool is a roster of devices (kind + host-side speed factor),
+    partitioned into {b per-kind shards}. Measurement batches are
+    dispatched as {b contiguous per-shard slices} (each device pays the
+    upload/RPC overhead once per batch); an idle shard {b steals} the
+    tail half of the deepest backlog of a compatible shard; and with
+    speculation on, an idle device {b duplicates} a straggling
+    in-flight attempt (running cost beyond [spec_factor ×] the median
+    completed cost) on a faster device: first finisher wins, the twin
+    is cancelled and charged for the time it burned. Measurements come
+    from the analytical machine models plus deterministic noise keyed
+    by the configuration, returned as structured {!Measure_result.t}
+    values.
 
     The pool is fault-tolerant: a {!Fault.plan} injects deterministic
-    transient timeouts, crashes, corrupted measurements and device
-    deaths, and a {!Retry_policy.t} governs bounded retries with
-    exponential backoff, the per-job timeout, and quarantine of
-    devices whose error rate crosses a threshold (never the last
-    healthy device — quarantine cannot empty the pool). Jobs degrade
-    gracefully to the remaining healthy devices; {!No_healthy_device}
-    is raised only when the pool is truly exhausted. *)
+    transient timeouts, crashes and corrupted measurements, and a
+    {!Retry_policy.t} governs bounded retries with backoff and the
+    per-job budget.
+
+    {b Determinism.} Pure model times fan out over a {!Tvm_par.Pool};
+    the whole virtual-time schedule (an event heap of run completions,
+    fault draws, retries, steals, speculation, journal records) then
+    replays sequentially on the calling domain. Results are made
+    {e placement-invariant}:
+
+    - fault draws are keyed by the job's {e submission ordinal}, never
+      by the device that happens to run it;
+    - every job is pinned to one device {e kind}, so the model time
+      does not depend on which device wins the race;
+    - per-device speed factors scale only the {e charged} duration,
+      never the measured value nor the deterministic-overrun check;
+    - a speculative twin replays the {e same} (job, attempt) outcome,
+      and backoff is charged to the job's ready time
+      ({!Retry_policy.retry_at}), so a twin cancelled mid-backoff
+      charges nothing.
+
+    Consequently trial results (and thus tuning logs) are
+    byte-identical across [-j], device count, shard count and
+    speculation on/off; the journal additionally records placement, so
+    it is byte-identical across [-j] at a fixed roster. *)
 
 module Machine = Tvm_sim.Machine
 module Measure_result = Tvm_autotune.Measure_result
@@ -25,135 +50,131 @@ type device_kind =
   | Gpu_dev of Machine.gpu
 
 val kind_name : device_kind -> string
-
-type device = {
-  dev_id : int;
-  dev_kind : device_kind;
-  mutable busy_until : float;  (** simulated wall-clock seconds *)
-  mutable jobs_run : int;  (** successful measurements *)
-  mutable attempts : int;  (** measurement attempts, failures included *)
-  mutable failures : int;
-  mutable dead : bool;  (** dropped out of the pool permanently *)
-  mutable quarantined : bool;  (** error rate crossed the threshold *)
-}
-
-type t = {
-  devices : device list;
-  mutable clock : float;
-  mutable total_jobs : int;
-  noise : float;  (** relative measurement noise amplitude *)
-  repeats : int;  (** timed repetitions per measurement *)
-  overhead_s : float;  (** upload + build + RPC round trip per job *)
-  fault_plan : Fault.plan;
-  retry : Retry_policy.t;
-}
-
-val create :
-  ?noise:float ->
-  ?repeats:int ->
-  ?overhead_s:float ->
-  ?fault_plan:Fault.plan ->
-  ?retry:Retry_policy.t ->
-  device_kind list ->
-  t
-
-(** Heavy transient rates for a deliberately-overloaded device — the
-    [--straggler] profile shared by [tvmc] and [tvmd]. *)
-val straggler_rates : Fault.rates
+val is_gpu : device_kind -> bool
+val is_cpu : device_kind -> bool
 
 (** Default device kind for a {!Tvm_spec.Job_spec.target} name
     ([cuda] → Titan X, [mali] → Mali T860, [arm] → A53, else Xeon). *)
 val kind_of_target : string -> device_kind
 
-(** Fault plan described by a spec's [fault_rate]/[straggler] knobs. *)
-val fault_plan_of_spec : Tvm_spec.Job_spec.t -> Fault.plan
+(** Immutable pool description: the device roster and policies,
+    shareable across tuning jobs (tvmd keeps one per roster). *)
+type catalog
 
-(** Build the fleet a {!Tvm_spec.Job_spec.t} asks for: [spec.devices]
-    replicas of [kind] (defaulting from [spec.target]), the fault plan
-    from [fault_rate]/[straggler], the retry policy from
-    [max_retries]/[timeout_s]. *)
+type t
+(** A pool session: one virtual-time schedule over a catalog. Sessions
+    are cheap; concurrent tuning jobs each run their own salted session
+    of a shared catalog. *)
+
+val catalog :
+  ?noise:float ->
+  ?repeats:int ->
+  ?overhead_s:float ->
+  ?per_job_s:float ->
+  ?fault_plan:Fault.plan ->
+  ?retry:Retry_policy.t ->
+  ?speculate:bool ->
+  ?spec_factor:float ->
+  ?shards:int ->
+  (device_kind * float) list ->
+  catalog
+(** [catalog roster] with [(kind, speed)] per device; [speed >= 1] is a
+    host-side slowness multiplier on charged time. [shards] is the
+    shard count per device kind (0 = auto, ~1 shard per 32 devices
+    capped at 16). [overhead_s] (default 0.5) is paid once per device
+    per batch; [per_job_s] (default 0.05) is the per-job dispatch cost;
+    [noise] defaults to 0.02. [spec_factor] (default 1.5) is the
+    straggler threshold. *)
+
+val mixed_kinds :
+  ?primary:device_kind -> ?straggler:int -> int -> (device_kind * float) list
+(** A deterministic heterogeneous roster of [n] devices: every even
+    slot is [primary] (default Titan X), odd slots cycle through the
+    other kinds; mild deterministic speed variation, plus one
+    [straggler] device of the primary kind slowed 12× if given. *)
+
+val catalog_of_spec : ?kind:device_kind -> Tvm_spec.Job_spec.t -> catalog
+(** The roster a spec asks for, of kind [kind] (default from
+    [spec.target]):
+    - [spec.fleet > 0]: [spec.fleet] devices from {!mixed_kinds};
+    - otherwise [spec.devices] replicas of [kind] with single-board
+      tracker costs: noise 0.05, 0.5 s per job, no per-batch upload.
+
+    [spec.straggler] slows that device 12×. Both rosters share the
+    transient faults at [spec.fault_rate] seeded by [spec.seed], the
+    retries/budget from [spec.max_retries]/[spec.timeout_s], and
+    [spec.shards]/[spec.speculate]. *)
+
+val session : ?salt:int -> catalog -> t
+(** Fresh schedule state over [cat]. [salt] (default 0) decorrelates
+    fault sequences between concurrent tuning jobs sharing a catalog;
+    results depend on it, so callers must derive it deterministically
+    (tvmd uses the job id). *)
+
 val of_spec : ?kind:device_kind -> Tvm_spec.Job_spec.t -> t
+(** [session ~salt:spec.seed (catalog_of_spec ?kind spec)]. *)
 
-(** Deterministic noise in [-1, 1] from a key (config hash). *)
-val noise_of_key : int -> float
+val usable : t -> kind:device_kind -> int
+(** Devices whose kind matches [kind] by name. *)
 
-(** No device of the requested kind exists in the pool at all. *)
-exception No_matching_device of string
+val suggested_batch : t -> kind:device_kind -> base:int -> int
+(** Measurement batch size that keeps the matching shards saturated:
+    [max base (2 × usable)], capped at 512. *)
 
-(** Devices of the requested kind exist, but every one of them is dead
-    or quarantined — the pool is truly exhausted. *)
-exception No_healthy_device of string
+val makespan : t -> float
+(** Virtual time at which everything submitted so far has finished. *)
 
-(** Model run time of a lowered kernel on a device kind. Pure in
-    (kind, program) — the function the batch paths precompute in
-    parallel, and the one the sharded {!Fleet} builds on. *)
-val kind_time : device_kind -> Tvm_tir.Stmt.t -> float
+type shard_stat = {
+  ss_shard : int;
+  ss_kind : string;
+  ss_devices : int;
+  ss_attempts : int;  (** attempts executed by this shard *)
+  ss_stolen : int;  (** ... of which arrived by stealing *)
+  ss_busy_s : float;  (** total charged device time *)
+}
 
-(** Model run time of a lowered kernel on a device. *)
-val model_time : device -> Tvm_tir.Stmt.t -> float
+type stats = {
+  fs_devices : int;
+  fs_shards : int;
+  fs_jobs : int;  (** measurement jobs submitted *)
+  fs_attempts : int;
+  fs_steals : int;  (** steal transactions *)
+  fs_stolen_jobs : int;  (** jobs that changed shard *)
+  fs_spec_launched : int;
+  fs_spec_wins : int;  (** speculative twin finished first *)
+  fs_spec_losses : int;  (** twin cancelled, primary won *)
+  fs_retries : int;
+  fs_shard_stats : shard_stat list;
+}
 
-(** Submit a measurement job and return its structured result,
-    advancing the pool's simulated clock. [key] seeds the
-    deterministic noise so a configuration always measures the same.
-    Transient faults are retried per the pool's {!Retry_policy.t};
-    permanent failures (invalid configurations, deterministic
-    overruns) are not. *)
-val measure :
-  ?key:int ->
-  t ->
-  kind_pred:(device_kind -> bool) ->
-  Tvm_tir.Stmt.t ->
-  Measure_result.t
+val stats : t -> stats
 
-(** Measure a batch of (noise key, program) jobs, returning result [i]
-    for job [i]. The pure machine-model evaluations fan out over [par]
-    across every (job × distinct matching device kind) pair; the
-    stateful bookkeeping (device choice, fault draws, retries,
-    quarantine, simulated clock) then replays sequentially on the
-    calling domain — so the results are byte-identical to calling
-    {!measure} on each job in order, at any domain count. A job that
-    raises (truly exhausted pool) degrades to a [Pool_error] result
-    instead of sinking the batch. *)
 val measure_batch :
   ?par:Tvm_par.Pool.t ->
   t ->
   kind_pred:(device_kind -> bool) ->
   (int * Tvm_tir.Stmt.t) array ->
   Measure_result.t array
+(** Measure a batch of (noise key, program) jobs, pinned to the first
+    roster kind [kind_pred] accepts. Model times fan out over [par];
+    the schedule replays on the caller. Result [i] belongs to job [i]
+    and is independent of [par], roster size, shard count and
+    speculation. With no matching kind every job gets a [Pool_error]
+    result. *)
 
-(** Wall-clock time at which all submitted jobs have finished. *)
-val makespan : t -> float
+val simulate :
+  t -> kind:device_kind -> cost_s:float array -> Measure_result.t array
+(** Drive the engine with synthetic model times instead of lowered
+    programs (no noise applied) — the fleet bench's workload. It
+    publishes no metrics, so synthetic jobs never mix into the
+    tuning runs' [pool.*] histograms; read {!stats} instead. *)
 
-(** Number of currently quarantined devices. *)
-val quarantined_count : t -> int
-
-val is_gpu : device_kind -> bool
-val is_cpu : device_kind -> bool
-
-(** Tuner-ready measurement callback for a pool and device predicate. *)
 val measure_fn :
   t -> kind_pred:(device_kind -> bool) -> Tvm_autotune.Tuner.measure_fn
 
-(** Tuner-ready batch callback (noise keys from the config hash, as
-    {!measure_fn}); see {!measure_batch}. *)
 val batch_measure_fn :
   ?par:Tvm_par.Pool.t ->
   t ->
   kind_pred:(device_kind -> bool) ->
   Tvm_autotune.Tuner.batch_measure_fn
-
-(** Per-device (name, successful jobs run, busy seconds). *)
-val stats : t -> (string * int * float) list
-
-type device_health = {
-  h_dev_id : int;
-  h_name : string;
-  h_jobs_run : int;
-  h_attempts : int;
-  h_failures : int;
-  h_dead : bool;
-  h_quarantined : bool;
-}
-
-(** Per-device health snapshot (job/failure counts, quarantine, death). *)
-val health : t -> device_health list
+(** Tuner-ready callbacks; noise keys come from the config hash. *)

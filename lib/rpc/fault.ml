@@ -1,59 +1,40 @@
 (** Deterministic, seed-driven fault injection for the device pool.
 
     The paper's measurement fleet (§5.4, Fig 11) runs on real boards
-    that time out, crash mid-run, return garbage, and occasionally die
-    outright. A [plan] reproduces those behaviours in the simulator
-    with configurable per-device rates, driven entirely by a hash of
-    (plan seed, device id, per-device attempt number) — so a given
-    plan injects exactly the same fault sequence on every run. *)
+    that time out, crash mid-run and return garbage. A [plan]
+    reproduces those behaviours in the simulator, driven entirely by a
+    hash of (plan seed, job, attempt number) — so a given plan injects
+    exactly the same fault sequence on every run. *)
 
 type rates = {
   timeout_rate : float;  (** transient: the job hangs until killed *)
   crash_rate : float;  (** transient: the run dies before reporting *)
   corrupt_rate : float;
       (** transient: the timed runs disagree wildly (an outlier) *)
-  death_rate : float;  (** permanent: the device drops out of the pool *)
 }
 
-let no_fault_rates =
-  { timeout_rate = 0.; crash_rate = 0.; corrupt_rate = 0.; death_rate = 0. }
+let no_fault_rates = { timeout_rate = 0.; crash_rate = 0.; corrupt_rate = 0. }
 
 type outcome =
   | No_fault
   | Timeout
   | Crash
   | Corrupt of float  (** multiplier applied to the true measurement *)
-  | Died
 
-type plan = {
-  plan_seed : int;
-  default_rates : rates;
-  per_device : (int * rates) list;  (** dev_id → rates override *)
-}
+type plan = { plan_seed : int; rates : rates }
 
-let none = { plan_seed = 0; default_rates = no_fault_rates; per_device = [] }
-
-let plan ?(seed = 0) ?(default = no_fault_rates) ?(per_device = []) () =
-  { plan_seed = seed; default_rates = default; per_device }
+let none = { plan_seed = 0; rates = no_fault_rates }
 
 let transient ?(seed = 0) ~rate () =
-  plan ~seed
-    ~default:
+  {
+    plan_seed = seed;
+    rates =
       {
         timeout_rate = 0.5 *. rate;
         crash_rate = 0.3 *. rate;
         corrupt_rate = 0.2 *. rate;
-        death_rate = 0.;
-      }
-    ()
-
-let with_device t dev_id rates =
-  { t with per_device = (dev_id, rates) :: List.remove_assoc dev_id t.per_device }
-
-let rates_for t ~dev_id =
-  match List.assoc_opt dev_id t.per_device with
-  | Some r -> r
-  | None -> t.default_rates
+      };
+  }
 
 (* Integer mixer (splitmix-style): avalanches its two inputs so
    consecutive attempt numbers give independent-looking draws. *)
@@ -66,25 +47,21 @@ let mix a b =
   h := !h lxor (!h lsr 15);
   !h land max_int
 
-(** Uniform draw in [0,1) for ([plan_seed] + [salt], [dev_id], [attempt]). *)
-let unit_float t ~dev_id ~attempt ~salt =
-  float_of_int (mix (mix (t.plan_seed + salt) dev_id) attempt land 0x3FFFFFFF)
+(** Uniform draw in [0,1) for ([plan_seed] + [salt], [job], [attempt]). *)
+let unit_float t ~job ~attempt ~salt =
+  float_of_int (mix (mix (t.plan_seed + salt) job) attempt land 0x3FFFFFFF)
   /. float_of_int 0x40000000
 
-(** Fault outcome for attempt number [attempt] on device [dev_id] —
-    a pure function of the plan, so fault sequences replay exactly. *)
-let draw t ~dev_id ~attempt =
-  let r = rates_for t ~dev_id in
-  let u = unit_float t ~dev_id ~attempt ~salt:0 in
-  let death = r.death_rate in
-  let timeout = death +. r.timeout_rate in
+let draw t ~job ~attempt =
+  let r = t.rates in
+  let u = unit_float t ~job ~attempt ~salt:0 in
+  let timeout = r.timeout_rate in
   let crash = timeout +. r.crash_rate in
   let corrupt = crash +. r.corrupt_rate in
-  if u < death then Died
-  else if u < timeout then Timeout
+  if u < timeout then Timeout
   else if u < crash then Crash
   else if u < corrupt then
     (* outlier factor in [3, 10): far outside measurement noise, so
        repeat-disagreement detection always fires *)
-    Corrupt (3. +. (7. *. unit_float t ~dev_id ~attempt ~salt:1))
+    Corrupt (3. +. (7. *. unit_float t ~job ~attempt ~salt:1))
   else No_fault

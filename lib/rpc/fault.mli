@@ -1,17 +1,15 @@
 (** Deterministic, seed-driven fault injection for the device pool.
 
-    A [plan] reproduces fleet misbehaviour — transient timeouts,
-    crashed runs, corrupted/outlier measurements, permanent device
-    death — with configurable per-device rates. Outcomes are a pure
-    hash of (plan seed, device id, per-device attempt number), so a
-    plan injects exactly the same fault sequence on every run. *)
+    A [plan] reproduces measurement misbehaviour — transient timeouts,
+    crashed runs, corrupted/outlier measurements. Outcomes are a pure
+    hash of (plan seed, job, attempt number), so a plan injects exactly
+    the same fault sequence on every run. *)
 
 type rates = {
   timeout_rate : float;  (** transient: the job hangs until killed *)
   crash_rate : float;  (** transient: the run dies before reporting *)
   corrupt_rate : float;
       (** transient: the timed runs disagree wildly (an outlier) *)
-  death_rate : float;  (** permanent: the device drops out of the pool *)
 }
 
 (** All rates zero. *)
@@ -22,28 +20,16 @@ type outcome =
   | Timeout
   | Crash
   | Corrupt of float  (** multiplier applied to the true measurement *)
-  | Died
 
-type plan = {
-  plan_seed : int;
-  default_rates : rates;
-  per_device : (int * rates) list;  (** dev_id → rates override *)
-}
+type plan = { plan_seed : int; rates : rates }
 
 (** The fault-free plan (the pool's default). *)
 val none : plan
 
-val plan : ?seed:int -> ?default:rates -> ?per_device:(int * rates) list -> unit -> plan
-
-(** Purely transient faults at total rate [rate], split 50/30/20
-    between timeouts, crashes and corrupted measurements; no deaths. *)
+(** Transient faults at total rate [rate], split 50/30/20 between
+    timeouts, crashes and corrupted measurements. *)
 val transient : ?seed:int -> rate:float -> unit -> plan
 
-(** Override the rates of one device. *)
-val with_device : plan -> int -> rates -> plan
-
-val rates_for : plan -> dev_id:int -> rates
-
-(** Fault outcome for attempt number [attempt] on device [dev_id] —
-    a pure function of the plan, so fault sequences replay exactly. *)
-val draw : plan -> dev_id:int -> attempt:int -> outcome
+(** Fault outcome for attempt number [attempt] of job [job] — a pure
+    function of the plan, so fault sequences replay exactly. *)
+val draw : plan -> job:int -> attempt:int -> outcome

@@ -2,31 +2,17 @@
 
     Transient faults (timeouts, crashes, unstable measurements) are
     retried up to [max_retries] extra attempts with exponential
-    backoff; every job gets a wall-clock budget of [timeout_s]; and a
-    device whose observed error rate crosses
-    [quarantine_error_rate] (after at least [quarantine_min_jobs]
-    attempts) is quarantined and receives no further jobs. *)
+    backoff, and every job gets a wall-clock budget of [timeout_s]. *)
 
 type t = {
   max_retries : int;  (** extra attempts after the first failure *)
   backoff_base_s : float;  (** pause before the first retry *)
   backoff_mult : float;  (** backoff multiplier per further retry *)
   timeout_s : float;  (** per-job budget on the simulated clock *)
-  quarantine_error_rate : float;
-      (** quarantine a device whose failures/attempts exceeds this *)
-  quarantine_min_jobs : int;
-      (** ... but only after it has seen this many attempts *)
 }
 
 let default =
-  {
-    max_retries = 2;
-    backoff_base_s = 0.25;
-    backoff_mult = 2.0;
-    timeout_s = 10.0;
-    quarantine_error_rate = 0.5;
-    quarantine_min_jobs = 8;
-  }
+  { max_retries = 2; backoff_base_s = 0.25; backoff_mult = 2.0; timeout_s = 10.0 }
 
 (** Simulated pause before retrying after failed attempt number
     [attempt] (0-based): [backoff_base_s *. backoff_mult ^ attempt]. *)
@@ -38,12 +24,10 @@ let backoff_s t ~attempt =
 
     This is the {e job-local} form of backoff accounting: the pause is
     charged to the job's ready time, never to a shared clock. The
-    distinction matters once a job can have two in-flight copies — with
-    speculation, charging backoff to the pool clock (as the classic
-    single-lane [Device_pool.submit] does, which is harmless there
-    because exactly one attempt is ever in flight) would bill the pause
-    once per copy; a speculative duplicate cancelled mid-backoff must
-    leave the clock untouched. The fleet coordinator therefore keys its
-    retry queue on [retry_at] and drops the ready entry silently if the
-    twin already resolved the job. *)
+    distinction matters once a job can have two in-flight copies: with
+    speculation, charging backoff to the pool clock would bill the
+    pause once per copy, and a speculative duplicate cancelled
+    mid-backoff must leave the clock untouched. The pool coordinator
+    therefore keys its retry queue on [retry_at] and drops the ready
+    entry silently if the twin already resolved the job. *)
 let retry_at t ~now ~attempt = now +. backoff_s t ~attempt

@@ -288,15 +288,6 @@ type outcome = {
   oc_p99_s : float;
 }
 
-(* Exact nearest-rank percentile over the completed latencies — the
-   report must be bit-stable, so no histogram approximation here. *)
-let exact_percentile sorted p =
-  let n = Array.length sorted in
-  if n = 0 then Float.nan
-  else
-    let rank = int_of_float (Float.ceil (p /. 100. *. float_of_int n)) in
-    sorted.(max 0 (min (n - 1) (rank - 1)))
-
 (* One batch's service: walk the groups in executable order, charging
    each to its device lane. Device lanes only move forward, so batches
    pipeline across devices (a later batch's conv groups run on the
@@ -527,9 +518,9 @@ let run t (reqs : Traffic.request list) : outcome =
       oc_slab_saving = saving;
       oc_slab_reuses = Mem_plan.Arena.reuses arena;
       oc_slo_misses = !slo_misses;
-      oc_p50_s = exact_percentile latencies 50.;
-      oc_p90_s = exact_percentile latencies 90.;
-      oc_p99_s = exact_percentile latencies 99.;
+      oc_p50_s = Metrics.exact_percentile latencies 50.;
+      oc_p90_s = Metrics.exact_percentile latencies 90.;
+      oc_p99_s = Metrics.exact_percentile latencies 99.;
     }
   in
   Metrics.incr ~by:(float_of_int n) "serve_rt.requests";

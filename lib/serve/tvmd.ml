@@ -10,7 +10,6 @@ module Compile_cache = Tvm_autotune.Compile_cache
 module Templates = Tvm_autotune.Templates
 module Cfg_space = Tvm_autotune.Cfg_space
 module Device_pool = Tvm_rpc.Device_pool
-module Fleet = Tvm_rpc.Fleet
 module Workloads = Tvm_models.Workloads
 module Models = Tvm_models.Models
 module Compiler = Tvm.Compiler
@@ -302,73 +301,58 @@ let serve ?(slots = 2) ?store ?max_jobs ?(retry = Tvm_rpc.Retry_policy.default)
           (List.sort compare
              (Hashtbl.fold (fun k _ acc -> k :: acc) st.sc_caches []))
   in
-  (* One fleet catalog per distinct roster configuration, shared by
+  (* One pool catalog per distinct roster configuration, shared by
      every lane: a catalog is an immutable device roster + policies,
      and each tuning job runs its own session of it salted by the job
-     id — concurrent lanes share the fleet without sharing schedule
+     id — concurrent lanes share the pool without sharing schedule
      state, and a job's results don't depend on which lane ran it. *)
-  let fleet_mu = Mutex.create () in
-  let fleet_catalogs : (string, Fleet.catalog) Hashtbl.t = Hashtbl.create 4 in
-  let fleet_catalog (spec : Spec.t) =
+  let pool_mu = Mutex.create () in
+  let pool_catalogs : (string, Device_pool.catalog) Hashtbl.t = Hashtbl.create 4 in
+  let pool_catalog (spec : Spec.t) =
     let key =
-      Printf.sprintf "%s|%d|%d|%b|%h|%d|%d|%h|%s" spec.Spec.target
-        spec.Spec.fleet spec.Spec.shards spec.Spec.speculate
+      Printf.sprintf "%s|%d|%d|%d|%b|%h|%d|%d|%h|%s" spec.Spec.target
+        spec.Spec.fleet spec.Spec.devices spec.Spec.shards spec.Spec.speculate
         spec.Spec.fault_rate spec.Spec.seed spec.Spec.max_retries
         spec.Spec.timeout_s
         (match spec.Spec.straggler with
         | Some i -> string_of_int i
         | None -> "-")
     in
-    locked fleet_mu (fun () ->
-        match Hashtbl.find_opt fleet_catalogs key with
+    locked pool_mu (fun () ->
+        match Hashtbl.find_opt pool_catalogs key with
         | Some c -> c
         | None ->
-            let c = Fleet.catalog_of_spec spec in
-            Hashtbl.add fleet_catalogs key c;
+            let c = Device_pool.catalog_of_spec spec in
+            Hashtbl.add pool_catalogs key c;
             c)
   in
   (* Inside a lane every op runs with sequential host parallelism
      ([jobs = 1]): tvmd parallelizes across jobs, not within one, and
      the determinism contract makes [-j] invisible in results. [salt]
      (the scheduler job id) decorrelates fault sequences between jobs
-     sharing a fleet catalog. *)
+     sharing a pool catalog. *)
   let run_tune st ~salt (spec : Spec.t) =
     let spec = { spec with Spec.replay = true; jobs = 1 } in
     let w = Workloads.find spec.Spec.workload in
     let out = Fig_e2e.conv_tensor w in
     let name = "tvmd:" ^ spec.Spec.workload ^ "@" ^ spec.Spec.target in
     let tpl = Templates.gpu_flat ~name out in
-    let spec, measure, measure_batch, makespan =
-      if spec.Spec.fleet > 0 then begin
-        let f = Fleet.session ~salt (fleet_catalog spec) in
-        let kind = Device_pool.kind_of_target spec.Spec.target in
-        let spec =
-          {
-            spec with
-            Spec.batch = Fleet.suggested_batch f ~kind ~base:spec.Spec.batch;
-          }
-        in
-        ( spec,
-          Fleet.measure_fn f ~kind,
-          Fleet.batch_measure_fn ~par:Par.sequential f ~kind,
-          fun () -> Fleet.makespan f )
-      end
-      else begin
-        let dpool = Device_pool.of_spec spec in
-        ( spec,
-          Device_pool.measure_fn dpool ~kind_pred:(fun _ -> true),
-          Device_pool.batch_measure_fn ~par:Par.sequential dpool
-            ~kind_pred:(fun _ -> true),
-          fun () -> Device_pool.makespan dpool )
-      end
+    let pool = Device_pool.session ~salt (pool_catalog spec) in
+    let kind = Device_pool.kind_of_target spec.Spec.target in
+    let spec =
+      { spec with Spec.batch = Device_pool.suggested_batch pool ~kind ~base:spec.Spec.batch }
     in
+    let kind_pred _ = true in
     let cache = locked store_mu (fun () -> get_cache st name) in
     let res =
-      Tuner.tune ~spec ~db:st.sc_db ~cache ~measure_batch
+      Tuner.tune ~spec ~db:st.sc_db ~cache
+        ~measure_batch:
+          (Device_pool.batch_measure_fn ~par:Par.sequential pool ~kind_pred)
         ~method_:(Tuner.method_of_name spec.Spec.method_name)
-        ~measure ~n_trials:spec.Spec.trials tpl
+        ~measure:(Device_pool.measure_fn pool ~kind_pred)
+        ~n_trials:spec.Spec.trials tpl
     in
-    ( makespan (),
+    ( Device_pool.makespan pool,
       Printf.sprintf "best %h s with %s" res.Tuner.best_time
         (Cfg_space.to_string res.Tuner.best_config) )
   in

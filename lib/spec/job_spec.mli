@@ -52,8 +52,9 @@ type t = {
       (** host domains for the parallel tuning phases; never changes
           which configurations are chosen *)
   devices : int;
-      (** simulated devices in the measurement pool. Unlike [jobs]
-          this CAN change outcomes (fault draws are per-device). *)
+      (** simulated replicas of the target board in the measurement
+          pool. Like [jobs] it never changes outcomes (fault draws are
+          keyed by job, not device), only the simulated makespan. *)
   validate : bool;  (** fail on provable TIR defects *)
   verbose : bool;
   use_compile_cache : bool;
@@ -65,16 +66,17 @@ type t = {
           resume path. On a clean (fault-free) fleet the trial history
           is byte-identical to a live re-run. *)
   fault_rate : float;  (** per-attempt transient fault rate, 0 = off *)
-  straggler : int option;  (** device to overload with faults, if any *)
+  straggler : int option;  (** device to slow down 12x, if any *)
   max_retries : int;  (** extra measurement attempts after a fault *)
   timeout_s : float;  (** per-job budget on the simulated clock *)
   fleet : int;
-      (** size of the sharded heterogeneous measurement fleet
-          ({!Tvm_rpc.Fleet}); 0 = use the classic [devices] pool *)
-  shards : int;  (** shards per device kind in the fleet, 0 = auto *)
+      (** size of a heterogeneous measurement roster
+          ({!Tvm_rpc.Device_pool.mixed_kinds}); 0 = [devices] replicas
+          of the target *)
+  shards : int;  (** shards per device kind in the pool, 0 = auto *)
   speculate : bool;
-      (** duplicate straggling fleet measurements on an idle fast
-          device; never changes results, only the virtual makespan *)
+      (** duplicate straggling measurements on an idle fast device;
+          never changes results, only the virtual makespan *)
   journal_out : string option;  (** flight-recorder JSONL sink *)
   trace_out : string option;  (** Chrome trace-event sink *)
   metrics_out : string option;  (** metrics-registry JSON sink *)

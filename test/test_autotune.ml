@@ -131,7 +131,7 @@ let test_random_batch_dedups () =
     (List.length (List.sort_uniq compare hashes))
 
 let measure_fn_for machine =
-  let pool = Pool.create [ Pool.Gpu_dev machine ] in
+  let pool = Pool.of_spec ~kind:(Pool.Gpu_dev machine) Tvm_spec.Job_spec.default in
   Pool.measure_fn pool ~kind_pred:(fun _ -> true)
 
 let test_tuner_improves () =

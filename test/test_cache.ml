@@ -270,13 +270,7 @@ let trial_fingerprint (t : Tuner.trial) =
    t.Tuner.best_so_far)
 
 let run_tune ~jobs ~use_cache ~fault_rate tpl =
-  let fault_plan =
-    if fault_rate > 0. then Tvm_rpc.Fault.transient ~seed:7 ~rate:fault_rate ()
-    else Tvm_rpc.Fault.none
-  in
-  let pool =
-    Pool.create ~fault_plan (List.init 4 (fun _ -> Pool.Gpu_dev Machine.titan_x))
-  in
+  let pool = Pool.of_spec (Tvm_spec.Job_spec.make ~devices:4 ~fault_rate ~seed:7 ()) in
   let par = Par.create ~domains:jobs () in
   let measure = Pool.measure_fn pool ~kind_pred:(fun _ -> true) in
   let measure_batch = Pool.batch_measure_fn ~par pool ~kind_pred:(fun _ -> true) in

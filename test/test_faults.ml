@@ -1,7 +1,7 @@
 (* Fault-injection and fault-tolerance tests for the measurement path:
-   deterministic fault plans, retry/backoff recovery, quarantine,
-   graceful degradation on device death, and convergence of the tuner
-   under a 20% transient-fault rate.
+   deterministic fault plans, retry/backoff recovery, convergence of the
+   tuner under a 20% transient-fault rate, and results that do not
+   depend on how many devices share the faults.
 
    The fault-plan seed varies with the FAULT_SEED environment variable;
    `make check-fault` runs this suite at three different seeds. *)
@@ -9,21 +9,16 @@
 open Tvm_tir
 module Pool = Tvm_rpc.Device_pool
 module Fault = Tvm_rpc.Fault
-module Retry = Tvm_rpc.Retry_policy
+module Spec = Tvm_spec.Job_spec
 module Tuner = Tvm_autotune.Tuner
 module Templates = Tvm_autotune.Templates
 module Cfg = Tvm_autotune.Cfg_space
 module R = Tvm_autotune.Measure_result
 module Tensor = Tvm_te.Tensor
 module Op = Tvm_te.Operators
-module Machine = Tvm_sim.Machine
 open Test_helpers
 
 let fault_seed = try int_of_string (Sys.getenv "FAULT_SEED") with _ -> 0
-
-(* Quarantine disabled: the single-device plans below would otherwise
-   exhaust their pool mid-test. *)
-let no_quarantine = { Retry.default with Retry.quarantine_error_rate = 2.0 }
 
 let conv_template () =
   let d = Tensor.placeholder "ft_d" (List.map Expr.int [ 1; 16; 8; 8 ]) in
@@ -55,13 +50,9 @@ let metric name = Option.value ~default:0. (Tvm_obs.Metrics.get name)
 let test_plan_deterministic () =
   let stmt = Lazy.force some_stmt in
   let run () =
-    let plan = Fault.transient ~seed:(fault_seed + 3) ~rate:0.4 () in
-    let pool =
-      Pool.create ~fault_plan:plan ~retry:no_quarantine
-        [ Pool.Gpu_dev Machine.titan_x ]
-    in
+    let pool = Pool.of_spec (Spec.make ~fault_rate:0.4 ~seed:(fault_seed + 3) ()) in
     List.init 30 (fun i ->
-        let r = Pool.measure ~key:i pool ~kind_pred:Pool.is_gpu stmt in
+        let r = (Pool.measure_batch pool ~kind_pred:Pool.is_gpu [| (i, stmt) |]).(0) in
         (R.status_name r.R.status, r.R.time_s, r.R.attempts))
   in
   let a = run () and b = run () in
@@ -71,11 +62,11 @@ let test_plan_deterministic () =
 
 let test_draw_is_pure () =
   let plan = Fault.transient ~seed:(fault_seed + 11) ~rate:0.5 () in
-  let seq () = List.init 100 (fun i -> Fault.draw plan ~dev_id:0 ~attempt:i) in
+  let seq () = List.init 100 (fun i -> Fault.draw plan ~job:0 ~attempt:i) in
   checkb "draw is a pure function" (seq () = seq ());
   let other = Fault.transient ~seed:(fault_seed + 12) ~rate:0.5 () in
   checkb "different seeds differ"
-    (seq () <> List.init 100 (fun i -> Fault.draw other ~dev_id:0 ~attempt:i))
+    (seq () <> List.init 100 (fun i -> Fault.draw other ~job:0 ~attempt:i))
 
 (* ------------------------------------------------------------------ *)
 (* Retries recover from transient faults                                *)
@@ -83,142 +74,49 @@ let test_draw_is_pure () =
 
 let test_retries_recover () =
   let stmt = Lazy.force some_stmt in
-  let plan = Fault.transient ~seed:(fault_seed + 40) ~rate:0.3 () in
-  let retry = { no_quarantine with Retry.max_retries = 8 } in
   let pool =
-    Pool.create ~fault_plan:plan ~retry [ Pool.Gpu_dev Machine.titan_x ]
+    Pool.of_spec (Spec.make ~fault_rate:0.3 ~max_retries:8 ~seed:(fault_seed + 40) ())
   in
   let retries_before = metric "pool.retries" in
   let results =
-    List.init 30 (fun i -> Pool.measure ~key:i pool ~kind_pred:Pool.is_gpu stmt)
+    Array.to_list
+      (Pool.measure_batch pool ~kind_pred:Pool.is_gpu (Array.init 30 (fun i -> (i, stmt))))
   in
   checkb "every job eventually succeeds" (List.for_all R.is_ok results);
   checkb "some jobs needed retries" (List.exists (fun r -> r.R.attempts > 1) results);
   checkb "pool.retries counted" (metric "pool.retries" > retries_before);
+  let st = Pool.stats pool in
+  Alcotest.(check int) "stats: every retry is one more attempt"
+    (st.Pool.fs_jobs + st.Pool.fs_retries) st.Pool.fs_attempts;
   (* backoff advances the simulated clock past the pure work time *)
   checkb "makespan positive" (Pool.makespan pool > 0.)
-
-(* ------------------------------------------------------------------ *)
-(* Quarantine                                                           *)
-(* ------------------------------------------------------------------ *)
-
-let test_quarantine_stops_jobs () =
-  let stmt = Lazy.force some_stmt in
-  let plan =
-    Fault.with_device Fault.none 1
-      { Fault.no_fault_rates with Fault.crash_rate = 1.0 }
-  in
-  let retry =
-    { Retry.default with
-      Retry.max_retries = 3; quarantine_error_rate = 0.5; quarantine_min_jobs = 8 }
-  in
-  let pool =
-    Pool.create ~fault_plan:plan ~retry
-      [ Pool.Gpu_dev Machine.titan_x; Pool.Gpu_dev Machine.titan_x ]
-  in
-  let quarantined_before = metric "pool.quarantined" in
-  let run n = List.init n (fun i -> Pool.measure ~key:i pool ~kind_pred:Pool.is_gpu stmt) in
-  let first = run 20 in
-  let h1 () = List.nth (Pool.health pool) 1 in
-  checkb "always-crashing device quarantined" (h1 ()).Pool.h_quarantined;
-  checkb "quarantined at the threshold" ((h1 ()).Pool.h_attempts = 8);
-  checkb "pool.quarantined counted" (metric "pool.quarantined" > quarantined_before);
-  let attempts_frozen = (h1 ()).Pool.h_attempts in
-  let second = run 20 in
-  Alcotest.(check int) "no further jobs after quarantine" attempts_frozen
-    (h1 ()).Pool.h_attempts;
-  checkb "jobs keep succeeding on the healthy device"
-    (List.for_all R.is_ok (first @ second) |> fun ok ->
-     ok || List.length (List.filter R.is_ok (first @ second)) >= 30)
-
-let test_exhausted_pool_raises () =
-  let stmt = Lazy.force some_stmt in
-  let plan =
-    Fault.plan
-      ~default:{ Fault.no_fault_rates with Fault.death_rate = 1.0 }
-      ()
-  in
-  let pool =
-    Pool.create ~fault_plan:plan [ Pool.Gpu_dev Machine.titan_x; Pool.Gpu_dev Machine.titan_x ]
-  in
-  (* Both devices die servicing the first job; it fails over and then
-     reports the loss. The next job finds nothing left. *)
-  let r = Pool.measure pool ~kind_pred:Pool.is_gpu stmt in
-  checkb "job on a dying fleet fails" (not (R.is_ok r));
-  try
-    ignore (Pool.measure pool ~kind_pred:Pool.is_gpu stmt);
-    Alcotest.fail "expected No_healthy_device"
-  with Pool.No_healthy_device _ -> ()
-
-(* ------------------------------------------------------------------ *)
-(* Device death: tuning survives on the rest of the pool                *)
-(* ------------------------------------------------------------------ *)
-
-let test_tuning_survives_device_death () =
-  let tpl = conv_template () in
-  let plan =
-    Fault.with_device Fault.none 0
-      { Fault.no_fault_rates with Fault.death_rate = 1.0 }
-  in
-  let pool =
-    Pool.create ~fault_plan:plan
-      [ Pool.Gpu_dev Machine.titan_x; Pool.Gpu_dev Machine.titan_x ]
-  in
-  let deaths_before = metric "pool.device_deaths" in
-  let res =
-    Tuner.tune ~method_:Tuner.Ml_model
-      ~measure:(Pool.measure_fn pool ~kind_pred:Pool.is_gpu)
-      ~n_trials:32 tpl
-  in
-  checkb "tuning completed with a best config" (res.Tuner.best_time > 0.);
-  Alcotest.(check int) "full budget spent" 32 (List.length res.Tuner.history);
-  let health = Pool.health pool in
-  checkb "device 0 died" (List.nth health 0).Pool.h_dead;
-  checkb "device 0 ran nothing" ((List.nth health 0).Pool.h_jobs_run = 0);
-  checkb "survivor did the work" ((List.nth health 1).Pool.h_jobs_run > 0);
-  checkb "death counted" (metric "pool.device_deaths" > deaths_before)
 
 (* ------------------------------------------------------------------ *)
 (* Convergence under 20% transient faults + statuses in the Db          *)
 (* ------------------------------------------------------------------ *)
 
+let faulty_spec ~devices = Spec.make ~devices ~fault_rate:0.2 ~seed:(fault_seed + 77) ()
+
+let tune ?db ~pool ~budget () =
+  Tuner.tune ?db
+    ~spec:(Spec.make ~seed:13 ())
+    ~method_:Tuner.Ml_model
+    ~measure_batch:(Pool.batch_measure_fn pool ~kind_pred:Pool.is_gpu)
+    ~measure:(Pool.measure_fn pool ~kind_pred:Pool.is_gpu)
+    ~n_trials:budget (conv_template ())
+
 let test_faulty_tuning_converges () =
   let budget = 64 in
-  let tune ~pool ~db =
-    Tuner.tune ?db
-      ~spec:(Tvm_spec.Job_spec.make ~seed:13 ())
-      ~method_:Tuner.Ml_model
-      ~measure:(Pool.measure_fn pool ~kind_pred:Pool.is_gpu)
-      ~n_trials:budget (conv_template ())
-  in
-  let clean =
-    tune ~db:None ~pool:(Pool.create [ Pool.Gpu_dev Machine.titan_x ])
-  in
-  (* Flaky fleet: two boards at a 20% transient-fault rate plus one
-     pathological board that crashes almost every run and must end up
-     quarantined. *)
-  let plan =
-    Fault.with_device
-      (Fault.transient ~seed:(fault_seed + 77) ~rate:0.2 ())
-      2
-      { Fault.no_fault_rates with Fault.crash_rate = 0.95 }
-  in
-  let pool =
-    Pool.create ~fault_plan:plan
-      [ Pool.Gpu_dev Machine.titan_x; Pool.Gpu_dev Machine.titan_x;
-        Pool.Gpu_dev Machine.titan_x ]
-  in
+  let clean = tune ~pool:(Pool.of_spec Spec.default) ~budget () in
   let retries_before = metric "pool.retries" in
-  let quarantined_before = metric "pool.quarantined" in
   let db = Tuner.Db.create () in
-  let faulty = tune ~db:(Some db) ~pool in
+  let faulty = tune ~db ~pool:(Pool.of_spec (faulty_spec ~devices:3)) ~budget () in
   checkb
     (Printf.sprintf "faulty best %.4g ms within 2x of clean best %.4g ms"
        (1e3 *. faulty.Tuner.best_time) (1e3 *. clean.Tuner.best_time))
     (faulty.Tuner.best_time <= 2. *. clean.Tuner.best_time);
   Alcotest.(check int) "full budget spent" budget (List.length faulty.Tuner.history);
   checkb "pool.retries nonzero" (metric "pool.retries" > retries_before);
-  checkb "pool.quarantined nonzero" (metric "pool.quarantined" > quarantined_before);
   (* Db tallies must agree with the recorded history, category by
      category. *)
   Alcotest.(check int) "db holds every trial" budget (Tuner.Db.size db);
@@ -234,13 +132,30 @@ let test_faulty_tuning_converges () =
   in
   Alcotest.(check int) "tallies sum to the budget" budget tally_total
 
+(* Fault draws are keyed by job, never by device: the same faulty tune
+   produces the same history on 1 device as on 4. *)
+let test_faulty_history_device_invariant () =
+  let history devices =
+    (tune ~pool:(Pool.of_spec (faulty_spec ~devices)) ~budget:32 ()).Tuner.history
+  in
+  let render (t : Tuner.trial) =
+    Printf.sprintf "%s %s %s %d" (Cfg.to_string t.Tuner.config)
+      (R.status_name t.Tuner.result.R.status)
+      (match t.Tuner.result.R.time_s with Some v -> Printf.sprintf "%h" v | None -> "-")
+      t.Tuner.result.R.attempts
+  in
+  let h1 = history 1 in
+  checkb "faults fired" (List.exists (fun (t : Tuner.trial) -> t.Tuner.result.R.attempts > 1) h1);
+  Alcotest.(check (list string))
+    "history identical at 1 and 4 devices" (List.map render h1)
+    (List.map render (history 4))
+
 let suite =
   [
     Alcotest.test_case "fault plans replay deterministically" `Quick test_plan_deterministic;
     Alcotest.test_case "fault draw is pure" `Quick test_draw_is_pure;
     Alcotest.test_case "retries recover transient faults" `Quick test_retries_recover;
-    Alcotest.test_case "quarantined device gets no jobs" `Quick test_quarantine_stops_jobs;
-    Alcotest.test_case "exhausted pool raises" `Quick test_exhausted_pool_raises;
-    Alcotest.test_case "tuning survives device death" `Quick test_tuning_survives_device_death;
     Alcotest.test_case "20% faults: converges, db tallies" `Quick test_faulty_tuning_converges;
+    Alcotest.test_case "20% faults: history identical at 1 and 4 devices" `Quick
+      test_faulty_history_device_invariant;
   ]

@@ -1,6 +1,6 @@
-(* Sharded measurement fleet tests: placement-invariant results at
-   fleet scale (1000 heterogeneous devices, faults, concurrent batches),
-   work stealing that never reorders the coordinator replay,
+(* Device pool tests at fleet scale: placement-invariant results
+   (1000 heterogeneous devices, faults, batches of two device kinds),
+   work stealing that never changes a result,
    speculative straggler re-measurement that cuts the makespan without
    changing a result, and the job-local backoff accounting that makes
    a twin cancelled mid-backoff free. *)
@@ -13,7 +13,6 @@ module Tuner = Tvm_autotune.Tuner
 module Templates = Tvm_autotune.Templates
 module R = Tvm_autotune.Measure_result
 module Pool = Tvm_rpc.Device_pool
-module Fleet = Tvm_rpc.Fleet
 module Fault = Tvm_rpc.Fault
 module Retry = Tvm_rpc.Retry_policy
 module Machine = Tvm_sim.Machine
@@ -45,6 +44,14 @@ let job_pool =
      in
      Array.of_list (List.rev (valid 400 [])))
 
+let same_kind kind k = Pool.kind_name k = Pool.kind_name kind
+
+(* Submit [batches] one after another to one session. *)
+let measure_all ?par t batches =
+  Array.map
+    (fun (kind, jobs) -> Pool.measure_batch ?par t ~kind_pred:(same_kind kind) jobs)
+    batches
+
 let batches_of sizes =
   let pool = Lazy.force job_pool in
   let np = Array.length pool in
@@ -55,30 +62,30 @@ let batches_of sizes =
   |> Array.of_list
 
 let faulty_catalog ?(speculate = false) ?shards ?straggler n =
-  Fleet.catalog ?shards ~speculate
+  Pool.catalog ?shards ~speculate
     ~fault_plan:(Fault.transient ~seed:11 ~rate:0.2 ())
-    (Fleet.mixed_kinds ?straggler n)
+    (Pool.mixed_kinds ?straggler n)
 
 (* ------------------------------------------------------------------ *)
 (* Determinism at fleet scale                                           *)
 (* ------------------------------------------------------------------ *)
 
-(* 1000 heterogeneous devices, 20% transient faults, three multiplexed
-   batches (two device kinds): results AND the journal must be
-   byte-identical at -j1 vs -j8. *)
+(* 1000 heterogeneous devices, 20% transient faults, three batches
+   (two device kinds): results AND the journal must be byte-identical
+   at -j1 vs -j8. *)
 let test_fleet_deterministic_across_j () =
   let sizes = [ (titan, 40); (xeon, 25); (titan, 35) ] in
   let total = List.fold_left (fun a (_, s) -> a + s) 0 sizes in
   let run jobs =
     Journal.set_enabled true;
     Journal.set_job_tags (Array.init total (fun i -> i));
-    let t = Fleet.session ~salt:5 (faulty_catalog ~speculate:true 1000) in
+    let t = Pool.session ~salt:5 (faulty_catalog ~speculate:true 1000) in
     let par = Par.create ~domains:jobs () in
-    let res = Fleet.measure_batches ~par t (batches_of sizes) in
+    let res = measure_all ~par t (batches_of sizes) in
     Journal.clear_job_tags ();
     let lines = List.map Journal.entry_to_line (Journal.entries ()) in
     Journal.set_enabled false;
-    (res, lines, Fleet.makespan t, Fleet.stats t)
+    (res, lines, Pool.makespan t, Pool.stats t)
   in
   let r1, l1, mk1, st1 = run 1 in
   let r8, l8, mk8, st8 = run 8 in
@@ -87,7 +94,7 @@ let test_fleet_deterministic_across_j () =
   checkb "makespan identical" (mk1 = mk8);
   checkb "stats identical" (st1 = st8);
   checkb "fleet really has 1000 devices"
-    (match st1.Fleet.fs_devices with 1000 -> true | _ -> false);
+    (match st1.Pool.fs_devices with 1000 -> true | _ -> false);
   Alcotest.(check int)
     "every job resolved" total
     (Array.fold_left (fun a b -> a + Array.length b) 0 r1)
@@ -97,8 +104,8 @@ let test_fleet_deterministic_across_j () =
 let test_results_invariant_shards_spec () =
   let sizes = [ (titan, 30); (xeon, 20) ] in
   let run ?shards ?(speculate = false) () =
-    let t = Fleet.session ~salt:5 (faulty_catalog ~speculate ?shards 300) in
-    Fleet.measure_batches t (batches_of sizes)
+    let t = Pool.session ~salt:5 (faulty_catalog ~speculate ?shards 300) in
+    measure_all t (batches_of sizes)
   in
   let base = run ~shards:4 () in
   checkb "results invariant under shard count"
@@ -107,28 +114,21 @@ let test_results_invariant_shards_spec () =
   checkb "results invariant under speculation"
     (base = run ~shards:4 ~speculate:true ())
 
-(* Stealing never reorders the coordinator replay: multiplexing N
-   batches through one schedule returns exactly what submitting them
-   one by one to an identically-salted fresh session would. *)
-let multiplex_matches_sequential =
-  QCheck.Test.make ~name:"measure_batches = sequential measure_batch"
+(* The same invariance as a property: for random batch sizes, salts
+   and shard counts, a session's results match a single-shard,
+   non-speculative session of the same catalog and salt. *)
+let results_invariant_random_batches =
+  QCheck.Test.make ~name:"batch results invariant under random shards/spec"
     ~count:25
     QCheck.(
-      triple (int_range 0 20) (int_range 0 20) (int_range 0 6))
-    (fun (n1, n2, salt) ->
+      quad (int_range 0 20) (int_range 0 20) (int_range 0 6) (int_range 2 16))
+    (fun (n1, n2, salt, shards) ->
       let sizes = [ (titan, n1); (xeon, n2); (titan, (n1 + n2) mod 13) ] in
-      let batches = batches_of sizes in
-      let mux =
-        let t = Fleet.session ~salt (faulty_catalog 120) in
-        Fleet.measure_batches t batches
+      let run ~shards ~speculate =
+        let t = Pool.session ~salt (faulty_catalog ~speculate ~shards 120) in
+        measure_all t (batches_of sizes)
       in
-      let seq =
-        let t = Fleet.session ~salt (faulty_catalog 120) in
-        Array.map
-          (fun (kind, jobs) -> Fleet.measure_batch t ~kind jobs)
-          batches
-      in
-      mux = seq)
+      run ~shards:1 ~speculate:false = run ~shards ~speculate:true)
 
 (* ------------------------------------------------------------------ *)
 (* Stealing and scaling                                                 *)
@@ -141,13 +141,13 @@ let costs n = Array.init n (fun i -> 0.06 +. (0.04 *. float_of_int (i mod 7) /. 
 let test_stealing_rebalances () =
   let roster = List.init 32 (fun i -> (titan, if i < 8 then 6.0 else 1.0)) in
   let run roster =
-    let t = Fleet.session (Fleet.catalog ~shards:4 roster) in
-    let r = Fleet.simulate t ~kind:titan ~cost_s:(costs 400) in
-    (r, Fleet.makespan t, Fleet.stats t)
+    let t = Pool.session (Pool.catalog ~shards:4 roster) in
+    let r = Pool.simulate t ~kind:titan ~cost_s:(costs 400) in
+    (r, Pool.makespan t, Pool.stats t)
   in
   let r, mk, st = run roster in
-  checkb "steals happened" (st.Fleet.fs_steals > 0);
-  checkb "stolen jobs counted" (st.Fleet.fs_stolen_jobs > 0);
+  checkb "steals happened" (st.Pool.fs_steals > 0);
+  checkb "stolen jobs counted" (st.Pool.fs_stolen_jobs > 0);
   (* Without stealing the slow shard alone would hold its whole slice:
      100 jobs x ~0.28 s x 6 = ~170 s. Stealing must beat that by a lot. *)
   checkb
@@ -160,9 +160,9 @@ let test_stealing_rebalances () =
 
 let test_scaling_efficiency () =
   let span d =
-    let t = Fleet.session (Fleet.catalog (Fleet.mixed_kinds d)) in
-    ignore (Fleet.simulate t ~kind:titan ~cost_s:(costs 2000));
-    (Fleet.makespan t, Fleet.usable t ~kind:titan)
+    let t = Pool.session (Pool.catalog (Pool.mixed_kinds d)) in
+    ignore (Pool.simulate t ~kind:titan ~cost_s:(costs 2000));
+    (Pool.makespan t, Pool.usable t ~kind:titan)
   in
   let mk8, u8 = span 8 and mk256, u256 = span 256 in
   let eff = mk8 /. mk256 /. (float_of_int u256 /. float_of_int u8) in
@@ -179,23 +179,23 @@ let test_scaling_efficiency () =
 let test_speculation_beats_straggler () =
   let run speculate =
     let t =
-      Fleet.session
-        (Fleet.catalog ~speculate (Fleet.mixed_kinds ~straggler:0 64))
+      Pool.session
+        (Pool.catalog ~speculate (Pool.mixed_kinds ~straggler:0 64))
     in
-    let r = Fleet.simulate t ~kind:titan ~cost_s:(costs 300) in
-    (r, Fleet.makespan t, Fleet.stats t)
+    let r = Pool.simulate t ~kind:titan ~cost_s:(costs 300) in
+    (r, Pool.makespan t, Pool.stats t)
   in
   let r_off, mk_off, _ = run false in
   let r_on, mk_on, st_on = run true in
   checkb "speculation changes no result" (r_off = r_on);
-  checkb "twins were launched" (st_on.Fleet.fs_spec_launched > 0);
-  checkb "twins won races" (st_on.Fleet.fs_spec_wins > 0);
+  checkb "twins were launched" (st_on.Pool.fs_spec_launched > 0);
+  checkb "twins won races" (st_on.Pool.fs_spec_wins > 0);
   checkb
     (Printf.sprintf "speculation speedup %.2fx >= 1.5x"
        (mk_off /. mk_on))
     (mk_off >= 1.5 *. mk_on)
 
-(* The satellite-2 regression: a twin that replays a retryable fault is
+(* Regression: a twin that replays a retryable fault is
    cancelled mid-backoff when its primary resolves first. Backoff is
    charged to the job's ready time (Retry_policy.retry_at), never to a
    shared clock, so speculation must not add retries, must not change
@@ -206,21 +206,21 @@ let test_cancelled_twin_charges_nothing () =
     Journal.set_enabled true;
     Journal.set_job_tags (Array.init 200 (fun i -> i));
     let t =
-      Fleet.session ~salt:3
+      Pool.session ~salt:3
         (faulty_catalog ~speculate ~straggler:0 64)
     in
-    let r = Fleet.simulate t ~kind:titan ~cost_s:(costs 200) in
+    let r = Pool.simulate t ~kind:titan ~cost_s:(costs 200) in
     Journal.clear_job_tags ();
     let entries = Journal.entries () in
     Journal.set_enabled false;
-    (r, Fleet.makespan t, Fleet.stats t, entries)
+    (r, Pool.makespan t, Pool.stats t, entries)
   in
   let r_off, mk_off, st_off, _ = run false in
   let r_on, mk_on, st_on, entries_on = run true in
   checkb "results identical with twins racing faults" (r_off = r_on);
   Alcotest.(check int)
     "retry count identical: no backoff charged per copy"
-    st_off.Fleet.fs_retries st_on.Fleet.fs_retries;
+    st_off.Pool.fs_retries st_on.Pool.fs_retries;
   let cancelled =
     List.length
       (List.filter
@@ -231,7 +231,7 @@ let test_cancelled_twin_charges_nothing () =
   in
   checkb "twins were cancelled mid-flight" (cancelled > 0);
   Alcotest.(check int) "every cancellation tallied"
-    (st_on.Fleet.fs_spec_wins + st_on.Fleet.fs_spec_losses)
+    (st_on.Pool.fs_spec_wins + st_on.Pool.fs_spec_losses)
     cancelled;
   (* Speculation may only help the clock (a double-charged backoff
      showed up here as a makespan inflation). *)
@@ -253,22 +253,22 @@ let test_report_shard_tallies () =
   Journal.set_enabled true;
   Journal.set_job_tags (Array.init 400 (fun i -> i));
   let roster = List.init 32 (fun i -> (titan, if i = 0 then 12.0 else 1.0)) in
-  let t = Fleet.session (Fleet.catalog ~shards:4 ~speculate:true roster) in
-  ignore (Fleet.simulate t ~kind:titan ~cost_s:(costs 400));
+  let t = Pool.session (Pool.catalog ~shards:4 ~speculate:true roster) in
+  ignore (Pool.simulate t ~kind:titan ~cost_s:(costs 400));
   Journal.clear_job_tags ();
   let rp = Report.analyze (Journal.entries ()) in
   Journal.set_enabled false;
-  let st = Fleet.stats t in
+  let st = Pool.stats t in
   checkb "report sees the shards" (List.length rp.Report.rp_shards = 4);
   (* fs_stolen_jobs counts steal *events* (a job re-stolen counts per
      hop); the journal records one dispatch per attempt. *)
   checkb "report sees stolen dispatches" (rp.Report.rp_stolen > 0);
   checkb "stolen dispatches bounded by steal events"
-    (rp.Report.rp_stolen <= st.Fleet.fs_stolen_jobs);
+    (rp.Report.rp_stolen <= st.Pool.fs_stolen_jobs);
   Alcotest.(check int) "report spec wins match fleet stats"
-    st.Fleet.fs_spec_wins rp.Report.rp_spec_wins;
+    st.Pool.fs_spec_wins rp.Report.rp_spec_wins;
   Alcotest.(check int) "report spec losses match fleet stats"
-    st.Fleet.fs_spec_losses rp.Report.rp_spec_losses;
+    st.Pool.fs_spec_losses rp.Report.rp_spec_losses;
   let total_share =
     List.fold_left (fun a s -> a +. s.Report.sh_share) 0. rp.Report.rp_shards
   in
@@ -330,7 +330,7 @@ let suite =
       `Quick test_fleet_deterministic_across_j;
     Alcotest.test_case "results invariant under shards/speculation" `Quick
       test_results_invariant_shards_spec;
-    QCheck_alcotest.to_alcotest multiplex_matches_sequential;
+    QCheck_alcotest.to_alcotest results_invariant_random_batches;
     Alcotest.test_case "stealing rebalances without changing results" `Quick
       test_stealing_rebalances;
     Alcotest.test_case "scaling efficiency >= 0.7 at 8 -> 256" `Quick

@@ -213,6 +213,72 @@ let test_hash_allocates_nothing () =
   let words = Gc.minor_words () -. before in
   if words > 0. then Alcotest.failf "1000 hashes allocated %.0f minor words" words
 
+(* ------------------------------------------------------------------ *)
+(* Measurement golden: tuning histories and a compiled kernel table      *)
+(* ------------------------------------------------------------------ *)
+
+(* Fault-free tuning through the device pool must not depend on how
+   the pool is built: the histories (config, exact time, attempts) of
+   two ops at 1 and 4 devices, plus the kernel table of one small
+   build, are pinned to the reference digest. *)
+let expected_measure_digest = "7407320689658efe087a1c0a427d5ede"
+
+let measure_corpus () =
+  let buf = Buffer.create 4096 in
+  List.iter
+    (fun (op, devices) ->
+      let out = Tvm_experiments.Fig_e2e.conv_tensor (Workloads.find op) in
+      let tpl = Templates.gpu_flat ~name:("golden_tune_" ^ op) out in
+      let spec =
+        Tvm_spec.Job_spec.make ~op:Tvm_spec.Job_spec.Tune ~workload:op ~trials:24
+          ~seed:21 ~jobs:1 ~devices ()
+      in
+      let pool = Tvm_rpc.Device_pool.of_spec spec in
+      let kind_pred _ = true in
+      let res =
+        Tuner.tune ~spec
+          ~measure_batch:(Tvm_rpc.Device_pool.batch_measure_fn pool ~kind_pred)
+          ~method_:Tuner.Ml_model
+          ~measure:(Tvm_rpc.Device_pool.measure_fn pool ~kind_pred)
+          ~n_trials:24 tpl
+      in
+      List.iter
+        (fun (t : Tuner.trial) ->
+          Buffer.add_string buf
+            (Printf.sprintf "%s/%d %s %s %d\n" op devices (Cfg.to_string t.Tuner.config)
+               (match t.Tuner.result.Tvm_autotune.Measure_result.time_s with
+               | Some v -> Printf.sprintf "%h" v
+               | None -> "-")
+               t.Tuner.result.Tvm_autotune.Measure_result.attempts))
+        res.Tuner.history)
+    [ ("C7", 1); ("C7", 4); ("D4", 1); ("D4", 4) ];
+  let spec =
+    Tvm_spec.Job_spec.make ~op:Tvm_spec.Job_spec.Compile ~workload:"dqn" ~target:"cuda"
+      ~trials:8 ~seed:21 ~jobs:1 ()
+  in
+  let r =
+    Tvm.Compiler.build ~spec ~tuned:(Tvm.Compiler.create_tuned_cache ())
+      (Tvm_models.Models.dqn ()) (Tvm.Target.cuda ())
+  in
+  List.iter
+    (fun (k : Tvm_runtime.Rt_module.kernel) ->
+      Buffer.add_string buf
+        (Printf.sprintf "%s %h %s\n" k.Tvm_runtime.Rt_module.k_name
+           k.Tvm_runtime.Rt_module.k_time_s
+           (Digest.to_hex
+              (Digest.string (Printer.stmt_to_string k.Tvm_runtime.Rt_module.k_stmt)))))
+    (Tvm_runtime.Rt_module.kernels r.Tvm.Compiler.module_);
+  Buffer.contents buf
+
+let test_measure_digest () =
+  let out = measure_corpus () in
+  checkb "histories and kernels recorded"
+    (List.length (String.split_on_char '\n' out) > 100);
+  Alcotest.(check string)
+    "tuning histories and kernel table match the reference"
+    expected_measure_digest
+    (Digest.to_hex (Digest.string out))
+
 let suite =
   [
     Alcotest.test_case "golden lowering corpus digest" `Quick test_corpus_digest;
@@ -222,4 +288,6 @@ let suite =
     Alcotest.test_case "hash edge cases: floats, same-name vars" `Quick
       test_hash_edge_cases;
     Alcotest.test_case "hash allocates nothing" `Quick test_hash_allocates_nothing;
+    Alcotest.test_case "tuning histories and kernel table digest" `Quick
+      test_measure_digest;
   ]

@@ -426,12 +426,8 @@ let run_tune_journaled ~jobs ~fault_rate ~use_cache () =
   Journal.set_enabled true;
   (* fresh registry so counters don't accumulate across runs *)
   Metrics.reset ();
-  let fault_plan =
-    if fault_rate > 0. then Fault.transient ~seed:7 ~rate:fault_rate ()
-    else Fault.none
-  in
   let pool =
-    DPool.create ~fault_plan (List.init 4 (fun _ -> DPool.Gpu_dev Machine.titan_x))
+    DPool.of_spec (Tvm_spec.Job_spec.make ~devices:4 ~fault_rate ~seed:7 ())
   in
   let par = Par.create ~domains:jobs () in
   let measure = DPool.measure_fn pool ~kind_pred:(fun _ -> true) in
@@ -538,7 +534,7 @@ let test_report_straggler () =
       Alcotest.(check int) "best trial is the fastest" 0 b.Report.ti_uid
   | None -> Alcotest.fail "no best trial");
   Alcotest.(check int) "three SA chains" 3 (List.length r.Report.rp_chains);
-  (* only dev 0 is flagged: cost outlier and fail-rate outlier at once *)
+  (* only dev 0 is flagged, by its fail rate *)
   (match Report.stragglers r with
   | [ d ] ->
       Alcotest.(check int) "dev 0 flagged" 0 d.Report.ds_dev;
@@ -566,6 +562,34 @@ let test_report_clean_fleet () =
   let r = Report.analyze (List.rev !entries) in
   checkb "no stragglers on a clean fleet" (Report.stragglers r = []);
   checkb "render says so" (contains (Report.render r) "no stragglers")
+
+(* A 12x-slow device runs few attempts because it is slow: 4 jobs at
+   6 s while three healthy peers run 14 each at 0.5 s. It must be
+   flagged on cost although it ran fewer than [min_attempts]; a
+   healthy device with one unlucky timeout must not be. *)
+let test_report_slow_device () =
+  let entries = ref [] and uid = ref 0 in
+  let dispatch ~dev ~outcome ~cost =
+    let u = !uid in
+    incr uid;
+    entries :=
+      Journal.Dispatch
+        { d_uid = u; d_dev = dev; d_device = "gpu"; d_attempt = 0;
+          d_outcome = outcome; d_cost_s = cost; d_queue_s = 0.;
+          d_shard = 0; d_stolen = false; d_spec = false }
+      :: !entries
+  in
+  for dev = 0 to 3 do
+    for _ = 1 to (if dev = 2 then 4 else 14) do
+      dispatch ~dev ~outcome:"ok" ~cost:(if dev = 2 then 6.0 else 0.5)
+    done
+  done;
+  dispatch ~dev:4 ~outcome:"timeout" ~cost:10.;
+  dispatch ~dev:4 ~outcome:"ok" ~cost:0.5;
+  let r = Report.analyze (List.rev !entries) in
+  Alcotest.(check (list int))
+    "only the slow device is flagged" [ 2 ]
+    (List.map (fun d -> d.Report.ds_dev) (Report.stragglers r))
 
 (* ---- bench gate ---- *)
 
@@ -657,6 +681,8 @@ let suite =
     Alcotest.test_case "journal deterministic" `Slow test_journal_deterministic;
     Alcotest.test_case "report straggler" `Quick test_report_straggler;
     Alcotest.test_case "report clean fleet" `Quick test_report_clean_fleet;
+    Alcotest.test_case "report flags a slow device with few attempts" `Quick
+      test_report_slow_device;
     Alcotest.test_case "bench gate" `Quick test_bench_gate;
     Alcotest.test_case "profile report" `Quick test_profile_report;
   ]

@@ -238,13 +238,7 @@ let trial_fingerprint (t : Tuner.trial) =
    t.Tuner.best_so_far)
 
 let run_tune ~jobs ~fault_rate tpl =
-  let fault_plan =
-    if fault_rate > 0. then Fault.transient ~seed:7 ~rate:fault_rate ()
-    else Fault.none
-  in
-  let pool =
-    Pool.create ~fault_plan (List.init 4 (fun _ -> Pool.Gpu_dev Machine.titan_x))
-  in
+  let pool = Pool.of_spec (Tvm_spec.Job_spec.make ~devices:4 ~fault_rate ~seed:7 ()) in
   let par = Par.create ~domains:jobs () in
   let measure = Pool.measure_fn pool ~kind_pred:(fun _ -> true) in
   let measure_batch = Pool.batch_measure_fn ~par pool ~kind_pred:(fun _ -> true) in
@@ -269,8 +263,8 @@ let test_tune_identical_across_jobs () =
       = List.map trial_fingerprint r4.Tuner.history)
   in
   check ~fault_rate:0.0;
-  (* the PR-2 fault machinery replays on the coordinator, so a faulty
-     fleet must be exactly as deterministic as a healthy one *)
+  (* the fault machinery replays on the coordinator, so a faulty
+     pool must be exactly as deterministic as a healthy one *)
   check ~fault_rate:0.2
 
 let test_measure_batch_matches_sequential () =
@@ -287,20 +281,21 @@ let test_measure_batch_matches_sequential () =
   let jobs = Array.of_list (List.rev (valid 200 [])) in
   checkb "found batch jobs" (Array.length jobs > 0);
   let mk () =
-    Pool.create
-      ~fault_plan:(Fault.transient ~seed:3 ~rate:0.2 ())
-      (List.init 2 (fun _ -> Pool.Gpu_dev Machine.titan_x))
+    Pool.of_spec (Tvm_spec.Job_spec.make ~devices:2 ~fault_rate:0.2 ~seed:3 ())
   in
-  let p_seq = mk () and p_par = mk () in
+  let kind_pred _ = true in
+  let p_seq = mk () and p_j1 = mk () and p_j4 = mk () in
   let seq =
-    Array.map (fun (key, s) -> Pool.measure p_seq ~key ~kind_pred:(fun _ -> true) s) jobs
+    Array.map (fun job -> (Pool.measure_batch p_seq ~kind_pred [| job |]).(0)) jobs
   in
-  let par =
-    Pool.measure_batch ~par:(Par.create ~domains:4 ()) p_par
-      ~kind_pred:(fun _ -> true) jobs
-  in
-  checkb "batch results byte-identical to sequential submits" (seq = par);
-  checkb "simulated clocks agree" (Pool.makespan p_seq = Pool.makespan p_par)
+  let batch p par = Pool.measure_batch ~par p ~kind_pred jobs in
+  let j1 = batch p_j1 Par.sequential in
+  let j4 = batch p_j4 (Par.create ~domains:4 ()) in
+  checkb "batch results byte-identical to sequential submits" (seq = j4);
+  checkb "batch results identical at -j1 and -j4" (j1 = j4);
+  (* One-job submissions each close at their own makespan, so only
+     batches of equal shape share a simulated clock. *)
+  checkb "simulated clocks agree at -j1 and -j4" (Pool.makespan p_j1 = Pool.makespan p_j4)
 
 let suite =
   [

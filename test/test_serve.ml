@@ -213,8 +213,7 @@ let tune_once ?db ?cache ?(replay = false) ~pool () =
     ?db ?cache ~measure_batch ~method_:Tuner.Ml_model ~measure ~n_trials:24
     (Lazy.force serve_template)
 
-let fresh_pool () =
-  DPool.create (List.init 2 (fun _ -> DPool.Gpu_dev Machine.titan_x))
+let fresh_pool () = DPool.of_spec (Job_spec.make ~devices:2 ())
 
 (* A compile cache preloaded from the store must not change a run's
    journal by a single byte: prepare verdicts are run-local, so a warm
@@ -282,7 +281,7 @@ let test_replay_resume () =
     (Option.value ~default:0. (Metrics.get "tuner.replayed") > 0.);
   Alcotest.(check bool)
     "replay dispatches less pool work" true
-    (pool2.DPool.total_jobs < pool1.DPool.total_jobs);
+    ((DPool.stats pool2).DPool.fs_jobs < (DPool.stats pool1).DPool.fs_jobs);
   Alcotest.(check int)
     "no duplicate successful records" ok_before
     (Tuner.Db.status_count db2 "ok")

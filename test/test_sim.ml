@@ -178,22 +178,32 @@ let test_machine_peaks () =
 (* ------------------------------------------------------------------ *)
 
 let test_pool_scheduling () =
-  let pool = Pool.create ~overhead_s:1. [ Pool.Gpu_dev Machine.titan_x; Pool.Gpu_dev Machine.titan_x ] in
   let stmt = gpu_dense ~coop:true () in
-  for i = 0 to 3 do
-    ignore (Pool.measure ~key:i pool ~kind_pred:Pool.is_gpu stmt)
-  done;
-  let stats = Pool.stats pool in
-  Alcotest.(check int) "two devices" 2 (List.length stats);
-  List.iter (fun (_, jobs, _) -> Alcotest.(check int) "balanced" 2 jobs) stats;
-  checkb "makespan positive" (Pool.makespan pool > 0.)
+  let run devices =
+    let pool = Pool.of_spec (Tvm_spec.Job_spec.make ~devices ()) in
+    let jobs = Array.init 4 (fun i -> (i, stmt)) in
+    let r = Pool.measure_batch pool ~kind_pred:Pool.is_gpu jobs in
+    (r, Pool.makespan pool, Pool.stats pool)
+  in
+  let r1, mk1, _ = run 1 and r2, mk2, st2 = run 2 in
+  Alcotest.(check int) "two devices" 2 st2.Pool.fs_devices;
+  Alcotest.(check int) "one attempt per job" 4 st2.Pool.fs_attempts;
+  checkb "results independent of the device count" (r1 = r2);
+  checkb "makespan positive" (mk2 > 0.);
+  checkb
+    (Printf.sprintf "two devices split the work: %.2f s vs %.2f s" mk2 mk1)
+    (mk2 < 0.6 *. mk1)
 
 let test_pool_no_matching_device () =
-  let pool = Pool.create [ Pool.Gpu_dev Machine.titan_x ] in
-  try
-    ignore (Pool.measure pool ~kind_pred:Pool.is_cpu (gpu_dense ~coop:true ()));
-    Alcotest.fail "expected no matching device"
-  with Pool.No_matching_device _ -> ()
+  let pool =
+    Pool.of_spec ~kind:(Pool.Gpu_dev Machine.titan_x) Tvm_spec.Job_spec.default
+  in
+  let r =
+    Pool.measure_batch pool ~kind_pred:Pool.is_cpu [| (0, gpu_dense ~coop:true ()) |]
+  in
+  match r.(0).Tvm_autotune.Measure_result.status with
+  | Tvm_autotune.Measure_result.Pool_error _ -> ()
+  | _ -> Alcotest.fail "expected a pool_error result"
 
 let suite =
   [
