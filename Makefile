@@ -134,9 +134,10 @@ check-serve: build
 
 # Serving-executor gate: a deterministic trace from `tvmc traffic`
 # served by `tvmc serve-rt` at two model-load lane counts — the
-# results files must be byte-identical and every request must meet its
-# 50 ms SLO (--require-slo exits nonzero on any miss), then the
-# serving journal must round-trip through the `tvmc report` digest.
+# results files and the serving journals must be byte-identical and
+# every request must meet its 50 ms SLO (--require-slo exits nonzero
+# on any miss), then the serving journal must round-trip through the
+# `tvmc report` digest.
 check-servert: build
 	mkdir -p _build/check-servert
 	dune exec bin/tvmc.exe -- traffic --seed 5 --horizon 0.2 --tenants 8 \
@@ -145,8 +146,10 @@ check-servert: build
 	  -j 1 --require-slo --results _build/check-servert/r_j1 \
 	  --journal-out _build/check-servert/journal.jsonl
 	dune exec bin/tvmc.exe -- serve-rt --trace _build/check-servert/trace.txt \
-	  -j 4 --require-slo --results _build/check-servert/r_j4
+	  -j 4 --require-slo --results _build/check-servert/r_j4 \
+	  --journal-out _build/check-servert/journal_j4.jsonl
 	cmp _build/check-servert/r_j1 _build/check-servert/r_j4
+	cmp _build/check-servert/journal.jsonl _build/check-servert/journal_j4.jsonl
 	dune exec bin/tvmc.exe -- report _build/check-servert/journal.jsonl \
 	  | tee _build/check-servert/digest.txt
 	grep -q "per-model latency" _build/check-servert/digest.txt

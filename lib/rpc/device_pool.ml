@@ -2,9 +2,9 @@
    scheduler run entirely on the calling domain: pure model times are
    the only thing computed in parallel, and every stateful decision
    (placement, fault draws, steals, speculation, retries, journal
-   records) replays sequentially in a deterministic order — a min-heap
-   of run completions keyed (finish time, push sequence) with lazy
-   invalidation for cancelled twins. *)
+   records) replays sequentially in a deterministic order — an
+   {!Event_queue} of run completions keyed (finish time, push
+   sequence) with lazy invalidation for cancelled twins. *)
 
 module Machine = Tvm_sim.Machine
 module Cpu_model = Tvm_sim.Cpu_model
@@ -380,61 +380,6 @@ type jstate = {
   mutable js_twin : run_rec option;
 }
 
-(* Minimal binary min-heap on (finish, push-sequence). *)
-module Heap = struct
-  type elt = { h_t : float; h_seq : int; h_run : run_rec }
-  type h = { mutable a : elt array; mutable n : int; mutable seq : int }
-
-  let create () = { a = [||]; n = 0; seq = 0 }
-  let lt x y = x.h_t < y.h_t || (x.h_t = y.h_t && x.h_seq < y.h_seq)
-
-  let push h r ~at =
-    let e = { h_t = at; h_seq = h.seq; h_run = r } in
-    h.seq <- h.seq + 1;
-    if h.n = Array.length h.a then begin
-      let cap = max 64 (2 * h.n) in
-      let a' = Array.make cap e in
-      Array.blit h.a 0 a' 0 h.n;
-      h.a <- a'
-    end;
-    let i = ref h.n in
-    h.n <- h.n + 1;
-    h.a.(!i) <- e;
-    while !i > 0 && lt h.a.(!i) h.a.((!i - 1) / 2) do
-      let p = (!i - 1) / 2 in
-      let tmp = h.a.(p) in
-      h.a.(p) <- h.a.(!i);
-      h.a.(!i) <- tmp;
-      i := p
-    done
-
-  let peek h = if h.n = 0 then None else Some h.a.(0).h_run
-
-  let pop h =
-    if h.n = 0 then None
-    else begin
-      let top = h.a.(0) in
-      h.n <- h.n - 1;
-      h.a.(0) <- h.a.(h.n);
-      let i = ref 0 in
-      let continue_ = ref true in
-      while !continue_ do
-        let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
-        let s = ref !i in
-        if l < h.n && lt h.a.(l) h.a.(!s) then s := l;
-        if r < h.n && lt h.a.(r) h.a.(!s) then s := r;
-        if !s = !i then continue_ := false
-        else begin
-          let tmp = h.a.(!s) in
-          h.a.(!s) <- h.a.(!i);
-          h.a.(!i) <- tmp;
-          i := !s
-        end
-      done;
-      Some top.h_run
-    end
-end
-
 let outcome_of t jd ~attempt =
   match jd.jd_err with
   | Some m -> O_error m
@@ -586,21 +531,11 @@ let run_defs t ~publish ~kname (defs : jobdef array) : Measure_result.t array =
       taken
     in
     Array.iteri (fun j h -> q_push t.shards.(h) j) homes;
-    let events = Heap.create () in
-    (* Retry queue: (ready time, seq, job), kept sorted; ties resolve
-       by insertion order. *)
-    let retryq = ref [] and retry_seq = ref 0 in
-    let push_retry ~at j =
-      let seq = !retry_seq in
-      incr retry_seq;
-      (* Sorted by (ready time, insertion order); existing entries all
-         have a lower seq, so ties keep them first. *)
-      let rec ins = function
-        | ((t', _, _) as x) :: rest when t' <= at -> x :: ins rest
-        | rest -> (at, seq, j) :: rest
-      in
-      retryq := ins !retryq
-    in
+    (* Run completions and retry-ready jobs, each in (time, push
+       order). Two queues, not one: at equal times a completion is
+       processed first and the retries it makes due are drained after
+       it. *)
+    let events = Event_queue.create () and retryq = Event_queue.create () in
     let ok_costs = ref [] and ok_count = ref 0 in
     (* Live primary runs, for the speculation scan (lazily pruned). *)
     let active_runs = ref [] in
@@ -651,7 +586,7 @@ let run_defs t ~publish ~kname (defs : jobdef array) : Measure_result.t array =
         st.js_primary <- Some r;
         active_runs := r :: !active_runs
       end;
-      Heap.push events r ~at:r.rn_finish
+      Event_queue.push events ~at:r.rn_finish r
     in
     let try_local dev =
       match q_pop t.shards.(dev.fd_shard) with
@@ -759,23 +694,19 @@ let run_defs t ~publish ~kname (defs : jobdef array) : Measure_result.t array =
           t.devs
     in
     let drain_retries () =
-      let rec go () =
-        match !retryq with
-        | (at, _, j) :: rest when at <= t.clock ->
-            retryq := rest;
-            let st = states.(j) in
-            (* A resolved job's pending retry is dropped silently — in
-               particular it charges no backoff anywhere (the
-               twin-cancelled-mid-backoff fix). *)
-            if res.(j) = None then begin
-              st.js_ready <- at;
-              st.js_stolen <- false;
-              q_push t.shards.(st.js_home) j
-            end;
-            go ()
-        | _ -> ()
-      in
-      go ()
+      while Event_queue.top_time retryq <= t.clock do
+        let at = Event_queue.top_time retryq in
+        let j = Option.get (Event_queue.pop retryq) in
+        let st = states.(j) in
+        (* A resolved job's pending retry is dropped silently — in
+           particular it charges no backoff anywhere (the
+           twin-cancelled-mid-backoff fix). *)
+        if res.(j) = None then begin
+          st.js_ready <- at;
+          st.js_stolen <- false;
+          q_push t.shards.(st.js_home) j
+        end
+      done
     in
     (* One record per attempt, however it ended: a journal dispatch
        record (simulated clock only, so deterministic) and, when
@@ -845,7 +776,8 @@ let run_defs t ~publish ~kname (defs : jobdef array) : Measure_result.t array =
         st.js_spec_used <- false;
         t.retries_n <- t.retries_n + 1;
         count "pool.retries";
-        push_retry ~at:(Retry_policy.retry_at c.c_retry ~now:t.clock ~attempt:r.rn_attempt) j
+        Event_queue.push retryq
+          ~at:(Retry_policy.retry_at c.c_retry ~now:t.clock ~attempt:r.rn_attempt) j
       end
       else begin
         (match r.rn_outcome with
@@ -859,26 +791,20 @@ let run_defs t ~publish ~kname (defs : jobdef array) : Measure_result.t array =
     in
     fill_all ();
     while !done_n < n do
-      match Heap.peek events with
-      | Some r when r.rn_dead -> ignore (Heap.pop events)
-      | ev -> (
-          let next_retry = match !retryq with (at, _, _) :: _ -> Some at | [] -> None in
-          match (ev, next_retry) with
-          | None, None -> failwith "Device_pool: schedule stuck (no events, no retries)"
-          | Some r, Some at when at < r.rn_finish ->
-              t.clock <- Float.max t.clock at;
-              drain_retries ();
-              fill_all ()
-          | Some r, _ ->
-              ignore (Heap.pop events);
+      match Event_queue.top events with
+      | Some r when r.rn_dead -> ignore (Event_queue.pop events)
+      | ev ->
+          let retry_at = Event_queue.top_time retryq in
+          (match ev with
+          | Some r when not (retry_at < r.rn_finish) ->
+              ignore (Event_queue.pop events);
               t.clock <- Float.max t.clock r.rn_finish;
-              process r;
-              drain_retries ();
-              fill_all ()
-          | None, Some at ->
-              t.clock <- Float.max t.clock at;
-              drain_retries ();
-              fill_all ())
+              process r
+          | None when retry_at = infinity ->
+              failwith "Device_pool: schedule stuck (no events, no retries)"
+          | _ -> t.clock <- Float.max t.clock retry_at);
+          drain_retries ();
+          fill_all ()
     done;
     t.clock <- makespan t;
     if publish then Metrics.set_gauge "pool.makespan_s" t.clock;

@@ -21,9 +21,9 @@
     per-job budget.
 
     {b Determinism.} Pure model times fan out over a {!Tvm_par.Pool};
-    the whole virtual-time schedule (an event heap of run completions,
-    fault draws, retries, steals, speculation, journal records) then
-    replays sequentially on the calling domain. Results are made
+    the whole virtual-time schedule (an {!Event_queue} of run
+    completions and one of retries, fault draws, steals, speculation,
+    journal records) then replays sequentially on the calling domain. Results are made
     {e placement-invariant}:
 
     - fault draws are keyed by the job's {e submission ordinal}, never

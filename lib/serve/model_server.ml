@@ -40,6 +40,7 @@ module Metrics = Tvm_obs.Metrics
 module Json = Tvm_obs.Json
 module Par = Tvm_par.Pool
 module Spec = Tvm_spec.Job_spec
+module Event_queue = Tvm_rpc.Event_queue
 
 (* ------------------------------------------------------------------ *)
 (* Devices and the serving cost model                                  *)
@@ -338,7 +339,7 @@ let run t (reqs : Traffic.request list) : outcome =
              (b.Traffic.rq_submit_s, b.Traffic.rq_id))
          reqs)
   in
-  let running = ref [] (* sorted by (finish, batch id) *) in
+  let running = Event_queue.create () (* keyed (finish, batch id) *) in
   let next_batch = ref 0 in
   let naive_in_use = ref 0. and naive_peak = ref 0. in
   let completions = ref [] and batches = ref [] in
@@ -355,64 +356,65 @@ let run t (reqs : Traffic.request list) : outcome =
     move ()
   in
   let complete now =
-    let done_, still =
-      List.partition (fun rn -> rn.rn_finish <= now) !running
-    in
-    running := still;
-    List.iter
-      (fun rn ->
-        Mem_plan.Arena.release_plan arena rn.rn_slabs;
-        naive_in_use :=
-          !naive_in_use
-          -. (float_of_int (List.length rn.rn_reqs)
-             *. rn.rn_model.mv_naive_bytes);
-        List.iter
-          (fun (r : Traffic.request) ->
-            let latency = rn.rn_finish -. r.Traffic.rq_submit_s in
-            let ok = latency <= r.Traffic.rq_slo_s in
-            if not ok then incr slo_misses;
-            Metrics.observe "serve_rt.latency_s" latency;
-            completions :=
-              {
-                rc_id = r.Traffic.rq_id;
-                rc_tenant = r.Traffic.rq_tenant;
-                rc_model = rn.rn_model.mv_name;
-                rc_submit_s = r.Traffic.rq_submit_s;
-                rc_start_s = rn.rn_start;
-                rc_finish_s = rn.rn_finish;
-                rc_latency_s = latency;
-                rc_batch = rn.rn_batch;
-                rc_batch_size = List.length rn.rn_reqs;
-                rc_slo_s = r.Traffic.rq_slo_s;
-                rc_slo_ok = ok;
-              }
-              :: !completions)
-          rn.rn_reqs)
-      done_
+    while Event_queue.top_time running <= now do
+      let rn = Option.get (Event_queue.pop running) in
+      Mem_plan.Arena.release_plan arena rn.rn_slabs;
+      naive_in_use :=
+        !naive_in_use
+        -. (float_of_int (List.length rn.rn_reqs)
+           *. rn.rn_model.mv_naive_bytes);
+      List.iter
+        (fun (r : Traffic.request) ->
+          let latency = rn.rn_finish -. r.Traffic.rq_submit_s in
+          let ok = latency <= r.Traffic.rq_slo_s in
+          if not ok then incr slo_misses;
+          Metrics.observe "serve_rt.latency_s" latency;
+          completions :=
+            {
+              rc_id = r.Traffic.rq_id;
+              rc_tenant = r.Traffic.rq_tenant;
+              rc_model = rn.rn_model.mv_name;
+              rc_submit_s = r.Traffic.rq_submit_s;
+              rc_start_s = rn.rn_start;
+              rc_finish_s = rn.rn_finish;
+              rc_latency_s = latency;
+              rc_batch = rn.rn_batch;
+              rc_batch_size = List.length rn.rn_reqs;
+              rc_slo_s = r.Traffic.rq_slo_s;
+              rc_slo_ok = ok;
+            }
+            :: !completions)
+        rn.rn_reqs
+    done
   in
   (* A model's head-of-line batch launches when it is full, or its
      oldest request has waited out the delay budget — and an executor
      slot is free. *)
   let eligible now (_, (_, q)) =
     (not (Queue.is_empty q))
-    && List.length !running < cfg.cf_max_inflight
+    && Event_queue.length running < cfg.cf_max_inflight
     && (Queue.length q >= cfg.cf_max_batch
        || (Queue.peek q).Traffic.rq_submit_s +. cfg.cf_max_delay_s <= now)
   in
   let launch now =
     let rec go () =
-      (* Oldest head request first — deterministic FCFS across models. *)
-      let cands = List.filter (eligible now) queues in
-      match
-        List.sort
-          (fun (_, (_, qa)) (_, (_, qb)) ->
-            compare
-              ((Queue.peek qa).Traffic.rq_submit_s, (Queue.peek qa).Traffic.rq_id)
-              ((Queue.peek qb).Traffic.rq_submit_s, (Queue.peek qb).Traffic.rq_id))
-          cands
-      with
-      | [] -> ()
-      | (_, (m, q)) :: _ ->
+      (* Oldest head request first — deterministic FCFS across models
+         (request ids are unique, so there are no ties). *)
+      let pick best ((_, (_, q)) as c) =
+        if not (eligible now c) then best
+        else
+          match best with
+          | Some (_, (_, qb))
+            when compare
+                   ((Queue.peek qb).Traffic.rq_submit_s, (Queue.peek qb).Traffic.rq_id)
+                   ((Queue.peek q).Traffic.rq_submit_s, (Queue.peek q).Traffic.rq_id)
+                 < 0 ->
+              best
+          | _ -> Some c
+      in
+      match List.fold_left pick None queues with
+      | None -> ()
+      | Some (_, (m, q)) ->
           let k = min cfg.cf_max_batch (Queue.length q) in
           let members = List.init k (fun _ -> Queue.pop q) in
           let finish = batch_service cfg m ~k ~start:now ~dev_free in
@@ -430,56 +432,38 @@ let run t (reqs : Traffic.request list) : outcome =
             { bt_id = id; bt_model = m.mv_name; bt_size = k;
               bt_start_s = now; bt_finish_s = finish }
             :: !batches;
-          running :=
-            List.sort
-              (fun a b -> compare (a.rn_finish, a.rn_batch) (b.rn_finish, b.rn_batch))
-              ({ rn_batch = id; rn_model = m; rn_reqs = members;
-                 rn_start = now; rn_finish = finish; rn_slabs = slabs }
-              :: !running);
+          Event_queue.push running ~seq:id ~at:finish
+            { rn_batch = id; rn_model = m; rn_reqs = members;
+              rn_start = now; rn_finish = finish; rn_slabs = slabs };
           go ()
     in
     go ()
   in
+  (* The next instant the state can change: an arrival, a batch
+     completion, or a future delay deadline (an expired one waits for a
+     completion to free a slot). Once admit, complete and launch have
+     run at [now], no arrival or completion is due at or before [now]
+     and a request still queued is blocked only by a full executor (a
+     completion comes) or a future deadline — so [infinity] means
+     every request has completed. *)
   let next_event now =
-    let cands =
-      (match !pending with r :: _ -> [ r.Traffic.rq_submit_s ] | [] -> [])
-      @ (match !running with rn :: _ -> [ rn.rn_finish ] | [] -> [])
-      @ List.filter_map
-          (fun (_, (_, q)) ->
-            if Queue.is_empty q then None
-            else
-              (* Delay deadline; only a future one is an event — an
-                 expired deadline waits for a completion to free a
-                 slot, and completions re-evaluate launches anyway. *)
-              let d =
-                (Queue.peek q).Traffic.rq_submit_s +. cfg.cf_max_delay_s
-              in
-              if d > now then Some d else None)
-          queues
-    in
-    match cands with
-    | [] -> None
-    | l -> Some (List.fold_left Float.min Float.infinity l)
+    List.fold_left
+      (fun acc (_, (_, q)) ->
+        if Queue.is_empty q then acc
+        else
+          let d = (Queue.peek q).Traffic.rq_submit_s +. cfg.cf_max_delay_s in
+          if d > now then Float.min acc d else acc)
+      (Float.min
+         (match !pending with r :: _ -> r.Traffic.rq_submit_s | [] -> infinity)
+         (Event_queue.top_time running))
+      queues
   in
   let now = ref 0. in
-  let continue = ref true in
-  while !continue do
+  while !now < infinity do
     admit !now;
     complete !now;
     launch !now;
-    match next_event !now with
-    | Some tnext when tnext > !now -> now := tnext
-    | Some _ ->
-        (* Only expired deadlines remain and nothing can launch: the
-           next state change is the earliest completion. *)
-        (match !running with
-        | rn :: _ -> now := rn.rn_finish
-        | [] -> continue := false)
-    | None ->
-        continue :=
-          not
-            (!pending = [] && !running = []
-            && List.for_all (fun (_, (_, q)) -> Queue.is_empty q) queues)
+    now := next_event !now
   done;
   let completions =
     List.sort

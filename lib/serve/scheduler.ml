@@ -1,6 +1,7 @@
 (* See scheduler.mli. *)
 
 module Retry_policy = Tvm_rpc.Retry_policy
+module Event_queue = Tvm_rpc.Event_queue
 
 type tenant = {
   tn_name : string;
@@ -30,46 +31,14 @@ type 'a completion = {
   cp_error : string option;
 }
 
-(* A pairing heap: O(1) insert/find-min, amortized O(log n)
-   delete-min. Keys are (-priority, id) pairs — unique because ids
-   are — so the min is the dispatch-ordered head of a tenant's ready
-   queue and ties cannot arise. *)
-module Pheap = struct
-  type 'a t = Empty | Node of (int * int) * 'a * 'a t list
-
-  let empty = Empty
-  let is_empty = function Empty -> true | _ -> false
-
-  let merge a b =
-    match (a, b) with
-    | Empty, t | t, Empty -> t
-    | Node (ka, va, ca), Node (kb, vb, cb) ->
-        if ka <= kb then Node (ka, va, b :: ca) else Node (kb, vb, a :: cb)
-
-  let insert k v t = merge (Node (k, v, [])) t
-
-  let rec merge_pairs = function
-    | [] -> Empty
-    | [ t ] -> t
-    | a :: b :: rest -> merge (merge a b) (merge_pairs rest)
-
-  let pop = function
-    | Empty -> None
-    | Node (_, v, cs) -> Some (v, merge_pairs cs)
-end
-
-(* Per-tenant accounting while a trace runs. Pending jobs are indexed
-   per tenant — [ts_future] sorted by arrival, [ts_ready] a heap in
-   dispatch order — so a dispatch never rescans the whole backlog, and
-   [ts_running] is pruned of finished entries at every step so a
-   long-lived daemon's state stays bounded by what is actually in
-   flight. *)
+(* Per-tenant accounting while a trace runs. Arrived jobs wait in
+   [ts_ready] keyed (-priority, id) — unique, because ids are — so its
+   head is the tenant's next job in dispatch order. *)
 type 'a tenant_state = {
   ts_cfg : tenant;
   mutable ts_vwork : float;  (** accumulated service / weight *)
-  mutable ts_running : float list;  (** finish times of in-flight jobs *)
-  mutable ts_future : 'a job list;  (** not yet arrived; submit asc, id asc *)
-  mutable ts_ready : 'a job Pheap.t;  (** arrived; (-priority, id) heap *)
+  mutable ts_inflight : int;  (** dispatched, finish still ahead *)
+  ts_ready : 'a job Event_queue.t;
 }
 
 (* One job's attempt loop: service and backoff both charge the virtual
@@ -117,9 +86,8 @@ let run ?(slots = 1) ?(retry = Retry_policy.default) ?(stop = fun () -> false)
         {
           ts_cfg = tn;
           ts_vwork = 0.;
-          ts_running = [];
-          ts_future = [];
-          ts_ready = Pheap.empty;
+          ts_inflight = 0;
+          ts_ready = Event_queue.create ();
         })
     tenants;
   let state_of j =
@@ -134,66 +102,32 @@ let run ?(slots = 1) ?(retry = Retry_policy.default) ?(stop = fun () -> false)
     |> List.sort (fun a b -> compare a.ts_cfg.tn_name b.ts_cfg.tn_name)
     |> Array.of_list
   in
-  (* Index the trace up front: per tenant, arrivals in submit order. *)
-  List.iter
-    (fun j -> (state_of j).ts_future <- j :: (state_of j).ts_future)
-    jobs;
-  Array.iter
-    (fun ts ->
-      ts.ts_future <-
-        List.sort
-          (fun a b -> compare (a.jb_submit_s, a.jb_id) (b.jb_submit_s, b.jb_id))
-          ts.ts_future)
-    states;
+  (* Jobs not yet arrived, in (submit, id) order. *)
+  let arrivals =
+    ref
+      (List.sort
+         (fun a b -> compare (a.jb_submit_s, a.jb_id) (b.jb_submit_s, b.jb_id))
+         jobs)
+  in
+  (* Dispatched jobs' tenants keyed by finish time. Entries leave once
+     the virtual clock reaches them, so a long stream's state stays
+     bounded by true in-flight work. *)
+  let inflight = Event_queue.create () in
   let pending = ref (List.length jobs) in
   let slot_free = Array.make slots 0. in
   let completions = ref [] in
-  let running_now = ref 0 and running_peak = ref 0 in
-  let move_arrived ts ~now =
-    let rec go () =
-      match ts.ts_future with
-      | j :: rest when j.jb_submit_s <= now ->
-          ts.ts_future <- rest;
-          ts.ts_ready <- Pheap.insert (-j.jb_priority, j.jb_id) j ts.ts_ready;
-          go ()
-      | _ -> ()
-    in
-    go ()
-  in
-  (* Drop finish times the virtual clock has passed: [now] never
-     decreases across iterations (every slot's free time only grows),
-     so an entry [<= now] can never again satisfy an [> at] test in
-     [under_quota] or feed [next_event] — pruning it is free, and it
-     is what keeps a 10k-job stream's state bounded by true in-flight
-     work instead of the whole history. *)
-  let prune ts ~now =
-    match ts.ts_running with
-    | [] -> ()
-    | l ->
-        let kept = List.filter (fun f -> f > now) l in
-        running_now := !running_now - (List.length l - List.length kept);
-        ts.ts_running <- kept
+  let running_peak = ref 0 in
+  let rec arrive ~now =
+    match !arrivals with
+    | j :: rest when j.jb_submit_s <= now ->
+        arrivals := rest;
+        Event_queue.push (state_of j).ts_ready ~seq:j.jb_id
+          ~at:(float_of_int (-j.jb_priority)) j;
+        arrive ~now
+    | _ -> ()
   in
   let under_quota ts =
-    match ts.ts_cfg.tn_quota with
-    | None -> true
-    | Some q -> List.length ts.ts_running < q
-  in
-  (* The next virtual instant at which the picture can change: the
-     earliest pending arrival (each tenant's future head) or the
-     earliest in-flight finish (releasing its tenant's quota). *)
-  let next_event ~after =
-    Array.fold_left
-      (fun acc ts ->
-        let acc =
-          match ts.ts_future with
-          | j :: _ when j.jb_submit_s > after -> Float.min acc j.jb_submit_s
-          | _ -> acc
-        in
-        List.fold_left
-          (fun acc f -> if f > after then Float.min acc f else acc)
-          acc ts.ts_running)
-      Float.infinity states
+    match ts.ts_cfg.tn_quota with None -> true | Some q -> ts.ts_inflight < q
   in
   let continue = ref true in
   while !pending > 0 && !continue do
@@ -203,18 +137,20 @@ let run ?(slots = 1) ?(retry = Retry_policy.default) ?(stop = fun () -> false)
       let slot = ref 0 in
       Array.iteri (fun i f -> if f < slot_free.(!slot) then slot := i) slot_free;
       let now = slot_free.(!slot) in
-      Array.iter
-        (fun ts ->
-          move_arrived ts ~now;
-          prune ts ~now)
-        states;
+      arrive ~now;
+      (* [now] never decreases (slot free times only grow), so a
+         finished entry never matters again. *)
+      while Event_queue.top_time inflight <= now do
+        let ts = Option.get (Event_queue.pop inflight) in
+        ts.ts_inflight <- ts.ts_inflight - 1
+      done;
       (* Weighted fair share: the eligible tenant (ready job, quota
          headroom) with the least accumulated virtual work per unit
          weight goes next. *)
       let best = ref None in
       Array.iter
         (fun ts ->
-          if (not (Pheap.is_empty ts.ts_ready)) && under_quota ts then
+          if (not (Event_queue.is_empty ts.ts_ready)) && under_quota ts then
             match !best with
             | None -> best := Some ts
             | Some b ->
@@ -225,30 +161,30 @@ let run ?(slots = 1) ?(retry = Retry_policy.default) ?(stop = fun () -> false)
         states;
       match !best with
       | None ->
-          (* Nothing runnable yet: park this slot at the next event. *)
-          let t = next_event ~after:now in
+          (* Nothing runnable yet: park this slot at the next event —
+             an arrival, or a finish releasing its tenant's quota. Both
+             lie after [now]. *)
+          let t =
+            Float.min
+              (match !arrivals with j :: _ -> j.jb_submit_s | [] -> infinity)
+              (Event_queue.top_time inflight)
+          in
           if t = Float.infinity then
             (* Only possible if every pending job is quota-blocked with
                nothing running — a configuration error (quota 0). *)
             invalid_arg "scheduler: stalled (tenant quota 0?)"
           else slot_free.(!slot) <- t
       | Some ts ->
-          (* Within the tenant: priority, then FIFO by id — the heap
-             order. *)
-          let job, rest =
-            match Pheap.pop ts.ts_ready with
-            | Some (j, rest) -> (j, rest)
-            | None -> assert false
-          in
-          ts.ts_ready <- rest;
+          (* Within the tenant: priority, then FIFO by id. *)
+          let job = Option.get (Event_queue.pop ts.ts_ready) in
           decr pending;
           let attempts, service, error = attempt_loop ~retry ~execute job in
           let finish = now +. service in
           slot_free.(!slot) <- finish;
           ts.ts_vwork <- ts.ts_vwork +. (service /. ts.ts_cfg.tn_weight);
-          ts.ts_running <- finish :: ts.ts_running;
-          incr running_now;
-          if !running_now > !running_peak then running_peak := !running_now;
+          ts.ts_inflight <- ts.ts_inflight + 1;
+          Event_queue.push inflight ~at:finish ts;
+          running_peak := max !running_peak (Event_queue.length inflight);
           completions :=
             {
               cp_job = job;

@@ -23,14 +23,14 @@
     that exhausts its attempts completes with [cp_error] set — the
     scheduler itself never raises on a failing job.
 
-    The implementation is built for long traces: pending jobs are
-    indexed per tenant (a submit-ordered arrival list feeding a
-    priority-then-FIFO heap), so each dispatch costs O(tenants +
-    log pending) rather than a rescan of the whole backlog, and
-    finished entries are pruned from the in-flight lists as the
-    virtual clock passes them, so resident state is bounded by true
-    concurrency — the [sched.running_peak] gauge records the high
-    water mark of retained in-flight entries for a run. *)
+    The implementation is built for long traces. One submit-ordered
+    arrival list feeds per-tenant priority-then-FIFO
+    {!Tvm_rpc.Event_queue}s, and one in-flight queue keyed by finish
+    time releases quotas as the virtual clock passes them. A dispatch
+    costs O(tenants + log n) rather than a rescan of the backlog, and
+    resident state is bounded by true concurrency — the
+    [sched.running_peak] gauge records the largest number of jobs in
+    flight at once during a run. *)
 
 type tenant = {
   tn_name : string;

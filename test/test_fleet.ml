@@ -245,6 +245,41 @@ let test_retry_at_is_job_local () =
   checkb "retry_at = now + backoff"
     (Float.abs (at -. (100. +. Retry.backoff_s p ~attempt:1)) < 1e-12)
 
+(* The event queue the virtual-clock loops run on, against a list
+   model: interleaved pushes and pops, times from a small set so ties
+   are common. Pops come out as a stable sort by (at, seq), with the
+   default push-order seq and with explicit distinct seqs. *)
+let event_queue_matches_model =
+  let module Q = Tvm_rpc.Event_queue in
+  QCheck.Test.make ~name:"event queue pops in stable (at, seq) order" ~count:300
+    QCheck.(
+      pair bool
+        (list_of_size Gen.(int_bound 120) (option (pair (int_bound 3) (int_bound 20)))))
+    (fun (explicit, ops) ->
+      let q = Q.create () in
+      let model = ref [] and pushes = ref 0 in
+      let pop () =
+        match List.sort compare !model with
+        | [] -> Q.top_time q = infinity && Q.pop q = None
+        | ((at, _, i) as m) :: _ ->
+            model := List.filter (fun e -> e <> m) !model;
+            Q.top_time q = at && Q.pop q = Some i
+      in
+      List.for_all
+        (function
+          | Some (t, s) ->
+              let at = 0.5 *. float_of_int t and i = !pushes in
+              incr pushes;
+              let seq = if explicit then (s * 1000) + i else i in
+              if explicit then Q.push q ~seq ~at i else Q.push q ~at i;
+              model := (at, seq, i) :: !model;
+              Q.length q = List.length !model
+          | None -> pop ())
+        ops
+      && (let rec drain () = !model = [] || (pop () && drain ()) in
+          drain ())
+      && Q.is_empty q && pop ())
+
 (* ------------------------------------------------------------------ *)
 (* Report integration                                                   *)
 (* ------------------------------------------------------------------ *)
@@ -340,6 +375,7 @@ let suite =
     Alcotest.test_case "cancelled twin charges no backoff" `Quick
       test_cancelled_twin_charges_nothing;
     Alcotest.test_case "retry_at is job-local" `Quick test_retry_at_is_job_local;
+    QCheck_alcotest.to_alcotest event_queue_matches_model;
     Alcotest.test_case "report: shard/steal/speculation tallies" `Quick
       test_report_shard_tallies;
     Alcotest.test_case "sa propose memo caps predictor calls" `Quick

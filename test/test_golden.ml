@@ -279,6 +279,180 @@ let test_measure_digest () =
     expected_measure_digest
     (Digest.to_hex (Digest.string out))
 
+(* ------------------------------------------------------------------ *)
+(* Virtual-clock loops: device pool, tvmd scheduler, serving executor    *)
+(* ------------------------------------------------------------------ *)
+
+(* Each of the three virtual-clock event loops is pinned on inputs that
+   exercise its tie-breaks: simultaneous completions and retries in the
+   pool, priority/FIFO and quota releases in the scheduler, and batch
+   completions racing delay deadlines in the server. A change to how a
+   loop orders its events must leave these digests unchanged. *)
+
+module Pool = Tvm_rpc.Device_pool
+module Journal = Tvm_obs.Journal
+module Sched = Tvm_serve.Scheduler
+module Srv = Tvm_serve.Model_server
+module Traffic = Tvm_serve.Traffic
+
+let expected_pool_digest = "a429f6986f34b12b1ad99ffab703d1a5"
+let expected_sched_digest = "ec4c5939885d6f2c440ff48d7cdae5b3"
+let expected_server_digest = "404fb0ffff07ca00fda89d5d48f7f949"
+
+let result_line (r : Tvm_autotune.Measure_result.t) =
+  Printf.sprintf "%s %s %d"
+    (Tvm_autotune.Measure_result.status_name r.Tvm_autotune.Measure_result.status)
+    (match r.Tvm_autotune.Measure_result.time_s with
+    | Some v -> Printf.sprintf "%h" v
+    | None -> "-")
+    r.Tvm_autotune.Measure_result.attempts
+
+let stats_line (s : Pool.stats) =
+  String.concat " "
+    (Printf.sprintf "dev %d sh %d jobs %d att %d steals %d stolen %d spec %d/%d/%d retries %d"
+       s.Pool.fs_devices s.Pool.fs_shards s.Pool.fs_jobs s.Pool.fs_attempts
+       s.Pool.fs_steals s.Pool.fs_stolen_jobs s.Pool.fs_spec_launched
+       s.Pool.fs_spec_wins s.Pool.fs_spec_losses s.Pool.fs_retries
+    :: List.map
+         (fun (ss : Pool.shard_stat) ->
+           Printf.sprintf "[%d %s %d %d %d %h]" ss.Pool.ss_shard ss.Pool.ss_kind
+             ss.Pool.ss_devices ss.Pool.ss_attempts ss.Pool.ss_stolen ss.Pool.ss_busy_s)
+         s.Pool.fs_shard_stats)
+
+(* Synthetic model times with many exact ties, a few over the 10 s
+   budget (deterministic overruns) and a few rejected schedules. *)
+let pool_costs ~salt n =
+  Array.init n (fun i ->
+      match (i * 7 + salt) mod 53 with
+      | 0 -> 4.
+      | 1 -> Float.nan
+      | r -> 0.02 *. float_of_int (1 + (r mod 5)))
+
+let pool_corpus () =
+  let buf = Buffer.create 65536 in
+  let titan = Pool.Gpu_dev Tvm_sim.Machine.titan_x in
+  let xeon = Pool.Cpu_dev Tvm_sim.Machine.xeon_host in
+  List.iter
+    (fun (label, rate, shards, speculate, straggler, n_devs) ->
+      let cat =
+        Pool.catalog ~shards ~speculate
+          ~fault_plan:(Tvm_rpc.Fault.transient ~seed:17 ~rate ())
+          (Pool.mixed_kinds ?straggler n_devs)
+      in
+      let t = Pool.session ~salt:9 cat in
+      let batches = [ (titan, 90, 0); (xeon, 40, 3); (titan, 70, 5) ] in
+      let total = List.fold_left (fun a (_, n, _) -> a + n) 0 batches in
+      Journal.set_enabled true;
+      Journal.set_job_tags (Array.init total (fun i -> i));
+      List.iter
+        (fun (kind, n, salt) ->
+          let res = Pool.simulate t ~kind ~cost_s:(pool_costs ~salt n) in
+          Array.iter (fun r -> Buffer.add_string buf (label ^ " " ^ result_line r ^ "\n")) res)
+        batches;
+      Journal.clear_job_tags ();
+      List.iter
+        (fun e ->
+          match e with
+          | Journal.Dispatch _ -> Buffer.add_string buf (Journal.entry_to_line e ^ "\n")
+          | _ -> ())
+        (Journal.entries ());
+      Journal.set_enabled false;
+      Buffer.add_string buf
+        (Printf.sprintf "%s makespan %h\n%s\n" label (Pool.makespan t)
+           (stats_line (Pool.stats t))))
+    [
+      ("spec", 0.3, 4, true, Some 0, 24);
+      ("steal", 0.2, 3, false, Some 2, 18);
+      ("auto", 0.25, 0, true, None, 40);
+    ];
+  Buffer.contents buf
+
+(* Jobs over three tenants with weights, a quota, priorities, staggered
+   arrivals with exact ties, and executions that fail or exceed the
+   budget on some attempts. *)
+let sched_corpus () =
+  let buf = Buffer.create 65536 in
+  let tenants =
+    [ Sched.tenant ~weight:2. "alpha"; Sched.tenant ~quota:2 "beta";
+      Sched.tenant ~weight:0.5 ~quota:3 "gamma" ]
+  in
+  let names = [| "alpha"; "beta"; "gamma" |] in
+  let jobs =
+    List.init 90 (fun i ->
+        {
+          Sched.jb_id = i;
+          jb_tenant = names.((i * 5) mod 3);
+          jb_priority = (i * 7) mod 4 - 1;
+          jb_submit_s = float_of_int ((i * 11) mod 13) *. 0.5;
+          jb_payload = i;
+        })
+  in
+  let execute (j : int Sched.job) ~attempt =
+    let p = j.Sched.jb_payload in
+    if p mod 9 = 4 && attempt = 0 then Error "flaky"
+    else if p mod 17 = 5 then Error "dead"
+    else if p mod 23 = 7 && attempt < 2 then Ok 12.
+    else Ok (0.25 *. float_of_int (1 + ((p * 3) mod 6)))
+  in
+  List.iter
+    (fun slots ->
+      let cs = Sched.run ~slots ~tenants ~execute jobs in
+      List.iter
+        (fun (c : int Sched.completion) ->
+          Buffer.add_string buf
+            (Printf.sprintf "%d %d %d %d %h %h %h %h %s\n" slots
+               c.Sched.cp_job.Sched.jb_id c.Sched.cp_slot c.Sched.cp_attempts
+               c.Sched.cp_start_s c.Sched.cp_service_s c.Sched.cp_finish_s
+               c.Sched.cp_queue_wait_s
+               (Option.value ~default:"-" c.Sched.cp_error)))
+        cs;
+      Buffer.add_string buf
+        (Printf.sprintf "peak %h\n"
+           (Option.value ~default:Float.nan
+              (Tvm_obs.Metrics.get "sched.running_peak"))))
+    [ 1; 3; 8 ];
+  Buffer.contents buf
+
+(* The two-model serving suite at the default config and three
+   variants that move batching, admission and deadline handling. *)
+let server_corpus () =
+  let buf = Buffer.create (1 lsl 18) in
+  let suite =
+    List.filter
+      (fun (n, _) -> n = "resnet18" || n = "mobilenet")
+      (Tvm_models.Models.serving_suite ())
+  in
+  let reqs =
+    Traffic.generate ~seed:4 ~horizon_s:0.04
+      (List.init 6 (fun i ->
+           Traffic.tenant ~rate_hz:1500. ~slo_s:0.05
+             ~model:(if i mod 2 = 0 then "resnet18" else "mobilenet")
+             (Printf.sprintf "t%d" i)))
+  in
+  List.iter
+    (fun (label, cfg) ->
+      let server = Srv.load cfg suite in
+      let o = Srv.run server reqs in
+      List.iter
+        (fun l -> Buffer.add_string buf (label ^ " " ^ l ^ "\n"))
+        (Srv.results_lines o @ Srv.journal_lines server o);
+      Buffer.add_string buf
+        (Printf.sprintf "%s slab %h p99 %h\n" label o.Srv.oc_slab_bytes o.Srv.oc_p99_s))
+    [
+      ("default", Srv.config ());
+      ("unbatched", Srv.config ~max_batch:1 ());
+      ("inflight2", Srv.config ~max_inflight:2 ~hetero:false ());
+      ("nodelay", Srv.config ~max_delay_s:0. ());
+    ];
+  Buffer.contents buf
+
+let check_loop_digest name expected corpus () =
+  let out = corpus () in
+  checkb (name ^ " corpus non-empty") (String.length out > 1000);
+  Alcotest.(check string)
+    (name ^ " output matches the reference") expected
+    (Digest.to_hex (Digest.string out))
+
 let suite =
   [
     Alcotest.test_case "golden lowering corpus digest" `Quick test_corpus_digest;
@@ -290,4 +464,10 @@ let suite =
     Alcotest.test_case "hash allocates nothing" `Quick test_hash_allocates_nothing;
     Alcotest.test_case "tuning histories and kernel table digest" `Quick
       test_measure_digest;
+    Alcotest.test_case "device pool loop digest" `Quick
+      (check_loop_digest "device pool" expected_pool_digest pool_corpus);
+    Alcotest.test_case "tvmd scheduler loop digest" `Quick
+      (check_loop_digest "scheduler" expected_sched_digest sched_corpus);
+    Alcotest.test_case "serving executor loop digest" `Quick
+      (check_loop_digest "serving executor" expected_server_digest server_corpus);
   ]
