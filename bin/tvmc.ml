@@ -58,16 +58,6 @@ let jobs_arg =
            changes which configurations are chosen: results are \
            bit-identical at any -j.")
 
-let no_compile_cache_arg =
-  Arg.(
-    value & flag
-    & info [ "no-compile-cache" ]
-        ~doc:
-          "Disable the cross-trial compile cache: every measured \
-           configuration is re-lowered and re-featurized. Results are \
-           bit-identical with the cache on — this flag exists for A/B \
-           timing and verification.")
-
 (** Run [f] with tracing/journaling enabled iff the matching output
     file was requested; write the requested observability outputs
     afterwards (also on failure, so a crashed compile still leaves its
@@ -95,21 +85,6 @@ let with_obs ?(journal_out = None) ~trace_out ~metrics_out f =
           Printf.eprintf "[obs] metrics written to %s\n%!" path
       | None -> ())
     f
-
-let network_of_name = function
-  | "resnet18" -> Models.resnet18 ()
-  | "mobilenet" -> Models.mobilenet ()
-  | "lstm" -> Models.lstm_lm ()
-  | "dqn" -> Models.dqn ()
-  | "dcgan" -> Models.dcgan ()
-  | s -> invalid_arg ("unknown network " ^ s ^ " (resnet18|mobilenet|lstm|dqn|dcgan)")
-
-let target_of_name = function
-  | "cuda" -> Tvm.Target.cuda ()
-  | "arm" -> Tvm.Target.arm_cpu ()
-  | "mali" -> Tvm.Target.mali ()
-  | "llvm" -> Tvm.Target.llvm ()
-  | s -> invalid_arg ("unknown target " ^ s ^ " (cuda|arm|mali|llvm)")
 
 (** Full trial history as JSON lines — byte-identical for a fixed seed
     at any -j (and to a warm replay resume on a clean fleet). *)
@@ -157,15 +132,14 @@ let compile_cmd =
   let trials =
     Arg.(value & opt int 48 & info [ "trials" ] ~doc:"Tuning trials per kernel (0 = default schedules)")
   in
-  let run network target trials validate jobs no_cache trace_out metrics_out
+  let run network target trials validate jobs trace_out metrics_out
       journal_out =
     with_obs ~journal_out ~trace_out ~metrics_out @@ fun () ->
-    let graph = network_of_name network in
-    let tgt = target_of_name target in
+    let graph = Models.of_name network in
+    let tgt = Tvm.Target.of_name target in
     let spec =
       Tvm_spec.Job_spec.make ~op:Tvm_spec.Job_spec.Compile ~workload:network
-        ~target ~trials ~validate ~jobs ~use_compile_cache:(not no_cache)
-        ?trace_out ?metrics_out ?journal_out ()
+        ~target ~trials ~validate ~jobs ?trace_out ?metrics_out ?journal_out ()
     in
     let t0 = Unix.gettimeofday () in
     let result, exec =
@@ -192,8 +166,7 @@ let compile_cmd =
   Cmd.v (Cmd.info "compile" ~doc:"Compile a network end to end")
     Term.(
       const run $ network $ target $ trials $ validate_arg $ jobs_arg
-      $ no_compile_cache_arg $ trace_out_arg $ metrics_out_arg
-      $ journal_out_arg)
+      $ trace_out_arg $ metrics_out_arg $ journal_out_arg)
 
 (* ---- tune ---- *)
 
@@ -290,13 +263,13 @@ let tune_cmd =
   in
   let run workload trials method_name fault_rate max_retries timeout_ms seed
       jobs devices fleet_n shards speculate straggler tune_log validate
-      no_cache trace_out metrics_out journal_out =
+      trace_out metrics_out journal_out =
     with_obs ~journal_out ~trace_out ~metrics_out @@ fun () ->
     let spec =
       Tvm_spec.Job_spec.make ~op:Tvm_spec.Job_spec.Tune ~workload ~trials
         ~method_name ~seed ~jobs ~devices ~validate ~fault_rate ?straggler
         ~max_retries ~timeout_s:(timeout_ms /. 1e3) ~fleet:fleet_n ~shards
-        ~speculate ~use_compile_cache:(not no_cache) ?tune_log ?trace_out
+        ~speculate ?tune_log ?trace_out
         ?metrics_out ?journal_out ()
     in
     let w = Workloads.find workload in
@@ -306,8 +279,8 @@ let tune_cmd =
     let method_ = Tvm_autotune.Tuner.method_of_name method_name in
     (* Widen the measurement batch to keep the pool's shards saturated
        (a no-op for up to 8 devices at the default batch of 16). *)
-    let pool = Pool.of_spec spec in
-    let kind = Pool.kind_of_target spec.target in
+    let kind = Tvm.Target.(device_kind (of_name spec.target)) in
+    let pool = Pool.of_spec ~kind spec in
     let spec =
       { spec with
         Tvm_spec.Job_spec.batch = Pool.suggested_batch pool ~kind ~base:spec.batch }
@@ -370,8 +343,8 @@ let tune_cmd =
     Term.(
       const run $ workload $ trials $ method_ $ fault_rate $ max_retries
       $ timeout_ms $ seed $ jobs_arg $ devices $ fleet $ shards $ speculate
-      $ straggler $ tune_log $ validate_arg $ no_compile_cache_arg
-      $ trace_out_arg $ metrics_out_arg $ journal_out_arg)
+      $ straggler $ tune_log $ validate_arg $ trace_out_arg $ metrics_out_arg
+      $ journal_out_arg)
 
 (* ---- profile ---- *)
 
@@ -393,8 +366,8 @@ let profile_cmd =
   in
   let run network target trials runs profile_out trace_out metrics_out =
     with_obs ~trace_out ~metrics_out @@ fun () ->
-    let graph = network_of_name network in
-    let tgt = target_of_name target in
+    let graph = Models.of_name network in
+    let tgt = Tvm.Target.of_name target in
     let spec =
       Tvm_spec.Job_spec.make ~op:Tvm_spec.Job_spec.Profile ~workload:network
         ~target ~trials ()
@@ -939,7 +912,7 @@ let serve_rt_cmd =
         ~max_inflight:inflight ~hetero:(not no_hetero) ()
     in
     let t0 = Unix.gettimeofday () in
-    let server = Srv.load ~lanes ~target:(target_of_name target) cfg graphs in
+    let server = Srv.load ~lanes ~target:(Tvm.Target.of_name target) cfg graphs in
     Printf.eprintf "[serve-rt] %d models loaded in %.1fs (%d lanes)\n%!"
       (List.length graphs)
       (Unix.gettimeofday () -. t0)

@@ -4,44 +4,20 @@ module Obs_trace = Tvm_obs.Trace
 module Obs_metrics = Tvm_obs.Metrics
 
 type key = Cfg_space.config
-
-type entry =
-  | Invalid
-  | Valid of { feats : float array; stmt : Tvm_tir.Stmt.t option }
+type entry = Invalid | Valid of float array
 
 type t = {
   table : (key, entry) Hashtbl.t;
   order : key Queue.t;  (** entry insertion order — deterministic merge *)
-  stmt_order : key Queue.t;  (** stmt-holding keys, oldest first *)
-  mutable stmts_held : int;
-  stmt_cap : int;
-  keep_stmts : bool;
-  validated : (key, Tvm_tir.Validate.violation list) Hashtbl.t;
   name : string;
 }
 
-let create ?(size = 256) ?(stmt_cap = 1024) ?(keep_stmts = true)
-    ?(name = "tuner") () =
-  {
-    table = Hashtbl.create size;
-    order = Queue.create ();
-    stmt_order = Queue.create ();
-    stmts_held = 0;
-    stmt_cap = max 1 stmt_cap;
-    keep_stmts;
-    validated = Hashtbl.create 16;
-    name;
-  }
+let create ?(size = 256) ?(name = "tuner") () =
+  { table = Hashtbl.create size; order = Queue.create (); name }
 
-let create_local t =
-  create ~size:64 ~stmt_cap:t.stmt_cap ~keep_stmts:t.keep_stmts
-    ~name:(t.name ^ ".local") ()
-
-let keeps_stmts t = t.keep_stmts
+let create_local t = create ~size:64 ~name:(t.name ^ ".local") ()
 let size t = Hashtbl.length t.table
-let stmts_held t = t.stmts_held
-let feats = function Invalid -> None | Valid { feats; _ } -> Some feats
-let stmt = function Invalid -> None | Valid { stmt; _ } -> stmt
+let feats = function Invalid -> None | Valid feats -> Some feats
 
 let record_lookup t hit =
   Obs_metrics.incr (if hit then "cache.hit" else "cache.miss");
@@ -56,109 +32,25 @@ let find ?(record = true) t cfg =
 
 let record_hit t = record_lookup t true
 
-(* Drop the stmt of the oldest stmt-holding entry until the budget
-   holds: programs dominate the cache's footprint, so the FIFO bound
-   applies to retained stmts only — features stay (re-deriving them is
-   the expensive part of prediction, and they are small). Evicting
-   never changes results, only what must be re-lowered. *)
-let rec enforce_stmt_cap t =
-  if t.stmts_held > t.stmt_cap then begin
-    let k = Queue.pop t.stmt_order in
-    (match Hashtbl.find_opt t.table k with
-    | Some (Valid { feats; stmt = Some _ }) ->
-        Hashtbl.replace t.table k (Valid { feats; stmt = None })
-    | _ -> assert false (* invariant: queued keys hold a stmt *));
-    t.stmts_held <- t.stmts_held - 1;
-    Obs_metrics.incr "cache.evict";
-    enforce_stmt_cap t
-  end
-
-let note_stmt t k =
-  Queue.push k t.stmt_order;
-  t.stmts_held <- t.stmts_held + 1;
-  enforce_stmt_cap t
-
-let strip t entry =
-  match entry with
-  | Valid { feats; stmt = Some _ } when not t.keep_stmts ->
-      Valid { feats; stmt = None }
-  | e -> e
-
+(* First entry wins: compilation is deterministic, so a duplicate
+   carries equal values and dropping it keeps merges order-insensitive. *)
 let add t cfg entry =
   let k = Cfg_space.canonical cfg in
-  let entry = strip t entry in
-  match Hashtbl.find_opt t.table k with
-  | None ->
-      Hashtbl.add t.table k entry;
-      Queue.push k t.order;
-      (match entry with Valid { stmt = Some _; _ } -> note_stmt t k | _ -> ())
-  | Some Invalid | Some (Valid { stmt = Some _; _ }) ->
-      (* First entry wins: compilation is deterministic, so a duplicate
-         carries equal values and dropping it keeps merges
-         order-insensitive in everything but eviction age. *)
-      ()
-  | Some (Valid { feats; stmt = None }) -> (
-      (* Stmt-fill upgrade: the one non-first-wins case — an entry that
-         lost (or never had) its program gains one without touching the
-         features already stored. *)
-      match entry with
-      | Valid { stmt = Some s; _ } ->
-          Hashtbl.replace t.table k (Valid { feats; stmt = Some s });
-          note_stmt t k
-      | _ -> ())
+  if not (Hashtbl.mem t.table k) then begin
+    Hashtbl.add t.table k entry;
+    Queue.push k t.order
+  end
 
 let find_or_compile t cfg ~compile =
-  let k = Cfg_space.canonical cfg in
-  match Hashtbl.find_opt t.table k with
-  | Some e ->
-      record_lookup t true;
-      e
+  match find t cfg with
+  | Some e -> e
   | None ->
-      record_lookup t false;
-      add t cfg (compile cfg);
-      (* Return what was stored (post-strip), so callers never see a
-         stmt the cache would not reproduce. *)
-      Hashtbl.find t.table k
+      let e = compile cfg in
+      add t cfg e;
+      e
 
 (** Entries in insertion order — the persistence walk. *)
 let iter_entries t f =
   Queue.iter (fun k -> f k (Hashtbl.find t.table k)) t.order
 
-let find_validation t cfg =
-  Hashtbl.find_opt t.validated (Cfg_space.canonical cfg)
-
-let add_validation t cfg violations =
-  let k = Cfg_space.canonical cfg in
-  if not (Hashtbl.mem t.validated k) then Hashtbl.add t.validated k violations
-
-let merge ~into src =
-  (* Source insertion order: the only order-sensitive state downstream
-     is stmt-eviction age, and chain caches are themselves filled in a
-     seed-deterministic order. *)
-  Queue.iter (fun k -> add into k (Hashtbl.find src.table k)) src.order;
-  Hashtbl.iter
-    (fun k v ->
-      if not (Hashtbl.mem into.validated k) then Hashtbl.add into.validated k v)
-    src.validated
-
-(* ------------------------------------------------------------------ *)
-(* Scope registry                                                       *)
-(* ------------------------------------------------------------------ *)
-
-let scopes : (string, t) Hashtbl.t = Hashtbl.create 16
-let scopes_lock = Mutex.create ()
-
-let for_scope ?keep_stmts:(keep = true) scope =
-  Mutex.lock scopes_lock;
-  Fun.protect ~finally:(fun () -> Mutex.unlock scopes_lock) @@ fun () ->
-  match Hashtbl.find_opt scopes scope with
-  | Some c -> c
-  | None ->
-      let c = create ~keep_stmts:keep ~name:scope () in
-      Hashtbl.add scopes scope c;
-      c
-
-let clear_scopes () =
-  Mutex.lock scopes_lock;
-  Fun.protect ~finally:(fun () -> Mutex.unlock scopes_lock) @@ fun () ->
-  Hashtbl.reset scopes
+let merge ~into src = iter_entries src (add into)

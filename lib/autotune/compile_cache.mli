@@ -1,37 +1,32 @@
-(** Cross-trial compile cache: per-configuration lowering, feature
-    extraction and validation verdicts — the cost-model hot path
-    (§5.2) generalized from the old feature-only memo. Prediction must
-    stay thousands of times cheaper than measurement, and a measured
-    batch must not re-lower programs the propose phase already built,
-    so the SA explorer's revisits and the tuner's prepare phase both
-    hit here.
+(** Cross-trial feature memo: canonical configuration → [Invalid] or
+    the feature vector of its lowered program — the cost-model hot path
+    (§5.2). Prediction must stay thousands of times cheaper than
+    measurement, so the SA explorer's revisits and the tuner's prepare
+    phase both look configurations up here instead of re-lowering them
+    only to featurize them again.
+
+    Programs are not kept: the tuner's prepare phase lowers every
+    configuration it measures, and [Tuner.result] carries the best
+    trial's program forward. The memo's footprint is therefore one
+    small float array per configuration seen.
 
     Keys are the {e canonical} configuration value
     ({!Cfg_space.canonical}: knobs sorted by name) compared
     structurally, so two distinct configurations can never share an
     entry — unlike an int-hash key, where a collision silently shares
-    features and programs between different schedules.
-
-    [Invalid] entries record configurations whose instantiation failed,
-    so invalid points are not retried either. [Valid] entries always
-    carry the feature vector and, when [keep_stmts] is set and the
-    budget allows, the lowered program itself.
-
-    Memory: programs dominate the footprint, so the [stmt_cap] bound
-    applies to retained stmts only — oldest-first (FIFO) eviction drops
-    a program but keeps its features (metric [cache.evict]). Eviction
-    never changes results, only what must be re-lowered.
+    features between different schedules. [Invalid] entries record
+    configurations whose instantiation failed, so invalid points are
+    not retried either.
 
     Determinism: compilation is pure, so entries for equal keys carry
-    equal values; [add] is first-wins (plus a stmt-fill upgrade), and
-    {!merge} walks the source in its insertion order, so merged
-    contents — including stmt-eviction age — are independent of the
-    domain count. Results are bit-identical cache on or off.
+    equal values; [add] is first-wins and {!merge} walks the source in
+    its insertion order, so merged contents are independent of the
+    domain count. Results are bit-identical whatever the memo holds.
 
     Domain-safety follows the tuner's convention: one coordinator owns
     all writes between parallel sections; worker domains only read the
-    shared cache (plain [Hashtbl] reads race-free without writers), and
-    each SA chain fills its own {!create_local} cache that the
+    shared memo (plain [Hashtbl] reads race-free without writers), and
+    each SA chain fills its own {!create_local} memo that the
     coordinator later {!merge}s in chain-index order. Lookup metrics
     ([cache.hit]/[cache.miss]) and [cache.lookup] trace instants flow
     through [Tvm_obs], which buffers per-domain counters exactly. *)
@@ -41,20 +36,14 @@ type key = Cfg_space.config
 
 type entry =
   | Invalid  (** instantiation raised; do not retry *)
-  | Valid of { feats : float array; stmt : Tvm_tir.Stmt.t option }
+  | Valid of float array  (** features of the lowered program *)
 
 type t
 
-(** [stmt_cap] bounds retained programs (default 1024); [keep_stmts]
-    false stores features only (the pre-cache behavior, used as the
-    cache-off baseline). *)
-val create :
-  ?size:int -> ?stmt_cap:int -> ?keep_stmts:bool -> ?name:string -> unit -> t
+val create : ?size:int -> ?name:string -> unit -> t
 
-(** An empty cache inheriting [t]'s policy, for per-chain overflow. *)
+(** An empty memo named after [t], for per-chain overflow. *)
 val create_local : t -> t
-
-val keeps_stmts : t -> bool
 
 (** Lookup by canonical key. Records [cache.hit]/[cache.miss] metrics
     and a [cache.lookup] trace instant unless [record:false] (used for
@@ -73,44 +62,21 @@ val find : ?record:bool -> t -> Cfg_space.config -> entry option
     misses) were ever counted. *)
 val record_hit : t -> unit
 
-(** Insert, first-wins; an entry holding a program upgrades an existing
-    stmt-less entry in place (features untouched). *)
+(** Insert, first-wins. *)
 val add : t -> Cfg_space.config -> entry -> unit
 
-(** Cached entry, or [compile]'s result after storing it (post-strip:
-    callers never see a stmt the cache would not reproduce). Records
+(** Cached entry, or [compile]'s result after storing it. Records
     hit/miss. *)
 val find_or_compile :
   t -> Cfg_space.config -> compile:(Cfg_space.config -> entry) -> entry
 
 val feats : entry -> float array option
-val stmt : entry -> Tvm_tir.Stmt.t option
-
-(** Validation-verdict side table (first-wins, never evicted — one
-    verdict per built kernel). *)
-val find_validation :
-  t -> Cfg_space.config -> Tvm_tir.Validate.violation list option
-
-val add_validation :
-  t -> Cfg_space.config -> Tvm_tir.Validate.violation list -> unit
 
 (** [merge ~into src] adds [src]'s entries absent from [into], in
     [src]'s insertion order. *)
 val merge : into:t -> t -> unit
 
-(** Every entry in insertion order — the persistent store's walk
-    (programs are not serialized; features and verdicts are). *)
+(** Every entry in insertion order — the persistent store's walk. *)
 val iter_entries : t -> (key -> entry -> unit) -> unit
 
 val size : t -> int
-val stmts_held : t -> int
-
-(** Process-global registry of caches by scope string (the compiler
-    keys it by workload signature + fusion mode + target, making
-    repeated signatures and the two half-budget tuning runs share one
-    cache). Mutex-protected; [keep_stmts] applies on first creation. *)
-val for_scope : ?keep_stmts:bool -> string -> t
-
-(** Drop every registered scope (test hygiene; [Compiler.clear_cache]
-    calls this). *)
-val clear_scopes : unit -> unit

@@ -283,14 +283,13 @@ let load_tuned_scope path ~scope =
 let cache_kind = "cache"
 
 (* First record of a cache block is the escaped scope tag; the rest are
-   entries. Programs are never serialized: a restored entry re-lowers
-   on demand, features (the expensive part of prediction) persist. *)
+   feature-memo entries. *)
 
 let cache_entry_out key (entry : Compile_cache.entry) =
   match entry with
   | Compile_cache.Invalid ->
       Printf.sprintf "%s\tinvalid" (Cfg_space.to_string key)
-  | Compile_cache.Valid { feats; _ } ->
+  | Compile_cache.Valid feats ->
       Printf.sprintf "%s\tvalid\t%s" (Cfg_space.to_string key)
         (String.concat " "
            (List.map (Printf.sprintf "%h") (Array.to_list feats)))
@@ -310,7 +309,7 @@ let cache_entry_in line =
                  | None -> failwith ("bad feature " ^ s))
                (String.split_on_char ' ' feats))
       in
-      (Cfg_space.of_string cfg, Compile_cache.Valid { feats; stmt = None })
+      (Cfg_space.of_string cfg, Compile_cache.Valid feats)
   | _ -> failwith ("bad cache record: " ^ line)
 
 let save_cache path ~scope ?(from = 0) cache =

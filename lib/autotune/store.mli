@@ -9,9 +9,8 @@
     - [tuned] blocks: the compiler's tuned-configuration cache
       ({!Compiler.tuned_entries}), so repeat compiles skip tuning
       wholesale — [tuned.scoped] is the per-scope variant;
-    - [cache] blocks: {!Compile_cache} feature entries (programs are
-      never serialized — they re-lower on demand; features are the
-      expensive part of prediction).
+    - [cache] blocks: {!Compile_cache} feature-memo entries (features
+      are the expensive part of prediction).
 
     {2 Format}
 

@@ -66,6 +66,8 @@ type result = {
   best_time : float;
   history : trial list;  (** in measurement order *)
   model_accuracy : float;  (** final rank accuracy on collected data *)
+  best_stmt : Tvm_tir.Stmt.t option;
+      (** the best trial's program; [None] when it was replayed *)
 }
 
 type measure_fn = Cfg_space.config -> Tvm_tir.Stmt.t -> Measure_result.t
@@ -199,8 +201,7 @@ let tune ?(spec = Tvm_spec.Job_spec.default) ?db ?cache ?measure_batch
         ("trials", string_of_int n_trials);
       ]
   @@ fun () ->
-  let { Tvm_spec.Job_spec.seed; batch; sa_steps; n_chains; jobs;
-        use_compile_cache; replay; _ } =
+  let { Tvm_spec.Job_spec.seed; batch; sa_steps; n_chains; jobs; replay; _ } =
     spec
   in
   Journal.run ~name:template.tpl_name ~method_:(method_to_string method_)
@@ -223,28 +224,27 @@ let tune ?(spec = Tvm_spec.Job_spec.default) ?db ?cache ?measure_batch
   let history = ref [] in
   let best_time = ref Float.max_float in
   let best_config = ref None in
+  let best_stmt = ref None in
   let trial_index = ref 0 in
-  (* Shared compile cache (lowered program + features + validity),
-     keyed by canonical config value so distinct configurations can
-     never collide (structural equality, not int hash). Written only
-     between parallel sections; during SA it is read-only and each
-     chain gets its own overflow cache. *)
+  (* Shared feature memo (features + validity), keyed by canonical
+     config value so distinct configurations can never collide
+     (structural equality, not int hash). Written only between
+     parallel sections; during SA it is read-only and each chain gets
+     its own overflow memo. *)
   let memo =
     match cache with
     | Some c -> c
-    | None ->
-        Compile_cache.create ~size:1024 ~keep_stmts:use_compile_cache
-          ~name:template.tpl_name ()
+    | None -> Compile_cache.create ~size:1024 ~name:template.tpl_name ()
   in
   let compile cfg =
     match instantiate template cfg with
-    | Some s -> Compile_cache.Valid { feats = features s; stmt = Some s }
+    | Some s -> Compile_cache.Valid (features s)
     | None -> Compile_cache.Invalid
   in
   (* Record one measured configuration: training set, incumbent, db,
      history, metrics. Sequential bookkeeping — always called on the
      coordinator, in batch order. *)
-  let record_trial ~replayed uid cfg (feats : float array option)
+  let record_trial ~replayed uid cfg stmt (feats : float array option)
       (result : Measure_result.t) =
     (match (feats, result.Measure_result.time_s) with
     | Some f, Some time ->
@@ -255,7 +255,8 @@ let tune ?(spec = Tvm_spec.Job_spec.default) ?db ?cache ?measure_batch
     (match result.Measure_result.time_s with
     | Some time when time < !best_time ->
         best_time := time;
-        best_config := Some cfg
+        best_config := Some cfg;
+        best_stmt := stmt
     | _ -> ());
     incr trial_index;
     (match db with
@@ -306,10 +307,10 @@ let tune ?(spec = Tvm_spec.Job_spec.default) ?db ?cache ?measure_batch
      Results are independent of the domain count: prepared values land
      in per-index slots and every later stage walks them in input
      order. The flight recorder writes happen only in the sequential
-     stages — uids, proposals and the feature-level cache verdict
-     before the parallel prepare, prepare/dispatch/measure records
-     after it — which is what keeps the journal byte-identical at any
-     [-j] and with the compile cache on or off. *)
+     stages — uids, proposals and the run-local cache verdict before
+     the parallel prepare, prepare/dispatch/measure records after it —
+     which is what keeps the journal byte-identical at any [-j] and
+     whatever the feature memo holds. *)
   let run_batch (cfgs : (Cfg_space.config * origin) list) :
       Measure_result.t option list =
     let take = max 0 (min (List.length cfgs) (n_trials - !trial_index)) in
@@ -319,11 +320,9 @@ let tune ?(spec = Tvm_spec.Job_spec.default) ?db ?cache ?measure_batch
       taken;
     let tagged = Array.of_list taken in
     let uids = Array.map (fun _ -> Journal.fresh_uid ()) tagged in
-    (* The journal's cache verdict is feature-level and run-local (had
-       THIS run compiled the config before this batch?): the stmt-level
-       hit kind differs between cache on/off modes and a preloaded
-       cache would differ from a cold one, the run-local feature-level
-       verdict does not. *)
+    (* The journal's cache verdict is run-local (had THIS run compiled
+       the config before this batch?): a preloaded memo would differ
+       from a cold one, the run-local verdict does not. *)
     let cache_state =
       Array.map
         (fun (cfg, _) ->
@@ -346,7 +345,7 @@ let tune ?(spec = Tvm_spec.Job_spec.default) ?db ?cache ?measure_batch
                 | None -> None
                 | Some r -> (
                     match Compile_cache.find ~record:false memo cfg with
-                    | Some (Compile_cache.Valid { feats; _ }) -> Some (r, feats)
+                    | Some (Compile_cache.Valid feats) -> Some (r, feats)
                     | Some Compile_cache.Invalid | None -> None)))
         tagged
     in
@@ -368,18 +367,16 @@ let tune ?(spec = Tvm_spec.Job_spec.default) ?db ?cache ?measure_batch
           | None -> (
               match Compile_cache.find memo cfg with
               | Some Compile_cache.Invalid -> (cfg, None, None)  (* skip *)
-              | Some (Compile_cache.Valid { feats; stmt = Some s }) ->
-                  (* full hit: the propose phase (or an earlier search
-                     over this workload) already lowered this program *)
-                  (cfg, Some s, Some feats)
-              | Some (Compile_cache.Valid { feats; stmt = None }) ->
-                  (* features cached, program evicted or never retained;
-                     measurement still needs the program *)
-                  (cfg, instantiate template cfg, Some feats)
-              | None -> (
-                  match instantiate template cfg with
-                  | Some s -> (cfg, Some s, Some (features s))
-                  | None -> (cfg, None, None))))
+              | found ->
+                  (* Measurement needs the program, so lower it here;
+                     features come from the memo when it has them. *)
+                  let stmt = instantiate template cfg in
+                  let feats =
+                    match found with
+                    | Some (Compile_cache.Valid f) -> Some f
+                    | _ -> Option.map features stmt
+                  in
+                  (cfg, stmt, feats)))
         (Array.init (Array.length tagged) Fun.id)
     in
     (* Merge fresh compilations into the shared memo, in input order
@@ -389,9 +386,7 @@ let tune ?(spec = Tvm_spec.Job_spec.default) ?db ?cache ?measure_batch
       (fun i (cfg, stmt, feats) ->
         if replay_hit.(i) = None then
           match (stmt, feats) with
-          | Some s, Some f ->
-              Compile_cache.add memo cfg
-                (Compile_cache.Valid { feats = f; stmt = Some s })
+          | Some _, Some f -> Compile_cache.add memo cfg (Compile_cache.Valid f)
           | None, _ -> Compile_cache.add memo cfg Compile_cache.Invalid
           | Some _, None -> ())
       prepared;
@@ -470,16 +465,13 @@ let tune ?(spec = Tvm_spec.Job_spec.default) ?db ?cache ?measure_batch
             prepared
     in
     Array.iteri
-      (fun i (cfg, _, feats) ->
-        record_trial ~replayed:(replay_hit.(i) <> None) uids.(i) cfg feats
+      (fun i (cfg, stmt, feats) ->
+        record_trial ~replayed:(replay_hit.(i) <> None) uids.(i) cfg stmt feats
           results.(i))
       prepared;
     List.mapi
       (fun i _ -> if i < take then Some results.(i) else None)
       cfgs
-  in
-  let measure_config cfg =
-    match run_batch [ (cfg, origin "seed") ] with [ r ] -> r | _ -> None
   in
   (* Seed the search with one known-valid configuration: heavily
      constrained spaces (odd shapes) can otherwise yield all-invalid
@@ -491,7 +483,7 @@ let tune ?(spec = Tvm_spec.Job_spec.default) ?db ?cache ?measure_batch
        let entry = Compile_cache.find_or_compile memo cfg ~compile in
        note_known cfg;
        (match entry with
-       | Compile_cache.Valid _ -> ignore (measure_config cfg)
+       | Compile_cache.Valid _ -> ignore (run_batch [ (cfg, origin "seed") ])
        | Compile_cache.Invalid -> ());
        seek (i + 1)
      end
@@ -564,9 +556,7 @@ let tune ?(spec = Tvm_spec.Job_spec.default) ?db ?cache ?measure_batch
                      then the chain-local cache, compiling on a double
                      miss — [find_or_compile] records the local
                      verdict, so each logical query counts exactly
-                     once. Chain winners keep their lowered program, so
-                     if this config is measured later the prepare phase
-                     skips instantiation entirely. *)
+                     once. *)
                   let entry =
                     match Compile_cache.find ~record:false memo cfg with
                     | Some e ->
@@ -626,7 +616,7 @@ let tune ?(spec = Tvm_spec.Job_spec.default) ?db ?cache ?measure_batch
   match !best_config with
   | Some cfg ->
       { best_config = cfg; best_time = !best_time; history = List.rev !history;
-        model_accuracy }
+        model_accuracy; best_stmt = !best_stmt }
   | None ->
       invalid_arg
         (Printf.sprintf "tune(%s): no valid configuration found in %d trials"

@@ -35,6 +35,10 @@ type result = {
   best_time : float;  (** always finite: [tune] raises if no trial succeeded *)
   history : trial list;  (** in measurement order *)
   model_accuracy : float;  (** final rank accuracy on collected data *)
+  best_stmt : Tvm_tir.Stmt.t option;
+      (** the program the best trial measured, handed forward so the
+          caller need not re-lower [best_config]; [None] when that
+          trial was replayed from the [db] *)
 }
 
 type measure_fn = Cfg_space.config -> Tvm_tir.Stmt.t -> Measure_result.t
@@ -93,14 +97,15 @@ end
     to it whole, so the device pool can overlap jobs on free devices.
 
     [spec] supplies the loop knobs — [seed], [batch], [sa_steps],
-    [n_chains], [jobs], [use_compile_cache], [replay]; [method_] and
+    [n_chains], [jobs], [replay]; [method_] and
     [n_trials] stay explicit because callers split budgets and sweep
     methods independently of one spec ([Job_spec.trials] and
     [Job_spec.method_name] are for those callers to interpret).
 
-    [db] is the shared measurement log; [cache] a shared compile cache
-    (e.g. the compiler's per-workload scope) — [None] = a private cache
-    per [tune] call; neither changes results.
+    [db] is the shared measurement log; [cache] a shared feature memo
+    (the compiler's per-group memo, or tvmd's per-template memo
+    restored from its store) — [None] = a private memo per [tune]
+    call; neither changes results.
 
     With [spec.replay] set, configurations whose measurement is already
     recorded in [db] (for this template, with cached features) reuse

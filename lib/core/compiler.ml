@@ -38,9 +38,7 @@ type tuned_cache = (string, Cfg_space.config * float) Hashtbl.t
 let create_tuned_cache () : tuned_cache = Hashtbl.create 64
 let tuned_cache : tuned_cache = create_tuned_cache ()
 
-let clear_cache () =
-  Hashtbl.reset tuned_cache;
-  Compile_cache.clear_scopes ()
+let clear_cache () = Hashtbl.reset tuned_cache
 
 (** Tuned-cache contents, sorted by signature — what the persistent
     store serializes so a warm restart skips repeat tuning. *)
@@ -138,32 +136,17 @@ let build ?(spec = Job_spec.default) ?db ?(tuned = tuned_cache) (graph : G.t)
               let te = Fusion.build_group_te graph g in
               (te, template_for ~name:signature target (fst te)))
         in
-        (* One compile cache per template instance: the scope pins the
-           signature, fusion mode AND this group's output buffer, because
-           a lowered stmt refers to the placeholder buffers of the
-           template that built it — two groups with equal signatures
-           have equal-shaped but distinct buffers, so sharing stmts
-           across them would break binding. Within the instance, both
-           half-budget tuner runs, the final lowering and validation
-           all share the cache (repeated signatures already skip tuning
-           wholesale via [tuned_cache]). *)
-        let ccache =
-          if spec.Job_spec.use_compile_cache then
-            Some
-              (Compile_cache.for_scope
-                 (Printf.sprintf "%s|fusion=%b#%d" signature
-                    spec.Job_spec.fusion
-                    (Tensor.buffer out_tensor).Tvm_tir.Expr.bid))
-          else None
-        in
-        let best_cfg, _best_time =
+        (* [lowered] is the winner's program when the search (or the
+           default-schedule sampler) built it; a tuned-cache hit has
+           none and re-lowers below. *)
+        let best_cfg, lowered =
           match Hashtbl.find_opt tuned signature with
-          | Some hit ->
+          | Some (cfg, _) ->
               Metrics.incr "compiler.cache_hits";
-              hit
+              (cfg, None)
           | None ->
               Trace.with_span "phase.tuning" @@ fun () ->
-              let result =
+              let cfg, t, stmt =
                 if spec.Job_spec.trials > 0 then begin
                   let measure = Pool.measure_fn pool ~kind_pred in
                   let measure_batch =
@@ -172,10 +155,13 @@ let build ?(spec = Job_spec.default) ?db ?(tuned = tuned_cache) (graph : G.t)
                   (* Two independent half-budget searches, keep the
                      better: guards against a seed-stranded run. *)
                   let half = max 8 (spec.Job_spec.trials / 2) in
+                  (* One feature memo per tuned group, shared by the two
+                     searches; it dies with this group. *)
+                  let memo = Compile_cache.create ~name:signature () in
                   let run seed =
                     Tuner.tune
                       ~spec:{ spec with Job_spec.seed }
-                      ?db ?cache:ccache ~measure_batch
+                      ?db ~cache:memo ~measure_batch
                       ~method_:(Tuner.method_of_name spec.Job_spec.method_name)
                       ~measure ~n_trials:half tpl
                   in
@@ -183,57 +169,30 @@ let build ?(spec = Job_spec.default) ?db ?(tuned = tuned_cache) (graph : G.t)
                   let r2 = run (spec.Job_spec.seed + 1000) in
                   trials_run := !trials_run + (2 * half);
                   let best = if r1.Tuner.best_time <= r2.Tuner.best_time then r1 else r2 in
-                  (best.Tuner.best_config, best.Tuner.best_time)
+                  (best.Tuner.best_config, best.Tuner.best_time, best.Tuner.best_stmt)
                 end
                 else
                   match default_config ~seed:spec.Job_spec.seed target tpl with
-                  | Some (cfg, _, t) -> (cfg, t)
+                  | Some (cfg, stmt, t) -> (cfg, t, Some stmt)
                   | None ->
                       invalid_arg
                         ("compiler: no valid default configuration for " ^ signature)
               in
-              Hashtbl.replace tuned signature result;
-              result
+              Hashtbl.replace tuned signature (cfg, t);
+              (cfg, stmt)
         in
-        let stmt, time_s, lowering_hit =
+        let stmt, time_s =
           Trace.with_span "phase.lowering" (fun () ->
-              (* The tuner retained the winner's lowered program in the
-                 scope cache, so this is normally a hit. *)
-              let stmt, hit =
-                match
-                  Option.bind ccache (fun c ->
-                      Option.bind (Compile_cache.find c best_cfg)
-                        Compile_cache.stmt)
-                with
-                | Some s -> (s, true)
-                | None ->
-                    let s = tpl.Tuner.tpl_instantiate best_cfg in
-                    Option.iter
-                      (fun c ->
-                        Compile_cache.add c best_cfg
-                          (Compile_cache.Valid
-                             { feats = Tvm_autotune.Feature.extract s;
-                               stmt = Some s }))
-                      ccache;
-                    (s, false)
+              let stmt =
+                match lowered with
+                | Some s -> s
+                | None -> tpl.Tuner.tpl_instantiate best_cfg
               in
-              (stmt, Target.time_s target stmt, hit))
+              (stmt, Target.time_s target stmt))
         in
         let validation_ok =
           Trace.with_span "phase.validate" @@ fun () ->
-          let violations =
-            match
-              Option.bind ccache (fun c ->
-                  Compile_cache.find_validation c best_cfg)
-            with
-            | Some v -> v
-            | None ->
-                let v = Tvm_tir.Validate.check stmt in
-                Option.iter
-                  (fun c -> Compile_cache.add_validation c best_cfg v)
-                  ccache;
-                v
-          in
+          let violations = Tvm_tir.Validate.check stmt in
           let errs = Tvm_tir.Validate.errors violations in
           Metrics.incr "validate.errors" ~by:(Float.of_int (List.length errs));
           Metrics.incr "validate.warnings"
@@ -250,8 +209,8 @@ let build ?(spec = Job_spec.default) ?db ?(tuned = tuned_cache) (graph : G.t)
         in
         (* Journal the compile job itself: the winning configuration's
            final lowering is a trial with origin [compiler] — cache says
-           whether the scope cache still held the winner's program,
-           time is the target model's estimate. *)
+           whether the winner's program was handed forward ("hit") or
+           re-lowered ("miss"), time is the target model's estimate. *)
         if Tvm_obs.Journal.enabled () then begin
           let uid = Tvm_obs.Journal.fresh_uid () in
           Tvm_obs.Journal.run ~name:("compile:" ^ signature) ~method_:"compiler"
@@ -259,7 +218,7 @@ let build ?(spec = Job_spec.default) ?db ?(tuned = tuned_cache) (graph : G.t)
           Tvm_obs.Journal.propose ~uid ~origin:"compiler" ~chain:(-1)
             ~score:Float.nan ~config:(Cfg_space.to_string best_cfg);
           Tvm_obs.Journal.prepare ~uid
-            ~cache:(if lowering_hit then "hit" else "miss")
+            ~cache:(if Option.is_some lowered then "hit" else "miss")
             ~valid:validation_ok;
           Tvm_obs.Journal.measure ~uid ~status:"ok" ~time_s:(Some time_s)
             ~attempts:0

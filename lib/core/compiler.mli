@@ -59,8 +59,8 @@ val build_executor :
   Target.t ->
   build_result * Tvm_runtime.Graph_executor.t
 
-(** Drop the tuned-configuration cache and every compile-cache scope
-    (test hygiene, or to force a full re-tune). *)
+(** Drop the process-global tuned-configuration cache (test hygiene,
+    or to force a full re-tune). *)
 val clear_cache : unit -> unit
 
 (** Tuned-cache contents — (workload signature, best configuration,

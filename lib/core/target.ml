@@ -19,6 +19,13 @@ let llvm ?(cpu = Machine.xeon_host) () = Llvm cpu
 (** ARM Mali T860MP4. *)
 let mali ?(gpu = Machine.mali_t860) () = Opencl_mali gpu
 
+let of_name = function
+  | "cuda" -> cuda ()
+  | "arm" -> arm_cpu ()
+  | "mali" -> mali ()
+  | "llvm" -> llvm ()
+  | s -> invalid_arg ("unknown target " ^ s ^ " (cuda|arm|mali|llvm)")
+
 let name = function
   | Cuda g -> "cuda/" ^ g.Machine.gpu_name
   | Llvm c -> "llvm/" ^ c.Machine.cpu_name

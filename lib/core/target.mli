@@ -23,6 +23,11 @@ val llvm : ?cpu:Machine.cpu -> unit -> t
 (** ARM Mali T860MP4. *)
 val mali : ?gpu:Machine.gpu -> unit -> t
 
+(** A target by its {!Tvm_spec.Job_spec.target} name, with default
+    machines; raises [Invalid_argument] listing the valid names
+    otherwise. *)
+val of_name : string -> t
+
 val name : t -> string
 val is_gpu : t -> bool
 

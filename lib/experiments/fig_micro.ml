@@ -304,11 +304,9 @@ let partune ?(jobs = 4) ?(seed = 11) ?(n_trials = 160) () =
     (Printf.sprintf
        "Multicore tuning: throughput at -j1 vs -j%d (C7 conv2d, Titan X)" jobs);
   let n_trials = trials n_trials in
-  let run ?(use_cache = true) j =
+  let run j =
     let tpl, _ = fig12_template () in
-    let spec =
-      Tvm_spec.Job_spec.make ~seed ~jobs:j ~devices:j ~use_compile_cache:use_cache ()
-    in
+    let spec = Tvm_spec.Job_spec.make ~seed ~jobs:j ~devices:j () in
     let pool = Pool.of_spec ~kind:(Pool.Gpu_dev titan) spec in
     let par = Tvm_par.Pool.create ~domains:j () in
     let measure = Pool.measure_fn pool ~kind_pred:Pool.is_gpu in
@@ -357,39 +355,16 @@ let partune ?(jobs = 4) ?(seed = 11) ?(n_trials = 160) () =
   Tvm_obs.Metrics.set_gauge "bench.partune.wall_speedup" wall_speedup;
   Tvm_obs.Metrics.set_gauge "bench.partune.identical_best"
     (if identical then 1. else 0.);
-  (* Compile-cache A/B at -j[jobs]: same seed ⇒ bit-identical trial
-     history either way; the only difference is time spent in the
-     prepare phase (lowering + featurization), which the cache turns
-     into lookups for SA winners and revisits. *)
-  let prepare_s () =
-    Option.value ~default:0. (Tvm_obs.Metrics.get "tune.phase.prepare_s")
-  in
-  let p0 = prepare_s () in
-  let r_on, _, _ = run jobs in
-  let p_on = Float.max 1e-9 (prepare_s () -. p0) in
-  let r_off, _, _ = run ~use_cache:false jobs in
-  let p_off = Float.max 1e-9 (prepare_s () -. p0 -. p_on) in
-  let prepare_speedup = p_off /. p_on in
-  let log_identical = r_on.Tuner.history = r_off.Tuner.history in
-  Printf.printf
-    "prepare phase: %.4fs cache-on vs %.4fs cache-off (%.2fx); tuning log %s\n"
-    p_on p_off prepare_speedup
-    (if log_identical then "identical" else "DIFFERS (bug!)");
-  Tvm_obs.Metrics.set_gauge "bench.partune.prepare_s_cache_on" p_on;
-  Tvm_obs.Metrics.set_gauge "bench.partune.prepare_s_cache_off" p_off;
-  Tvm_obs.Metrics.set_gauge "bench.partune.prepare_speedup" prepare_speedup;
-  Tvm_obs.Metrics.set_gauge "bench.partune.cache_identical_log"
-    (if log_identical then 1. else 0.);
   (speedup, identical)
 
 (* ------------------------------------------------------------------ *)
 (* Compile-cache benchmarks                                             *)
 (* ------------------------------------------------------------------ *)
 
-(** Lowering + featurization throughput, cold vs compile-cache warm:
-    how much work a cache hit saves per configuration. *)
+(** Lowering + featurization throughput, cold vs feature-memo warm:
+    how much work a memo hit saves per configuration. *)
 let bench_lower ?(n = 120) () =
-  banner "Lowering throughput: cold vs compile-cache warm (C7 conv2d)";
+  banner "Lowering throughput: cold vs feature-memo warm (C7 conv2d)";
   let n = trials n in
   let tpl, _ = fig12_template () in
   let rng = Random.State.make [| 23 |] in
@@ -416,9 +391,7 @@ let bench_lower ?(n = 120) () =
   let n = List.length cfgs in
   let compile cfg =
     match (try Some (tpl.Tuner.tpl_instantiate cfg) with _ -> None) with
-    | Some s ->
-        Tvm_autotune.Compile_cache.Valid
-          { feats = Tvm_autotune.Feature.extract s; stmt = Some s }
+    | Some s -> Tvm_autotune.Compile_cache.Valid (Tvm_autotune.Feature.extract s)
     | None -> Tvm_autotune.Compile_cache.Invalid
   in
   let time f =
@@ -427,10 +400,7 @@ let bench_lower ?(n = 120) () =
     Float.max 1e-9 (Unix.gettimeofday () -. t0)
   in
   let cold = time (fun () -> List.iter (fun c -> ignore (compile c)) cfgs) in
-  let cache =
-    Tvm_autotune.Compile_cache.create ~size:(2 * n) ~stmt_cap:(2 * n)
-      ~name:"bench_lower" ()
-  in
+  let cache = Tvm_autotune.Compile_cache.create ~size:(2 * n) ~name:"bench_lower" () in
   List.iter
     (fun c ->
       ignore (Tvm_autotune.Compile_cache.find_or_compile cache c ~compile))
@@ -467,19 +437,15 @@ let bench_cache ?(seed = 11) ?(n_trials = 120) () =
   let metric name = Option.value ~default:0. (Tvm_obs.Metrics.get name) in
   let h0 = metric "cache.hit" in
   let m0 = metric "cache.miss" in
-  let e0 = metric "cache.evict" in
   let tpl, _ = fig12_template () in
   let res = tune_gpu ~seed ~trials:n_trials tpl in
   let hits = metric "cache.hit" -. h0 in
   let misses = metric "cache.miss" -. m0 in
-  let evicts = metric "cache.evict" -. e0 in
   let rate = hits /. Float.max 1. (hits +. misses) in
   Printf.printf
-    "%d trials: %.0f hits / %.0f misses (%.1f%% hit rate), %.0f stmt \
-     evictions; best %.3f ms\n"
-    n_trials hits misses (100. *. rate) evicts (ms res.Tuner.best_time);
+    "%d trials: %.0f hits / %.0f misses (%.1f%% hit rate); best %.3f ms\n"
+    n_trials hits misses (100. *. rate) (ms res.Tuner.best_time);
   Tvm_obs.Metrics.set_gauge "bench.cache.hits" hits;
   Tvm_obs.Metrics.set_gauge "bench.cache.misses" misses;
   Tvm_obs.Metrics.set_gauge "bench.cache.hit_rate" rate;
-  Tvm_obs.Metrics.set_gauge "bench.cache.evictions" evicts;
   rate

@@ -229,6 +229,16 @@ let dcgan ?(batch = 1) ?(code_dim = 100) ?(base = 64) () =
   let d4 = deconv ~name:"deconv4" ~ic:base ~oc:3 ~act:"tanh" d3 in
   G.finalize b [ d4 ]
 
+(** A full-shape evaluation network by name; raises [Invalid_argument]
+    listing the valid names otherwise. *)
+let of_name = function
+  | "resnet18" -> resnet18 ()
+  | "mobilenet" -> mobilenet ()
+  | "lstm" -> lstm_lm ()
+  | "dqn" -> dqn ()
+  | "dcgan" -> dcgan ()
+  | s -> invalid_arg ("unknown network " ^ s ^ " (resnet18|mobilenet|lstm|dqn|dcgan)")
+
 (* ------------------------------------------------------------------ *)
 (* Serving suite                                                        *)
 (* ------------------------------------------------------------------ *)

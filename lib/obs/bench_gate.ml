@@ -116,9 +116,7 @@ let render checks =
 let default_rules =
   [
     rule "gauges" "bench.partune.speedup" ~dir:Higher_better ~tol:0.5;
-    rule "gauges" "bench.partune.prepare_speedup" ~dir:Higher_better ~tol:0.6;
     rule "gauges" "bench.partune.identical_best" ~dir:Exact ~tol:0.;
-    rule "gauges" "bench.partune.cache_identical_log" ~dir:Exact ~tol:0.;
     rule "gauges" "bench.lower.warm_speedup" ~dir:Higher_better ~tol:0.8;
     (* Hit rate counts each logical query once: shared-tier hits are
        probed with [record:false] and counted via [record_hit], local

@@ -8,10 +8,10 @@
       config text, origin ([seed] / [random] / [sa] / [ga] /
       [compiler]), the simulated-annealing chain that found it, and the
       cost model's predicted score;
-    - {b prepare} — lowering + featurization: whether the compile cache
-      already knew this configuration ([hit]/[miss] at the feature
-      level, which is invariant under the cache on/off A-B switch) and
-      whether it compiled to a valid program;
+    - {b prepare} — lowering + featurization: whether this run had
+      already compiled this configuration ([hit]/[miss], run-local, so
+      a pre-warmed feature memo does not change it) and whether it
+      compiled to a valid program;
     - {b dispatch} — one record per measurement attempt on the device
       pool: device id and name, attempt number, outcome ([ok] /
       [timeout] / [crash] / [corrupt] / [invalid_config] /

@@ -26,11 +26,15 @@ let kind_name = function
 let is_gpu = function Gpu_dev _ -> true | Cpu_dev _ -> false
 let is_cpu = function Cpu_dev _ -> true | Gpu_dev _ -> false
 
+(* [catalog_of_spec]'s default when the caller passes no kind. Callers
+   holding a [Target.t] pass [Target.device_kind] instead; this module
+   sits below [Target], so it cannot call [Target.of_name]. *)
 let kind_of_target = function
   | "cuda" -> Gpu_dev Machine.titan_x
   | "mali" -> Gpu_dev Machine.mali_t860
   | "arm" -> Cpu_dev Machine.arm_a53
-  | _ -> Cpu_dev Machine.xeon_host
+  | "llvm" -> Cpu_dev Machine.xeon_host
+  | s -> invalid_arg ("unknown target " ^ s ^ " (cuda|arm|mali|llvm)")
 
 (* Model run time of [stmt] on a device kind: pure, so a batch computes
    it in parallel. *)

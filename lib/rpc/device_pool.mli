@@ -53,10 +53,6 @@ val kind_name : device_kind -> string
 val is_gpu : device_kind -> bool
 val is_cpu : device_kind -> bool
 
-(** Default device kind for a {!Tvm_spec.Job_spec.target} name
-    ([cuda] → Titan X, [mali] → Mali T860, [arm] → A53, else Xeon). *)
-val kind_of_target : string -> device_kind
-
 (** Immutable pool description: the device roster and policies,
     shareable across tuning jobs (tvmd keeps one per roster). *)
 type catalog
@@ -94,8 +90,10 @@ val mixed_kinds :
     [straggler] device of the primary kind slowed 12× if given. *)
 
 val catalog_of_spec : ?kind:device_kind -> Tvm_spec.Job_spec.t -> catalog
-(** The roster a spec asks for, of kind [kind] (default from
-    [spec.target]):
+(** The roster a spec asks for, of kind [kind] (default: the board
+    [Target.of_name spec.target] would pick — [cuda] → Titan X,
+    [mali] → Mali T860, [arm] → A53, [llvm] → Xeon; any other name
+    raises [Invalid_argument]):
     - [spec.fleet > 0]: [spec.fleet] devices from {!mixed_kinds};
     - otherwise [spec.devices] replicas of [kind] with single-board
       tracker costs: noise 0.05, 0.5 s per job, no per-batch upload.

@@ -189,13 +189,14 @@ let place ~cfg ~graph ~(groups : Fusion.group list) ~time1_of =
 
 let load ?(lanes = 1) ?spec ?target cfg named_graphs =
   let target = match target with Some t -> t | None -> Tvm.Target.cuda () in
-  (* Per-model compiles run with sequential host parallelism and
-     without shared cache scopes, so lanes never share mutable state
-     and the loaded models are independent of the lane count. *)
+  (* Per-model compiles run with sequential host parallelism, each on
+     its own tuned cache (and [Compiler.build] keeps its feature memos
+     build-local), so lanes never share mutable state and the loaded
+     models are independent of the lane count. *)
   let spec =
     match spec with
-    | Some s -> { s with Spec.jobs = 1; use_compile_cache = false }
-    | None -> Spec.make ~trials:0 ~jobs:1 ~use_compile_cache:false ()
+    | Some s -> { s with Spec.jobs = 1 }
+    | None -> Spec.make ~trials:0 ~jobs:1 ()
   in
   let build (name, graph) =
     let tuned = Tvm.Compiler.create_tuned_cache () in

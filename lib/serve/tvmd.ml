@@ -114,7 +114,7 @@ let fingerprints requests =
          Printf.sprintf "%s#%d" base n)
        requests)
 
-(* Isolation scope: which Tuner.Db / tuned cache / compile caches a
+(* Isolation scope: which Tuner.Db / tuned cache / feature memos a
    job reads and fills. Private by default — one scope per tenant —
    with the envelope's [share] flag opting into the cross-tenant
    shared scope (the paper's communal history database). The scope is
@@ -151,25 +151,6 @@ let done_in line =
   | _ -> failwith ("bad done record: " ^ line)
 
 (* ------------------------------------------------------------------ *)
-(* The ops                                                             *)
-(* ------------------------------------------------------------------ *)
-
-let network_of_name = function
-  | "resnet18" -> Models.resnet18 ()
-  | "mobilenet" -> Models.mobilenet ()
-  | "lstm" -> Models.lstm_lm ()
-  | "dqn" -> Models.dqn ()
-  | "dcgan" -> Models.dcgan ()
-  | s -> invalid_arg ("tvmd: unknown network " ^ s)
-
-let target_of_name = function
-  | "cuda" -> Tvm.Target.cuda ()
-  | "arm" -> Tvm.Target.arm_cpu ()
-  | "mali" -> Tvm.Target.mali ()
-  | "llvm" -> Tvm.Target.llvm ()
-  | s -> invalid_arg ("tvmd: unknown target " ^ s)
-
-(* ------------------------------------------------------------------ *)
 (* Per-scope state                                                     *)
 (* ------------------------------------------------------------------ *)
 
@@ -180,7 +161,7 @@ type scope_state = {
   sc_tuned : Compiler.tuned_cache;
   sc_flushed_sigs : (string, unit) Hashtbl.t;
   sc_caches : (string, Compile_cache.t * int ref) Hashtbl.t;
-      (** template name → (compile cache, entries already saved) *)
+      (** template name → (feature memo, entries already saved) *)
 }
 
 let locked mu f =
@@ -308,7 +289,7 @@ let serve ?(slots = 2) ?store ?max_jobs ?(retry = Tvm_rpc.Retry_policy.default)
      state, and a job's results don't depend on which lane ran it. *)
   let pool_mu = Mutex.create () in
   let pool_catalogs : (string, Device_pool.catalog) Hashtbl.t = Hashtbl.create 4 in
-  let pool_catalog (spec : Spec.t) =
+  let pool_catalog ~kind (spec : Spec.t) =
     let key =
       Printf.sprintf "%s|%d|%d|%d|%b|%h|%d|%d|%h|%s" spec.Spec.target
         spec.Spec.fleet spec.Spec.devices spec.Spec.shards spec.Spec.speculate
@@ -322,7 +303,7 @@ let serve ?(slots = 2) ?store ?max_jobs ?(retry = Tvm_rpc.Retry_policy.default)
         match Hashtbl.find_opt pool_catalogs key with
         | Some c -> c
         | None ->
-            let c = Device_pool.catalog_of_spec spec in
+            let c = Device_pool.catalog_of_spec ~kind spec in
             Hashtbl.add pool_catalogs key c;
             c)
   in
@@ -337,8 +318,8 @@ let serve ?(slots = 2) ?store ?max_jobs ?(retry = Tvm_rpc.Retry_policy.default)
     let out = Fig_e2e.conv_tensor w in
     let name = "tvmd:" ^ spec.Spec.workload ^ "@" ^ spec.Spec.target in
     let tpl = Templates.gpu_flat ~name out in
-    let pool = Device_pool.session ~salt (pool_catalog spec) in
-    let kind = Device_pool.kind_of_target spec.Spec.target in
+    let kind = Tvm.Target.(device_kind (of_name spec.Spec.target)) in
+    let pool = Device_pool.session ~salt (pool_catalog ~kind spec) in
     let spec =
       { spec with Spec.batch = Device_pool.suggested_batch pool ~kind ~base:spec.Spec.batch }
     in
@@ -357,8 +338,8 @@ let serve ?(slots = 2) ?store ?max_jobs ?(retry = Tvm_rpc.Retry_policy.default)
         (Cfg_space.to_string res.Tuner.best_config) )
   in
   let run_compile st (spec : Spec.t) =
-    let graph = network_of_name spec.Spec.workload in
-    let tgt = target_of_name spec.Spec.target in
+    let graph = Models.of_name spec.Spec.workload in
+    let tgt = Tvm.Target.of_name spec.Spec.target in
     let r =
       Compiler.build ~spec:{ spec with Spec.jobs = 1 } ~db:st.sc_db
         ~tuned:st.sc_tuned graph tgt
@@ -370,8 +351,8 @@ let serve ?(slots = 2) ?store ?max_jobs ?(retry = Tvm_rpc.Retry_policy.default)
     )
   in
   let run_profile st (spec : Spec.t) =
-    let graph = network_of_name spec.Spec.workload in
-    let tgt = target_of_name spec.Spec.target in
+    let graph = Models.of_name spec.Spec.workload in
+    let tgt = Tvm.Target.of_name spec.Spec.target in
     let _r, exec =
       Compiler.build_executor ~spec:{ spec with Spec.jobs = 1 } ~db:st.sc_db
         ~tuned:st.sc_tuned graph tgt

@@ -8,14 +8,14 @@
     [workload], [target], [fusion]), how hard to search ([trials],
     [method_name], [seed], [batch], [sa_steps], [n_chains]), what
     resources to use ([jobs] host domains, [devices] simulated
-    devices), the cache policy ([use_compile_cache], [replay]), the
+    devices), the replay policy ([replay]), the
     fault/retry policy ([fault_rate], [straggler], [max_retries],
     [timeout_s]) and the observability sinks ([journal_out],
     [trace_out], [metrics_out], [tune_log]).
 
     [Compiler.build], [Tuner.tune], [tvmc] and the [tvmd] daemon all
     take this record; runtime handles that cannot be part of a
-    declarative spec (a shared {e Tuner.Db}, a shared compile cache)
+    declarative spec (a shared {e Tuner.Db}, a shared feature memo)
     stay explicit optional arguments at the call sites that own them.
 
     Specs serialize to single-line JSON ({!to_json}/{!of_json}), which
@@ -58,8 +58,9 @@ type t = {
   validate : bool;  (** fail on provable TIR defects *)
   verbose : bool;
   use_compile_cache : bool;
-      (** share lowering/featurization across trials; never changes
-          results *)
+      (** ignored: nothing reads it. Kept so that callers which still
+          pass it, and stored specs which still carry it, keep
+          building and parsing. *)
   replay : bool;
       (** reuse measurements recorded in a persisted [Tuner.Db] instead
           of re-dispatching them to the device pool — the warm-restart

@@ -1,8 +1,8 @@
-(* Compile-cache and hash-consing tests: the PR-5 guarantees — cached
-   lowerings are byte-identical to uncached ones with the same
-   validator verdicts at any -j, the cache's memory policy (first-wins,
-   stmt-fill, FIFO stmt eviction) never loses features, and interned
-   TIR construction gives physically-shared nodes. *)
+(* Feature-memo and hash-consing tests: cached features equal a fresh
+   extraction at any -j, the memo is first-wins and never changes a
+   tuning log, lowered programs are handed forward ([best_stmt], the
+   compiler's final lowering) instead of being kept, and interned TIR
+   construction gives physically-shared nodes. *)
 
 open Tvm_tir
 module Par = Tvm_par.Pool
@@ -48,109 +48,167 @@ let test_hashcons_interning () =
 (* Compile_cache unit behavior                                          *)
 (* ------------------------------------------------------------------ *)
 
-let tiny_stmt =
-  (* any real lowered program will do as a stmt payload *)
-  lazy
-    (let d = Tensor.placeholder "cch_d" (List.map Expr.int [ 1; 4; 4; 4 ]) in
-     let w = Tensor.placeholder "cch_w" (List.map Expr.int [ 4; 4; 3; 3 ]) in
-     let c = Op.conv2d ~name:"cch_conv" ~stride:1 d w in
-     let tpl = Templates.gpu_flat ~name:"cch_tpl" c in
-     let rng = Random.State.make [| 2 |] in
-     let rec go n =
-       if n = 0 then invalid_arg "no valid config for tiny_stmt"
-       else
-         let cfg = Cfg.random_config tpl.Tuner.tpl_space rng in
-         match (try Some (tpl.Tuner.tpl_instantiate cfg) with _ -> None) with
-         | Some s -> s
-         | None -> go (n - 1)
-     in
-     go 100)
+let valid feats = Cache.Valid feats
 
-let valid ?stmt feats = Cache.Valid { feats; stmt }
-
-let test_first_wins_and_stmt_fill () =
-  let s = Lazy.force tiny_stmt in
+let test_first_wins () =
   let c = Cache.create ~name:"fw" () in
   let k = [ ("a", 1) ] in
   Cache.add c k (valid [| 1. |]);
-  (* stmt-fill: a later entry with a program upgrades in place, keeping
-     the stored features *)
-  Cache.add c k (valid ~stmt:s [| 2. |]);
-  checkb "features kept from first add"
-    (Option.bind (Cache.find c k) Cache.feats = Some [| 1. |]);
-  checkb "stmt filled in" (Option.is_some (Option.bind (Cache.find c k) Cache.stmt));
-  (* after that, strictly first-wins *)
-  Cache.add c k (valid ~stmt:s [| 3. |]);
+  Cache.add c k (valid [| 2. |]);
   checkb "duplicate add ignored"
     (Option.bind (Cache.find c k) Cache.feats = Some [| 1. |]);
+  let compiled = ref 0 in
+  let e =
+    Cache.find_or_compile c k ~compile:(fun _ ->
+        incr compiled;
+        valid [| 3. |])
+  in
+  checkb "find_or_compile returns the stored entry" (Cache.feats e = Some [| 1. |]);
+  Alcotest.(check int) "a hit never compiles" 0 !compiled;
   (* Invalid entries are terminal *)
   let k2 = [ ("a", 2) ] in
   Cache.add c k2 Cache.Invalid;
-  Cache.add c k2 (valid ~stmt:s [| 9. |]);
-  checkb "invalid entry never upgraded" (Cache.find c k2 = Some Cache.Invalid);
+  Cache.add c k2 (valid [| 9. |]);
+  checkb "invalid entry never replaced" (Cache.find c k2 = Some Cache.Invalid);
   (* keys are canonical: knob order never splits an entry *)
   let ka = [ ("x", 1); ("y", 2) ] and kb = [ ("y", 2); ("x", 1) ] in
   Cache.add c ka (valid [| 7. |]);
   checkb "permuted config is the same key"
-    (Option.bind (Cache.find c kb) Cache.feats = Some [| 7. |])
+    (Option.bind (Cache.find c kb) Cache.feats = Some [| 7. |]);
+  Alcotest.(check int) "one entry per canonical key" 3 (Cache.size c)
 
-let test_stmt_eviction_keeps_features () =
-  let s = Lazy.force tiny_stmt in
-  let c = Cache.create ~stmt_cap:2 ~name:"evict" () in
-  List.iter (fun i -> Cache.add c [ ("a", i) ] (valid ~stmt:s [| float_of_int i |])) [ 1; 2; 3; 4 ];
-  Alcotest.(check int) "stmts bounded by cap" 2 (Cache.stmts_held c);
-  Alcotest.(check int) "every entry kept" 4 (Cache.size c);
-  (* FIFO: the two oldest lost their program, none lost features *)
-  List.iter
-    (fun i ->
-      let e = Cache.find c [ ("a", i) ] in
-      checkb
-        (Printf.sprintf "entry %d features intact" i)
-        (Option.bind e Cache.feats = Some [| float_of_int i |]);
-      checkb
-        (Printf.sprintf "entry %d stmt %s" i (if i <= 2 then "evicted" else "retained"))
-        (Option.is_some (Option.bind e Cache.stmt) = (i > 2)))
-    [ 1; 2; 3; 4 ]
+(* A small conv template whose instantiations are counted per
+   canonical configuration. *)
+let counting_template name =
+  let d = Tensor.placeholder (name ^ "_d") (List.map Expr.int [ 1; 16; 8; 8 ]) in
+  let w = Tensor.placeholder (name ^ "_w") (List.map Expr.int [ 16; 16; 3; 3 ]) in
+  let c = Op.conv2d ~name:(name ^ "_conv") ~stride:1 d w in
+  let tpl = Templates.gpu_flat ~name c in
+  let counts = Hashtbl.create 64 in
+  let instantiate cfg =
+    let k = Cfg.canonical cfg in
+    Hashtbl.replace counts k (1 + Option.value ~default:0 (Hashtbl.find_opt counts k));
+    tpl.Tuner.tpl_instantiate cfg
+  in
+  ({ tpl with Tuner.tpl_instantiate = instantiate }, counts)
 
-let test_keep_stmts_false_strips () =
-  let s = Lazy.force tiny_stmt in
-  let c = Cache.create ~keep_stmts:false ~name:"strip" () in
-  let k = [ ("a", 1) ] in
-  let stored = Cache.find_or_compile c k ~compile:(fun _ -> valid ~stmt:s [| 1. |]) in
-  checkb "find_or_compile returns the stripped entry" (Cache.stmt stored = None);
-  checkb "stored entry has no stmt"
-    (Option.bind (Cache.find c k) Cache.stmt = None);
-  checkb "features survive the strip"
-    (Option.bind (Cache.find c k) Cache.feats = Some [| 1. |]);
-  Alcotest.(check int) "no stmts held" 0 (Cache.stmts_held c)
+let tune_on_pool ?db ?cache ?(replay = false) ~seed ~n_trials tpl =
+  let spec = Tvm_spec.Job_spec.make ~seed ~jobs:1 ~replay () in
+  let pool = Pool.of_spec spec in
+  Tuner.tune ~spec ?db ?cache
+    ~measure_batch:(Pool.batch_measure_fn pool ~kind_pred:(fun _ -> true))
+    ~method_:Tuner.Ml_model
+    ~measure:(Pool.measure_fn pool ~kind_pred:(fun _ -> true))
+    ~n_trials tpl
+
+let test_best_stmt_is_fresh_lowering () =
+  let tpl, _ = counting_template "bst" in
+  let db = Tuner.Db.create () and cache = Cache.create () in
+  let r = tune_on_pool ~db ~cache ~seed:3 ~n_trials:24 tpl in
+  (match r.Tuner.best_stmt with
+  | None -> Alcotest.fail "a live run must hand its best program forward"
+  | Some s ->
+      let fresh = tpl.Tuner.tpl_instantiate r.Tuner.best_config in
+      Alcotest.(check string)
+        "best_stmt prints like a fresh lowering of best_config"
+        (Printer.stmt_to_string fresh) (Printer.stmt_to_string s);
+      checkb "same validator verdict" (Validate.check s = Validate.check fresh));
+  (* A replayed best trial has no program: the caller re-lowers.
+     Replay needs the recorded features, hence the shared memo. *)
+  let r' = tune_on_pool ~db ~cache ~replay:true ~seed:3 ~n_trials:24 tpl in
+  checkb "replay picks the same best" (r'.Tuner.best_config = r.Tuner.best_config);
+  checkb "replayed best has no program" (r'.Tuner.best_stmt = None)
+
+let test_best_stmt_is_measured_program () =
+  let tpl, _ = counting_template "bsm" in
+  let measured = Hashtbl.create 64 in
+  let measure cfg s =
+    Hashtbl.replace measured (Cfg.canonical cfg) s;
+    R.ok (Tvm_sim.Gpu_model.time_s Machine.titan_x s)
+  in
+  let r =
+    Tuner.tune
+      ~spec:(Tvm_spec.Job_spec.make ~seed:4 ~jobs:1 ())
+      ~method_:Tuner.Ml_model ~measure ~n_trials:16 tpl
+  in
+  match r.Tuner.best_stmt with
+  | None -> Alcotest.fail "a live run must hand its best program forward"
+  | Some s ->
+      checkb "best_stmt is the program measured for best_config"
+        (Hashtbl.find measured (Cfg.canonical r.Tuner.best_config) == s)
 
 let test_merge_first_wins_in_source_order () =
-  let s = Lazy.force tiny_stmt in
   let into = Cache.create ~name:"into" () in
   let src = Cache.create ~name:"src" () in
   Cache.add into [ ("a", 1) ] (valid [| 1. |]);
+  Cache.add src [ ("a", 3) ] Cache.Invalid;
   Cache.add src [ ("a", 1) ] (valid [| 9. |]);
-  Cache.add src [ ("a", 2) ] (valid ~stmt:s [| 2. |]);
-  Cache.add_validation src [ ("a", 2) ] [];
+  Cache.add src [ ("a", 2) ] (valid [| 2. |]);
   Cache.merge ~into src;
   checkb "existing entry not overwritten"
     (Option.bind (Cache.find into [ ("a", 1) ]) Cache.feats = Some [| 1. |]);
-  checkb "new entry merged with its stmt"
-    (Option.is_some (Option.bind (Cache.find into [ ("a", 2) ]) Cache.stmt));
-  checkb "validation verdicts merged"
-    (Cache.find_validation into [ ("a", 2) ] = Some [])
+  checkb "new entry merged"
+    (Option.bind (Cache.find into [ ("a", 2) ]) Cache.feats = Some [| 2. |]);
+  let order = ref [] in
+  Cache.iter_entries into (fun k _ -> order := k :: !order);
+  checkb "merged entries follow the source's insertion order"
+    (List.rev !order = [ [ ("a", 1) ]; [ ("a", 3) ]; [ ("a", 2) ] ])
 
-let test_scope_registry () =
-  Cache.clear_scopes ();
-  let a = Cache.for_scope "wl@cuda|fusion=true" in
-  let b = Cache.for_scope "wl@cuda|fusion=true" in
-  let c = Cache.for_scope "wl@cuda|fusion=false" in
-  checkb "same scope returns the same cache" (a == b);
-  checkb "different scope is a different cache" (a != c);
-  Cache.add a [ ("a", 1) ] (valid [| 1. |]);
-  Cache.clear_scopes ();
-  let a' = Cache.for_scope "wl@cuda|fusion=true" in
-  Alcotest.(check int) "clear_scopes drops contents" 0 (Cache.size a')
+(* Kernel table, and the cache verdict of every compiler record in
+   the journal, of a journaled dqn build on [tuned]. *)
+let compile_outputs tuned =
+  let spec =
+    Tvm_spec.Job_spec.make ~op:Tvm_spec.Job_spec.Compile ~workload:"dqn"
+      ~target:"cuda" ~trials:8 ~seed:9 ~jobs:1 ()
+  in
+  Tvm_obs.Journal.set_enabled false;
+  Tvm_obs.Journal.set_enabled true;
+  Fun.protect ~finally:(fun () -> Tvm_obs.Journal.set_enabled false) @@ fun () ->
+  let r =
+    Tvm.Compiler.build ~spec ~tuned (Tvm_models.Models.dqn ())
+      (Tvm.Target.cuda ())
+  in
+  let table =
+    List.map
+      (fun (k : Tvm_runtime.Rt_module.kernel) ->
+        Printf.sprintf "%s %h %s" k.Tvm_runtime.Rt_module.k_name
+          k.Tvm_runtime.Rt_module.k_time_s
+          (Printer.stmt_to_string k.Tvm_runtime.Rt_module.k_stmt))
+      (Tvm_runtime.Rt_module.kernels r.Tvm.Compiler.module_)
+  in
+  let entries = Tvm_obs.Journal.entries () in
+  let compiler_uids =
+    List.filter_map
+      (function
+        | Tvm_obs.Journal.Propose { p_uid; p_origin = "compiler"; _ } ->
+            Some p_uid
+        | _ -> None)
+      entries
+  in
+  let verdicts =
+    List.filter_map
+      (function
+        | Tvm_obs.Journal.Prepare { q_uid; q_cache; _ }
+          when List.mem q_uid compiler_uids ->
+            Some q_cache
+        | _ -> None)
+      entries
+  in
+  (String.concat "\n" table, verdicts)
+
+let test_compile_hands_programs_forward () =
+  let tuned = Tvm.Compiler.create_tuned_cache () in
+  let t_fresh, v_fresh = compile_outputs tuned in
+  let tuned_groups = List.length (Tvm.Compiler.tuned_entries ~cache:tuned ()) in
+  let t_warm, v_warm = compile_outputs tuned in
+  let count v l = List.length (List.filter (String.equal v) l) in
+  checkb "every kernel journaled" (v_fresh <> [] && List.length v_warm = List.length v_fresh);
+  Alcotest.(check int)
+    "fresh build: each tuned group's program handed forward" tuned_groups
+    (count "hit" v_fresh);
+  Alcotest.(check int) "warm build: every program re-lowered" 0
+    (count "hit" v_warm);
+  Alcotest.(check string) "re-lowered kernel table identical" t_fresh t_warm
 
 (* ------------------------------------------------------------------ *)
 (* Graph adjacency indexes vs brute-force scans                         *)
@@ -184,7 +242,7 @@ let test_graph_adjacency_matches_scan () =
     g.G.nodes
 
 (* ------------------------------------------------------------------ *)
-(* Equivalence sweep: cached lowering ≡ uncached, at -j1 and -j4        *)
+(* Equivalence sweep: cached features ≡ fresh extraction, -j1 and -j4  *)
 (* ------------------------------------------------------------------ *)
 
 let test_equivalence_sweep () =
@@ -218,7 +276,7 @@ let test_equivalence_sweep () =
           let cache = Cache.create ~name:"sweep" () in
           let compile cfg =
             match (try Some (tpl.Tuner.tpl_instantiate cfg) with _ -> None) with
-            | Some s -> valid ~stmt:s (Feature.extract s)
+            | Some s -> valid (Feature.extract s)
             | None -> Cache.Invalid
           in
           List.iter
@@ -230,22 +288,22 @@ let test_equivalence_sweep () =
               let oks =
                 Par.parallel_map pool
                   (fun cfg ->
-                    let reference = tpl.Tuner.tpl_instantiate cfg in
+                    let reference =
+                      Feature.extract (tpl.Tuner.tpl_instantiate cfg)
+                    in
                     match
-                      Option.bind (Cache.find ~record:false cache cfg) Cache.stmt
+                      Option.bind (Cache.find ~record:false cache cfg) Cache.feats
                     with
                     | None -> false
                     | Some cached ->
-                        String.equal
-                          (Printer.stmt_to_string cached)
-                          (Printer.stmt_to_string reference)
-                        && Validate.check cached = Validate.check reference)
+                        Array.length cached = Array.length reference
+                        && Array.for_all2 Float.equal cached reference)
                   (Array.of_list cfgs)
               in
               Array.iteri
                 (fun i ok ->
                   checkb
-                    (Printf.sprintf "%s cfg %d: cached ≡ uncached at -j%d"
+                    (Printf.sprintf "%s cfg %d: cached ≡ fresh features at -j%d"
                        tpl.Tuner.tpl_name i domains)
                     ok)
                 oks)
@@ -256,7 +314,7 @@ let test_equivalence_sweep () =
   checkb "sweep covered a meaningful sample" (!checked >= 30)
 
 (* ------------------------------------------------------------------ *)
-(* The full tuning loop: cache on vs off, -j1 vs -j4, clean and faulty  *)
+(* The full tuning loop: fresh vs pre-warmed memo, -j1 vs -j4, faults   *)
 (* ------------------------------------------------------------------ *)
 
 let sweep_template () =
@@ -269,26 +327,35 @@ let trial_fingerprint (t : Tuner.trial) =
   (t.Tuner.config, R.status_name t.Tuner.result.R.status, R.time t.Tuner.result,
    t.Tuner.best_so_far)
 
-let run_tune ~jobs ~use_cache ~fault_rate tpl =
+let run_tune ?cache ~seed ~jobs ~fault_rate tpl =
   let pool = Pool.of_spec (Tvm_spec.Job_spec.make ~devices:4 ~fault_rate ~seed:7 ()) in
   let par = Par.create ~domains:jobs () in
   let measure = Pool.measure_fn pool ~kind_pred:(fun _ -> true) in
   let measure_batch = Pool.batch_measure_fn ~par pool ~kind_pred:(fun _ -> true) in
   Tuner.tune
-    ~spec:(Tvm_spec.Job_spec.make ~seed:5 ~jobs ~use_compile_cache:use_cache ())
-    ~measure_batch ~method_:Tuner.Ml_model ~measure ~n_trials:32 tpl
+    ~spec:(Tvm_spec.Job_spec.make ~seed ~jobs ())
+    ?cache ~measure_batch ~method_:Tuner.Ml_model ~measure ~n_trials:32 tpl
+
+(* A memo already filled by a run from another seed: its entries must
+   only change how much the seed-5 run re-derives, never its log. *)
+let prewarmed_memo ~fault_rate tpl =
+  let cache = Cache.create ~name:"prewarmed" () in
+  ignore (run_tune ~cache ~seed:6 ~jobs:1 ~fault_rate tpl);
+  checkb "pre-warm run filled the memo" (Cache.size cache > 0);
+  cache
 
 let test_tune_log_invariant_to_cache_and_jobs () =
   let tpl = sweep_template () in
   let check ~fault_rate =
-    let reference = run_tune ~jobs:1 ~use_cache:false ~fault_rate tpl in
+    let reference = run_tune ~seed:5 ~jobs:1 ~fault_rate tpl in
     let fp r = List.map trial_fingerprint r.Tuner.history in
     List.iter
-      (fun (jobs, use_cache) ->
-        let r = run_tune ~jobs ~use_cache ~fault_rate tpl in
+      (fun (jobs, prewarm) ->
+        let cache = if prewarm then Some (prewarmed_memo ~fault_rate tpl) else None in
+        let r = run_tune ?cache ~seed:5 ~jobs ~fault_rate tpl in
         checkb
           (Printf.sprintf
-             "log identical at -j%d cache=%b (fault %.0f%%)" jobs use_cache
+             "log identical at -j%d prewarmed=%b (fault %.0f%%)" jobs prewarm
              (100. *. fault_rate))
           (fp r = fp reference))
       [ (1, true); (4, false); (4, true) ]
@@ -300,16 +367,17 @@ let suite =
   [
     Alcotest.test_case "hash-consed construction interns nodes" `Quick
       test_hashcons_interning;
-    Alcotest.test_case "first-wins adds with stmt-fill upgrade" `Quick
-      test_first_wins_and_stmt_fill;
-    Alcotest.test_case "stmt eviction is FIFO and keeps features" `Quick
-      test_stmt_eviction_keeps_features;
-    Alcotest.test_case "keep_stmts:false stores features only" `Quick
-      test_keep_stmts_false_strips;
+    Alcotest.test_case "first-wins adds; invalid entries are terminal" `Quick
+      test_first_wins;
+    Alcotest.test_case "best_stmt prints like a fresh lowering of best_config"
+      `Quick test_best_stmt_is_fresh_lowering;
+    Alcotest.test_case "best_stmt is the program the best trial measured"
+      `Quick test_best_stmt_is_measured_program;
     Alcotest.test_case "merge is first-wins in source order" `Quick
       test_merge_first_wins_in_source_order;
-    Alcotest.test_case "scope registry shares and clears" `Quick
-      test_scope_registry;
+    Alcotest.test_case
+      "compile hands tuned programs forward; tuned-cache hits re-lower"
+      `Quick test_compile_hands_programs_forward;
     Alcotest.test_case "graph adjacency = brute-force scans" `Quick
       test_graph_adjacency_matches_scan;
     Alcotest.test_case "cached lowering ≡ uncached across workloads" `Slow

@@ -420,31 +420,42 @@ let deterministic_metrics () =
               sections))
   | j -> Json.to_string j
 
-let run_tune_journaled ~jobs ~fault_rate ~use_cache () =
-  let tpl = Lazy.force obs_template in
-  Journal.set_enabled false;
-  Journal.set_enabled true;
-  (* fresh registry so counters don't accumulate across runs *)
-  Metrics.reset ();
+let tune_obs ?cache ~seed ~jobs ~fault_rate () =
   let pool =
     DPool.of_spec (Tvm_spec.Job_spec.make ~devices:4 ~fault_rate ~seed:7 ())
   in
   let par = Par.create ~domains:jobs () in
   let measure = DPool.measure_fn pool ~kind_pred:(fun _ -> true) in
   let measure_batch = DPool.batch_measure_fn ~par pool ~kind_pred:(fun _ -> true) in
-  let result =
-    Tuner.tune
-      ~spec:(Tvm_spec.Job_spec.make ~seed:5 ~jobs ~use_compile_cache:use_cache ())
-      ~measure_batch ~method_:Tuner.Ml_model ~measure ~n_trials:32 tpl
+  Tuner.tune ?cache
+    ~spec:(Tvm_spec.Job_spec.make ~seed ~jobs ())
+    ~measure_batch ~method_:Tuner.Ml_model ~measure ~n_trials:32
+    (Lazy.force obs_template)
+
+(* [prewarm]: tune with a feature memo already filled by a run from
+   another seed, instead of a fresh one. *)
+let run_tune_journaled ~jobs ~fault_rate ?(prewarm = false) () =
+  let cache =
+    if prewarm then begin
+      let c = Tvm_autotune.Compile_cache.create () in
+      ignore (tune_obs ~cache:c ~seed:6 ~jobs ~fault_rate ());
+      Some c
+    end
+    else None
   in
+  Journal.set_enabled false;
+  Journal.set_enabled true;
+  (* fresh registry so counters don't accumulate across runs *)
+  Metrics.reset ();
+  let result = tune_obs ?cache ~seed:5 ~jobs ~fault_rate () in
   let journal = Journal.to_jsonl () in
   let metrics = deterministic_metrics () in
   Journal.set_enabled false;
   (journal, metrics, result.Tuner.best_time)
 
 let test_journal_deterministic () =
-  let j1, m1, b1 = run_tune_journaled ~jobs:1 ~fault_rate:0.2 ~use_cache:true () in
-  let j4, m4, b4 = run_tune_journaled ~jobs:4 ~fault_rate:0.2 ~use_cache:true () in
+  let j1, m1, b1 = run_tune_journaled ~jobs:1 ~fault_rate:0.2 () in
+  let j4, m4, b4 = run_tune_journaled ~jobs:4 ~fault_rate:0.2 () in
   checkb "journal nonempty" (String.length j1 > 0);
   checkb "journal has dispatch records" (contains j1 {|"ev":"dispatch"|});
   checkb "the fault plan actually fired"
@@ -452,12 +463,12 @@ let test_journal_deterministic () =
   Alcotest.(check string) "journal byte-identical -j1 vs -j4 @ 20% faults" j1 j4;
   Alcotest.(check string) "deterministic metrics identical -j1 vs -j4" m1 m4;
   checkb "best time identical" (b1 = b4);
-  let joff, _, boff = run_tune_journaled ~jobs:4 ~fault_rate:0.2 ~use_cache:false () in
-  Alcotest.(check string) "journal byte-identical cache on vs off" j1 joff;
-  checkb "best time identical cache off" (b1 = boff);
+  let jw, _, bw = run_tune_journaled ~jobs:4 ~fault_rate:0.2 ~prewarm:true () in
+  Alcotest.(check string) "journal byte-identical fresh vs pre-warmed memo" j1 jw;
+  checkb "best time identical with a pre-warmed memo" (b1 = bw);
   (* clean fleet too *)
-  let c1, _, _ = run_tune_journaled ~jobs:1 ~fault_rate:0. ~use_cache:true () in
-  let c4, _, _ = run_tune_journaled ~jobs:4 ~fault_rate:0. ~use_cache:true () in
+  let c1, _, _ = run_tune_journaled ~jobs:1 ~fault_rate:0. () in
+  let c4, _, _ = run_tune_journaled ~jobs:4 ~fault_rate:0. () in
   Alcotest.(check string) "clean-fleet journal byte-identical" c1 c4;
   (* a journal parsed back from its own text analyzes like the live one *)
   let entries = List.filter_map Journal.parse_line (String.split_on_char '\n' j1) in

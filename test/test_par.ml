@@ -120,7 +120,7 @@ let test_feature_cache_collision () =
   | None -> Alcotest.fail "no hash collision found in the scan bound"
   | Some (c1, c2) ->
       checkb "the pair really collides" (Cfg.hash c1 = Cfg.hash c2 && c1 <> c2);
-      let valid fs = Compile_cache.Valid { feats = fs; stmt = None } in
+      let valid fs = Compile_cache.Valid fs in
       let cache = Compile_cache.create () in
       Compile_cache.add cache c1 (valid [| 1.; 2. |]);
       checkb "colliding config is NOT found"
@@ -135,7 +135,7 @@ let test_feature_cache_collision () =
         = Some [| 3. |])
 
 let test_feature_cache_merge_first_wins () =
-  let valid fs = Compile_cache.Valid { feats = fs; stmt = None } in
+  let valid fs = Compile_cache.Valid fs in
   let a = Compile_cache.create () and b = Compile_cache.create () in
   let cfg = [ ("x", 1) ] and cfg2 = [ ("x", 2) ] in
   Compile_cache.add a cfg (valid [| 1. |]);

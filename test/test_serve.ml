@@ -164,8 +164,7 @@ let test_store_tuned_roundtrip () =
 let test_store_cache_roundtrip () =
   with_store @@ fun path ->
   let c = Cache.create () in
-  Cache.add c [ ("x", 1) ]
-    (Cache.Valid { feats = [| 1.5; 0.1; Float.pi; 0. |]; stmt = None });
+  Cache.add c [ ("x", 1) ] (Cache.Valid [| 1.5; 0.1; Float.pi; 0. |]);
   Cache.add c [ ("x", 2) ] Cache.Invalid;
   ignore (Store.save_cache path ~scope:"conv@cuda|fusion=true" c);
   let c' = Cache.create () in
@@ -174,11 +173,10 @@ let test_store_cache_roundtrip () =
   Alcotest.(check int) "other scope loads nothing" 0
     (Store.load_cache path ~scope:"other" ~into:(Cache.create ()));
   (match Cache.find ~record:false c' [ ("x", 1) ] with
-  | Some (Cache.Valid { feats; stmt }) ->
+  | Some (Cache.Valid feats) ->
       Alcotest.(check bool)
         "features bit-exact" true
-        (feats = [| 1.5; 0.1; Float.pi; 0. |]);
-      Alcotest.(check bool) "programs are not serialized" true (stmt = None)
+        (feats = [| 1.5; 0.1; Float.pi; 0. |])
   | _ -> Alcotest.fail "valid entry lost");
   Alcotest.(check bool)
     "invalid verdict survives" true
@@ -646,6 +644,33 @@ let test_tvmd_isolation () =
     true
     (service shared 1 < service shared 0 /. 2.)
 
+(* A job naming a target no device model exists for must fail, not
+   tune on some other machine and report success. *)
+let test_tvmd_unknown_target () =
+  let tune target =
+    Tvmd.request ~tenant:"alpha" ~submit_s:0.
+      (Job_spec.make ~op:Job_spec.Tune ~workload:"C1" ~target ~trials:4
+         ~method_name:"random" ~jobs:1 ())
+  in
+  let o = Tvmd.serve ~slots:1 [ tune "tpu"; tune "llvm" ] in
+  Alcotest.(check int) "the tpu job fails, the llvm job does not" 1
+    o.Tvmd.oc_failed;
+  (* results line: ... status, then the summary (the error, if any) *)
+  let status_and_summary line =
+    match List.rev (String.split_on_char '\t' line) with
+    | summary :: status :: _ -> (status, summary)
+    | _ -> Alcotest.failf "malformed results line %S" line
+  in
+  match List.map status_and_summary o.Tvmd.oc_lines with
+  | [ (bad, err); (good, _) ] ->
+      Alcotest.(check string) "tpu job recorded as failed" "failed" bad;
+      Alcotest.(check bool)
+        "error names the unknown target" true
+        (String.starts_with ~prefix:"Invalid_argument(\"unknown target tpu"
+           (Scanf.unescaped err));
+      Alcotest.(check string) "llvm job ok" "ok" good
+  | l -> Alcotest.failf "expected two result lines, got %d" (List.length l)
+
 let suite =
   [
     Alcotest.test_case "Job_spec JSON round trip" `Quick test_job_spec_roundtrip;
@@ -682,4 +707,6 @@ let suite =
       `Slow test_tvmd_spool;
     Alcotest.test_case "tvmd tenant isolation vs shared scope" `Slow
       test_tvmd_isolation;
+    Alcotest.test_case "tvmd fails a tune job on an unknown target" `Quick
+      test_tvmd_unknown_target;
   ]
