@@ -22,47 +22,55 @@ let expected_digest = "b2bd6ffcb1c066a9746ea828caf1cc8c"
 let configs_per_template = 12
 let matmul_configs = 34
 
-(* One corpus entry: template label, config, then either the printed
-   program and its features in exact hex, or the invalid verdict. *)
-let render buf label (tpl : Tuner.template) cfg =
-  Buffer.add_string buf label;
-  Buffer.add_char buf ' ';
-  Buffer.add_string buf (Cfg.to_string cfg);
-  Buffer.add_char buf '\n';
-  match tpl.Tuner.tpl_instantiate cfg with
-  | exception _ -> Buffer.add_string buf "invalid\n"
-  | stmt ->
-      Buffer.add_string buf (Printer.stmt_to_string stmt);
-      Buffer.add_char buf '\n';
-      Array.iter
-        (fun f -> Buffer.add_string buf (Printf.sprintf "%h " f))
-        (Feature.extract stmt);
-      Buffer.add_char buf '\n'
-
-let sample buf label (tpl : Tuner.template) ~seed n =
-  let rs = Random.State.make [| 1913; seed |] in
-  for _ = 1 to n do
-    render buf label tpl (Cfg.random_config tpl.Tuner.tpl_space rs)
-  done
-
-let corpus =
+(* Every corpus configuration, in corpus order: its label line and
+   the lowered program, or [None] when lowering rejects the config. *)
+let programs =
   lazy
-    (let buf = Buffer.create (1 lsl 20) in
+    (let entries = ref [] in
+     let sample label (tpl : Tuner.template) ~seed n =
+       let rs = Random.State.make [| 1913; seed |] in
+       for _ = 1 to n do
+         let cfg = Cfg.random_config tpl.Tuner.tpl_space rs in
+         let stmt = try Some (tpl.Tuner.tpl_instantiate cfg) with _ -> None in
+         entries := (label ^ " " ^ Cfg.to_string cfg, stmt) :: !entries
+       done
+     in
      List.iteri
        (fun wi (w : Workloads.conv) ->
          let out = Tvm_experiments.Fig_e2e.conv_tensor w in
          List.iteri
            (fun ti (tname, mk) ->
              let tpl = mk ~name:("golden_" ^ w.Workloads.name) out in
-             sample buf (w.Workloads.name ^ "/" ^ tname) tpl
+             sample (w.Workloads.name ^ "/" ^ tname) tpl
                ~seed:((wi * 2) + ti) configs_per_template)
            [ ("gpu_flat", Templates.gpu_flat); ("cpu_flat", Templates.cpu_flat) ])
        Workloads.all;
      let a = Tvm_te.Tensor.placeholder "golden_a" [ Expr.int 256; Expr.int 256 ] in
      let b = Tvm_te.Tensor.placeholder "golden_b" [ Expr.int 256; Expr.int 256 ] in
      let c = Tvm_te.Operators.dense ~name:"golden_c" a b in
-     sample buf "dense/gpu_matmul" (Templates.gpu_matmul ~name:"golden_mm" c)
+     sample "dense/gpu_matmul" (Templates.gpu_matmul ~name:"golden_mm" c)
        ~seed:1000 matmul_configs;
+     List.rev !entries)
+
+(* One corpus entry: label line, then either the printed program and
+   its features in exact hex, or the invalid verdict. *)
+let corpus =
+  lazy
+    (let buf = Buffer.create (1 lsl 20) in
+     List.iter
+       (fun (label, stmt) ->
+         Buffer.add_string buf label;
+         Buffer.add_char buf '\n';
+         match stmt with
+         | None -> Buffer.add_string buf "invalid\n"
+         | Some stmt ->
+             Buffer.add_string buf (Printer.stmt_to_string stmt);
+             Buffer.add_char buf '\n';
+             Array.iter
+               (fun f -> Buffer.add_string buf (Printf.sprintf "%h " f))
+               (Feature.extract stmt);
+             Buffer.add_char buf '\n')
+       (Lazy.force programs);
      Buffer.contents buf)
 
 let test_corpus_digest () =
@@ -212,6 +220,60 @@ let test_hash_allocates_nothing () =
   done;
   let words = Gc.minor_words () -. before in
   if words > 0. then Alcotest.failf "1000 hashes allocated %.0f minor words" words
+
+(* ------------------------------------------------------------------ *)
+(* Machine models on the corpus                                         *)
+(* ------------------------------------------------------------------ *)
+
+(* Every field of both analytical timing models on every corpus
+   program: the GPU model on titan_x and on mali forced to fp16, the
+   CPU model on xeon_host and arm_a53. An exception is recorded by
+   name. A change to how the models read a program must leave this
+   digest unchanged. *)
+let expected_model_digest = "973d46011b9b708c2e05624c24e7ca8f"
+
+let model_corpus () =
+  let buf = Buffer.create (1 lsl 18) in
+  let line name f =
+    Buffer.add_string buf name;
+    (match f () with
+    | fields -> List.iter (fun v -> Buffer.add_string buf (Printf.sprintf " %h" v)) fields
+    | exception e -> Buffer.add_string buf (" raise " ^ Printexc.to_string e));
+    Buffer.add_char buf '\n'
+  in
+  let gpu ?force_dtype m stmt () =
+    let r = Tvm_sim.Gpu_model.estimate ?force_dtype m stmt in
+    Tvm_sim.Gpu_model.
+      [ float_of_int r.blocks; float_of_int r.threads_per_block; r.global_bytes;
+        r.shared_bytes; r.flops; r.compute_s; r.global_s; r.shared_s; r.total_s;
+        (if r.valid then 1. else 0.) ]
+  in
+  let cpu m stmt () =
+    let r = Tvm_sim.Cpu_model.estimate m stmt in
+    Tvm_sim.Cpu_model.
+      [ r.compute_s; r.dram_s; r.l2_s; r.overhead_s; r.dram_bytes; r.l2_bytes;
+        r.flops; r.total_s ]
+  in
+  List.iter
+    (fun (label, stmt) ->
+      match stmt with
+      | None -> ()
+      | Some stmt ->
+          Buffer.add_string buf (label ^ "\n");
+          line "titan_x" (gpu Tvm_sim.Machine.titan_x stmt);
+          line "mali_fp16" (gpu ~force_dtype:Dtype.Float16 Tvm_sim.Machine.mali_t860 stmt);
+          line "xeon_host" (cpu Tvm_sim.Machine.xeon_host stmt);
+          line "arm_a53" (cpu Tvm_sim.Machine.arm_a53 stmt))
+    (Lazy.force programs);
+  Buffer.contents buf
+
+let test_model_digest () =
+  let out = model_corpus () in
+  checkb "models priced the corpus"
+    (List.length (String.split_on_char '\n' out) > 1000);
+  Alcotest.(check string)
+    "GPU and CPU model breakdowns match the reference" expected_model_digest
+    (Digest.to_hex (Digest.string out))
 
 (* ------------------------------------------------------------------ *)
 (* Measurement golden: tuning histories and a compiled kernel table      *)
@@ -462,6 +524,7 @@ let suite =
     Alcotest.test_case "hash edge cases: floats, same-name vars" `Quick
       test_hash_edge_cases;
     Alcotest.test_case "hash allocates nothing" `Quick test_hash_allocates_nothing;
+    Alcotest.test_case "machine model breakdowns digest" `Quick test_model_digest;
     Alcotest.test_case "tuning histories and kernel table digest" `Quick
       test_measure_digest;
     Alcotest.test_case "device pool loop digest" `Quick
