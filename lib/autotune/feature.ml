@@ -7,7 +7,8 @@
     innermost levels, reuse ratio, and unit-stride flags. These are the
     paper's "memory access count and reuse ratio of each memory buffer
     at each loop level" in a fixed-length encoding suitable for
-    gradient tree boosting. *)
+    gradient tree boosting. All of them are read off one
+    {!Analysis.program} walk of the program. *)
 
 open Tvm_tir
 
@@ -21,43 +22,34 @@ let log1 x = Float.log (1. +. Float.max 0. x)
 (** Extract the feature vector of a lowered program. *)
 let extract (stmt : Stmt.t) : float array =
   let feats = Array.make length 0. in
-  let flops =
-    try Analysis.flops ~intrin_flops:(fun name -> (Tvm_schedule.Tensor_intrin.find name).Tvm_schedule.Tensor_intrin.flops) stmt
-    with _ -> 0.
-  in
-  feats.(0) <- log1 flops;
-  let ann = Analysis.ann_summary stmt in
-  feats.(1) <- float_of_int ann.Analysis.n_parallel;
-  feats.(2) <- float_of_int ann.Analysis.n_vectorized;
-  feats.(3) <- float_of_int ann.Analysis.n_unrolled;
-  feats.(4) <- float_of_int ann.Analysis.n_thread_bind;
-  feats.(5) <- float_of_int ann.Analysis.n_vthread;
-  feats.(6) <- float_of_int ann.Analysis.n_serial;
-  (* Allocation scopes. *)
-  let shared = ref 0. and local = ref 0. in
-  Stmt.iter
-    (function
-      | Stmt.Allocate (b, _) -> (
-          match b.Expr.bscope with
-          | Expr.Shared -> shared := !shared +. Expr.Buffer.size_bytes b
-          | Expr.Local -> local := !local +. Expr.Buffer.size_bytes b
-          | _ -> ())
-      | _ -> ())
-    stmt;
-  feats.(7) <- log1 !shared;
-  feats.(8) <- log1 !local;
-  let barriers = ref 0 in
-  Stmt.iter (function Stmt.Barrier -> incr barriers | _ -> ()) stmt;
-  feats.(9) <- float_of_int !barriers;
+  let p = Analysis.program ~intrin_flops:Tvm_schedule.Tensor_intrin.flops_of stmt in
+  feats.(0) <- log1 p.Analysis.flops;
+  (* Loop annotation counts. *)
+  List.iter
+    (fun (site : Analysis.loop_site) ->
+      let slot =
+        match site.Analysis.site_kind with
+        | Stmt.Parallel -> 1
+        | Stmt.Vectorized -> 2
+        | Stmt.Unrolled -> 3
+        | Stmt.Thread_binding _ -> 4
+        | Stmt.Vthread -> 5
+        | Stmt.Serial -> 6
+      in
+      feats.(slot) <- feats.(slot) +. 1.)
+    p.Analysis.loops;
+  (* Allocation scopes and barriers. *)
+  feats.(7) <- log1 (Analysis.alloc_bytes p Expr.Shared);
+  feats.(8) <- log1 (Analysis.alloc_bytes p Expr.Local);
+  feats.(9) <- float_of_int (List.length p.Analysis.barriers);
   (* Per-buffer aggregates, largest traffic first. *)
-  let accesses = try Analysis.collect_accesses stmt with _ -> [] in
   let by_buffer = Hashtbl.create 8 in
   List.iter
     (fun (a : Analysis.access) ->
       let key = a.Analysis.acc_buffer.Expr.bid in
       Hashtbl.replace by_buffer key
         (a :: (try Hashtbl.find by_buffer key with Not_found -> [])))
-    accesses;
+    p.Analysis.accesses;
   let summaries =
     Hashtbl.fold
       (fun _ accs acc ->

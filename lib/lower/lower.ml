@@ -578,6 +578,3 @@ let lower ?(target = Cpu) (sched : Sched.t) : Stmt.t =
   in
   let body = emit_roots sched.Sched.stages in
   Simplify.stmt body
-
-(** Arithmetic cost of an intrinsic, for {!Analysis.flops}. *)
-let intrin_flops name = (Tensor_intrin.find name).Tensor_intrin.flops

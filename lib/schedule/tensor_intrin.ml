@@ -38,6 +38,11 @@ let find name =
   | Some t -> t
   | None -> invalid_arg ("Tensor_intrin.find: unknown intrinsic " ^ name)
 
+(** Arithmetic of one call to the registered intrinsic [name] (0 for an
+    unknown name): the price the cost models charge a tensorized call. *)
+let flops_of name =
+  match Hashtbl.find_opt registry name with Some t -> t.flops | None -> 0.
+
 let declare ~name ~input_shapes ~output_shape ?(reduce_extents = [])
     ?(has_reduce_update = false) ~flops ~execute () =
   let t =

@@ -14,7 +14,9 @@
       cores with an imbalance factor, but not DRAM bandwidth;
     - {b unrolling}: reduces per-iteration loop overhead.
 
-    The returned time is deterministic; the autotuning layer adds
+    The program is walked once, by {!Analysis.program}; loop trip
+    counts and the parallel extent are derived from that record. The
+    returned time is deterministic; the autotuning layer adds
     measurement noise separately (DESIGN.md §6). *)
 
 open Tvm_tir
@@ -30,34 +32,6 @@ type breakdown = {
   flops : float;
   total_s : float;
 }
-
-let intrin_flops name =
-  match Hashtbl.find_opt Tensor_intrin.registry name with
-  | Some i -> i.Tensor_intrin.flops
-  | None -> 0.
-
-(** Dynamic iteration counts of every loop, with kind. *)
-let loop_stats (stmt : Stmt.t) =
-  let out = ref [] in
-  let rec walk mult s =
-    match s with
-    | Stmt.For l -> (
-        match Interval.const_of_expr l.Stmt.extent with
-        | Some extent ->
-            out := (l.Stmt.kind, mult * extent, extent) :: !out;
-            walk (mult * extent) l.Stmt.body
-        | None -> walk mult l.Stmt.body)
-    | Stmt.If_then_else (_, t, e) ->
-        walk mult t;
-        Option.iter (walk mult) e
-    | Stmt.Let_stmt (_, _, b) | Stmt.Allocate (_, b) -> walk mult b
-    | Stmt.Seq ss -> List.iter (walk mult) ss
-    | Stmt.Store _ | Stmt.Barrier | Stmt.Evaluate _ | Stmt.Call_intrin _
-    | Stmt.Dma_copy _ | Stmt.Push_dep _ | Stmt.Pop_dep _ | Stmt.Skip ->
-        ()
-  in
-  walk 1 stmt;
-  !out
 
 (** Loop-stack signature used to group accesses of the same nest. *)
 let stack_key (a : Analysis.access) =
@@ -139,7 +113,8 @@ let vector_eff (cpu : Machine.cpu) accesses (store : Analysis.access) =
           if bad then lanes /. 2. else lanes
 
 let estimate (cpu : Machine.cpu) (stmt : Stmt.t) : breakdown =
-  let accesses = Analysis.collect_accesses stmt in
+  let p = Analysis.program ~intrin_flops:Tensor_intrin.flops_of stmt in
+  let accesses = Analysis.accesses_exn p in
   let globals = List.filter is_global accesses in
   let by_nest = Hashtbl.create 16 in
   List.iter
@@ -171,16 +146,7 @@ let estimate (cpu : Machine.cpu) (stmt : Stmt.t) : breakdown =
       end)
     accesses;
   (* Tensorized micro-kernels run near peak. *)
-  let intrin_cycles = ref 0. in
-  let intrin_count = ref 0. in
-  Stmt.iter
-    (function
-      | Stmt.Call_intrin ic ->
-          intrin_count := !intrin_count +. 1.;
-          ignore ic
-      | _ -> ())
-    stmt;
-  let total_flops = Analysis.flops ~intrin_flops stmt in
+  let total_flops = p.Analysis.flops in
   let store_flops =
     List.fold_left
       (fun acc a ->
@@ -193,46 +159,54 @@ let estimate (cpu : Machine.cpu) (stmt : Stmt.t) : breakdown =
   let peak_per_cycle =
     float_of_int (cpu.Machine.vector_lanes * cpu.Machine.fma_per_cycle * 2)
   in
-  intrin_cycles := intrin_flops_total /. (peak_per_cycle *. 0.9);
-  (* Loop overhead; unrolled/vectorized bodies amortize it. *)
-  let overhead_cycles =
-    List.fold_left
-      (fun acc (kind, dyn, _extent) ->
-        let per =
-          match kind with
-          | Stmt.Unrolled -> cpu.Machine.loop_overhead_cycles *. 0.15
-          | Stmt.Vectorized ->
-              (* vector bodies are software-pipelined: control overhead
-                 amortizes over lanes and unrolling *)
-              cpu.Machine.loop_overhead_cycles *. 0.15
-              /. float_of_int cpu.Machine.vector_lanes
-          | Stmt.Serial | Stmt.Parallel -> cpu.Machine.loop_overhead_cycles
-          | Stmt.Thread_binding _ | Stmt.Vthread -> 0.
-        in
-        acc +. (float_of_int dyn *. per))
-      0. (loop_stats stmt)
+  let intrin_cycles = intrin_flops_total /. (peak_per_cycle *. 0.9) in
+  (* Loop overhead; unrolled/vectorized bodies amortize it. Every
+     constant-extent loop runs (trips of its constant-extent enclosing
+     loops) x extent times; summed last loop first. *)
+  let const_extent (site : Analysis.loop_site) =
+    Interval.const_of_expr site.Analysis.site_extent
   in
-  (* Parallelism: outermost Parallel loop caps the thread count. *)
+  let overhead_cycles =
+    List.fold_right
+      (fun (site : Analysis.loop_site) acc ->
+        match const_extent site with
+        | None -> acc
+        | Some extent ->
+            let outer =
+              List.fold_left
+                (fun m o -> match const_extent o with Some e -> m * e | None -> m)
+                1 site.Analysis.site_outer
+            in
+            let per =
+              match site.Analysis.site_kind with
+              | Stmt.Unrolled -> cpu.Machine.loop_overhead_cycles *. 0.15
+              | Stmt.Vectorized ->
+                  (* vector bodies are software-pipelined: control overhead
+                     amortizes over lanes and unrolling *)
+                  cpu.Machine.loop_overhead_cycles *. 0.15
+                  /. float_of_int cpu.Machine.vector_lanes
+              | Stmt.Serial | Stmt.Parallel -> cpu.Machine.loop_overhead_cycles
+              | Stmt.Thread_binding _ | Stmt.Vthread -> 0.
+            in
+            acc +. (float_of_int (outer * extent) *. per))
+      p.Analysis.loops 0.
+  in
+  (* Parallelism: the first constant Parallel loop caps the thread count. *)
   let par_threads =
-    let found = ref 1 in
-    (try
-       Stmt.iter
-         (function
-           | Stmt.For { kind = Stmt.Parallel; extent = Expr.IntImm e; _ } ->
-               found := min cpu.Machine.cores e;
-               raise Exit
-           | Stmt.For { kind = Stmt.Serial; _ } -> () (* keep searching deeper *)
-           | _ -> ())
-         stmt
-     with Exit -> ());
-    !found
+    List.find_map
+      (fun (site : Analysis.loop_site) ->
+        match (site.Analysis.site_kind, site.Analysis.site_extent) with
+        | Stmt.Parallel, Expr.IntImm e -> Some (min cpu.Machine.cores e)
+        | _ -> None)
+      p.Analysis.loops
+    |> Option.value ~default:1
   in
   let balance =
     if par_threads <= 1 then 1.
     else float_of_int par_threads *. 0.92 (* scheduling + imbalance loss *)
   in
   let hz = cpu.Machine.freq_ghz *. 1e9 in
-  let compute_s = (!scalar_cycles +. !intrin_cycles) /. hz /. Float.max 1. balance in
+  let compute_s = (!scalar_cycles +. intrin_cycles) /. hz /. Float.max 1. balance in
   let overhead_s = overhead_cycles /. hz /. Float.max 1. balance in
   let dram_s = dram_bytes /. (cpu.Machine.dram_gbps *. 1e9) in
   let l2_s = l2_bytes /. (cpu.Machine.l2_gbps *. 1e9) in

@@ -16,7 +16,10 @@
     - {b occupancy}: too few threads, oversize thread blocks, or
       shared/register over-allocation degrade or invalidate the
       configuration (returned as [infinity], which the schedule
-      explorer learns to avoid). *)
+      explorer learns to avoid).
+
+    The kernel is walked once, by {!Analysis.program}; thread extents,
+    allocation bytes and barrier counts are derived from that record. *)
 
 open Tvm_tir
 
@@ -43,32 +46,27 @@ let is_block_tag tag = String.length tag >= 8 && String.sub tag 0 8 = "blockIdx"
 (** Extent of each thread tag (max over occurrences: re-bound inner
     loops must not exceed the outer extent — larger means the schedule
     asks for more threads than exist, which we reject). *)
-let tag_extents (stmt : Stmt.t) =
+let thread_extents (p : Analysis.program) =
   let tbl = Hashtbl.create 8 in
   let ok = ref true in
-  let rec walk in_tags s =
-    match s with
-    | Stmt.For ({ kind = Stmt.Thread_binding tag; _ } as l) ->
-        let extent =
-          match Interval.const_of_expr l.Stmt.extent with Some e -> e | None -> 0
-        in
-        (match Hashtbl.find_opt tbl tag with
-        | Some prev ->
-            if List.mem tag in_tags && extent > prev then ok := false;
-            Hashtbl.replace tbl tag (max prev extent)
-        | None -> Hashtbl.replace tbl tag extent);
-        walk (tag :: in_tags) l.Stmt.body
-    | Stmt.For l -> walk in_tags l.Stmt.body
-    | Stmt.If_then_else (_, t, e) ->
-        walk in_tags t;
-        Option.iter (walk in_tags) e
-    | Stmt.Let_stmt (_, _, b) | Stmt.Allocate (_, b) -> walk in_tags b
-    | Stmt.Seq ss -> List.iter (walk in_tags) ss
-    | Stmt.Store _ | Stmt.Barrier | Stmt.Evaluate _ | Stmt.Call_intrin _
-    | Stmt.Dma_copy _ | Stmt.Push_dep _ | Stmt.Pop_dep _ | Stmt.Skip ->
-        ()
-  in
-  walk [] stmt;
+  List.iter
+    (fun (site : Analysis.loop_site) ->
+      match site.Analysis.site_kind with
+      | Stmt.Thread_binding tag as kind -> (
+          let extent =
+            Option.value ~default:0 (Interval.const_of_expr site.Analysis.site_extent)
+          in
+          match Hashtbl.find_opt tbl tag with
+          | Some prev ->
+              let rebound =
+                List.exists (fun (o : Analysis.loop_site) -> o.Analysis.site_kind = kind)
+                  site.Analysis.site_outer
+              in
+              if rebound && extent > prev then ok := false;
+              Hashtbl.replace tbl tag (max prev extent)
+          | None -> Hashtbl.replace tbl tag extent)
+      | _ -> ())
+    p.Analysis.loops;
   (tbl, !ok)
 
 (** Execution count of an access across the whole device: product of
@@ -143,63 +141,28 @@ let global_traffic (a : Analysis.access) =
   in
   count *. elem *. penalty
 
-let shared_alloc_bytes (stmt : Stmt.t) =
-  let total = ref 0. in
-  Stmt.iter
-    (function
-      | Stmt.Allocate (b, _) when b.Expr.bscope = Expr.Shared ->
-          total := !total +. Expr.Buffer.size_bytes b
-      | _ -> ())
-    stmt;
-  !total
+let is_thread_tag tag = String.length tag >= 9 && String.sub tag 0 9 = "threadIdx"
 
-let local_alloc_bytes (stmt : Stmt.t) =
-  let total = ref 0. in
-  Stmt.iter
-    (function
-      | Stmt.Allocate (b, _) when b.Expr.bscope = Expr.Local ->
-          total := !total +. Expr.Buffer.size_bytes b
-      | _ -> ())
-    stmt;
-  !total
-
-let barrier_count (stmt : Stmt.t) =
-  (* Barriers synchronize a whole thread group at once: multiply by
-     serial/block loop trips but not by threadIdx extents. *)
-  let total = ref 0. in
-  let rec walk mult s =
-    match s with
-    | Stmt.Barrier -> total := !total +. mult
-    | Stmt.For ({ kind = Stmt.Thread_binding tag; _ } as l)
-      when String.length tag >= 9 && String.sub tag 0 9 = "threadIdx" ->
-        walk mult l.Stmt.body
-    | Stmt.For l -> (
-        match Interval.const_of_expr l.Stmt.extent with
-        | Some e -> walk (mult *. float_of_int e) l.Stmt.body
-        | None -> walk mult l.Stmt.body)
-    | Stmt.If_then_else (_, t, e) ->
-        walk mult t;
-        Option.iter (walk mult) e
-    | Stmt.Let_stmt (_, _, b) | Stmt.Allocate (_, b) -> walk mult b
-    | Stmt.Seq ss -> List.iter (walk mult) ss
-    | Stmt.Store _ | Stmt.Evaluate _ | Stmt.Call_intrin _ | Stmt.Dma_copy _
-    | Stmt.Push_dep _ | Stmt.Pop_dep _ | Stmt.Skip ->
-        ()
+(** Barriers executed: a barrier synchronizes a whole thread group at
+    once, so it is multiplied by serial/block loop trips but not by
+    threadIdx extents. *)
+let weighted_barriers (p : Analysis.program) =
+  let trips stack =
+    List.fold_left
+      (fun mult (site : Analysis.loop_site) ->
+        match site.Analysis.site_kind with
+        | Stmt.Thread_binding tag when is_thread_tag tag -> mult
+        | _ -> (
+            match Interval.const_of_expr site.Analysis.site_extent with
+            | Some e -> mult *. float_of_int e
+            | None -> mult))
+      1. stack
   in
-  walk 1. stmt;
-  !total
-
-let dominant_dtype (stmt : Stmt.t) =
-  let found = ref Dtype.Float32 in
-  Stmt.iter
-    (function
-      | Stmt.Store (b, _, _) -> found := b.Expr.bdtype
-      | _ -> ())
-    stmt;
-  !found
+  List.fold_left (fun acc stack -> acc +. trips stack) 0. p.Analysis.barriers
 
 let estimate ?force_dtype (gpu : Machine.gpu) (stmt : Stmt.t) : breakdown =
-  let tags, tags_ok = tag_extents stmt in
+  let p = Analysis.program ~intrin_flops:Tvm_schedule.Tensor_intrin.flops_of stmt in
+  let tags, tags_ok = thread_extents p in
   if not tags_ok then invalid
   else
     let prod pred =
@@ -209,10 +172,10 @@ let estimate ?force_dtype (gpu : Machine.gpu) (stmt : Stmt.t) : breakdown =
     let threads_per_block = prod (fun t -> not (is_block_tag t)) in
     if threads_per_block > 1024 then invalid
     else
-      let shared_b = shared_alloc_bytes stmt in
+      let shared_b = Analysis.alloc_bytes p Expr.Shared in
       if shared_b > gpu.Machine.shared_bytes_per_sm then invalid
       else
-        let accesses = Analysis.collect_accesses stmt in
+        let accesses = Analysis.accesses_exn p in
         let global_bytes =
           List.fold_left
             (fun acc a ->
@@ -232,9 +195,7 @@ let estimate ?force_dtype (gpu : Machine.gpu) (stmt : Stmt.t) : breakdown =
               else acc)
             0. accesses
         in
-        let flops =
-          Analysis.flops ~intrin_flops:Cpu_model.intrin_flops stmt
-        in
+        let flops = p.Analysis.flops in
         (* Occupancy: enough parallelism to hide latency, but not more
            threads per block than the SM supports. *)
         let total_threads = blocks * threads_per_block in
@@ -246,16 +207,20 @@ let estimate ?force_dtype (gpu : Machine.gpu) (stmt : Stmt.t) : breakdown =
           else float_of_int threads_per_block /. 32.
         in
         (* Register pressure: oversized thread-local tiles spill. *)
-        let local_b = local_alloc_bytes stmt in
+        let local_b = Analysis.alloc_bytes p Expr.Local in
         let spill = if local_b > 2048. then 2. else 1. in
-        let dtype = match force_dtype with Some d -> d | None -> dominant_dtype stmt in
+        (* The dominant dtype is the last one stored. *)
+        let stored =
+          match List.rev p.Analysis.stored_dtypes with d :: _ -> d | [] -> Dtype.Float32
+        in
+        let dtype = match force_dtype with Some d -> d | None -> stored in
         let dtype_rate =
           match dtype with Dtype.Float16 -> gpu.Machine.fp16_rate | _ -> 1.
         in
         let byte_scale =
           (* Overriding precision rescales traffic too (fp16 halves it). *)
           match force_dtype with
-          | Some d -> Dtype.bytes d /. Dtype.bytes (dominant_dtype stmt)
+          | Some d -> Dtype.bytes d /. Dtype.bytes stored
           | None -> 1.
         in
         let global_bytes = global_bytes *. byte_scale in
@@ -265,7 +230,7 @@ let estimate ?force_dtype (gpu : Machine.gpu) (stmt : Stmt.t) : breakdown =
         let global_s = global_bytes /. (gpu.Machine.global_gbps *. 1e9) in
         let shared_s =
           (shared_bytes /. (gpu.Machine.shared_gbps *. 1e9))
-          +. (barrier_count stmt *. 5e-8
+          +. (weighted_barriers p *. 5e-8
              /. float_of_int (max 1 (min blocks (gpu.Machine.sms * 8))))
         in
         let launch = gpu.Machine.kernel_launch_us *. 1e-6 in

@@ -1,11 +1,14 @@
 (** Static analysis of lowered loop programs.
 
-    This module computes the quantities that both the analytical timing
-    models ({!Tvm_sim}) and the ML cost model's feature extractor
-    ({!Tvm_autotune.Feature}) need: per-buffer access counts, memory
-    footprints at every loop level (the "touched memory size" feature of
-    Fig 13), access strides, arithmetic intensity, and loop-annotation
-    summaries. *)
+    {!program} walks a program once and returns the structural facts
+    that both the analytical timing models ({!Tvm_sim}) and the ML cost
+    model's feature extractor ({!Tvm_autotune.Feature}) read: every
+    load/store site with its loop stack and execution count, total
+    arithmetic, every loop and barrier site with its enclosing loops,
+    the allocated buffers and the stored dtypes. The helpers below it
+    derive per-access memory footprints at every loop level (the
+    "touched memory size" feature of Fig 13) and access strides. Each
+    consumer derives its own policy quantities from the record. *)
 
 type loop_info = {
   lvar : Expr.var;
@@ -32,13 +35,8 @@ type access = {
 
 exception Non_constant_extent of string
 
-let const_extent e =
-  match Interval.const_of_expr e with
-  | Some n -> n
-  | None -> raise (Non_constant_extent (Printer.expr_to_string e))
-
 (* ------------------------------------------------------------------ *)
-(* Access collection                                                   *)
+(* The one walk                                                        *)
 (* ------------------------------------------------------------------ *)
 
 (* Per-domain memo: [expr_flops] is pure and structural, so the count
@@ -79,75 +77,139 @@ let rec expr_flops (e : Expr.t) =
           Expr.Phys.add memo e n;
           n)
 
+(** One loop site: the loop's kind, its extent as written (before
+    let-substitution), and its enclosing loops, outermost first. *)
+type loop_site = {
+  site_kind : Stmt.for_kind;
+  site_extent : Expr.t;
+  site_outer : loop_site list;
+}
 
-let rec expr_flops_fwd e = expr_flops e
+(** Everything {!program} reads off one walk. Lists are in program
+    (pre-)order. When some loop extent is not constant after
+    let-substitution, [non_constant] names the first one, [accesses] is
+    empty and [flops] is 0; the other facts are still complete. *)
+type program = {
+  accesses : access list;
+  flops : float;
+      (** arithmetic executed by the whole program; index arithmetic is
+          excluded (loop overhead, priced separately by the models) *)
+  loops : loop_site list;
+  barriers : loop_site list list;  (** enclosing loops of each barrier *)
+  allocs : Expr.buffer list;
+  stored_dtypes : Dtype.t list;  (** dtype of each [Store]'s buffer *)
+  non_constant : string option;
+}
 
-and collect_accesses (stmt : Stmt.t) : access list =
-  let out = ref [] in
+(** Walk [stmt] once. Tensorized intrinsic calls are priced by
+    [intrin_flops name]. *)
+let program ~intrin_flops (stmt : Stmt.t) : program =
+  let accesses = ref [] and flops = ref 0. and sites_seen = ref [] and barriers = ref []
+  and allocs = ref [] and stored = ref [] and non_constant = ref None in
   let record ?(weight = 1.) ?(value_flops = 0.) loops subst buffer is_store indices =
     let indices = List.map (Visit.subst_expr subst) indices in
     let count = List.fold_left (fun acc l -> acc * l.lextent) 1 loops in
-    out :=
+    accesses :=
       { acc_buffer = buffer; acc_is_store = is_store; acc_indices = indices;
         acc_loops = loops; acc_count = count; acc_weight = weight;
         acc_value_flops = value_flops }
-      :: !out
+      :: !accesses
   in
   let record_expr loops subst e =
-    let rec walk weight (e : Expr.t) =
+    let rec visit weight (e : Expr.t) =
       match e with
       | Expr.IntImm _ | Expr.FloatImm _ | Expr.Var _ -> ()
       | Expr.Binop (_, a, b) | Expr.Cmp (_, a, b) | Expr.And (a, b) | Expr.Or (a, b) ->
-          walk weight a;
-          walk weight b
-      | Expr.Not a | Expr.Cast (_, a) -> walk weight a
+          visit weight a;
+          visit weight b
+      | Expr.Not a | Expr.Cast (_, a) -> visit weight a
       | Expr.Select (c, t, f) ->
-          walk weight c;
-          walk (weight *. 0.75) t;
-          walk (weight *. 0.25) f
+          visit weight c;
+          visit (weight *. 0.75) t;
+          visit (weight *. 0.25) f
       | Expr.Load (b, idx) ->
           record ~weight loops subst b false idx;
-          List.iter (walk weight) idx
-      | Expr.Call (_, args) -> List.iter (walk weight) args
+          List.iter (visit weight) idx
+      | Expr.Call (_, args) -> List.iter (visit weight) args
     in
-    walk 1. e
+    visit 1. e
   in
-  let rec walk loops (subst : Expr.var -> Expr.t option) s =
+  (* [loops]: substituted loop stack; [sites]: raw loop sites; [mult]:
+     trip count of the enclosing loops. *)
+  let rec go loops sites mult (subst : Expr.var -> Expr.t option) s =
     match s with
     | Stmt.Store (b, idx, v) ->
-        record ~value_flops:(expr_flops_fwd v) loops subst b true idx;
+        let value_flops = expr_flops v in
+        flops := !flops +. (mult *. value_flops);
+        stored := b.Expr.bdtype :: !stored;
+        record ~value_flops loops subst b true idx;
         record_expr loops subst v;
         List.iter (record_expr loops subst) idx
     | Stmt.For l ->
-        let extent = const_extent (Visit.subst_expr subst l.Stmt.extent) in
+        let site =
+          { site_kind = l.Stmt.kind; site_extent = l.Stmt.extent; site_outer = sites }
+        in
+        sites_seen := site :: !sites_seen;
+        let e = Visit.subst_expr subst l.Stmt.extent in
+        let extent =
+          match Interval.const_of_expr e with
+          | Some n -> n
+          | None ->
+              if !non_constant = None then non_constant := Some (Printer.expr_to_string e);
+              0
+        in
         let info =
           { lvar = l.Stmt.loop_var; lmin = Visit.subst_expr subst l.Stmt.min_;
             lextent = extent; lkind = l.Stmt.kind }
         in
-        walk (loops @ [ info ]) subst l.Stmt.body
+        go (loops @ [ info ]) (sites @ [ site ]) (mult *. float_of_int extent) subst
+          l.Stmt.body
     | Stmt.If_then_else (c, t, e) ->
         record_expr loops subst c;
-        walk loops subst t;
-        Option.iter (walk loops subst) e
+        go loops sites mult subst t;
+        Option.iter (go loops sites mult subst) e
     | Stmt.Let_stmt (v, e, b) ->
         record_expr loops subst e;
         let e' = Visit.subst_expr subst e in
         let subst' v' = if Expr.Var.equal v v' then Some e' else subst v' in
-        walk loops subst' b
-    | Stmt.Seq ss -> List.iter (walk loops subst) ss
-    | Stmt.Allocate (_, b) -> walk loops subst b
-    | Stmt.Evaluate e -> record_expr loops subst e
+        go loops sites mult subst' b
+    | Stmt.Seq ss -> List.iter (go loops sites mult subst) ss
+    | Stmt.Allocate (b, body) ->
+        allocs := b :: !allocs;
+        go loops sites mult subst body
+    | Stmt.Evaluate e ->
+        flops := !flops +. (mult *. expr_flops e);
+        record_expr loops subst e
     | Stmt.Call_intrin ic ->
+        flops := !flops +. (mult *. intrin_flops ic.Stmt.intrin_name);
         List.iter (fun (b, idx) -> record loops subst b false idx) ic.Stmt.inputs;
         let ob, oidx = ic.Stmt.output in
         record loops subst ob true oidx
     | Stmt.Dma_copy d ->
         record loops subst d.Stmt.dma_src false d.Stmt.dma_src_base;
         record loops subst d.Stmt.dma_dst true d.Stmt.dma_dst_base
-    | Stmt.Barrier | Stmt.Push_dep _ | Stmt.Pop_dep _ | Stmt.Skip -> ()
+    | Stmt.Barrier -> barriers := sites :: !barriers
+    | Stmt.Push_dep _ | Stmt.Pop_dep _ | Stmt.Skip -> ()
   in
-  walk [] (fun _ -> None) stmt;
-  List.rev !out
+  go [] [] 1. (fun _ -> None) stmt;
+  let constant = !non_constant = None in
+  { accesses = (if constant then List.rev !accesses else []);
+    flops = (if constant then !flops else 0.);
+    loops = List.rev !sites_seen; barriers = List.rev !barriers; allocs = List.rev !allocs;
+    stored_dtypes = List.rev !stored; non_constant = !non_constant }
+
+(** The accesses of a program whose loop extents are all constant.
+    Raises [Non_constant_extent] otherwise. *)
+let accesses_exn p =
+  match p.non_constant with
+  | Some e -> raise (Non_constant_extent e)
+  | None -> p.accesses
+
+(** Bytes allocated in [scope], summed in program order. *)
+let alloc_bytes p scope =
+  List.fold_left
+    (fun acc b -> if b.Expr.bscope = scope then acc +. Expr.Buffer.size_bytes b else acc)
+    0. p.allocs
 
 (* ------------------------------------------------------------------ *)
 (* Footprints and strides                                              *)
@@ -239,93 +301,3 @@ let is_unit_stride_innermost access =
   match innermost_loop access with
   | None -> true
   | Some l -> ( match stride_wrt access l.lvar with Some s -> abs s <= 1 | None -> false)
-
-(* ------------------------------------------------------------------ *)
-(* Arithmetic                                                          *)
-(* ------------------------------------------------------------------ *)
-
-(** Total arithmetic operations executed by the statement; tensorized
-    intrinsic calls are priced via [intrin_flops name]. Index arithmetic
-    is excluded (it is loop overhead, priced separately by the models). *)
-let flops ?(intrin_flops = fun (_ : string) -> 0.) (stmt : Stmt.t) =
-  let total = ref 0. in
-  let rec walk mult subst s =
-    match s with
-    | Stmt.Store (_, _, v) -> total := !total +. (mult *. expr_flops v)
-    | Stmt.For l ->
-        let extent =
-          const_extent (Visit.subst_expr subst l.Stmt.extent) |> float_of_int
-        in
-        walk (mult *. extent) subst l.Stmt.body
-    | Stmt.If_then_else (_, t, e) ->
-        walk mult subst t;
-        Option.iter (walk mult subst) e
-    | Stmt.Let_stmt (v, e, b) ->
-        let e' = Visit.subst_expr subst e in
-        let subst' v' = if Expr.Var.equal v v' then Some e' else subst v' in
-        walk mult subst' b
-    | Stmt.Seq ss -> List.iter (walk mult subst) ss
-    | Stmt.Allocate (_, b) -> walk mult subst b
-    | Stmt.Evaluate e -> total := !total +. (mult *. expr_flops e)
-    | Stmt.Call_intrin ic -> total := !total +. (mult *. intrin_flops ic.Stmt.intrin_name)
-    | Stmt.Dma_copy _ | Stmt.Barrier | Stmt.Push_dep _ | Stmt.Pop_dep _ | Stmt.Skip
-      ->
-        ()
-  in
-  walk 1. (fun _ -> None) stmt;
-  !total
-
-(** Bytes moved between global memory and the compute units, assuming
-    perfect reuse within each loop nest's innermost cache level: for
-    every access to a [Global]-scope buffer we charge its whole-nest
-    footprint once (unique bytes), which is the lower bound the paper's
-    fusion optimization targets. *)
-let unique_global_bytes stmt =
-  let accesses = collect_accesses stmt in
-  let tbl = Hashtbl.create 16 in
-  List.iter
-    (fun a ->
-      if a.acc_buffer.Expr.bscope = Expr.Global then
-        let key = a.acc_buffer.Expr.bid in
-        let fp = footprint_bytes_at_level a 0 in
-        let prev = try Hashtbl.find tbl key with Not_found -> 0. in
-        Hashtbl.replace tbl key (Float.max prev fp))
-    accesses;
-  (* Summed in sorted-value order: buffer ids vary run-to-run under
-     parallel instantiation, so bucket order must not pick the float
-     summation order. *)
-  Hashtbl.fold (fun _ v acc -> v :: acc) tbl []
-  |> List.sort compare
-  |> List.fold_left ( +. ) 0.
-
-(** Summary of loop annotations below each access, used as one-hot
-    features by the cost model (Fig 13's "vectorize/unroll/parallel"). *)
-type ann_summary = {
-  n_parallel : int;
-  n_vectorized : int;
-  n_unrolled : int;
-  n_thread_bind : int;
-  n_vthread : int;
-  n_serial : int;
-}
-
-let ann_summary stmt =
-  let summary =
-    ref { n_parallel = 0; n_vectorized = 0; n_unrolled = 0; n_thread_bind = 0;
-          n_vthread = 0; n_serial = 0 }
-  in
-  Stmt.iter
-    (function
-      | Stmt.For l ->
-          let s = !summary in
-          summary :=
-            (match l.Stmt.kind with
-            | Stmt.Parallel -> { s with n_parallel = s.n_parallel + 1 }
-            | Stmt.Vectorized -> { s with n_vectorized = s.n_vectorized + 1 }
-            | Stmt.Unrolled -> { s with n_unrolled = s.n_unrolled + 1 }
-            | Stmt.Thread_binding _ -> { s with n_thread_bind = s.n_thread_bind + 1 }
-            | Stmt.Vthread -> { s with n_vthread = s.n_vthread + 1 }
-            | Stmt.Serial -> { s with n_serial = s.n_serial + 1 })
-      | _ -> ())
-    stmt;
-  !summary

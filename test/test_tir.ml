@@ -150,9 +150,12 @@ let tiled_copy () =
   let body = Stmt.Store (dst, [ idx ], Expr.load src [ idx ]) in
   (Stmt.for_ o Expr.zero (Expr.int 8) (Stmt.for_ i Expr.zero (Expr.int 8) body), src, dst)
 
+let accesses_of stmt =
+  (Analysis.program ~intrin_flops:(fun _ -> 0.) stmt).Analysis.accesses
+
 let test_collect_accesses () =
   let stmt, src, _ = tiled_copy () in
-  let accesses = Analysis.collect_accesses stmt in
+  let accesses = accesses_of stmt in
   check Alcotest.int "two accesses" 2 (List.length accesses);
   let load = List.find (fun a -> not a.Analysis.acc_is_store) accesses in
   checkb "load buffer" (Expr.Buffer.equal load.Analysis.acc_buffer src);
@@ -161,7 +164,7 @@ let test_collect_accesses () =
 let test_footprints () =
   let stmt, _, _ = tiled_copy () in
   let load =
-    List.find (fun a -> not a.Analysis.acc_is_store) (Analysis.collect_accesses stmt)
+    List.find (fun a -> not a.Analysis.acc_is_store) (accesses_of stmt)
   in
   check Alcotest.int "whole" 64 (Analysis.footprint_at_level load 0);
   check Alcotest.int "inner tile" 8 (Analysis.footprint_at_level load 1);
@@ -170,7 +173,7 @@ let test_footprints () =
 let test_strides () =
   let stmt, _, _ = tiled_copy () in
   let load =
-    List.find (fun a -> not a.Analysis.acc_is_store) (Analysis.collect_accesses stmt)
+    List.find (fun a -> not a.Analysis.acc_is_store) (accesses_of stmt)
   in
   (match load.Analysis.acc_loops with
   | [ o; i ] ->
@@ -187,16 +190,58 @@ let test_flops () =
       Expr.(Expr.load b [ Expr.zero ] + (Expr.load b [ Expr.zero ] * f32 3.)))
   in
   let loop = Stmt.for_ v Expr.zero (Expr.int 10) body in
-  check (Alcotest.float 1e-9) "2 flops x 10" 20. (Analysis.flops loop)
+  let p = Analysis.program ~intrin_flops:(fun _ -> 0.) loop in
+  check (Alcotest.float 1e-9) "2 flops x 10" 20. p.Analysis.flops
 
 let test_ann_summary () =
   let v = Expr.Var.fresh "p" in
   let b = Expr.Buffer.create "o" [ Expr.int 4 ] in
   let s = Stmt.For { Stmt.loop_var = v; min_ = Expr.zero; extent = Expr.int 4;
                      kind = Stmt.Parallel; body = Stmt.Store (b, [ Expr.Var v ], Expr.f32 0.) } in
-  let ann = Analysis.ann_summary s in
-  check Alcotest.int "parallel" 1 ann.Analysis.n_parallel;
-  check Alcotest.int "serial" 0 ann.Analysis.n_serial
+  let loops = (Analysis.program ~intrin_flops:(fun _ -> 0.) s).Analysis.loops in
+  let count kind =
+    List.length (List.filter (fun l -> l.Analysis.site_kind = kind) loops)
+  in
+  check Alcotest.int "parallel" 1 (count Stmt.Parallel);
+  check Alcotest.int "serial" 0 (count Stmt.Serial)
+
+(* A loop whose extent is a free variable: the feature vector keeps the
+   annotation, allocation and barrier features and zeroes flops and the
+   buffer slots; the GPU model rejects a bad shared allocation before
+   it raises; both models raise on the extent. *)
+let test_non_constant_extent () =
+  let n = Expr.Var.fresh "n" and i = Expr.Var.fresh "i" and tx = Expr.Var.fresh "tx" in
+  let src = Expr.Buffer.create "src" [ Expr.int 64 ] in
+  let dst = Expr.Buffer.create "dst" [ Expr.int 64 ] in
+  let prog shared_elems =
+    let tile = Expr.Buffer.create ~scope:Expr.Shared "tile" [ Expr.int shared_elems ] in
+    let copy =
+      Stmt.Store (dst, [ Expr.Var i ], Expr.(load src [ Var i ] * f32 2.))
+    in
+    Stmt.Allocate
+      ( tile,
+        Stmt.for_ ~kind:(Stmt.Thread_binding "threadIdx.x") tx Expr.zero (Expr.int 32)
+          (Stmt.seq [ Stmt.Barrier; Stmt.for_ i Expr.zero (Expr.Var n) copy ]) )
+  in
+  let s = prog 4 in
+  let expected = Array.make Tvm_autotune.Feature.length 0. in
+  expected.(4) <- 1.;
+  expected.(6) <- 1.;
+  expected.(7) <- Float.log 17.;
+  expected.(9) <- 1.;
+  check
+    Alcotest.(array (float 0.))
+    "features" expected (Tvm_autotune.Feature.extract s);
+  let raises name f =
+    match f () with
+    | _ -> Alcotest.failf "%s: expected Non_constant_extent" name
+    | exception Analysis.Non_constant_extent e -> check Alcotest.string name "n" e
+  in
+  let gpu = Tvm_sim.Gpu_model.estimate Tvm_sim.Machine.titan_x in
+  raises "gpu" (fun () -> gpu s);
+  raises "cpu" (fun () -> Tvm_sim.Cpu_model.estimate Tvm_sim.Machine.xeon_host s);
+  checkb "gpu rejects shared overflow first"
+    (not (gpu (prog 65536)).Tvm_sim.Gpu_model.valid)
 
 (* ------------------------------------------------------------------ *)
 (* Visit / substitution                                                 *)
@@ -245,6 +290,7 @@ let suite =
     Alcotest.test_case "strides" `Quick test_strides;
     Alcotest.test_case "flops" `Quick test_flops;
     Alcotest.test_case "ann summary" `Quick test_ann_summary;
+    Alcotest.test_case "non-constant extent" `Quick test_non_constant_extent;
     Alcotest.test_case "substitution" `Quick test_subst;
     Alcotest.test_case "free vars" `Quick test_free_vars;
     Alcotest.test_case "retarget buffer" `Quick test_retarget;
