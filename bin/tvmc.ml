@@ -533,10 +533,11 @@ let submit_cmd =
       Tvm_spec.Job_spec.make ~op ~workload ~target ~trials ~method_name ~seed
         ~jobs ()
     in
-    print_endline
-      (Tvm_serve.Tvmd.to_string
-         (Tvm_serve.Tvmd.request ~tenant ~weight ?quota ~priority
-            ~submit_s ~share spec))
+    match Tvm_serve.Tvmd.request ~tenant ~weight ?quota ~priority ~submit_s ~share spec with
+    | r -> print_endline (Tvm_serve.Tvmd.to_string r)
+    | exception Invalid_argument m ->
+        prerr_endline ("tvmc submit: " ^ m);
+        exit 2
   in
   Cmd.v
     (Cmd.info "submit"
@@ -633,8 +634,16 @@ let serve_cmd =
     | Some jobs_file, None ->
         let requests =
           In_channel.with_open_text jobs_file In_channel.input_lines
-          |> List.filter (fun l -> String.trim l <> "")
-          |> List.map Tvm_serve.Tvmd.of_string
+          |> List.mapi (fun i l -> (i + 1, l))
+          |> List.filter_map (fun (n, l) ->
+                 if String.trim l = "" then None
+                 else
+                   match Tvm_serve.Tvmd.of_string l with
+                   | r -> Some r
+                   | exception e ->
+                       Printf.eprintf "tvmc serve: %s:%d: bad envelope: %s\n%!" jobs_file n
+                         (Printexc.to_string e);
+                       exit 2)
         in
         let outcome =
           Tvm_serve.Tvmd.serve ~slots ?store ?max_jobs ?compact_above requests

@@ -29,6 +29,11 @@ type request = {
 
 let request ?(tenant = "default") ?(weight = 1.) ?quota ?(priority = 0)
     ?(submit_s = 0.) ?(share = false) spec =
+  if not (Float.is_finite weight && weight > 0.) then
+    invalid_arg (Printf.sprintf "tvmd: weight must be finite and positive, got %g" weight);
+  (match quota with
+  | Some q when q < 1 -> invalid_arg (Printf.sprintf "tvmd: quota must be >= 1, got %d" q)
+  | _ -> ());
   {
     rq_tenant = tenant;
     rq_weight = weight;
@@ -62,26 +67,22 @@ let of_string s =
     | Some v -> v
     | None -> d
   in
-  {
-    rq_tenant =
+  request
+    ~tenant:
       (match Json.member "tenant" j with
       | Some (Json.Str t) -> t
-      | _ -> "default");
-    rq_weight = num "weight" 1.;
-    rq_quota =
-      Option.map int_of_float
-        (Option.bind (Json.member "quota" j) Json.to_num_opt);
-    rq_priority = int_of_float (num "priority" 0.);
-    rq_submit_s = num "submit_s" 0.;
-    rq_share =
+      | _ -> "default")
+    ~weight:(num "weight" 1.)
+    ?quota:(Option.map int_of_float (Option.bind (Json.member "quota" j) Json.to_num_opt))
+    ~priority:(int_of_float (num "priority" 0.))
+    ~submit_s:(num "submit_s" 0.)
+    ~share:
       (match Json.member "share" j with
       | Some (Json.Bool b) -> b
-      | _ -> false);
-    rq_spec =
-      (match Json.member "spec" j with
-      | Some sj -> Spec.of_json sj
-      | None -> Spec.default);
-  }
+      | _ -> false)
+    (match Json.member "spec" j with
+    | Some sj -> Spec.of_json sj
+    | None -> Spec.default)
 
 type outcome = {
   oc_lines : string list;

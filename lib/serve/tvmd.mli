@@ -76,6 +76,9 @@ type request = {
   rq_spec : Tvm_spec.Job_spec.t;
 }
 
+(** Raises [Invalid_argument] unless [weight] is finite and positive
+    and [quota] (when given) is at least 1 — values the fair-share
+    scheduler cannot serve. *)
 val request :
   ?tenant:string ->
   ?weight:float ->
@@ -94,7 +97,8 @@ val to_string : request -> string
 
 (** Inverse of {!to_string}; missing fields take defaults (tenant
     ["default"], weight 1, no quota, priority 0, submit 0, share
-    false). Raises [Failure] on malformed JSON. *)
+    false). Raises [Failure] on malformed JSON and [Invalid_argument]
+    on a weight or quota {!request} rejects. *)
 val of_string : string -> request
 
 (** {!Tvm_autotune.Store.compact} rules covering every kind a [tvmd]

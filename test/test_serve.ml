@@ -609,6 +609,57 @@ let test_tvmd_spool () =
   Alcotest.(check (list string))
     "envelopes archived" [ "00-a.req"; "01-b.req" ] archived
 
+(* One envelope the fair-share scheduler cannot serve (weight 0, quota
+   0) must be rejected alone: the good envelope next to it is served
+   and every file is archived, so a restarted daemon does not trip on
+   the same file again. *)
+let test_tvmd_spool_bad_envelope () =
+  let dir = Filename.temp_file "tvmspool" "" in
+  Sys.remove dir;
+  Sys.mkdir dir 0o755;
+  let rec rm p =
+    if Sys.is_directory p then (
+      Array.iter (fun f -> rm (Filename.concat p f)) (Sys.readdir p);
+      Sys.rmdir p)
+    else Sys.remove p
+  in
+  Fun.protect ~finally:(fun () -> rm dir) @@ fun () ->
+  let spec =
+    Job_spec.make ~op:Job_spec.Tune ~workload:"C2" ~trials:8 ~method_name:"random"
+      ~jobs:2 ()
+  in
+  let good = Tvmd.to_string (Tvmd.request ~tenant:"good" spec) in
+  let zero field =
+    match Tvm_obs.Json.parse (Tvmd.to_string (Tvmd.request ~tenant:"bad" spec)) with
+    | Tvm_obs.Json.Obj kvs ->
+        Tvm_obs.Json.to_string
+          (Tvm_obs.Json.Obj
+             (List.map (fun (k, v) -> (k, if k = field then Tvm_obs.Json.num 0. else v)) kvs))
+    | _ -> Alcotest.fail "envelope is a JSON object"
+  in
+  let files =
+    [ ("00-good.req", good); ("01-zero-weight.req", zero "weight");
+      ("02-zero-quota.req", zero "quota") ]
+  in
+  List.iter
+    (fun (f, line) ->
+      Out_channel.with_open_text (Filename.concat dir f) (fun oc ->
+          output_string oc (line ^ "\n")))
+    files;
+  Out_channel.with_open_text (Filename.concat dir "stop") ignore;
+  let outcomes = ref [] in
+  let batches =
+    Tvmd.serve_spool ~slots:2 ~dir ~on_batch:(fun _ o -> outcomes := o :: !outcomes) ()
+  in
+  Alcotest.(check int) "one batch" 1 batches;
+  (match !outcomes with
+  | [ o ] -> Alcotest.(check int) "good envelope served" 1 (List.length o.Tvmd.oc_lines)
+  | _ -> Alcotest.fail "one outcome");
+  let archived =
+    Sys.readdir (Filename.concat dir "archive") |> Array.to_list |> List.sort compare
+  in
+  Alcotest.(check (list string)) "all envelopes archived" (List.map fst files) archived
+
 (* Tenant isolation: private scopes never share tuning state — two
    tenants compiling the same network each pay the full tuning cost;
    opting into the shared scope lets the second ride the first's tuned
@@ -705,6 +756,8 @@ let suite =
       `Quick test_store_compaction;
     Alcotest.test_case "tvmd spool: identical to jobs-file, archive, drain"
       `Slow test_tvmd_spool;
+    Alcotest.test_case "tvmd spool: a zero-weight envelope is skipped alone" `Slow
+      test_tvmd_spool_bad_envelope;
     Alcotest.test_case "tvmd tenant isolation vs shared scope" `Slow
       test_tvmd_isolation;
     Alcotest.test_case "tvmd fails a tune job on an unknown target" `Quick
