@@ -1,13 +1,14 @@
 (** Benchmark harness: regenerates every table and figure of the paper
-    (see DESIGN.md's per-experiment index), the ablation studies, and a
-    set of Bechamel micro-benchmarks over the compiler's own hot paths.
+    (see DESIGN.md's per-experiment index), the ablation studies, and
+    the service, cache and fleet benchmarks. Per-layer costs of the
+    compiler's hot paths are timed by [perfbench/run.py].
 
     Usage: [main.exe [--quick] [--json FILE] [--baseline FILE] [-j N]
     [exp ...]] where [exp] is one of fig4 fig6 fig7 fig10 fig12 fig14
     fig15 fig16 fig17 fig18 fig19 fig21 table1 table2 ablations partune
-    lower cache serve serve_rt fleet micro all (default: all). [-j N]
-    sets the domain/device
-    count the [partune] throughput comparison scales to (default 4).
+    lower cache serve serve_rt fleet all (default: all). [-j N] sets
+    the domain/device count the [partune] throughput comparison scales
+    to (default 4).
 
     [--json FILE] dumps the observability metrics registry (including
     one [bench.<exp>.duration_s] gauge per experiment run) as JSON —
@@ -25,156 +26,8 @@ module Fm = Tvm_experiments.Fig_micro
 module Fe = Tvm_experiments.Fig_e2e
 module Ab = Tvm_experiments.Ablations
 
-(* ------------------------------------------------------------------ *)
-(* Bechamel micro-benchmarks: one per table/figure, measuring the       *)
-(* compiler machinery behind that experiment.                           *)
-(* ------------------------------------------------------------------ *)
-
 (** Domain/device count for the multicore comparisons ([-j N]). *)
 let bench_jobs = ref 4
-
-let micro () =
-  let open Bechamel in
-  let open Toolkit in
-  E.banner "Bechamel micro-benchmarks (compiler hot paths per experiment)";
-  let tpl, _ = Fm.fig12_template () in
-  let rng = Random.State.make [| 3 |] in
-  let some_cfg =
-    let rec find n =
-      if n = 0 then invalid_arg "no valid config"
-      else
-        let cfg = Tvm_autotune.Cfg_space.random_config tpl.Tvm_autotune.Tuner.tpl_space rng in
-        match (try Some (tpl.Tvm_autotune.Tuner.tpl_instantiate cfg) with _ -> None) with
-        | Some _ -> cfg
-        | None -> find (n - 1)
-    in
-    find 200
-  in
-  let stmt = tpl.Tvm_autotune.Tuner.tpl_instantiate some_cfg in
-  let feats =
-    Array.init 64 (fun i ->
-        Array.init Tvm_autotune.Feature.length (fun j ->
-            Float.of_int ((i * 31 + j * 17) mod 97) /. 97.))
-  in
-  let ys = Array.init 64 (fun i -> Float.of_int (i mod 13) /. 13.) in
-  let gbt = Tvm_autotune.Gbt.fit feats ys in
-  let wl = Fe.V.gemm_workload ~name:"bench_vdla" ~m:64 ~n:64 ~k:256 () in
-  let vdla_stream =
-    let s = Fe.V.schedule ~vthreads:2 wl in
-    Tvm_vdla.Assemble.run s
-  in
-  (* Lowering is priced the way the tuner pays it: a cycle through 64
-     sampled valid configs of four Table-2 ops, 16 each, rather than one
-     config lowered again and again. *)
-  let lower_cases =
-    let rng = Random.State.make [| 3 |] in
-    List.concat_map
-      (fun name ->
-        let w = Tvm_models.Workloads.find name in
-        let tpl =
-          Tvm_autotune.Templates.gpu_flat ~name:("micro_" ^ name) (Fe.conv_tensor w)
-        in
-        let space = tpl.Tvm_autotune.Tuner.tpl_space in
-        let rec take n tries acc =
-          if n = 0 || tries = 0 then List.rev acc
-          else
-            let cfg = Tvm_autotune.Cfg_space.random_config space rng in
-            match tpl.Tvm_autotune.Tuner.tpl_instantiate cfg with
-            | _ -> take (n - 1) (tries - 1) ((tpl, cfg) :: acc)
-            | exception _ -> take n (tries - 1) acc
-        in
-        take 16 400 [])
-      [ "C2"; "C7"; "C11"; "D4" ]
-    |> Array.of_list
-  in
-  let next_lower = ref 0 in
-  let lower_next () =
-    let tpl, cfg = lower_cases.(!next_lower) in
-    next_lower := (!next_lower + 1) mod Array.length lower_cases;
-    tpl.Tvm_autotune.Tuner.tpl_instantiate cfg
-  in
-  let tests =
-    [
-      Test.make ~name:"fig5.schedule+lower.conv2d" (Staged.stage lower_next);
-      Test.make ~name:"fig13.feature.extraction"
-        (Staged.stage (fun () -> Tvm_autotune.Feature.extract stmt));
-      Test.make ~name:"table1.gbt.fit64"
-        (Staged.stage (fun () -> Tvm_autotune.Gbt.fit feats ys));
-      Test.make ~name:"fig12.gbt.predict"
-        (Staged.stage (fun () -> Tvm_autotune.Gbt.predict gbt feats.(0)));
-      Test.make ~name:"fig14.gpu.model"
-        (Staged.stage (fun () -> Tvm_sim.Gpu_model.estimate Tvm_sim.Machine.titan_x stmt));
-      Test.make ~name:"fig16.cpu.model"
-        (Staged.stage (fun () -> Tvm_sim.Cpu_model.estimate Tvm_sim.Machine.arm_a53 stmt));
-      Test.make ~name:"fig10.vdla.des"
-        (Staged.stage (fun () -> Tvm_vdla.Des.run Tvm_sim.Machine.vdla vdla_stream));
-      Test.make ~name:"fig8.vthread.lowering"
-        (Staged.stage (fun () -> Fe.V.schedule ~vthreads:2 wl));
-    ]
-  in
-  (* Multicore cases: fork-join overhead of [parallel_map] itself (the
-     per-batch fixed cost every parallel tuning phase pays) and the SA
-     explorer's chain scaling, at -j1 vs -jN. *)
-  let par1 = Tvm_par.Pool.sequential in
-  let parn = Tvm_par.Pool.create ~domains:!bench_jobs () in
-  let work = Array.init 64 (fun i -> i) in
-  let spin x =
-    (* ~µs-scale task, comparable to one model prediction *)
-    let acc = ref (float_of_int x) in
-    for _ = 1 to 400 do
-      acc := !acc +. Float.sin !acc
-    done;
-    !acc
-  in
-  let sa_space =
-    Tvm_autotune.Cfg_space.space
-      [
-        Tvm_autotune.Cfg_space.knob "a" (List.init 8 (fun i -> i + 1));
-        Tvm_autotune.Cfg_space.knob "b" (List.init 8 (fun i -> i + 1));
-        Tvm_autotune.Cfg_space.knob "c" (List.init 8 (fun i -> i + 1));
-      ]
-  in
-  let synth_predict _ cfg =
-    Float.sin (float_of_int (Tvm_autotune.Cfg_space.hash cfg land 0xFFFF))
-  in
-  let sa_case pool =
-    let rng = Random.State.make [| 5 |] in
-    let state = Tvm_autotune.Explorers.sa_init sa_space rng ~n_chains:8 in
-    Tvm_autotune.Explorers.simulated_annealing ~pool sa_space rng state
-      ~predict_for_chain:synth_predict ~visited:(Hashtbl.create 8) ~n_steps:40
-      ~temp:1.0 ~batch:16
-  in
-  let tests =
-    tests
-    @ [
-        Test.make ~name:"par.map.j1"
-          (Staged.stage (fun () -> Tvm_par.Pool.parallel_map par1 spin work));
-        Test.make
-          ~name:(Printf.sprintf "par.map.j%d" !bench_jobs)
-          (Staged.stage (fun () -> Tvm_par.Pool.parallel_map parn spin work));
-        Test.make ~name:"par.sa_chains.j1"
-          (Staged.stage (fun () -> sa_case par1));
-        Test.make
-          ~name:(Printf.sprintf "par.sa_chains.j%d" !bench_jobs)
-          (Staged.stage (fun () -> sa_case parn));
-      ]
-  in
-  let instances = Instance.[ monotonic_clock ] in
-  let cfg = Benchmark.cfg ~limit:200 ~quota:(Time.second 0.25) ~kde:None () in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |]
-  in
-  List.iter
-    (fun test ->
-      let results = Benchmark.all cfg instances test in
-      let analyzed = Analyze.all ols Instance.monotonic_clock results in
-      Hashtbl.iter
-        (fun name result ->
-          match Analyze.OLS.estimates result with
-          | Some [ ns ] -> Printf.printf "%-40s %12.1f ns/run\n" name ns
-          | _ -> Printf.printf "%-40s (no estimate)\n" name)
-        analyzed)
-    tests
 
 (* ------------------------------------------------------------------ *)
 (* tvmd service                                                         *)
@@ -567,7 +420,6 @@ let experiments : (string * (unit -> unit)) list =
     ("serve", bench_serve);
     ("serve_rt", bench_serve_rt);
     ("fleet", fun () -> bench_fleet ());
-    ("micro", micro);
   ]
 
 (** Pull [--json FILE] out of the raw argument list. *)
