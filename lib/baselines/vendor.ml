@@ -53,13 +53,6 @@ let op_bytes ~in_shapes ~out_shape ~dtype =
 
 type library = Cudnn | Cublas | Tflite | Arm_compute_lib | Mxnet_kernels
 
-let library_name = function
-  | Cudnn -> "cuDNN"
-  | Cublas -> "cuBLAS"
-  | Tflite -> "TFLite"
-  | Arm_compute_lib -> "ARMComputeLib"
-  | Mxnet_kernels -> "MXNet-kernels"
-
 (** Shape classes a library may specialize for. *)
 type conv_class = Conv_1x1 | Conv_3x3 | Conv_large_kernel | Conv_odd | Depthwise
 

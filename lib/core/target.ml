@@ -40,9 +40,6 @@ let time_s t stmt =
   | Cuda g | Opencl_mali g -> Tvm_sim.Gpu_model.time_s g stmt
   | Llvm c -> Tvm_sim.Cpu_model.time_s c stmt
 
-let lower_kind t : Tvm_lower.Lower.target_kind =
-  if is_gpu t then Tvm_lower.Lower.Gpu else Tvm_lower.Lower.Cpu
-
 let device_kind t : Tvm_rpc.Device_pool.device_kind =
   match t with
   | Cuda g | Opencl_mali g -> Tvm_rpc.Device_pool.Gpu_dev g

@@ -35,5 +35,4 @@ val is_gpu : t -> bool
     the measurement path adds noise via the device pool). *)
 val time_s : t -> Tvm_tir.Stmt.t -> float
 
-val lower_kind : t -> Tvm_lower.Lower.target_kind
 val device_kind : t -> Tvm_rpc.Device_pool.device_kind

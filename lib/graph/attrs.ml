@@ -19,25 +19,10 @@ let get_int ?default t key =
   | None, Some d -> d
   | None, None -> invalid_arg (Printf.sprintf "attr %s: missing" key)
 
-let get_float ?default t key =
-  match (List.assoc_opt key t, default) with
-  | Some (Float v), _ -> v
-  | Some (Int v), _ -> float_of_int v
-  | Some _, _ -> invalid_arg (Printf.sprintf "attr %s: not a float" key)
-  | None, Some d -> d
-  | None, None -> invalid_arg (Printf.sprintf "attr %s: missing" key)
-
 let get_str ?default t key =
   match (List.assoc_opt key t, default) with
   | Some (Str v), _ -> v
   | Some _, _ -> invalid_arg (Printf.sprintf "attr %s: not a string" key)
-  | None, Some d -> d
-  | None, None -> invalid_arg (Printf.sprintf "attr %s: missing" key)
-
-let get_bool ?default t key =
-  match (List.assoc_opt key t, default) with
-  | Some (Bool v), _ -> v
-  | Some _, _ -> invalid_arg (Printf.sprintf "attr %s: not a bool" key)
   | None, Some d -> d
   | None, None -> invalid_arg (Printf.sprintf "attr %s: missing" key)
 

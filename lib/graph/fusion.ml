@@ -16,7 +16,6 @@ type group = {
   g_output : int;
 }
 
-let group_output g = g.g_output
 let group_size g = List.length g.g_nodes
 
 (** External inputs of a node set: inputs not produced inside. The

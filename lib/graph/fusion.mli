@@ -16,7 +16,6 @@ type group = {
   g_output : int;
 }
 
-val group_output : group -> int
 val group_size : group -> int
 
 (** One group per operator — the "w/o fusion" baseline of Fig 4/14. *)

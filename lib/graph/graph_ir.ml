@@ -63,11 +63,6 @@ let op_count g =
   iter_ops g (fun _ _ -> incr c);
   !c
 
-let total_param_elems g =
-  List.fold_left
-    (fun acc id -> acc + List.fold_left ( * ) 1 (node g id).shape)
-    0 g.param_ids
-
 let pp fmt g =
   Array.iter
     (fun n ->

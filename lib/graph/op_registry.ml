@@ -18,12 +18,6 @@ type pattern =
   | Complex_out_fusable  (** can fuse elementwise ops at output, e.g. conv2d *)
   | Opaque  (** cannot be fused, e.g. sort *)
 
-let pattern_to_string = function
-  | Injective -> "injective"
-  | Reduction -> "reduction"
-  | Complex_out_fusable -> "complex-out-fusable"
-  | Opaque -> "opaque"
-
 type impl = {
   op_name : string;
   pattern : pattern;
@@ -44,7 +38,6 @@ let find name =
 
 let mem name = Hashtbl.mem table name
 let pattern name = (find name).pattern
-let all_ops () = Hashtbl.fold (fun k _ acc -> k :: acc) table [] |> List.sort compare
 
 (* Wire shape inference into the graph builder. *)
 let () =

@@ -16,8 +16,6 @@ type pattern =
   | Complex_out_fusable  (** can fuse elementwise ops at output, e.g. conv2d *)
   | Opaque  (** cannot be fused, e.g. sort *)
 
-val pattern_to_string : pattern -> string
-
 type impl = {
   op_name : string;
   pattern : pattern;
@@ -34,4 +32,3 @@ val find : string -> impl
 
 val mem : string -> bool
 val pattern : string -> pattern
-val all_ops : unit -> string list

@@ -72,8 +72,6 @@ let flat_index t idx =
 
 let get t idx = t.data.(flat_index t idx)
 let set t idx v = t.data.(flat_index t idx) <- quantize t.dtype v
-let get_flat t i = t.data.(i)
-let set_flat t i v = t.data.(i) <- quantize t.dtype v
 
 let fill t v =
   let v = quantize t.dtype v in

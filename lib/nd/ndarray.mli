@@ -30,8 +30,6 @@ val quantize : Dtype.t -> float -> float
 val get : t -> int list -> float
 
 val set : t -> int list -> float -> unit
-val get_flat : t -> int -> float
-val set_flat : t -> int -> float -> unit
 val fill : t -> float -> unit
 val copy : t -> t
 

@@ -54,14 +54,18 @@ type catalog = {
   c_roster : (device_kind * float) array;
   c_shards : int;  (* per kind; 0 = auto *)
   c_noise : float;
-  c_repeats : int;
   c_overhead_s : float;  (* once per device per batch *)
   c_per_job_s : float;  (* per-job dispatch cost *)
   c_fault_plan : Fault.plan;
   c_retry : Retry_policy.t;
   c_speculate : bool;
-  c_spec_factor : float;
 }
+
+(* Timed repetitions per measurement, and the straggler threshold:
+   speculate once an attempt's charged time passes this multiple of
+   the median completed cost. *)
+let repeats = 3
+let spec_factor = 1.5
 
 type fdevice = {
   fd_id : int;
@@ -107,22 +111,19 @@ type t = {
 (* Construction                                                        *)
 (* ------------------------------------------------------------------ *)
 
-let catalog ?(noise = 0.02) ?(repeats = 3) ?(overhead_s = 0.5)
-    ?(per_job_s = 0.05) ?(fault_plan = Fault.none)
-    ?(retry = Retry_policy.default) ?(speculate = false) ?(spec_factor = 1.5)
+let catalog ?(noise = 0.02) ?(overhead_s = 0.5) ?(per_job_s = 0.05)
+    ?(fault_plan = Fault.none) ?(retry = Retry_policy.default) ?(speculate = false)
     ?(shards = 0) roster =
   if roster = [] then invalid_arg "Device_pool.catalog: empty roster";
   {
     c_roster = Array.of_list roster;
     c_shards = shards;
     c_noise = noise;
-    c_repeats = repeats;
     c_overhead_s = overhead_s;
     c_per_job_s = per_job_s;
     c_fault_plan = fault_plan;
     c_retry = retry;
     c_speculate = speculate;
-    c_spec_factor = spec_factor;
   }
 
 let palette =
@@ -394,7 +395,7 @@ let outcome_of t jd ~attempt =
       | (Fault.No_fault | Fault.Corrupt _) as o ->
           if not (Float.is_finite jd.jd_measured) then O_invalid
           else
-            let run = float_of_int t.cat.c_repeats *. jd.jd_measured in
+            let run = float_of_int repeats *. jd.jd_measured in
             (match o with
             | Fault.Corrupt factor -> O_corrupt (run *. factor)
             | _ ->
@@ -410,7 +411,7 @@ let outcome_of t jd ~attempt =
    except budget kills, which the tracker enforces in wall time. *)
 let charge_on t dev = function
   | O_ok m ->
-      (t.cat.c_per_job_s +. (float_of_int t.cat.c_repeats *. m)) *. dev.fd_speed
+      (t.cat.c_per_job_s +. (float_of_int repeats *. m)) *. dev.fd_speed
   | O_corrupt run_s -> (t.cat.c_per_job_s +. run_s) *. dev.fd_speed
   | O_crash -> t.cat.c_per_job_s *. dev.fd_speed
   | O_timeout | O_overrun -> t.cat.c_retry.Retry_policy.timeout_s
@@ -644,7 +645,7 @@ let run_defs t ~publish ~kname (defs : jobdef array) : Measure_result.t array =
               | None -> false)
             !active_runs;
         let med = Metrics.median !ok_costs in
-        let threshold = c.c_spec_factor *. med in
+        let threshold = spec_factor *. med in
         let best = ref None in
         List.iter
           (fun r ->
@@ -787,7 +788,7 @@ let run_defs t ~publish ~kname (defs : jobdef array) : Measure_result.t array =
         (match r.rn_outcome with
         | O_ok m ->
             ok_costs :=
-              (c.c_per_job_s +. (float_of_int c.c_repeats *. m)) :: !ok_costs;
+              (c.c_per_job_s +. (float_of_int repeats *. m)) :: !ok_costs;
             incr ok_count
         | _ -> ());
         resolve j (result_of ~attempts r.rn_outcome)

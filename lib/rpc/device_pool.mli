@@ -8,7 +8,7 @@
     upload/RPC overhead once per batch); an idle shard {b steals} the
     tail half of the deepest backlog of a compatible shard; and with
     speculation on, an idle device {b duplicates} a straggling
-    in-flight attempt (running cost beyond [spec_factor ×] the median
+    in-flight attempt (running cost beyond 1.5× the median
     completed cost) on a faster device: first finisher wins, the twin
     is cancelled and charged for the time it burned. Measurements come
     from the analytical machine models plus deterministic noise keyed
@@ -64,13 +64,11 @@ type t
 
 val catalog :
   ?noise:float ->
-  ?repeats:int ->
   ?overhead_s:float ->
   ?per_job_s:float ->
   ?fault_plan:Fault.plan ->
   ?retry:Retry_policy.t ->
   ?speculate:bool ->
-  ?spec_factor:float ->
   ?shards:int ->
   (device_kind * float) list ->
   catalog
@@ -79,8 +77,9 @@ val catalog :
     shard count per device kind (0 = auto, ~1 shard per 32 devices
     capped at 16). [overhead_s] (default 0.5) is paid once per device
     per batch; [per_job_s] (default 0.05) is the per-job dispatch cost;
-    [noise] defaults to 0.02. [spec_factor] (default 1.5) is the
-    straggler threshold. *)
+    [noise] defaults to 0.02. Each measurement is timed 3 times, and
+    speculation (when on) duplicates an attempt whose charged time
+    passes 1.5× the median completed cost. *)
 
 val mixed_kinds :
   ?primary:device_kind -> ?straggler:int -> int -> (device_kind * float) list

@@ -41,13 +41,7 @@ let create ~target_name kernels =
   }
 
 let kernels t = t.m_kernels
-let find_kernel t name = List.find_opt (fun k -> k.k_name = name) t.m_kernels
 let source t = Lazy.force t.m_source
-
-let total_time_s ?(per_kernel_overhead = 0.) t =
-  List.fold_left
-    (fun acc k -> acc +. k.k_time_s +. per_kernel_overhead)
-    0. t.m_kernels
 
 (** Execute one kernel functionally on the given arrays. *)
 let run_kernel (k : kernel) ~(inputs : Nd.t list) ~(output : Nd.t) =

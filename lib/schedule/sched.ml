@@ -125,8 +125,6 @@ let find t tensor =
 let find_by_buffer t (b : Expr.buffer) =
   List.find_opt (fun st -> Expr.Buffer.equal st.s_out b) t.stages
 
-let stage_name st = st.s_name
-let leaf_iters st = st.s_leaf
 let axis st i = List.nth st.s_root_axes i
 let reduce_axis st i = List.nth st.s_reduce_axes i
 

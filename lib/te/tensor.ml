@@ -94,8 +94,6 @@ let const_shape t =
 
 let inputs t = match t.op with Placeholder -> [] | Compute c -> c.inputs
 
-let is_placeholder t = match t.op with Placeholder -> true | Compute _ -> false
-
 (** Transitive producers of [t] (inputs before consumers), deduplicated,
     [t] last — the order lowering emits stages in. *)
 let topo_order (roots : t list) : t list =
@@ -187,11 +185,6 @@ let sum src raxes = `Reduce (Sum, src, raxes)
 
 (** Arity check helper for the interpreter and lowering. *)
 let rank t = List.length t.shape
-
-let axis_extents t =
-  match t.op with
-  | Placeholder -> const_shape t
-  | Compute _ -> const_shape t
 
 (** Approximate FLOP count of producing every element of [t] once,
     used for rooflines and GOPS reporting. *)

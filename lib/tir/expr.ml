@@ -369,11 +369,6 @@ let zero = int 0
 let one = int 1
 let f32 = float
 
-let dtype_of_binop_operand = function
-  | IntImm _ -> Dtype.Int32
-  | FloatImm _ -> Dtype.Float32
-  | _ -> Dtype.Int32
-
 let rec dtype_of = function
   | IntImm _ -> Dtype.Int32
   | FloatImm _ -> Dtype.Float32
@@ -390,10 +385,6 @@ let rec dtype_of = function
       | ("popcount" | "round" | "floor_i"), _ -> Dtype.Int32
       | _, a :: _ -> dtype_of a
       | _, [] -> Dtype.Float32)
-
-let is_const = function IntImm _ | FloatImm _ -> true | _ -> false
-
-let as_int = function IntImm n -> Some n | _ -> None
 
 let binop_eval_int op a b =
   match op with

@@ -105,16 +105,6 @@ let loaded_buffers e =
   fold_expr (fun acc e -> match e with Expr.Load (b, _) -> b :: acc | _ -> acc) [] e
   |> List.sort_uniq Expr.Buffer.compare
 
-(** Replace loads from buffer [b] via [f idx -> expr]; [f] must be
-    pure (shared load nodes are rewritten once, see
-    {!map_expr_shared}). *)
-let replace_loads b f e =
-  map_expr_shared
-    (function
-      | Expr.Load (b', idx) when Expr.Buffer.equal b b' -> f idx
-      | e -> e)
-    e
-
 (** Rewrite every reference to buffer [old_b] (loads in expressions,
     stores, DMA endpoints, intrinsic regions) to buffer [new_b],
     transforming index lists with [remap]. *)
