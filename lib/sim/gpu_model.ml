@@ -41,30 +41,27 @@ let invalid =
     flops = 0.; compute_s = 0.; global_s = 0.; shared_s = 0.;
     total_s = Float.infinity; valid = false }
 
-let is_block_tag tag = String.length tag >= 8 && String.sub tag 0 8 = "blockIdx"
+let is_block_tag = String.starts_with ~prefix:"blockIdx"
 
 (** Extent of each thread tag (max over occurrences: re-bound inner
     loops must not exceed the outer extent — larger means the schedule
     asks for more threads than exist, which we reject). *)
 let thread_extents (p : Analysis.program) =
-  let tbl = Hashtbl.create 8 in
-  let ok = ref true in
+  let tbl = Hashtbl.create 8 and ok = ref true in
   List.iter
     (fun (site : Analysis.loop_site) ->
       match site.Analysis.site_kind with
-      | Stmt.Thread_binding tag as kind -> (
+      | Stmt.Thread_binding tag as kind ->
           let extent =
             Option.value ~default:0 (Interval.const_of_expr site.Analysis.site_extent)
           in
-          match Hashtbl.find_opt tbl tag with
-          | Some prev ->
-              let rebound =
-                List.exists (fun (o : Analysis.loop_site) -> o.Analysis.site_kind = kind)
-                  site.Analysis.site_outer
-              in
-              if rebound && extent > prev then ok := false;
-              Hashtbl.replace tbl tag (max prev extent)
-          | None -> Hashtbl.replace tbl tag extent)
+          let prev = Option.value ~default:extent (Hashtbl.find_opt tbl tag) in
+          let rebound =
+            List.exists (fun (o : Analysis.loop_site) -> o.Analysis.site_kind = kind)
+              site.Analysis.site_outer
+          in
+          if rebound && extent > prev then ok := false;
+          Hashtbl.replace tbl tag (max prev extent)
       | _ -> ())
     p.Analysis.loops;
   (tbl, !ok)
@@ -141,7 +138,7 @@ let global_traffic (a : Analysis.access) =
   in
   count *. elem *. penalty
 
-let is_thread_tag tag = String.length tag >= 9 && String.sub tag 0 9 = "threadIdx"
+let is_thread_tag = String.starts_with ~prefix:"threadIdx"
 
 (** Barriers executed: a barrier synchronizes a whole thread group at
     once, so it is multiplied by serial/block loop trips but not by
@@ -195,7 +192,6 @@ let estimate ?force_dtype (gpu : Machine.gpu) (stmt : Stmt.t) : breakdown =
               else acc)
             0. accesses
         in
-        let flops = p.Analysis.flops in
         (* Occupancy: enough parallelism to hide latency, but not more
            threads per block than the SM supports. *)
         let total_threads = blocks * threads_per_block in
@@ -226,7 +222,7 @@ let estimate ?force_dtype (gpu : Machine.gpu) (stmt : Stmt.t) : breakdown =
         let global_bytes = global_bytes *. byte_scale in
         let shared_bytes = shared_bytes *. byte_scale in
         let peak = Machine.gpu_peak_gflops gpu *. 1e9 *. dtype_rate in
-        let compute_s = flops /. (peak *. util *. warp_eff) *. spill in
+        let compute_s = p.Analysis.flops /. (peak *. util *. warp_eff) *. spill in
         let global_s = global_bytes /. (gpu.Machine.global_gbps *. 1e9) in
         let shared_s =
           (shared_bytes /. (gpu.Machine.shared_gbps *. 1e9))
@@ -235,8 +231,8 @@ let estimate ?force_dtype (gpu : Machine.gpu) (stmt : Stmt.t) : breakdown =
         in
         let launch = gpu.Machine.kernel_launch_us *. 1e-6 in
         let total_s = Float.max compute_s (Float.max global_s shared_s) +. launch in
-        { blocks; threads_per_block; global_bytes; shared_bytes; flops; compute_s;
-          global_s; shared_s; total_s; valid = true }
+        { blocks; threads_per_block; global_bytes; shared_bytes; flops = p.Analysis.flops;
+          compute_s; global_s; shared_s; total_s; valid = true }
 
 let time_s ?force_dtype gpu stmt = (estimate ?force_dtype gpu stmt).total_s
 let time_ms ?force_dtype gpu stmt = 1e3 *. time_s ?force_dtype gpu stmt
