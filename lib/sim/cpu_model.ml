@@ -146,7 +146,6 @@ let estimate (cpu : Machine.cpu) (stmt : Stmt.t) : breakdown =
       end)
     accesses;
   (* Tensorized micro-kernels run near peak. *)
-  let total_flops = p.Analysis.flops in
   let store_flops =
     List.fold_left
       (fun acc a ->
@@ -155,7 +154,7 @@ let estimate (cpu : Machine.cpu) (stmt : Stmt.t) : breakdown =
         else acc)
       0. accesses
   in
-  let intrin_flops_total = Float.max 0. (total_flops -. store_flops) in
+  let intrin_flops_total = Float.max 0. (p.Analysis.flops -. store_flops) in
   let peak_per_cycle =
     float_of_int (cpu.Machine.vector_lanes * cpu.Machine.fma_per_cycle * 2)
   in
@@ -211,7 +210,7 @@ let estimate (cpu : Machine.cpu) (stmt : Stmt.t) : breakdown =
   let dram_s = dram_bytes /. (cpu.Machine.dram_gbps *. 1e9) in
   let l2_s = l2_bytes /. (cpu.Machine.l2_gbps *. 1e9) in
   let total_s = Float.max (compute_s +. overhead_s) (dram_s +. l2_s) +. 2e-6 in
-  { compute_s; dram_s; l2_s; overhead_s; dram_bytes; l2_bytes; flops = total_flops;
+  { compute_s; dram_s; l2_s; overhead_s; dram_bytes; l2_bytes; flops = p.Analysis.flops;
     total_s }
 
 let time_s cpu stmt = (estimate cpu stmt).total_s

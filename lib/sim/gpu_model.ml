@@ -206,9 +206,7 @@ let estimate ?force_dtype (gpu : Machine.gpu) (stmt : Stmt.t) : breakdown =
         let local_b = Analysis.alloc_bytes p Expr.Local in
         let spill = if local_b > 2048. then 2. else 1. in
         (* The dominant dtype is the last one stored. *)
-        let stored =
-          match List.rev p.Analysis.stored_dtypes with d :: _ -> d | [] -> Dtype.Float32
-        in
+        let stored = List.fold_left (fun _ d -> d) Dtype.Float32 p.Analysis.stored_dtypes in
         let dtype = match force_dtype with Some d -> d | None -> stored in
         let dtype_rate =
           match dtype with Dtype.Float16 -> gpu.Machine.fp16_rate | _ -> 1.
