@@ -533,7 +533,9 @@ let submit_cmd =
       Tvm_spec.Job_spec.make ~op ~workload ~target ~trials ~method_name ~seed
         ~jobs ()
     in
-    match Tvm_serve.Tvmd.request ~tenant ~weight ?quota ~priority ~submit_s ~share spec with
+    match
+      Tvm_serve.Tvmd.request ~tenant ~weight ?quota ~priority ~submit_s ~share spec
+    with
     | r -> print_endline (Tvm_serve.Tvmd.to_string r)
     | exception Invalid_argument m ->
         prerr_endline ("tvmc submit: " ^ m);
@@ -641,8 +643,8 @@ let serve_cmd =
                    match Tvm_serve.Tvmd.of_string l with
                    | r -> Some r
                    | exception e ->
-                       Printf.eprintf "tvmc serve: %s:%d: bad envelope: %s\n%!" jobs_file n
-                         (Printexc.to_string e);
+                       Printf.eprintf "tvmc serve: %s:%d: bad envelope: %s\n%!"
+                         jobs_file n (Printexc.to_string e);
                        exit 2)
         in
         let outcome =

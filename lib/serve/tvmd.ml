@@ -73,7 +73,8 @@ let of_string s =
       | Some (Json.Str t) -> t
       | _ -> "default")
     ~weight:(num "weight" 1.)
-    ?quota:(Option.map int_of_float (Option.bind (Json.member "quota" j) Json.to_num_opt))
+    ?quota:
+      (Option.map int_of_float (Option.bind (Json.member "quota" j) Json.to_num_opt))
     ~priority:(int_of_float (num "priority" 0.))
     ~submit_s:(num "submit_s" 0.)
     ~share:

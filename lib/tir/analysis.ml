@@ -116,27 +116,27 @@ let program ~intrin_flops (stmt : Stmt.t) : program =
       :: !accesses
   in
   let record_expr loops subst e =
-    let rec visit weight (e : Expr.t) =
+    let rec walk weight (e : Expr.t) =
       match e with
       | Expr.IntImm _ | Expr.FloatImm _ | Expr.Var _ -> ()
       | Expr.Binop (_, a, b) | Expr.Cmp (_, a, b) | Expr.And (a, b) | Expr.Or (a, b) ->
-          visit weight a;
-          visit weight b
-      | Expr.Not a | Expr.Cast (_, a) -> visit weight a
+          walk weight a;
+          walk weight b
+      | Expr.Not a | Expr.Cast (_, a) -> walk weight a
       | Expr.Select (c, t, f) ->
-          visit weight c;
-          visit (weight *. 0.75) t;
-          visit (weight *. 0.25) f
+          walk weight c;
+          walk (weight *. 0.75) t;
+          walk (weight *. 0.25) f
       | Expr.Load (b, idx) ->
           record ~weight loops subst b false idx;
-          List.iter (visit weight) idx
-      | Expr.Call (_, args) -> List.iter (visit weight) args
+          List.iter (walk weight) idx
+      | Expr.Call (_, args) -> List.iter (walk weight) args
     in
-    visit 1. e
+    walk 1. e
   in
   (* [loops]: substituted loop stack; [sites]: raw loop sites; [mult]:
      trip count of the enclosing loops. *)
-  let rec go loops sites mult (subst : Expr.var -> Expr.t option) s =
+  let rec walk loops sites mult (subst : Expr.var -> Expr.t option) s =
     match s with
     | Stmt.Store (b, idx, v) ->
         let value_flops = expr_flops v in
@@ -162,21 +162,21 @@ let program ~intrin_flops (stmt : Stmt.t) : program =
           { lvar = l.Stmt.loop_var; lmin = Visit.subst_expr subst l.Stmt.min_;
             lextent = extent; lkind = l.Stmt.kind }
         in
-        go (loops @ [ info ]) (sites @ [ site ]) (mult *. float_of_int extent) subst
+        walk (loops @ [ info ]) (sites @ [ site ]) (mult *. float_of_int extent) subst
           l.Stmt.body
     | Stmt.If_then_else (c, t, e) ->
         record_expr loops subst c;
-        go loops sites mult subst t;
-        Option.iter (go loops sites mult subst) e
+        walk loops sites mult subst t;
+        Option.iter (walk loops sites mult subst) e
     | Stmt.Let_stmt (v, e, b) ->
         record_expr loops subst e;
         let e' = Visit.subst_expr subst e in
         let subst' v' = if Expr.Var.equal v v' then Some e' else subst v' in
-        go loops sites mult subst' b
-    | Stmt.Seq ss -> List.iter (go loops sites mult subst) ss
+        walk loops sites mult subst' b
+    | Stmt.Seq ss -> List.iter (walk loops sites mult subst) ss
     | Stmt.Allocate (b, body) ->
         allocs := b :: !allocs;
-        go loops sites mult subst body
+        walk loops sites mult subst body
     | Stmt.Evaluate e ->
         flops := !flops +. (mult *. expr_flops e);
         record_expr loops subst e
@@ -191,7 +191,7 @@ let program ~intrin_flops (stmt : Stmt.t) : program =
     | Stmt.Barrier -> barriers := sites :: !barriers
     | Stmt.Push_dep _ | Stmt.Pop_dep _ | Stmt.Skip -> ()
   in
-  go [] [] 1. (fun _ -> None) stmt;
+  walk [] [] 1. (fun _ -> None) stmt;
   let constant = !non_constant = None in
   { accesses = (if constant then List.rev !accesses else []);
     flops = (if constant then !flops else 0.);

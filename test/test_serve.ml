@@ -630,11 +630,11 @@ let test_tvmd_spool_bad_envelope () =
   in
   let good = Tvmd.to_string (Tvmd.request ~tenant:"good" spec) in
   let zero field =
-    match Tvm_obs.Json.parse (Tvmd.to_string (Tvmd.request ~tenant:"bad" spec)) with
-    | Tvm_obs.Json.Obj kvs ->
-        Tvm_obs.Json.to_string
-          (Tvm_obs.Json.Obj
-             (List.map (fun (k, v) -> (k, if k = field then Tvm_obs.Json.num 0. else v)) kvs))
+    let module Json = Tvm_obs.Json in
+    match Json.parse (Tvmd.to_string (Tvmd.request ~tenant:"bad" spec)) with
+    | Json.Obj kvs ->
+        Json.to_string
+          (Json.Obj (List.map (fun (k, v) -> (k, if k = field then Json.num 0. else v)) kvs))
     | _ -> Alcotest.fail "envelope is a JSON object"
   in
   let files =
