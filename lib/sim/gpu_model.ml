@@ -144,16 +144,17 @@ let is_thread_tag = String.starts_with ~prefix:"threadIdx"
     once, so it is multiplied by serial/block loop trips but not by
     threadIdx extents. *)
 let weighted_barriers (p : Analysis.program) =
+  (* Stacks are innermost first; the product runs outermost first. *)
   let trips stack =
-    List.fold_left
-      (fun mult (site : Analysis.loop_site) ->
+    List.fold_right
+      (fun (site : Analysis.loop_site) mult ->
         match site.Analysis.site_kind with
         | Stmt.Thread_binding tag when is_thread_tag tag -> mult
         | _ -> (
             match Interval.const_of_expr site.Analysis.site_extent with
             | Some e -> mult *. float_of_int e
             | None -> mult))
-      1. stack
+      stack 1.
   in
   List.fold_left (fun acc stack -> acc +. trips stack) 0. p.Analysis.barriers
 

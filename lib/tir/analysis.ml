@@ -78,7 +78,7 @@ let rec expr_flops (e : Expr.t) =
           n)
 
 (** One loop site: the loop's kind, its extent as written (before
-    let-substitution), and its enclosing loops, outermost first. *)
+    let-substitution), and its enclosing loops, innermost first. *)
 type loop_site = {
   site_kind : Stmt.for_kind;
   site_extent : Expr.t;
@@ -95,7 +95,8 @@ type program = {
       (** arithmetic executed by the whole program; index arithmetic is
           excluded (loop overhead, priced separately by the models) *)
   loops : loop_site list;
-  barriers : loop_site list list;  (** enclosing loops of each barrier *)
+  barriers : loop_site list list;
+      (** enclosing loops of each barrier, innermost first *)
   allocs : Expr.buffer list;
   stored_dtypes : Dtype.t list;  (** dtype of each [Store]'s buffer *)
   non_constant : string option;
@@ -162,7 +163,7 @@ let program ~intrin_flops (stmt : Stmt.t) : program =
           { lvar = l.Stmt.loop_var; lmin = Visit.subst_expr subst l.Stmt.min_;
             lextent = extent; lkind = l.Stmt.kind }
         in
-        walk (loops @ [ info ]) (sites @ [ site ]) (mult *. float_of_int extent) subst
+        walk (loops @ [ info ]) (site :: sites) (mult *. float_of_int extent) subst
           l.Stmt.body
     | Stmt.If_then_else (c, t, e) ->
         record_expr loops subst c;
