@@ -3,7 +3,8 @@
    matmul, each lowered, printed and featurized. The digest of that
    output pins lowering and feature extraction byte for byte, so a
    change to the IR's hashing, memoization or construction that claims
-   "same output, less time" is held to it. The corpus also drives the
+   "same output, less time" is held to it. A second digest pins both
+   machine models on the same programs. The corpus also drives the
    hash-quality checks on the expression intern table. *)
 
 open Tvm_tir
