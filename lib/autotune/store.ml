@@ -24,8 +24,10 @@ let checksum s = Printf.sprintf "%016Lx" (fnv1a64 s)
 
 let header_prefix = "#tvmstore "
 
-let reject path reason =
-  Printf.eprintf "[tvm] store %s: skipping block: %s\n%!" path reason;
+let reject ?path reason =
+  Printf.eprintf "[tvm] store%s: skipping block: %s\n%!"
+    (match path with Some p -> " " ^ p | None -> "")
+    reason;
   Obs_metrics.incr "cache.load_rejected"
 
 let append_block path ~kind records =
@@ -74,14 +76,14 @@ let load_blocks path =
       if String.starts_with ~prefix:header_prefix line then begin
         match parse_header line with
         | None ->
-            reject path "malformed header";
+            reject ~path "malformed header";
             incr i
         | Some (v, _, _, _) when v <> 1 ->
-            reject path (Printf.sprintf "unknown version v%d" v);
+            reject ~path (Printf.sprintf "unknown version v%d" v);
             incr i
         | Some (_, kind, count, sum) ->
             if count < 0 || !i + count > n - 1 then begin
-              reject path "truncated block";
+              reject ~path "truncated block";
               i := n
             end
             else begin
@@ -89,7 +91,7 @@ let load_blocks path =
                 Array.to_list (Array.sub lines (!i + 1) count)
               in
               if checksum (String.concat "\n" records) <> sum then begin
-                reject path "checksum mismatch";
+                reject ~path "checksum mismatch";
                 (* Resync at the next header line: the block body is not
                    trustworthy, so don't skip by its claimed length. *)
                 incr i
@@ -128,17 +130,48 @@ let float_in = function
 let fields line = String.split_on_char '\t' line
 
 (* ------------------------------------------------------------------ *)
+(* Scoped records                                                      *)
+(* ------------------------------------------------------------------ *)
+
+(* A scoped block's first record is its escaped scope tag. Tags are
+   compared escaped, so a hostile tag that does not unescape can only
+   fail to match — it never raises. *)
+
+let append_scoped path ~kind ~scope out items =
+  if items <> [] then
+    append_block path ~kind (String.escaped scope :: List.map out items)
+
+let load_records blocks ~kind ?scope parse =
+  let tag = Option.map String.escaped scope in
+  let parse_block records =
+    match List.map parse records with
+    | parsed -> parsed
+    | exception e ->
+        reject
+          (Printf.sprintf "bad %s record (%s)" kind (Printexc.to_string e));
+        []
+  in
+  List.concat_map
+    (fun b ->
+      if b.b_kind <> kind then []
+      else
+        match (tag, b.b_records) with
+        | None, records -> parse_block records
+        | Some t, t' :: records when t = t' -> parse_block records
+        | Some _, _ -> [])
+    blocks
+
+(* ------------------------------------------------------------------ *)
 (* Trial logs                                                          *)
 (* ------------------------------------------------------------------ *)
 
-let db_kind = "db"
+let db_kind = "db.scoped"
 
-let db_record_out (r : Tuner.Db.record) =
-  let { Measure_result.time_s; status; attempts } = r.Tuner.Db.db_result in
+let db_record_out (key, cfg, result) =
+  let { Measure_result.time_s; status; attempts } = result in
   let msg = match status with Measure_result.Pool_error m -> m | _ -> "" in
-  Printf.sprintf "%s\t%s\t%s\t%s\t%d\t%s"
-    (String.escaped r.Tuner.Db.db_key)
-    (Cfg_space.to_string r.Tuner.Db.db_config)
+  Printf.sprintf "%s\t%s\t%s\t%s\t%d\t%s" (String.escaped key)
+    (Cfg_space.to_string cfg)
     (Measure_result.status_name status)
     (float_out time_s) attempts (String.escaped msg)
 
@@ -157,77 +190,27 @@ let db_record_in line =
         } )
   | _ -> failwith ("bad db record: " ^ line)
 
-let flush_db path ~from db =
-  let records = Tuner.Db.records db in
-  let total = List.length records in
-  if total > from then begin
-    let fresh = List.filteri (fun i _ -> i >= from) records in
-    append_block path ~kind:db_kind (List.map db_record_out fresh)
-  end;
-  total
-
-let load_db path ~into =
-  let loaded = ref 0 in
-  List.iter
-    (fun b ->
-      if b.b_kind = db_kind then
-        match List.map db_record_in b.b_records with
-        | parsed ->
-            List.iter
-              (fun (key, cfg, result) ->
-                Tuner.Db.add into key cfg result;
-                incr loaded)
-              parsed
-        | exception e ->
-            reject path ("bad db record (" ^ Printexc.to_string e ^ ")"))
-    (load_blocks path);
-  !loaded
-
-(* ------------------------------------------------------------------ *)
-(* Scoped trial logs                                                   *)
-(* ------------------------------------------------------------------ *)
-
-let db_scoped_kind = "db.scoped"
-
 let flush_db_scope path ~scope ~from db =
   let records = Tuner.Db.records db in
-  let total = List.length records in
-  if total > from then begin
-    let fresh = List.filteri (fun i _ -> i >= from) records in
-    append_block path ~kind:db_scoped_kind
-      (String.escaped scope :: List.map db_record_out fresh)
-  end;
-  total
+  append_scoped path ~kind:db_kind ~scope db_record_out
+    (List.filteri (fun i _ -> i >= from) records
+    |> List.map (fun (r : Tuner.Db.record) ->
+           (r.Tuner.Db.db_key, r.Tuner.Db.db_config, r.Tuner.Db.db_result)));
+  List.length records
 
-let load_db_scope path ~scope ~into =
-  let loaded = ref 0 in
-  List.iter
-    (fun b ->
-      if b.b_kind = db_scoped_kind then
-        match b.b_records with
-        | tag :: records when Scanf.unescaped tag = scope -> (
-            match List.map db_record_in records with
-            | parsed ->
-                List.iter
-                  (fun (key, cfg, result) ->
-                    Tuner.Db.add into key cfg result;
-                    incr loaded)
-                  parsed
-            | exception e ->
-                reject path ("bad db record (" ^ Printexc.to_string e ^ ")"))
-        | _ -> ())
-    (load_blocks path);
-  !loaded
+let load_db_scope blocks ~scope ~into =
+  let records = load_records blocks ~kind:db_kind ~scope db_record_in in
+  List.iter (fun (key, cfg, result) -> Tuner.Db.add into key cfg result) records;
+  List.length records
 
 (* ------------------------------------------------------------------ *)
 (* Tuned-configuration cache                                           *)
 (* ------------------------------------------------------------------ *)
 
-let tuned_kind = "tuned"
+let tuned_kind = "tuned.scoped"
 
 let tuned_out (sig_, cfg, t) =
-  Printf.sprintf "%s\t%s\t%s" (String.escaped sig_) (Cfg_space.to_string cfg)
-    (Printf.sprintf "%h" t)
+  Printf.sprintf "%s\t%s\t%h" (String.escaped sig_) (Cfg_space.to_string cfg) t
 
 let tuned_in line =
   match fields line with
@@ -237,44 +220,11 @@ let tuned_in line =
       | None -> failwith ("bad tuned record: " ^ line))
   | _ -> failwith ("bad tuned record: " ^ line)
 
-let append_tuned path entries =
-  if entries <> [] then
-    append_block path ~kind:tuned_kind (List.map tuned_out entries)
-
-let load_tuned path =
-  List.concat_map
-    (fun b ->
-      if b.b_kind <> tuned_kind then []
-      else
-        match List.map tuned_in b.b_records with
-        | parsed -> parsed
-        | exception e ->
-            reject path ("bad tuned record (" ^ Printexc.to_string e ^ ")");
-            [])
-    (load_blocks path)
-
-let tuned_scoped_kind = "tuned.scoped"
-
 let append_tuned_scope path ~scope entries =
-  if entries <> [] then
-    append_block path ~kind:tuned_scoped_kind
-      (String.escaped scope :: List.map tuned_out entries)
+  append_scoped path ~kind:tuned_kind ~scope tuned_out entries
 
-let load_tuned_scope path ~scope =
-  List.concat_map
-    (fun b ->
-      if b.b_kind <> tuned_scoped_kind then []
-      else
-        match b.b_records with
-        | tag :: records when Scanf.unescaped tag = scope -> (
-            match List.map tuned_in records with
-            | parsed -> parsed
-            | exception e ->
-                reject path
-                  ("bad tuned record (" ^ Printexc.to_string e ^ ")");
-                [])
-        | _ -> [])
-    (load_blocks path)
+let load_tuned_scope blocks ~scope =
+  load_records blocks ~kind:tuned_kind ~scope tuned_in
 
 (* ------------------------------------------------------------------ *)
 (* Compile caches                                                      *)
@@ -282,10 +232,7 @@ let load_tuned_scope path ~scope =
 
 let cache_kind = "cache"
 
-(* First record of a cache block is the escaped scope tag; the rest are
-   feature-memo entries. *)
-
-let cache_entry_out key (entry : Compile_cache.entry) =
+let cache_entry_out (key, (entry : Compile_cache.entry)) =
   match entry with
   | Compile_cache.Invalid ->
       Printf.sprintf "%s\tinvalid" (Cfg_space.to_string key)
@@ -315,32 +262,15 @@ let cache_entry_in line =
 let save_cache path ~scope ?(from = 0) cache =
   let entries = ref [] and total = ref 0 in
   Compile_cache.iter_entries cache (fun k e ->
-      if !total >= from then entries := cache_entry_out k e :: !entries;
+      if !total >= from then entries := (k, e) :: !entries;
       incr total);
-  if !entries <> [] then
-    append_block path ~kind:cache_kind
-      (String.escaped scope :: List.rev !entries);
+  append_scoped path ~kind:cache_kind ~scope cache_entry_out (List.rev !entries);
   !total
 
-let load_cache path ~scope ~into =
-  let added = ref 0 in
-  List.iter
-    (fun b ->
-      if b.b_kind = cache_kind then
-        match b.b_records with
-        | tag :: records when Scanf.unescaped tag = scope -> (
-            match List.map cache_entry_in records with
-            | parsed ->
-                List.iter
-                  (fun (k, e) ->
-                    Compile_cache.add into k e;
-                    incr added)
-                  parsed
-            | exception e ->
-                reject path ("bad cache record (" ^ Printexc.to_string e ^ ")"))
-        | _ -> ())
-    (load_blocks path);
-  !added
+let load_cache blocks ~scope ~into =
+  let entries = load_records blocks ~kind:cache_kind ~scope cache_entry_in in
+  List.iter (fun (k, e) -> Compile_cache.add into k e) entries;
+  List.length entries
 
 (* ------------------------------------------------------------------ *)
 (* Compaction                                                          *)
@@ -352,10 +282,8 @@ type rule = { rl_kind : string; rl_scoped : bool; rl_keep : keep }
 
 let default_rules =
   [
-    { rl_kind = db_kind; rl_scoped = false; rl_keep = Keep_all };
-    { rl_kind = db_scoped_kind; rl_scoped = true; rl_keep = Keep_all };
-    { rl_kind = tuned_kind; rl_scoped = false; rl_keep = First_per_key };
-    { rl_kind = tuned_scoped_kind; rl_scoped = true; rl_keep = First_per_key };
+    { rl_kind = db_kind; rl_scoped = true; rl_keep = Keep_all };
+    { rl_kind = tuned_kind; rl_scoped = true; rl_keep = First_per_key };
     { rl_kind = cache_kind; rl_scoped = true; rl_keep = First_per_key };
   ]
 

@@ -1,16 +1,19 @@
 (** Durable on-disk store for tuning state — what makes [tvmd]'s warm
     restarts real. Three kinds of state round-trip through one
-    append-only block format:
+    append-only block format, each block tagged with the isolation
+    scope it belongs to ([tvmd]'s per-tenant or shared state):
 
-    - [db] blocks: {!Tuner.Db} trial records, so an interrupted tuning
-      run resumes from its measurement log ([spec.replay]) —
-      [db.scoped] is the same record format tagged with an isolation
-      scope ([tvmd]'s per-tenant private logs);
-    - [tuned] blocks: the compiler's tuned-configuration cache
+    - [db.scoped] blocks: {!Tuner.Db} trial records, so an interrupted
+      tuning run resumes from its measurement log ([spec.replay]);
+    - [tuned.scoped] blocks: the compiler's tuned-configuration cache
       ({!Compiler.tuned_entries}), so repeat compiles skip tuning
-      wholesale — [tuned.scoped] is the per-scope variant;
+      wholesale;
     - [cache] blocks: {!Compile_cache} feature-memo entries (features
       are the expensive part of prediction).
+
+    A reader calls {!load_blocks} once and hands the block list to
+    every loader, so each block is parsed, checksummed and (if bad)
+    reported once however many scopes are restored from it.
 
     {2 Format}
 
@@ -23,7 +26,9 @@
     <record line n>
     v}
 
-    The checksum covers the record lines joined by ['\n']. Floats are
+    A scoped block's first record is its scope tag ([String.escaped]);
+    the tag is matched in escaped form, so no tag can raise. The
+    checksum covers the record lines joined by ['\n']. Floats are
     serialized as ["%h"] hex literals, so every round trip is
     bit-exact and the determinism contracts (byte-identical journals
     at any [-j]) survive a restart.
@@ -35,7 +40,12 @@
     is skipped whole, with a [stderr] warning and a
     [cache.load_rejected] metric increment. A truncated tail (the
     process died mid-flush) therefore costs exactly the unflushed
-    block. Missing files load as empty. *)
+    block. Missing files load as empty.
+
+    Untagged [db] and [tuned] blocks, written only by the first
+    [tvmd], are no longer read. Compaction keeps them as blocks of an
+    unruled kind, so they stay in the file unread; since they are a
+    tuning cache, the only cost is re-tuning what they held. *)
 
 type block = { b_kind : string; b_records : string list }
 
@@ -52,53 +62,39 @@ val append_block : string -> kind:string -> string list -> unit
     []. *)
 val load_blocks : string -> block list
 
-(** {2 Trial logs (kind ["db"])} *)
+(** Every record of every [kind] block, parsed by [parse], in file
+    order. With [scope], only blocks whose first record is that scope's
+    tag count, and the tag itself is not passed to [parse]. A block
+    with any record [parse] raises on is skipped whole, with a warning
+    and a [cache.load_rejected] bump; never raises. *)
+val load_records :
+  block list -> kind:string -> ?scope:string -> (string -> 'a) -> 'a list
+
+(** {2 Trial logs (kind ["db.scoped"])} *)
 
 (** Append [Db] records with index >= [from] (a previous flush's
-    return) as one block; returns the new high-water mark. No block is
-    written when nothing is new. *)
-val flush_db : string -> from:int -> Tuner.Db.t -> int
-
-(** Replay every valid [db] block into [into]; returns the number of
-    records loaded. *)
-val load_db : string -> into:Tuner.Db.t -> int
-
-(** {2 Scoped trial logs (kind ["db.scoped"])}
-
-    Same records as ["db"] blocks, but the block's first record is an
-    escaped scope tag — the unit of [tvmd]'s per-tenant isolation. A
-    legacy untagged ["db"] block reads as the shared scope. *)
-
-(** [flush_db] for one scope's private log. *)
+    return) as one block tagged [scope]; returns the new high-water
+    mark. No block is written when nothing is new. *)
 val flush_db_scope : string -> scope:string -> from:int -> Tuner.Db.t -> int
 
-(** Replay every valid ["db.scoped"] block tagged [scope] into
-    [into]; returns the number of records loaded. *)
-val load_db_scope : string -> scope:string -> into:Tuner.Db.t -> int
+(** Replay every ["db.scoped"] block tagged [scope] into [into];
+    returns the number of records loaded. *)
+val load_db_scope : block list -> scope:string -> into:Tuner.Db.t -> int
 
-(** {2 Tuned-configuration cache (kind ["tuned"])} *)
+(** {2 Tuned-configuration caches (kind ["tuned.scoped"])} *)
 
 (** Append tuned-cache entries (see {!Compiler.tuned_entries}) as one
-    block. Tuned entries sort by signature, not arrival, so the caller
-    tracks which signatures are already on disk and passes only the
-    delta; duplicate entries are harmless (first-wins on load). No
-    block is written for an empty delta. *)
-val append_tuned : string -> (string * Cfg_space.config * float) list -> unit
-
-(** All tuned entries from every valid [tuned] block, file order. *)
-val load_tuned : string -> (string * Cfg_space.config * float) list
-
-(** {2 Scoped tuned caches (kind ["tuned.scoped"])} *)
-
-(** [append_tuned] for one scope's private tuned cache (first record
-    is the escaped scope tag). *)
+    block tagged [scope]. Tuned entries sort by signature, not
+    arrival, so the caller tracks which signatures are already on disk
+    and passes only the delta; duplicate entries are harmless
+    (first-wins on load). No block is written for an empty delta. *)
 val append_tuned_scope :
   string -> scope:string -> (string * Cfg_space.config * float) list -> unit
 
-(** All tuned entries from every valid ["tuned.scoped"] block tagged
-    [scope], file order. *)
+(** All tuned entries from every ["tuned.scoped"] block tagged [scope],
+    file order. *)
 val load_tuned_scope :
-  string -> scope:string -> (string * Cfg_space.config * float) list
+  block list -> scope:string -> (string * Cfg_space.config * float) list
 
 (** {2 Compile caches (kind ["cache"])} *)
 
@@ -110,9 +106,9 @@ val load_tuned_scope :
     nothing is new. *)
 val save_cache : string -> scope:string -> ?from:int -> Compile_cache.t -> int
 
-(** Merge every valid [cache] block whose tag is [scope] into [into];
-    returns entries added. *)
-val load_cache : string -> scope:string -> into:Compile_cache.t -> int
+(** Merge every [cache] block tagged [scope] into [into]; returns
+    entries added. *)
+val load_cache : block list -> scope:string -> into:Compile_cache.t -> int
 
 (** {2 Compaction}
 
@@ -139,9 +135,9 @@ type keep =
 
 type rule = { rl_kind : string; rl_scoped : bool; rl_keep : keep }
 
-(** Rules for the kinds this module owns: [db]/[db.scoped] keep all,
-    [tuned]/[tuned.scoped] and [cache] keep first per key. Kinds
-    without a rule (a caller's private blocks) keep every record. *)
+(** Rules for the kinds this module owns: [db.scoped] keeps all,
+    [tuned.scoped] and [cache] keep first per key. Kinds without a rule
+    (a caller's private blocks) keep every record. *)
 val default_rules : rule list
 
 exception Injected_crash

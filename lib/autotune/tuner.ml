@@ -397,72 +397,52 @@ let tune ?(spec = Tvm_spec.Job_spec.default) ?db ?cache ?measure_batch
           ~valid:(feats <> None))
       prepared;
     (* A job is dispatched to the pool iff it has a program: invalid
-       configurations and replay hits never leave the coordinator. *)
-    let results =
+       configurations and replay hits never leave the coordinator. Pool
+       job [j] is tagged with its trial uid so the pool's dispatch
+       records attribute device attempts to the right trial. *)
+    let dispatched =
+      Array.to_list prepared
+      |> List.mapi (fun i (cfg, stmt, _) ->
+             Option.map (fun s -> (uids.(i), (cfg, s))) stmt)
+      |> List.filter_map Fun.id |> Array.of_list
+    in
+    let tags = Array.map fst dispatched and jobs = Array.map snd dispatched in
+    (* Pool exhaustion and other infrastructure failures become trials
+       with a pool_error category; the loop keeps going on whatever
+       budget remains. *)
+    let pool_error e =
+      Measure_result.fail (Measure_result.Pool_error (Printexc.to_string e))
+    in
+    let measured =
       timed_phase "measure" @@ fun () ->
       Fun.protect ~finally:Journal.clear_job_tags @@ fun () ->
       match measure_batch with
       | Some mb -> (
-          let jobs =
-            Array.of_list
-              (List.filter_map
-                 (fun (cfg, stmt, _) ->
-                   Option.map (fun s -> (cfg, s)) stmt)
-                 (Array.to_list prepared))
-          in
-          (* Tag pool job [j] with its trial uid so the pool's dispatch
-             records attribute device attempts to the right trial. *)
-          Journal.set_job_tags
-            (Array.to_list prepared
-            |> List.mapi (fun i (_, stmt, _) -> (i, stmt))
-            |> List.filter_map (fun (i, stmt) ->
-                   Option.map (fun _ -> uids.(i)) stmt)
-            |> Array.of_list);
-          let measured =
-            if Array.length jobs = 0 then [||]
-            else
-              try mb jobs
-              with e ->
-                (* A wholesale batch failure degrades to per-job pool
-                   errors, like the per-config path would. *)
-                Array.map
-                  (fun _ ->
-                    Measure_result.fail
-                      (Measure_result.Pool_error (Printexc.to_string e)))
-                  jobs
-          in
-          let next = ref 0 in
-          Array.mapi
-            (fun i (_, stmt, _) ->
-              match replay_hit.(i) with
-              | Some (r, _) -> r
-              | None -> (
-                  match stmt with
-                  | None -> Measure_result.invalid_config
-                  | Some _ ->
-                      let r = measured.(!next) in
-                      incr next;
-                      r))
-            prepared)
+          Journal.set_job_tags tags;
+          if Array.length jobs = 0 then [||]
+          else
+            (* A wholesale batch failure degrades to per-job pool
+               errors, like the per-config path would. *)
+            try mb jobs with e -> Array.map (fun _ -> pool_error e) jobs)
       | None ->
           Array.mapi
-            (fun i (cfg, stmt, _) ->
-              match replay_hit.(i) with
-              | Some (r, _) -> r
-              | None -> (
-                  match stmt with
-                  | None -> Measure_result.invalid_config
-                  | Some s -> (
-                      Journal.set_job_tags [| uids.(i) |];
-                      try measure cfg s
-                      with e ->
-                        (* Pool exhaustion and other infrastructure
-                           failures become trials with a pool_error
-                           category; the loop keeps going on whatever
-                           budget remains. *)
-                        Measure_result.fail
-                          (Measure_result.Pool_error (Printexc.to_string e)))))
-            prepared
+            (fun j (cfg, s) ->
+              Journal.set_job_tags [| tags.(j) |];
+              try measure cfg s with e -> pool_error e)
+            jobs
+    in
+    let next = ref 0 in
+    let results =
+      Array.mapi
+        (fun i (_, stmt, _) ->
+          match (replay_hit.(i), stmt) with
+          | Some (r, _), _ -> r
+          | None, None -> Measure_result.invalid_config
+          | None, Some _ ->
+              let r = measured.(!next) in
+              incr next;
+              r)
+        prepared
     in
     Array.iteri
       (fun i (cfg, stmt, feats) ->

@@ -314,10 +314,6 @@ let match_intrinsic (st : Sched.stage) (intrin : Tensor_intrin.t)
 (* DMA rewriting                                                        *)
 (* ------------------------------------------------------------------ *)
 
-let is_accel_scope = function
-  | Expr.Accel_wgt | Expr.Accel_inp | Expr.Accel_acc -> true
-  | Expr.Global | Expr.Shared | Expr.Local -> false
-
 (** A stage is a DMA candidate if its body is a pure identity copy and
     one endpoint lives in an accelerator scope. Returns the source. *)
 let dma_candidate ctx (st : Sched.stage) =
@@ -336,7 +332,8 @@ let dma_candidate ctx (st : Sched.stage) =
         in
         if
           axes_ok
-          && (is_accel_scope src.Expr.bscope || is_accel_scope st.Sched.s_out.Expr.bscope)
+          && (Expr.is_accel_scope src.Expr.bscope
+             || Expr.is_accel_scope st.Sched.s_out.Expr.bscope)
         then Some src
         else None
     | _ -> None

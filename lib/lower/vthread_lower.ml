@@ -24,16 +24,12 @@
 
 open Tvm_tir
 
-let is_accel_scope = function
-  | Expr.Accel_wgt | Expr.Accel_inp | Expr.Accel_acc -> true
-  | Expr.Global | Expr.Shared | Expr.Local -> false
-
 (** Which DAE pipeline unit executes this statement, if any. *)
 let pipe_of (s : Stmt.t) : Stmt.pipe option =
   match s with
   | Stmt.Dma_copy d ->
-      if is_accel_scope d.Stmt.dma_dst.Expr.bscope then Some Stmt.Ld
-      else if is_accel_scope d.Stmt.dma_src.Expr.bscope then Some Stmt.St
+      if Expr.is_accel_scope d.Stmt.dma_dst.Expr.bscope then Some Stmt.Ld
+      else if Expr.is_accel_scope d.Stmt.dma_src.Expr.bscope then Some Stmt.St
       else None
   | Stmt.Call_intrin _ -> Some Stmt.Ex
   | Stmt.Store _ | Stmt.For _ | Stmt.If_then_else _ | Stmt.Let_stmt _ | Stmt.Seq _

@@ -21,7 +21,7 @@ type entry =
       d_outcome : string;
       d_cost_s : float;
       d_queue_s : float;
-      d_shard : int;  (* -1 for the unsharded (legacy) pool *)
+      d_shard : int;  (* -1 in journals written before shards existed *)
       d_stolen : bool;
       d_spec : bool;
     }
@@ -68,8 +68,8 @@ let propose ~uid ~origin ~chain ~score ~config =
 let prepare ~uid ~cache ~valid =
   record (Prepare { q_uid = uid; q_cache = cache; q_valid = valid })
 
-let dispatch ?(shard = -1) ?(stolen = false) ?(spec = false) ~uid ~dev ~device
-    ~attempt ~outcome ~cost_s ~queue_s () =
+let dispatch ~shard ~stolen ~spec ~uid ~dev ~device ~attempt ~outcome ~cost_s
+    ~queue_s =
   record
     (Dispatch
        { d_uid = uid; d_dev = dev; d_device = device; d_attempt = attempt;
@@ -194,8 +194,8 @@ let parse_line line =
             let* cost_s = num "cost_s" in
             let* queue_s = num "queue_s" in
             (* Shard/steal/speculation fields arrived with the fleet;
-               journals written before then parse with the legacy
-               defaults. *)
+               journals written before then parse as shard [-1],
+               neither stolen nor speculative. *)
             let shard = Option.value ~default:(-1) (int_ "shard") in
             let bool_ k d =
               match Json.member k j with Some (Json.Bool b) -> b | _ -> d

@@ -53,7 +53,9 @@ type entry =
       d_outcome : string;
       d_cost_s : float;  (** simulated cost charged to the device *)
       d_queue_s : float;  (** simulated wait for the device to free up *)
-      d_shard : int;  (** shard that ran the attempt, [-1] legacy pool *)
+      d_shard : int;
+          (** shard that ran the attempt; [-1] only in journals written
+              before dispatch records carried shards *)
       d_stolen : bool;  (** job was stolen from another shard's backlog *)
       d_spec : bool;  (** speculative duplicate of a straggling attempt *)
     }
@@ -82,9 +84,9 @@ val propose :
   uid:int -> origin:string -> chain:int -> score:float -> config:string -> unit
 val prepare : uid:int -> cache:string -> valid:bool -> unit
 val dispatch :
-  ?shard:int ->
-  ?stolen:bool ->
-  ?spec:bool ->
+  shard:int ->
+  stolen:bool ->
+  spec:bool ->
   uid:int ->
   dev:int ->
   device:string ->
@@ -92,12 +94,10 @@ val dispatch :
   outcome:string ->
   cost_s:float ->
   queue_s:float ->
-  unit ->
   unit
-(** [shard]/[stolen]/[spec] default to the legacy pool's values
-    ([-1]/[false]/[false]); the sharded fleet fills them in. The
-    outcome vocabulary gains ["cancelled"] for a speculative twin
-    whose sibling finished first. *)
+(** [shard] ran the attempt; [stolen] marks a job taken from another
+    shard's backlog and [spec] a speculative twin, whose outcome is
+    ["cancelled"] when its sibling finished first. *)
 
 val measure :
   uid:int -> status:string -> time_s:float option -> attempts:int -> unit

@@ -39,8 +39,8 @@ type chain_stat = {
   cs_best_s : float;  (** best measured time, [infinity] if none *)
 }
 
-(** Per-shard tallies, present only for fleet journals (dispatch
-    records carrying a shard id). *)
+(** Per-shard tallies, from every dispatch record that carries a shard
+    id (all but journals written before shards existed). *)
 type shard_stat = {
   sh_shard : int;
   sh_kind : string;
@@ -65,7 +65,7 @@ type t = {
   rp_invalid : int;  (** prepare records with [valid = false] *)
   rp_slowest : trial_info list;  (** top-K slowest ok trials, desc *)
   rp_best : trial_info option;  (** fastest ok trial *)
-  rp_shards : shard_stat list;  (** by shard id; [] for pool journals *)
+  rp_shards : shard_stat list;  (** by shard id; [] for shardless journals *)
   rp_stolen : int;  (** dispatches that ran on a stealing shard *)
   rp_spec_wins : int;  (** speculative twins that finished first *)
   rp_spec_losses : int;  (** twins cancelled by their primary *)

@@ -724,7 +724,7 @@ let run_defs t ~publish ~kname (defs : jobdef array) : Measure_result.t array =
       if uid >= 0 then
         Journal.dispatch ~shard:r.rn_dev.fd_shard ~stolen:r.rn_stolen
           ~spec:r.rn_spec ~uid ~dev:r.rn_dev.fd_id ~device:r.rn_dev.fd_kname
-          ~attempt:r.rn_attempt ~outcome ~cost_s:cost ~queue_s ();
+          ~attempt:r.rn_attempt ~outcome ~cost_s:cost ~queue_s;
       if Trace.enabled () then begin
         name_lane r.rn_dev;
         let lane = Trace.device_lane r.rn_dev.fd_id in

@@ -184,32 +184,24 @@ let serve ?(slots = 2) ?store ?max_jobs ?(retry = Tvm_rpc.Retry_policy.default)
         (Store.compact ~rules:store_rules ~threshold_bytes:threshold path)
   | _ -> ());
   (* One mutex serializes every store access: lanes append finished
-     state concurrently, and a reader between two appends always sees
-     whole blocks. *)
+     state concurrently. *)
   let store_mu = Mutex.create () in
+  (* The store is read once. Every scope is created on the coordinator
+     before the lanes start, and a scope's feature-memo blocks are
+     written only by its own lane after that memo was loaded, so no
+     later read could see a block this one misses. *)
+  let blocks =
+    match store with Some path -> Store.load_blocks path | None -> []
+  in
   let done_map : (string, float * int * string) Hashtbl.t =
     Hashtbl.create 64
   in
-  (match store with
-  | None -> ()
-  | Some path ->
-      List.iter
-        (fun b ->
-          if b.Store.b_kind = done_kind then
-            List.iter
-              (fun line ->
-                match done_in line with
-                | fp, v -> Hashtbl.replace done_map fp v
-                | exception e ->
-                    Printf.eprintf "[tvm] store %s: skipping block: %s\n%!"
-                      path (Printexc.to_string e);
-                    Metrics.incr "cache.load_rejected")
-              b.Store.b_records)
-        (Store.load_blocks path));
+  List.iter
+    (fun (fp, v) -> Hashtbl.replace done_map fp v)
+    (Store.load_records blocks ~kind:done_kind done_in);
   let scopes : (string, scope_state) Hashtbl.t = Hashtbl.create 8 in
   (* Warm start, per scope: replay the store into the scope's trial
-     log and tuned cache. Bad blocks are skipped inside [Store]. The
-     shared scope also reads the untagged legacy kinds. *)
+     log and tuned cache. *)
   let get_scope scope =
     match Hashtbl.find_opt scopes scope with
     | Some st -> st
@@ -224,18 +216,9 @@ let serve ?(slots = 2) ?store ?max_jobs ?(retry = Tvm_rpc.Retry_policy.default)
             sc_caches = Hashtbl.create 8;
           }
         in
-        (match store with
-        | None -> ()
-        | Some path ->
-            let legacy =
-              if scope = shared_scope then Store.load_db path ~into:st.sc_db
-              else 0
-            in
-            st.sc_db_hw <-
-              legacy + Store.load_db_scope path ~scope ~into:st.sc_db;
-            Compiler.restore_tuned ~cache:st.sc_tuned
-              (Store.load_tuned_scope path ~scope
-              @ if scope = shared_scope then Store.load_tuned path else []));
+        st.sc_db_hw <- Store.load_db_scope blocks ~scope ~into:st.sc_db;
+        Compiler.restore_tuned ~cache:st.sc_tuned
+          (Store.load_tuned_scope blocks ~scope);
         List.iter
           (fun (s, _, _) -> Hashtbl.replace st.sc_flushed_sigs s ())
           (Compiler.tuned_entries ~cache:st.sc_tuned ());
@@ -249,10 +232,7 @@ let serve ?(slots = 2) ?store ?max_jobs ?(retry = Tvm_rpc.Retry_policy.default)
     | None ->
         let c = Compile_cache.create () in
         let n =
-          match store with
-          | Some path ->
-              Store.load_cache path ~scope:(st.sc_scope ^ "|" ^ name) ~into:c
-          | None -> 0
+          Store.load_cache blocks ~scope:(st.sc_scope ^ "|" ^ name) ~into:c
         in
         Hashtbl.add st.sc_caches name (c, ref n);
         c

@@ -48,15 +48,15 @@
     - a [done] record per completed job: its fingerprint, charged
       service time and result summary.
 
-    On startup the store is loaded back; a job whose fingerprint has a
+    On startup the store is read once and every scope is restored
+    from that one block list; a job whose fingerprint has a
     [done] record is not re-executed — its recorded service time is
     injected into the scheduler, so the restarted run's schedule (and
     every other job's latency) is byte-identical to an uninterrupted
     run, and the record is re-appended as a freshness refresh (the
     superseded copies are what {!Tvm_autotune.Store.compact} drops,
-    using {!store_rules}). Legacy untagged [db]/[tuned] blocks load
-    into the [shared] scope. Corrupt or version-mismatched store
-    blocks are skipped with a warning, never a crash.
+    using {!store_rules}). Corrupt or version-mismatched store blocks
+    are skipped with one warning each, never a crash.
 
     {2 Determinism}
 

@@ -35,6 +35,11 @@ let scope_of_string = function
   | "acc" -> Accel_acc
   | s -> invalid_arg ("scope_of_string: " ^ s)
 
+(** One of the VDLA on-chip buffers. *)
+let is_accel_scope = function
+  | Accel_wgt | Accel_inp | Accel_acc -> true
+  | Global | Shared | Local -> false
+
 type var = { vname : string; vid : int; vdtype : Dtype.t }
 
 type binop = Add | Sub | Mul | Div | FloorMod | Min | Max

@@ -15,10 +15,6 @@ open Tvm_tir
 
 exception Codegen_error of string
 
-let is_accel_scope = function
-  | Expr.Accel_wgt | Expr.Accel_inp | Expr.Accel_acc -> true
-  | Expr.Global | Expr.Shared | Expr.Local -> false
-
 (** Recognize a loop nest that only copies elements between
     accelerator buffers and DRAM (possibly several interleaved copies
     after vthread merging); return one transfer per copy statement. *)
@@ -26,10 +22,9 @@ let rec as_copy_nest (s : Stmt.t) ~(iters : float) :
     (float * [ `Load | `Store ]) list option =
   let classify dst src =
     let bytes scope_buf = iters *. Dtype.bytes scope_buf.Expr.bdtype in
-    if is_accel_scope dst.Expr.bscope && not (is_accel_scope src.Expr.bscope) then
-      Some (bytes dst, `Load)
-    else if is_accel_scope src.Expr.bscope && not (is_accel_scope dst.Expr.bscope)
-    then Some (bytes dst, `Store)
+    let accel b = Expr.is_accel_scope b.Expr.bscope in
+    if accel dst && not (accel src) then Some (bytes dst, `Load)
+    else if accel src && not (accel dst) then Some (bytes dst, `Store)
     else None
   in
   match s with
@@ -110,7 +105,7 @@ let run (stmt : Stmt.t) : Isa.insn list =
             Option.iter walk e
         | Stmt.Dma_copy d ->
             let elems = List.fold_left ( * ) 1 d.Stmt.dma_extents in
-            if is_accel_scope d.Stmt.dma_dst.Expr.bscope then
+            if Expr.is_accel_scope d.Stmt.dma_dst.Expr.bscope then
               emit
                 (Isa.Dma_load
                    { bytes = float_of_int elems *. Dtype.bytes d.Stmt.dma_dst.Expr.bdtype;

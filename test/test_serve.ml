@@ -128,17 +128,21 @@ let test_store_db_roundtrip () =
     [ ("tile_x", 2); ("tile_y", 3) ]
     (R.ok ~attempts:2 1.5e-3);
   Tuner.Db.add db "k2" [ ("a", 1) ] (R.fail (R.Pool_error "no\tdevice left"));
-  let hw = Store.flush_db path ~from:0 db in
+  let hw = Store.flush_db_scope path ~scope:"s" ~from:0 db in
   Alcotest.(check int) "high-water after first flush" 2 hw;
   (* Incremental: a second flush writes only the new records. *)
   Tuner.Db.add db "k2" [ ("a", 2) ] (R.fail ~attempts:3 R.Timeout);
-  let hw = Store.flush_db path ~from:hw db in
+  let hw = Store.flush_db_scope path ~scope:"s" ~from:hw db in
   Alcotest.(check int) "high-water advances" 3 hw;
   Alcotest.(check int) "no-op flush writes nothing" 3
-    (Store.flush_db path ~from:hw db);
+    (Store.flush_db_scope path ~scope:"s" ~from:hw db);
+  let blocks = Store.load_blocks path in
+  Alcotest.(check int) "two blocks written" 2 (List.length blocks);
   let db' = Tuner.Db.create () in
-  let n = Store.load_db path ~into:db' in
+  let n = Store.load_db_scope blocks ~scope:"s" ~into:db' in
   Alcotest.(check int) "all records load" 3 n;
+  Alcotest.(check int) "other scope loads nothing" 0
+    (Store.load_db_scope blocks ~scope:"t" ~into:(Tuner.Db.create ()));
   (* Records replay in order with bit-exact times and full status. *)
   Alcotest.(check bool)
     "records identical" true
@@ -156,10 +160,14 @@ let test_store_tuned_roundtrip () =
       ("dense(64x64)->64x64@llvm", [ ("t", 4) ], 0x1.5p-10);
     ]
   in
-  Store.append_tuned path entries;
+  Store.append_tuned_scope path ~scope:"tenant:a\tb" entries;
+  let blocks = Store.load_blocks path in
   Alcotest.(check bool)
     "tuned entries round trip" true
-    (Store.load_tuned path = entries)
+    (Store.load_tuned_scope blocks ~scope:"tenant:a\tb" = entries);
+  Alcotest.(check bool)
+    "other scope loads nothing" true
+    (Store.load_tuned_scope blocks ~scope:"tenant:a" = [])
 
 let test_store_cache_roundtrip () =
   with_store @@ fun path ->
@@ -168,10 +176,11 @@ let test_store_cache_roundtrip () =
   Cache.add c [ ("x", 2) ] Cache.Invalid;
   ignore (Store.save_cache path ~scope:"conv@cuda|fusion=true" c);
   let c' = Cache.create () in
-  let n = Store.load_cache path ~scope:"conv@cuda|fusion=true" ~into:c' in
+  let blocks = Store.load_blocks path in
+  let n = Store.load_cache blocks ~scope:"conv@cuda|fusion=true" ~into:c' in
   Alcotest.(check int) "entries load" 2 n;
   Alcotest.(check int) "other scope loads nothing" 0
-    (Store.load_cache path ~scope:"other" ~into:(Cache.create ()));
+    (Store.load_cache blocks ~scope:"other" ~into:(Cache.create ()));
   (match Cache.find ~record:false c' [ ("x", 1) ] with
   | Some (Cache.Valid feats) ->
       Alcotest.(check bool)
@@ -181,6 +190,119 @@ let test_store_cache_roundtrip () =
   Alcotest.(check bool)
     "invalid verdict survives" true
     (Cache.find ~record:false c' [ ("x", 2) ] = Some Cache.Invalid)
+
+(* Store fuzzing: two scopes' trial logs, tuned caches and feature
+   memos, then one random damage — truncation at a byte, a flipped
+   bit, a duplicated block, an inserted garbage line, or an appended
+   block whose checksum is right but whose tag or records are hostile.
+   Loading never raises, nothing leaks from one scope into another,
+   and an undamaged file loads every record. *)
+let fuzz_scopes = [ "tenant:alpha"; "shared" ]
+
+let fuzz_write path =
+  List.iter
+    (fun round ->
+      List.iteri
+        (fun si scope ->
+          let db = Tuner.Db.create () in
+          List.iter
+            (fun i ->
+              Tuner.Db.add db
+                (Printf.sprintf "%s/k%d.%d" scope round i)
+                [ ("s", si) ]
+                (R.ok (float_of_int (i + 1) *. 1e-4)))
+            [ 0; 1; 2 ];
+          ignore (Store.flush_db_scope path ~scope ~from:0 db);
+          Store.append_tuned_scope path ~scope
+            [ (Printf.sprintf "%s/sig%d" scope round, [ ("s", si) ], 1e-3) ];
+          let c = Cache.create () in
+          Cache.add c [ ("s", si); ("r", round) ] (Cache.Valid [| 0.5; 2. |]);
+          Cache.add c [ ("s", si); ("r", round + 2) ] Cache.Invalid;
+          ignore (Store.save_cache path ~scope:(scope ^ "|tpl") c))
+        fuzz_scopes)
+    [ 0; 1 ]
+
+let fuzz_damage text ~kind ~pos ~bit =
+  let len = String.length text in
+  let lines = String.split_on_char '\n' text in
+  let insert_at n extra =
+    String.concat "\n"
+      (List.concat
+         (List.mapi (fun i l -> if i = n then extra @ [ l ] else [ l ]) lines))
+  in
+  match kind with
+  | 0 -> String.sub text 0 (pos mod (len + 1))
+  | 1 ->
+      let b = Bytes.of_string text in
+      let i = pos mod len in
+      Bytes.set b i (Char.chr (Char.code text.[i] lxor (1 lsl bit)));
+      Bytes.to_string b
+  | 2 ->
+      (* Duplicate the block starting at the chosen header line. *)
+      let arr = Array.of_list lines in
+      let headers =
+        List.filter
+          (fun i -> String.starts_with ~prefix:"#tvmstore " arr.(i))
+          (List.init (Array.length arr) Fun.id)
+      in
+      let h = List.nth headers (pos mod List.length headers) in
+      let n = Scanf.sscanf arr.(h) "#tvmstore v1 kind=%_s records=%d" Fun.id in
+      insert_at h (Array.to_list (Array.sub arr h (n + 1)))
+  | 3 ->
+      let garbage =
+        [|
+          "garbage";
+          "#tvmstore v1 kind=db.scoped records=1 checksum=0000000000000000";
+          "#tvmstore v1 kind=cache records=999 checksum=0";
+          "#tvmstore v2";
+          "\"tenant:alpha\"";
+        |]
+      in
+      insert_at (pos mod List.length lines) [ garbage.(bit mod Array.length garbage) ]
+  | _ ->
+      let kinds = [| "db.scoped"; "tuned.scoped"; "cache" |] in
+      let records =
+        [|
+          [ "shared"; "not\ta\trecord" ];
+          [ "\\q"; "x" ];
+          [];
+          [ "tenant:alpha|tpl"; "s=1\tvalid\tnan nope" ];
+        |]
+      in
+      let hostile = temp_store () in
+      Store.append_block hostile ~kind:kinds.(pos mod 3)
+        records.(bit mod Array.length records);
+      let extra = In_channel.with_open_bin hostile In_channel.input_all in
+      Sys.remove hostile;
+      text ^ extra
+
+let store_fuzz =
+  QCheck.Test.make ~name:"store survives random damage, scopes never leak"
+    ~count:300
+    QCheck.(triple (int_range 0 5) (int_bound 1_000_000) (int_range 0 7))
+    (fun (kind, pos, bit) ->
+      with_store @@ fun path ->
+      fuzz_write path;
+      let text = In_channel.with_open_bin path In_channel.input_all in
+      let damaged = if kind = 5 then text else fuzz_damage text ~kind ~pos ~bit in
+      Out_channel.with_open_bin path (fun oc -> output_string oc damaged);
+      let blocks = Store.load_blocks path in
+      List.for_all
+        (fun scope ->
+          let si = if scope = "shared" then 1 else 0 in
+          let db = Tuner.Db.create () in
+          let n_db = Store.load_db_scope blocks ~scope ~into:db in
+          let tuned = Store.load_tuned_scope blocks ~scope in
+          let c = Cache.create () in
+          let n_cache = Store.load_cache blocks ~scope:(scope ^ "|tpl") ~into:c in
+          let mine = String.starts_with ~prefix:(scope ^ "/") in
+          let cache_keys = ref [] in
+          Cache.iter_entries c (fun k _ -> cache_keys := k :: !cache_keys);
+          List.for_all (fun r -> mine r.Tuner.Db.db_key) (Tuner.Db.records db)
+          && List.for_all (fun (sig_, _, _) -> mine sig_) tuned
+          && List.for_all (fun k -> List.assoc "s" k = si) !cache_keys
+          && (kind <> 5 || (n_db = 6 && List.length tuned = 2 && n_cache = 4)))
+        fuzz_scopes)
 
 (* ------------------------------------------------------------------ *)
 (* Warm restart                                                         *)
@@ -232,7 +354,7 @@ let test_warm_cache_journal_identity () =
   let r_cold, j_cold, miss_cold = journaled_tune ~cache:c1 () in
   ignore (Store.save_cache path ~scope:"srv" c1);
   let c2 = Cache.create () in
-  ignore (Store.load_cache path ~scope:"srv" ~into:c2);
+  ignore (Store.load_cache (Store.load_blocks path) ~scope:"srv" ~into:c2);
   let r_warm, j_warm, miss_warm = journaled_tune ~cache:c2 () in
 
   Alcotest.(check string) "journal byte-identical warm vs cold" j_cold j_warm;
@@ -256,14 +378,16 @@ let test_replay_resume () =
   let cache = Cache.create () in
   let pool1 = fresh_pool () in
   let r1 = tune_once ~db ~cache ~pool:pool1 () in
-  let hw = Store.flush_db path ~from:0 db in
+  let hw = Store.flush_db_scope path ~scope:"srv" ~from:0 db in
   ignore (Store.save_cache path ~scope:"srv" cache);
   (* Simulated restart: fresh Db, cache and fleet, state loaded from
      disk only. *)
   let db2 = Tuner.Db.create () in
   let cache2 = Cache.create () in
-  Alcotest.(check int) "all records reload" hw (Store.load_db path ~into:db2);
-  ignore (Store.load_cache path ~scope:"srv" ~into:cache2);
+  let blocks = Store.load_blocks path in
+  Alcotest.(check int) "all records reload" hw
+    (Store.load_db_scope blocks ~scope:"srv" ~into:db2);
+  ignore (Store.load_cache blocks ~scope:"srv" ~into:cache2);
   let ok_before = Tuner.Db.status_count db2 "ok" in
   Metrics.reset ();
   let pool2 = fresh_pool () in
@@ -459,6 +583,38 @@ let test_tvmd_restart () =
   Alcotest.(check int) "warm rerun all restored" 4 warm.Tvmd.oc_restored;
   Alcotest.(check (list string))
     "warm results identical" full.Tvmd.oc_lines warm.Tvmd.oc_lines
+
+(* The store is read once per serve: one corrupt block costs one
+   warning and one [cache.load_rejected], however many scopes and
+   feature memos are restored from the same file, and every earlier
+   job is still answered from its [done] record. *)
+let test_tvmd_corrupt_block_once () =
+  let tune_spec workload =
+    Job_spec.make ~op:Job_spec.Tune ~workload ~trials:8 ~method_name:"random"
+      ~jobs:2 ()
+  in
+  let trace =
+    [
+      Tvmd.request ~tenant:"alpha" ~submit_s:0. (tune_spec "C1");
+      Tvmd.request ~tenant:"beta" ~submit_s:0. ~share:true (tune_spec "C2");
+    ]
+  in
+  with_store @@ fun path ->
+  ignore (Tvmd.serve ~slots:2 ~store:path trace);
+  Out_channel.with_open_gen [ Open_append; Open_binary ] 0o644 path (fun oc ->
+      output_string oc
+        "#tvmstore v1 kind=db.scoped records=1 checksum=0000000000000000\n\"shared\"\n");
+  Metrics.reset ();
+  let o =
+    Tvmd.serve ~slots:2 ~store:path
+      (trace @ [ Tvmd.request ~tenant:"gamma" ~share:true (tune_spec "D1") ])
+  in
+  Alcotest.(check (float 0.))
+    "one corrupt block counted once" 1.
+    (Option.value ~default:0. (Metrics.get "cache.load_rejected"));
+  Alcotest.(check int) "earlier jobs restored" 2 o.Tvmd.oc_restored;
+  Alcotest.(check int) "only the new job runs" 1 o.Tvmd.oc_executed;
+  Alcotest.(check int) "no failures" 0 o.Tvmd.oc_failed
 
 (* The dispatch loop must prune its in-flight bookkeeping as the
    virtual clock passes each finish — a long stream may never
@@ -738,6 +894,9 @@ let suite =
       test_store_tuned_roundtrip;
     Alcotest.test_case "compile-cache entries round trip" `Quick
       test_store_cache_roundtrip;
+    QCheck_alcotest.to_alcotest ~speed_level:`Quick
+      ~rand:(Random.State.make [| 19 |])
+      store_fuzz;
     Alcotest.test_case "warm cache: journal byte-identical" `Slow
       test_warm_cache_journal_identity;
     Alcotest.test_case "replay resume: history identical, no re-dispatch" `Slow
@@ -750,6 +909,8 @@ let suite =
       test_request_roundtrip;
     Alcotest.test_case "tvmd kill/restart: byte-identical results" `Slow
       test_tvmd_restart;
+    Alcotest.test_case "tvmd: a corrupt block is reported once" `Slow
+      test_tvmd_corrupt_block_once;
     Alcotest.test_case "scheduler: in-flight state bounded on 10k-job stream"
       `Quick test_scheduler_bounded_state;
     Alcotest.test_case "store compaction: rules, crash safety, idempotence"
