@@ -28,24 +28,30 @@ check-validate: build
 	VALIDATE_SEED=11 dune exec test/test_main.exe -- test validate
 
 # Multicore determinism gate: the par test suite, plus byte-identical
-# tvmc tuning logs at -j1 vs -j8 for two Table-2 workloads (one of
-# them on a 20% faulty pool) and at 1 vs 4 devices for the faulty one
-# (fault draws are keyed by job, not device), plus the partune
-# throughput comparison at -j1 and -j4 (metrics land in _build/, not
-# the committed baseline).
+# tvmc tuning logs and flight-recorder journals at -j1 vs -j8 for two
+# Table-2 workloads (one of them on a 20% faulty pool) and identical
+# tuning logs at 1 vs 4 devices for the faulty one (fault draws are
+# keyed by job, not device), plus the partune throughput comparison at
+# -j1 and -j4 (metrics land in _build/, not the committed baseline).
 check-par: build
 	dune exec test/test_main.exe -- test par
 	mkdir -p _build/check-par
 	dune exec bin/tvmc.exe -- tune C7 --trials 40 --seed 5 --devices 4 \
-	  -j 1 --tune-log _build/check-par/c7_j1.log
+	  -j 1 --tune-log _build/check-par/c7_j1.log \
+	  --journal-out _build/check-par/c7_j1.jsonl
 	dune exec bin/tvmc.exe -- tune C7 --trials 40 --seed 5 --devices 4 \
-	  -j 8 --tune-log _build/check-par/c7_j8.log
+	  -j 8 --tune-log _build/check-par/c7_j8.log \
+	  --journal-out _build/check-par/c7_j8.jsonl
 	cmp _build/check-par/c7_j1.log _build/check-par/c7_j8.log
+	cmp _build/check-par/c7_j1.jsonl _build/check-par/c7_j8.jsonl
 	dune exec bin/tvmc.exe -- tune D1 --trials 40 --seed 5 --devices 4 \
-	  --fault-rate 0.2 -j 1 --tune-log _build/check-par/d1_j1.log
+	  --fault-rate 0.2 -j 1 --tune-log _build/check-par/d1_j1.log \
+	  --journal-out _build/check-par/d1_j1.jsonl
 	dune exec bin/tvmc.exe -- tune D1 --trials 40 --seed 5 --devices 4 \
-	  --fault-rate 0.2 -j 8 --tune-log _build/check-par/d1_j8.log
+	  --fault-rate 0.2 -j 8 --tune-log _build/check-par/d1_j8.log \
+	  --journal-out _build/check-par/d1_j8.jsonl
 	cmp _build/check-par/d1_j1.log _build/check-par/d1_j8.log
+	cmp _build/check-par/d1_j1.jsonl _build/check-par/d1_j8.jsonl
 	dune exec bin/tvmc.exe -- tune D1 --trials 40 --seed 5 --devices 1 \
 	  --fault-rate 0.2 -j 4 --tune-log _build/check-par/d1_dev1.log
 	cmp _build/check-par/d1_j1.log _build/check-par/d1_dev1.log
@@ -53,8 +59,8 @@ check-par: build
 
 # Feature-memo gate: the cache suite, plus a dqn compile at -j 1 vs
 # -j 4. Each kernel's two half-budget searches share one feature memo
-# that SA chains fill in parallel and merge in chain order; the kernel
-# table (minus its wall-time line) and the journal must be
+# that SA chains read in parallel and that is filled in chain order;
+# the kernel table (minus its wall-time line) and the journal must be
 # byte-identical, so the memo may only change how much work tuning
 # repeats, never what it picks.
 check-cache: build
@@ -69,24 +75,13 @@ check-cache: build
 	cmp _build/check-cache/dqn_j1.txt _build/check-cache/dqn_j4.txt
 	cmp _build/check-cache/dqn_j1.jsonl _build/check-cache/dqn_j4.jsonl
 
-# Flight-recorder gate: the per-trial provenance journal must be
-# byte-identical at -j1 vs -j8 (clean C7 pool and 20% faulty D1 pool),
-# and `tvmc report` must
-# identify a device injected as a straggler (dev 2 runs 12x slower
-# than its three peers on an otherwise clean pool, so it completes
-# only a handful of jobs, each far costlier than the median).
+# Flight-recorder gate: `tvmc report` must identify a device injected
+# as a straggler (dev 2 runs 12x slower than its three peers on an
+# otherwise clean pool, so it completes only a handful of jobs, each
+# far costlier than the median). The journal's -j1 vs -j8
+# byte-identity is checked by check-par.
 check-journal: build
 	mkdir -p _build/check-journal
-	dune exec bin/tvmc.exe -- tune C7 --trials 40 --seed 5 --devices 4 \
-	  -j 1 --journal-out _build/check-journal/c7_j1.jsonl
-	dune exec bin/tvmc.exe -- tune C7 --trials 40 --seed 5 --devices 4 \
-	  -j 8 --journal-out _build/check-journal/c7_j8.jsonl
-	cmp _build/check-journal/c7_j1.jsonl _build/check-journal/c7_j8.jsonl
-	dune exec bin/tvmc.exe -- tune D1 --trials 40 --seed 5 --devices 4 \
-	  --fault-rate 0.2 -j 1 --journal-out _build/check-journal/d1_j1.jsonl
-	dune exec bin/tvmc.exe -- tune D1 --trials 40 --seed 5 --devices 4 \
-	  --fault-rate 0.2 -j 8 --journal-out _build/check-journal/d1_j8.jsonl
-	cmp _build/check-journal/d1_j1.jsonl _build/check-journal/d1_j8.jsonl
 	dune exec bin/tvmc.exe -- tune C7 --trials 60 --seed 5 --devices 4 \
 	  --fault-rate 0 --straggler 2 --timeout-ms 1000 -j 4 \
 	  --journal-out _build/check-journal/straggler.jsonl

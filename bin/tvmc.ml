@@ -139,7 +139,7 @@ let compile_cmd =
     let tgt = Tvm.Target.of_name target in
     let spec =
       Tvm_spec.Job_spec.make ~op:Tvm_spec.Job_spec.Compile ~workload:network
-        ~target ~trials ~validate ~jobs ?trace_out ?metrics_out ?journal_out ()
+        ~target ~trials ~validate ~jobs ()
     in
     let t0 = Unix.gettimeofday () in
     let result, exec =
@@ -269,8 +269,7 @@ let tune_cmd =
       Tvm_spec.Job_spec.make ~op:Tvm_spec.Job_spec.Tune ~workload ~trials
         ~method_name ~seed ~jobs ~devices ~validate ~fault_rate ?straggler
         ~max_retries ~timeout_s:(timeout_ms /. 1e3) ~fleet:fleet_n ~shards
-        ~speculate ?tune_log ?trace_out
-        ?metrics_out ?journal_out ()
+        ~speculate ()
     in
     let w = Workloads.find workload in
     let out = Tvm_experiments.Fig_e2e.conv_tensor w in

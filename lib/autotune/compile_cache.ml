@@ -8,14 +8,13 @@ type entry = Invalid | Valid of float array
 
 type t = {
   table : (key, entry) Hashtbl.t;
-  order : key Queue.t;  (** entry insertion order — deterministic merge *)
+  order : key Queue.t;  (** entry insertion order — the persistence walk *)
   name : string;
 }
 
 let create ?(size = 256) ?(name = "tuner") () =
   { table = Hashtbl.create size; order = Queue.create (); name }
 
-let create_local t = create ~size:64 ~name:(t.name ^ ".local") ()
 let size t = Hashtbl.length t.table
 let feats = function Invalid -> None | Valid feats -> Some feats
 
@@ -30,10 +29,8 @@ let find ?(record = true) t cfg =
   if record then record_lookup t (Option.is_some found);
   found
 
-let record_hit t = record_lookup t true
-
 (* First entry wins: compilation is deterministic, so a duplicate
-   carries equal values and dropping it keeps merges order-insensitive. *)
+   carries equal values and dropping it changes nothing. *)
 let add t cfg entry =
   let k = Cfg_space.canonical cfg in
   if not (Hashtbl.mem t.table k) then begin
@@ -52,5 +49,3 @@ let find_or_compile t cfg ~compile =
 (** Entries in insertion order — the persistence walk. *)
 let iter_entries t f =
   Queue.iter (fun k -> f k (Hashtbl.find t.table k)) t.order
-
-let merge ~into src = iter_entries src (add into)

@@ -19,15 +19,15 @@
     not retried either.
 
     Determinism: compilation is pure, so entries for equal keys carry
-    equal values; [add] is first-wins and {!merge} walks the source in
-    its insertion order, so merged contents are independent of the
-    domain count. Results are bit-identical whatever the memo holds.
+    equal values and [add] is first-wins. Results are bit-identical
+    whatever the memo holds.
 
     Domain-safety follows the tuner's convention: one coordinator owns
     all writes between parallel sections; worker domains only read the
-    shared memo (plain [Hashtbl] reads race-free without writers), and
-    each SA chain fills its own {!create_local} memo that the
-    coordinator later {!merge}s in chain-index order. Lookup metrics
+    memo (plain [Hashtbl] reads race-free without writers). Each SA
+    chain lists the entries it compiled, and the coordinator [add]s
+    them after the walk in chain-index order, so the memo's contents
+    and insertion order are independent of the domain count. Lookup metrics
     ([cache.hit]/[cache.miss]) and [cache.lookup] trace instants flow
     through [Tvm_obs], which buffers per-domain counters exactly. *)
 
@@ -42,25 +42,10 @@ type t
 
 val create : ?size:int -> ?name:string -> unit -> t
 
-(** An empty memo named after [t], for per-chain overflow. *)
-val create_local : t -> t
-
 (** Lookup by canonical key. Records [cache.hit]/[cache.miss] metrics
-    and a [cache.lookup] trace instant unless [record:false] (used for
-    the shared tier of two-tier lookups, so each logical query counts
-    once). *)
+    and a [cache.lookup] trace instant unless [record:false] (used by
+    the tuner's replay probe, which is not a feature query). *)
 val find : ?record:bool -> t -> Cfg_space.config -> entry option
-
-(** Count a hit against [t] for a lookup that was made with
-    [record:false] — the two-tier pattern probes the shared tier
-    silently and then must either count the hit here or fall through
-    to {!find_or_compile} on the local tier (which records its own
-    verdict), so each logical query counts exactly once. Without this
-    the metrics invert as the shared tier warms up: the steady state
-    where almost every query is answered by the shared memo shows up
-    as a ~0% hit rate, because only the local-tier fallbacks (cold
-    misses) were ever counted. *)
-val record_hit : t -> unit
 
 (** Insert, first-wins. *)
 val add : t -> Cfg_space.config -> entry -> unit
@@ -71,10 +56,6 @@ val find_or_compile :
   t -> Cfg_space.config -> compile:(Cfg_space.config -> entry) -> entry
 
 val feats : entry -> float array option
-
-(** [merge ~into src] adds [src]'s entries absent from [into], in
-    [src]'s insertion order. *)
-val merge : into:t -> t -> unit
 
 (** Every entry in insertion order — the persistent store's walk. *)
 val iter_entries : t -> (key -> entry -> unit) -> unit

@@ -25,10 +25,10 @@ let sa_init space rng ~n_chains =
     simulated annealing"), and the result is bit-identical for any
     domain count: each chain walks with its own [Random.State] split
     from [rng] up front, [predict_for_chain i] gives chain [i] its own
-    predictor (so memo tables are chain-local — the tuner merges them
-    afterwards), candidates merge in chain-index order with first-wins
-    dedup, and the final ranking is a stable sort on the predicted
-    score. [visited] is only read during the walk; callers must not
+    predictor (so per-chain state stays chain-local — the tuner folds
+    it back afterwards), candidates merge in chain-index order with
+    first-wins dedup, and the final ranking is a stable sort on the
+    predicted score. [visited] is only read during the walk; callers must not
     mutate it concurrently. *)
 let simulated_annealing ?(pool = Tvm_par.Pool.sequential) space rng
     (state : sa_state) ~(predict_for_chain : int -> predictor)

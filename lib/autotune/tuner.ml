@@ -81,14 +81,13 @@ type batch_measure_fn =
 
 (** A database of measurement records (§5.4's log), shared across tuning
     jobs so related workloads benefit from history. The full record log
-    is kept for history/training; best-per-key lookups go through a
-    hash index so [best] is O(1) instead of a scan of every record.
-    Failure categories are tallied per status so fleet health is
-    visible from the log alone.
+    is kept for history/training; replay lookups go through a hash
+    index so [find] is O(1). Failure categories are tallied per status
+    so fleet health is visible from the log alone.
 
     Domain-safe: every operation takes the database's mutex, so
     concurrent [add]s from tuning jobs running on different domains
-    keep the log, the best index and the tallies consistent. *)
+    keep the log, the replay index and the tallies consistent. *)
 module Db = struct
   type record = {
     db_key : string;
@@ -98,7 +97,6 @@ module Db = struct
 
   type t = {
     mutable records : record list;  (** complete log, newest first *)
-    best_by_key : (string, record) Hashtbl.t;
     by_cfg : (string * Cfg_space.config, Measure_result.t) Hashtbl.t;
         (** (key, canonical config) → first recorded result — the
             replay index *)
@@ -110,19 +108,14 @@ module Db = struct
   let create () =
     {
       records = [];
-      best_by_key = Hashtbl.create 64;
       by_cfg = Hashtbl.create 256;
       n_records = 0;
       status_tally = Hashtbl.create 8;
       lock = Mutex.create ();
     }
 
-  let locked t f =
-    Mutex.lock t.lock;
-    Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
-
   let add t key config (result : Measure_result.t) =
-    locked t @@ fun () ->
+    Mutex.protect t.lock @@ fun () ->
     let r = { db_key = key; db_config = config; db_result = result } in
     t.records <- r :: t.records;
     t.n_records <- t.n_records + 1;
@@ -132,38 +125,27 @@ module Db = struct
     if not (Hashtbl.mem t.by_cfg ck) then Hashtbl.add t.by_cfg ck result;
     let sname = Measure_result.status_name result.Measure_result.status in
     Hashtbl.replace t.status_tally sname
-      (1 + Option.value ~default:0 (Hashtbl.find_opt t.status_tally sname));
-    match result.Measure_result.time_s with
-    | None -> ()  (* failed trials never enter the best index *)
-    | Some time -> (
-        match Hashtbl.find_opt t.best_by_key key with
-        | Some { db_result = { Measure_result.time_s = Some bt; _ }; _ }
-          when bt <= time ->
-            ()
-        | _ -> Hashtbl.replace t.best_by_key key r)
-
-  (** Best successful record for [key], O(1). *)
-  let best t key = locked t @@ fun () -> Hashtbl.find_opt t.best_by_key key
+      (1 + Option.value ~default:0 (Hashtbl.find_opt t.status_tally sname))
 
   (** First result recorded for (key, config), O(1) — replay resume. *)
   let find t key cfg =
-    locked t @@ fun () ->
+    Mutex.protect t.lock @@ fun () ->
     Hashtbl.find_opt t.by_cfg (key, Cfg_space.canonical cfg)
 
-  let size t = locked t @@ fun () -> t.n_records
+  let size t = Mutex.protect t.lock @@ fun () -> t.n_records
 
   (** Complete log, oldest first — the persistence order. *)
-  let records t = locked t @@ fun () -> List.rev t.records
+  let records t = Mutex.protect t.lock @@ fun () -> List.rev t.records
 
   (** Count of records with the given status name (see
       [Measure_result.status_name]). *)
   let status_count t name =
-    locked t @@ fun () ->
+    Mutex.protect t.lock @@ fun () ->
     Option.value ~default:0 (Hashtbl.find_opt t.status_tally name)
 
   (** All (status name, count) pairs, sorted by name. *)
   let status_counts t =
-    locked t @@ fun () ->
+    Mutex.protect t.lock @@ fun () ->
     Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.status_tally []
     |> List.sort compare
 end
@@ -229,8 +211,7 @@ let tune ?(spec = Tvm_spec.Job_spec.default) ?db ?cache ?measure_batch
   (* Shared feature memo (features + validity), keyed by canonical
      config value so distinct configurations can never collide
      (structural equality, not int hash). Written only between
-     parallel sections; during SA it is read-only and each chain gets
-     its own overflow memo. *)
+     parallel sections; during SA it is read-only. *)
   let memo =
     match cache with
     | Some c -> c
@@ -510,43 +491,26 @@ let tune ?(spec = Tvm_spec.Job_spec.default) ?db ?cache ?measure_batch
                 (Explorers.random_batch template.tpl_space rng ~visited
                    ~batch:batch_now)
           | Some m ->
-              (* Each SA chain gets its own overflow memo; the shared
-                 one is read-only while the chains run. Afterwards the
-                 chain caches merge back in chain-index order, so the
-                 memo's contents never depend on the domain count. *)
-              let locals =
-                Array.init n_chains (fun _ -> Compile_cache.create_local memo)
-              in
-              (* Every configuration a chain queries, canonical-keyed.
-                 Merged into [known] after the walk so the journal's
-                 run-local verdict does not depend on whether a query
-                 hit the (possibly preloaded) shared tier or compiled
-                 into the chain-local cache. One table per chain, only
-                 ever written by that chain's domain. *)
-              let touched =
-                Array.init n_chains (fun _ -> Hashtbl.create 64)
-              in
-              let predict_for_chain ci =
-                let local = locals.(ci) in
-                let seen = touched.(ci) in
-                fun cfg ->
-                  Hashtbl.replace seen (Cfg_space.canonical cfg) ();
-                  (* Two-tier lookup: the shared memo first (probed
-                     with [record:false], the hit counted explicitly),
-                     then the chain-local cache, compiling on a double
-                     miss — [find_or_compile] records the local
-                     verdict, so each logical query counts exactly
-                     once. *)
-                  let entry =
-                    match Compile_cache.find ~record:false memo cfg with
-                    | Some e ->
-                        Compile_cache.record_hit memo;
-                        e
-                    | None -> Compile_cache.find_or_compile local cfg ~compile
-                  in
-                  match Compile_cache.feats entry with
-                  | Some f -> Gbt.predict m f
-                  | None -> neg_infinity
+              (* The shared memo is read-only while the chains run: each
+                 chain lists the configurations it queries, with the
+                 entry it compiled on a miss. The explorer scores each
+                 configuration once per chain, so one recording probe
+                 per query counts it exactly once. Afterwards the lists
+                 fold into [known] and the memo in chain-index order, so
+                 the memo's contents never depend on the domain count. *)
+              let queried = Array.make n_chains [] in
+              let predict_for_chain ci cfg =
+                let entry, compiled =
+                  match Compile_cache.find memo cfg with
+                  | Some e -> (e, None)
+                  | None ->
+                      let e = compile cfg in
+                      (e, Some e)
+                in
+                queried.(ci) <- (cfg, compiled) :: queried.(ci);
+                match Compile_cache.feats entry with
+                | Some f -> Gbt.predict m f
+                | None -> neg_infinity
               in
               (* ε-greedy: reserve part of the batch for uniform random
                  exploration so the model keeps seeing fresh regions. *)
@@ -560,10 +524,14 @@ let tune ?(spec = Tvm_spec.Job_spec.default) ?db ?cache ?measure_batch
                 |> List.map (fun (c, chain, score) ->
                        (c, origin ~chain ~score "sa"))
               in
-              Array.iter (fun l -> Compile_cache.merge ~into:memo l) locals;
               Array.iter
-                (fun seen -> Hashtbl.iter (fun k () -> Hashtbl.replace known k ()) seen)
-                touched;
+                (fun q ->
+                  List.iter
+                    (fun (cfg, compiled) ->
+                      note_known cfg;
+                      Option.iter (Compile_cache.add memo cfg) compiled)
+                    (List.rev q))
+                queried;
               let filler =
                 Explorers.random_batch template.tpl_space rng ~visited
                   ~batch:(batch_now - List.length proposed)

@@ -52,9 +52,9 @@ type batch_measure_fn =
 
 (** A database of measurement records (§5.4's log), shared across
     tuning jobs so related workloads benefit from history. Keeps the
-    complete record log, an O(1) best-per-key index over successful
-    trials, an O(1) first-measurement-per-configuration index (the
-    replay resume path), and a per-status tally of failure categories.
+    complete record log, an O(1) first-measurement-per-configuration
+    index (the replay resume path), and a per-status tally of failure
+    categories.
     Domain-safe: every operation takes the database's mutex, so
     concurrent [add]s from different domains stay consistent. *)
 module Db : sig
@@ -68,9 +68,6 @@ module Db : sig
 
   val create : unit -> t
   val add : t -> string -> Cfg_space.config -> Measure_result.t -> unit
-
-  (** Best successful record for a key, O(1). *)
-  val best : t -> string -> record option
 
   (** First result ever recorded for (key, configuration) — the record
       a replaying tune run reuses instead of re-dispatching the

@@ -8,16 +8,16 @@ type t =
   | Opencl_mali of Machine.gpu  (** embedded GPU (§6.3) *)
 
 (** NVIDIA Titan X. *)
-let cuda ?(gpu = Machine.titan_x) () = Cuda gpu
+let cuda () = Cuda Machine.titan_x
 
 (** ARM Cortex A53 (the paper's embedded CPU board). *)
-let arm_cpu ?(cpu = Machine.arm_a53) () = Llvm cpu
+let arm_cpu () = Llvm Machine.arm_a53
 
 (** Generic LLVM CPU target. *)
-let llvm ?(cpu = Machine.xeon_host) () = Llvm cpu
+let llvm () = Llvm Machine.xeon_host
 
 (** ARM Mali T860MP4. *)
-let mali ?(gpu = Machine.mali_t860) () = Opencl_mali gpu
+let mali () = Opencl_mali Machine.mali_t860
 
 let of_name = function
   | "cuda" -> cuda ()

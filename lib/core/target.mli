@@ -11,17 +11,17 @@ type t =
   | Llvm of Machine.cpu  (** CPU back-end (§6.2) *)
   | Opencl_mali of Machine.gpu  (** embedded GPU (§6.3) *)
 
-(** NVIDIA Titan X by default. *)
-val cuda : ?gpu:Machine.gpu -> unit -> t
+(** NVIDIA Titan X. *)
+val cuda : unit -> t
 
 (** ARM Cortex A53 (the paper's embedded CPU board). *)
-val arm_cpu : ?cpu:Machine.cpu -> unit -> t
+val arm_cpu : unit -> t
 
-(** Generic LLVM CPU target (server-class host by default). *)
-val llvm : ?cpu:Machine.cpu -> unit -> t
+(** Generic LLVM CPU target (server-class host). *)
+val llvm : unit -> t
 
 (** ARM Mali T860MP4. *)
-val mali : ?gpu:Machine.gpu -> unit -> t
+val mali : unit -> t
 
 (** A target by its {!Tvm_spec.Job_spec.target} name, with default
     machines; raises [Invalid_argument] listing the valid names

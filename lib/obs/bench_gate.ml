@@ -118,13 +118,12 @@ let default_rules =
     rule "gauges" "bench.partune.speedup" ~dir:Higher_better ~tol:0.5;
     rule "gauges" "bench.partune.identical_best" ~dir:Exact ~tol:0.;
     rule "gauges" "bench.lower.warm_speedup" ~dir:Higher_better ~tol:0.8;
-    (* Hit rate counts each logical query once: shared-tier hits are
-       probed with [record:false] and counted via [record_hit], local
-       tier records its own verdict. Before that fix only local-tier
-       cold misses were counted and the gauge collapsed to ~0.01 as the
-       shared memo warmed up; the restored baseline (~0.05 quick) sits
-       4x above that floor, and the tight tolerance keeps any return of
-       the accounting bug an immediate failure. *)
+    (* Hit rate counts each logical query once: an SA query makes one
+       recording [Compile_cache.find] on the shared memo. When only
+       cold misses were counted the gauge collapsed to ~0.01 as the
+       memo warmed up; the baseline (~0.05 quick) sits 4x above that
+       floor, and the tight tolerance keeps any return of the
+       accounting bug an immediate failure. *)
     rule "gauges" "bench.cache.hit_rate" ~dir:Higher_better ~tol:0.15;
     rule "gauges" "tuner.best_time_s" ~dir:Lower_better ~tol:0.25;
     rule "histograms" "pool.job_cost_s" ~field:"p90" ~dir:Lower_better ~tol:0.5;

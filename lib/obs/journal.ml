@@ -37,14 +37,10 @@ let lock = Mutex.create ()
 let store : entry list ref = ref []  (* reverse record order *)
 let uid_counter = Atomic.make 0
 
-let locked f =
-  Mutex.lock lock;
-  Fun.protect ~finally:(fun () -> Mutex.unlock lock) f
-
 let enabled () = !on
 
 let reset () =
-  locked (fun () ->
+  Mutex.protect lock (fun () ->
       store := [];
       Atomic.set uid_counter 0)
 
@@ -54,7 +50,7 @@ let set_enabled b =
 
 let fresh_uid () = Atomic.fetch_and_add uid_counter 1
 
-let record e = if !on then locked (fun () -> store := e :: !store)
+let record e = if !on then Mutex.protect lock (fun () -> store := e :: !store)
 
 let run ~name ~method_ ~trials =
   record (Run { r_name = name; r_method = method_; r_trials = trials })
@@ -102,8 +98,8 @@ let job_tag j =
 (* Access and serialization                                            *)
 (* ------------------------------------------------------------------ *)
 
-let entries () = locked (fun () -> List.rev !store)
-let size () = locked (fun () -> List.length !store)
+let entries () = Mutex.protect lock (fun () -> List.rev !store)
+let size () = Mutex.protect lock (fun () -> List.length !store)
 
 (* Fields are assembled by hand in a fixed order so the line layout —
    not just the data — is stable; floats go through [Json.num_string]

@@ -114,11 +114,7 @@ type metric =
 let registry : (string, metric) Hashtbl.t = Hashtbl.create 64
 let lock = Mutex.create ()
 
-let locked f =
-  Mutex.lock lock;
-  Fun.protect ~finally:(fun () -> Mutex.unlock lock) f
-
-let reset () = locked (fun () -> Hashtbl.reset registry)
+let reset () = Mutex.protect lock (fun () -> Hashtbl.reset registry)
 
 let kind_mismatch name = invalid_arg ("metrics: " ^ name ^ " registered with another kind")
 
@@ -132,7 +128,7 @@ let local_counters : (string, float) Hashtbl.t option Domain.DLS.key =
   Domain.DLS.new_key (fun () -> None)
 
 let incr_locked name by =
-  locked (fun () ->
+  Mutex.protect lock (fun () ->
       match Hashtbl.find_opt registry name with
       | Some (Counter c) -> c := !c +. by
       | Some _ -> kind_mismatch name
@@ -162,14 +158,14 @@ let with_local_counters f =
         f
 
 let set_gauge name v =
-  locked (fun () ->
+  Mutex.protect lock (fun () ->
       match Hashtbl.find_opt registry name with
       | Some (Gauge g) -> g := v
       | Some _ -> kind_mismatch name
       | None -> Hashtbl.replace registry name (Gauge (ref v)))
 
 let observe name v =
-  locked (fun () ->
+  Mutex.protect lock (fun () ->
       match Hashtbl.find_opt registry name with
       | Some (Hist h) -> hist_observe h v
       | Some _ -> kind_mismatch name
@@ -180,7 +176,7 @@ let observe name v =
 
 (** Counter/gauge value, or a histogram's observation count. *)
 let get name =
-  locked (fun () ->
+  Mutex.protect lock (fun () ->
       match Hashtbl.find_opt registry name with
       | Some (Counter c) -> Some !c
       | Some (Gauge g) -> Some !g
@@ -188,17 +184,17 @@ let get name =
       | None -> None)
 
 let percentile name p =
-  locked (fun () ->
+  Mutex.protect lock (fun () ->
       match Hashtbl.find_opt registry name with
       | Some (Hist h) -> Some (hist_percentile h p)
       | _ -> None)
 
 let names () =
-  locked (fun () ->
+  Mutex.protect lock (fun () ->
       Hashtbl.fold (fun k _ acc -> k :: acc) registry [] |> List.sort compare)
 
 let sorted_bindings () =
-  locked (fun () ->
+  Mutex.protect lock (fun () ->
       Hashtbl.fold (fun k v acc -> (k, v) :: acc) registry []
       |> List.sort (fun (a, _) (b, _) -> compare a b))
 

@@ -60,10 +60,6 @@ let now_ns () = Monotonic_clock.now ()
 
 let enabled () = !on
 
-let locked f =
-  Mutex.lock lock;
-  Fun.protect ~finally:(fun () -> Mutex.unlock lock) f
-
 (* ------------------------------------------------------------------ *)
 (* Lanes                                                               *)
 (* ------------------------------------------------------------------ *)
@@ -89,16 +85,18 @@ let current_lane () = Domain.DLS.get lane_key
 let process_names : (int, string) Hashtbl.t = Hashtbl.create 8
 let thread_names : (int * int, string) Hashtbl.t = Hashtbl.create 16
 
-let name_process ~pid name = locked (fun () -> Hashtbl.replace process_names pid name)
+let name_process ~pid name =
+  Mutex.protect lock (fun () -> Hashtbl.replace process_names pid name)
 
-let name_thread ~lane name = locked (fun () -> Hashtbl.replace thread_names lane name)
+let name_thread ~lane name =
+  Mutex.protect lock (fun () -> Hashtbl.replace thread_names lane name)
 
 let () =
   Hashtbl.replace process_names (fst host_lane) "tvm host";
   Hashtbl.replace thread_names host_lane "main"
 
 let reset () =
-  locked (fun () ->
+  Mutex.protect lock (fun () ->
       next_id := 0;
       open_stack := [];
       closed := [];
@@ -111,7 +109,7 @@ let set_enabled b =
 
 let open_span ?(attrs = []) name =
   let pid, tid = current_lane () in
-  locked (fun () ->
+  Mutex.protect lock (fun () ->
       let parent, depth =
         match !open_stack with
         | [] -> (-1, 0)
@@ -135,7 +133,7 @@ let open_span ?(attrs = []) name =
       sp)
 
 let close_span ?error sp =
-  locked (fun () ->
+  Mutex.protect lock (fun () ->
       sp.sp_dur_ns <- Int64.sub (now_ns ()) sp.sp_start_ns;
       (match error with
       | Some e -> sp.sp_attrs <- ("error", e) :: sp.sp_attrs
@@ -170,7 +168,7 @@ let with_span ?attrs name f =
 let slice ?lane ?(attrs = []) ~start_ns name =
   if !on then begin
     let pid, tid = match lane with Some l -> l | None -> current_lane () in
-    locked (fun () ->
+    Mutex.protect lock (fun () ->
         let sp =
           {
             sp_id = !next_id;
@@ -191,7 +189,7 @@ let slice ?lane ?(attrs = []) ~start_ns name =
 let record_event ?lane ?(attrs = []) ?flow ?(flow_id = -1) name =
   if !on then begin
     let pid, tid = match lane with Some l -> l | None -> current_lane () in
-    locked (fun () ->
+    Mutex.protect lock (fun () ->
         let parent = match !open_stack with [] -> -1 | p :: _ -> p.sp_id in
         events :=
           { ev_name = name; ev_attrs = attrs; ev_ts_ns = now_ns ();
@@ -211,12 +209,12 @@ let instant ?lane ?attrs name = record_event ?lane ?attrs name
     slices enclosing each step. *)
 let flow ?lane ~id phase name = record_event ?lane ~flow:phase ~flow_id:id name
 
-let span_count () = locked (fun () -> List.length !closed)
-let event_count () = locked (fun () -> List.length !events)
+let span_count () = Mutex.protect lock (fun () -> List.length !closed)
+let event_count () = Mutex.protect lock (fun () -> List.length !events)
 
 (** Closed spans in start order (open spans are not included). *)
 let spans () =
-  locked (fun () ->
+  Mutex.protect lock (fun () ->
       List.sort (fun a b -> compare a.sp_start_ns b.sp_start_ns) !closed)
 
 let find_span name = List.find_opt (fun s -> s.sp_name = name) (spans ())
@@ -229,7 +227,7 @@ let us_of_ns ns = Int64.to_float (Int64.sub ns !epoch_ns) /. 1e3
 
 let to_tree_string () =
   let all = spans () in
-  let evs = locked (fun () -> !events) in
+  let evs = Mutex.protect lock (fun () -> !events) in
   let event_counts = Hashtbl.create 16 in
   List.iter
     (fun e ->
@@ -276,7 +274,7 @@ let args_json attrs = Json.Obj (List.map (fun (k, v) -> (k, Json.Str v)) attrs)
     instant and flow events. *)
 let to_chrome_json () =
   let all_spans = spans () in
-  let all_events = locked (fun () -> List.rev !events) in
+  let all_events = Mutex.protect lock (fun () -> List.rev !events) in
   let used_lanes =
     let tbl = Hashtbl.create 8 in
     List.iter (fun s -> Hashtbl.replace tbl (s.sp_pid, s.sp_tid) ()) all_spans;

@@ -123,11 +123,12 @@ let run_lanes t f (xs : 'a array) : 'b array =
 
 let map_list t f xs = Array.to_list (parallel_map t f (Array.of_list xs))
 
-let parallel_init_chunked ?(chunk = 64) t n (f : int -> 'b) : 'b array =
+let chunk = 64
+
+let parallel_init_chunked t n (f : int -> 'b) : 'b array =
   if n < 0 then invalid_arg "Pool.parallel_init_chunked";
   if n = 0 then [||]
   else begin
-    let chunk = max 1 chunk in
     let n_chunks = (n + chunk - 1) / chunk in
     if n_chunks <= 1 || t.n_domains <= 1 then parallel_map t f (Array.init n Fun.id)
     else begin

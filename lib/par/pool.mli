@@ -49,13 +49,13 @@ val parallel_map : t -> ('a -> 'b) -> 'a array -> 'b array
 (** [map_list t f xs] = [List.map f xs], order preserved. *)
 val map_list : t -> ('a -> 'b) -> 'a list -> 'b list
 
-(** [parallel_init_chunked ?chunk t n f] = [Array.init n f] with the
-    indices fanned out in contiguous chunks of [chunk] (default 64) —
+(** [parallel_init_chunked t n f] = [Array.init n f] with the
+    indices fanned out in contiguous chunks of 64 —
     one steal per chunk instead of one per element, for workloads of
     many tiny pure tasks (the fleet's model-time precompute over
     thousands of (job × kind) pairs). Same ordering, exception and
     nesting semantics as {!parallel_map}. *)
-val parallel_init_chunked : ?chunk:int -> t -> int -> (int -> 'b) -> 'b array
+val parallel_init_chunked : t -> int -> (int -> 'b) -> 'b array
 
 (** [run_lanes t f xs] = [Array.map f xs] with the tasks spread over
     [min (domains t) (Array.length xs)] lane domains by index

@@ -54,7 +54,7 @@ val is_gpu : device_kind -> bool
 val is_cpu : device_kind -> bool
 
 (** Immutable pool description: the device roster and policies,
-    shareable across tuning jobs (tvmd keeps one per roster). *)
+    shareable across tuning jobs. *)
 type catalog
 
 type t

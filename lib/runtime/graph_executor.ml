@@ -28,12 +28,13 @@ type t = {
   kernels : (int * Rt_module.kernel) list;  (** group id → kernel *)
   plan : Mem_plan.plan;
   values : (int, Nd.t) Hashtbl.t;  (** node id → current value *)
-  mutable launch_overhead_s : float;
   target_name : string;
   calls : (int, int) Hashtbl.t;  (** group id → cumulative profiled invocations *)
 }
 
-let create ?(launch_overhead_s = 10e-6) ~(graph : Graph_ir.t)
+let launch_overhead_s = 10e-6
+
+let create ~(graph : Graph_ir.t)
     ~(groups : Fusion.group list) ~(module_ : Rt_module.t) () : t =
   let kernels =
     List.map (fun (k : Rt_module.kernel) -> (k.Rt_module.k_group, k)) (Rt_module.kernels module_)
@@ -47,7 +48,6 @@ let create ?(launch_overhead_s = 10e-6) ~(graph : Graph_ir.t)
     kernels;
     plan;
     values = Hashtbl.create 32;
-    launch_overhead_s;
     target_name = module_.Rt_module.m_target_name;
     calls = Hashtbl.create 16;
   }
@@ -170,7 +170,7 @@ let profile_run ?(mode = `Reference) t : Profile.report =
           pr_group = g.Fusion.g_id;
           pr_calls = calls;
           pr_time_s = time_s;
-          pr_launch_s = t.launch_overhead_s;
+          pr_launch_s = launch_overhead_s;
           pr_bytes = group_bytes t g;
           pr_flops = flops;
         })
@@ -197,7 +197,7 @@ let estimated_time_s t =
         | Some k -> k.Rt_module.k_time_s
         | None -> 0.
       in
-      acc +. k_time +. t.launch_overhead_s)
+      acc +. k_time +. launch_overhead_s)
     0. t.groups
 
 (** Memory footprint comparison from the static plan. *)

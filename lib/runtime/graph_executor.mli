@@ -10,11 +10,12 @@
 
 type t
 
-(** Wire a compiled module to its graph and fusion groups.
-    [launch_overhead_s] is the per-kernel launch cost charged by
-    {!estimated_time_s}. *)
+(** Per-kernel-launch framework cost, in seconds, charged by
+    {!estimated_time_s}, {!profile_run} and the serving executor. *)
+val launch_overhead_s : float
+
+(** Wire a compiled module to its graph and fusion groups. *)
 val create :
-  ?launch_overhead_s:float ->
   graph:Tvm_graph.Graph_ir.t ->
   groups:Tvm_graph.Fusion.group list ->
   module_:Rt_module.t ->

@@ -99,24 +99,20 @@ type config = {
   cf_max_delay_s : float;  (** max wait before a partial batch launches *)
   cf_max_inflight : int;  (** concurrent batches admitted *)
   cf_hetero : bool;  (** heterogeneous dispatch (off: all groups on gpu) *)
-  cf_launch_overhead_s : float;  (** per-kernel-launch framework cost *)
 }
 
 let config ?(max_batch = 8) ?(max_delay_s = 2e-3) ?(max_inflight = 8)
-    ?(hetero = true) ?(launch_overhead_s = 10e-6) () =
+    ?(hetero = true) () =
   if max_batch < 1 then invalid_arg "model_server: max_batch must be >= 1";
   if max_inflight < 1 then invalid_arg "model_server: max_inflight must be >= 1";
   { cf_max_batch = max_batch; cf_max_delay_s = max_delay_s;
-    cf_max_inflight = max_inflight; cf_hetero = hetero;
-    cf_launch_overhead_s = launch_overhead_s }
+    cf_max_inflight = max_inflight; cf_hetero = hetero }
 
 (* ------------------------------------------------------------------ *)
 (* Loaded models                                                       *)
 (* ------------------------------------------------------------------ *)
 
 type group_exec = {
-  ge_group : int;
-  ge_op : string;  (** anchor operator *)
   ge_device : device;
   ge_time1_s : float;  (** batch-1 estimate on the chosen device *)
   ge_xfer_s : float;  (** cross-device input transfer charged per launch *)
@@ -124,7 +120,6 @@ type group_exec = {
 
 type model = {
   mv_name : string;
-  mv_exec : Exec.t;  (** the single-request executor underneath *)
   mv_groups : group_exec list;  (** executable order *)
   mv_plan : Mem_plan.plan;
   mv_naive_bytes : float;  (** one private buffer per intermediate *)
@@ -179,8 +174,6 @@ let place ~cfg ~graph ~(groups : Fusion.group list) ~time1_of =
       in
       Hashtbl.replace dev_of_node g.Fusion.g_output dev;
       {
-        ge_group = g.Fusion.g_id;
-        ge_op = op;
         ge_device = dev;
         ge_time1_s = t1 *. device_factor dev cls;
         ge_xfer_s = xfer;
@@ -200,7 +193,7 @@ let load ?(lanes = 1) ?spec ?target cfg named_graphs =
   in
   let build (name, graph) =
     let tuned = Tvm.Compiler.create_tuned_cache () in
-    let result, exec = Tvm.Compiler.build_executor ~spec ~tuned graph target in
+    let result = Tvm.Compiler.build ~spec ~tuned graph target in
     let kernels =
       List.map (fun (k : Rt.kernel) -> (k.Rt.k_group, k))
         (Rt.kernels result.Tvm.Compiler.module_)
@@ -228,12 +221,11 @@ let load ?(lanes = 1) ?spec ?target cfg named_graphs =
     let time1 =
       List.fold_left
         (fun acc ge ->
-          acc +. ge.ge_time1_s +. ge.ge_xfer_s +. cfg.cf_launch_overhead_s)
+          acc +. ge.ge_time1_s +. ge.ge_xfer_s +. Exec.launch_overhead_s)
         0. groups_exec
     in
     {
       mv_name = name;
-      mv_exec = exec;
       mv_groups = groups_exec;
       mv_plan = plan;
       mv_naive_bytes = plan.Mem_plan.naive_bytes;
@@ -301,7 +293,7 @@ let batch_service cfg (m : model) ~k ~start ~dev_free =
       let d = dev_index ge.ge_device in
       let s = Float.max !tm dev_free.(d) in
       let dur =
-        ge.ge_xfer_s +. cfg.cf_launch_overhead_s
+        ge.ge_xfer_s +. Exec.launch_overhead_s
         +. (ge.ge_time1_s *. batch_eff ge.ge_device k)
       in
       dev_free.(d) <- s +. dur;

@@ -31,7 +31,6 @@ type config = {
   cf_max_delay_s : float;  (** max wait before a partial batch launches *)
   cf_max_inflight : int;  (** concurrent batches admitted *)
   cf_hetero : bool;  (** heterogeneous dispatch (off: all groups on gpu) *)
-  cf_launch_overhead_s : float;  (** per-kernel-launch framework cost *)
 }
 
 val config :
@@ -39,13 +38,10 @@ val config :
   ?max_delay_s:float ->
   ?max_inflight:int ->
   ?hetero:bool ->
-  ?launch_overhead_s:float ->
   unit ->
   config
 
 type group_exec = {
-  ge_group : int;
-  ge_op : string;  (** anchor operator *)
   ge_device : device;
   ge_time1_s : float;  (** batch-1 estimate on the chosen device *)
   ge_xfer_s : float;  (** cross-device input transfer charged per launch *)
@@ -53,7 +49,6 @@ type group_exec = {
 
 type model = {
   mv_name : string;
-  mv_exec : Tvm_runtime.Graph_executor.t;
   mv_groups : group_exec list;  (** executable order *)
   mv_plan : Tvm_graph.Mem_plan.plan;
   mv_naive_bytes : float;

@@ -73,9 +73,8 @@ let attempt_loop ~(retry : Retry_policy.t) ~execute job =
   in
   go 0 0.
 
-let run ?(slots = 1) ?(retry = Retry_policy.default) ?(stop = fun () -> false)
-    ~(tenants : tenant list) ~execute (jobs : 'a job list) :
-    'a completion list =
+let run ?(slots = 1) ?(retry = Retry_policy.default) ~(tenants : tenant list)
+    ~execute (jobs : 'a job list) : 'a completion list =
   let slots = max 1 slots in
   let by_name : (string, 'a tenant_state) Hashtbl.t = Hashtbl.create 8 in
   List.iter
@@ -129,75 +128,71 @@ let run ?(slots = 1) ?(retry = Retry_policy.default) ?(stop = fun () -> false)
   let under_quota ts =
     match ts.ts_cfg.tn_quota with None -> true | Some q -> ts.ts_inflight < q
   in
-  let continue = ref true in
-  while !pending > 0 && !continue do
-    if stop () then continue := false
-    else begin
-      (* Earliest free slot (lowest index on ties — deterministic). *)
-      let slot = ref 0 in
-      Array.iteri (fun i f -> if f < slot_free.(!slot) then slot := i) slot_free;
-      let now = slot_free.(!slot) in
-      arrive ~now;
-      (* [now] never decreases (slot free times only grow), so a
-         finished entry never matters again. *)
-      while Event_queue.top_time inflight <= now do
-        let ts = Option.get (Event_queue.pop inflight) in
-        ts.ts_inflight <- ts.ts_inflight - 1
-      done;
-      (* Weighted fair share: the eligible tenant (ready job, quota
-         headroom) with the least accumulated virtual work per unit
-         weight goes next. *)
-      let best = ref None in
-      Array.iter
-        (fun ts ->
-          if (not (Event_queue.is_empty ts.ts_ready)) && under_quota ts then
-            match !best with
-            | None -> best := Some ts
-            | Some b ->
-                let kb = b.ts_vwork /. b.ts_cfg.tn_weight
-                and ks = ts.ts_vwork /. ts.ts_cfg.tn_weight in
-                if ks < kb || (ks = kb && ts.ts_cfg.tn_name < b.ts_cfg.tn_name)
-                then best := Some ts)
-        states;
-      match !best with
-      | None ->
-          (* Nothing runnable yet: park this slot at the next event —
-             an arrival, or a finish releasing its tenant's quota. Both
-             lie after [now]. *)
-          let t =
-            Float.min
-              (match !arrivals with j :: _ -> j.jb_submit_s | [] -> infinity)
-              (Event_queue.top_time inflight)
-          in
-          if t = Float.infinity then
-            (* Only possible if every pending job is quota-blocked with
-               nothing running — a configuration error (quota 0). *)
-            invalid_arg "scheduler: stalled (tenant quota 0?)"
-          else slot_free.(!slot) <- t
-      | Some ts ->
-          (* Within the tenant: priority, then FIFO by id. *)
-          let job = Option.get (Event_queue.pop ts.ts_ready) in
-          decr pending;
-          let attempts, service, error = attempt_loop ~retry ~execute job in
-          let finish = now +. service in
-          slot_free.(!slot) <- finish;
-          ts.ts_vwork <- ts.ts_vwork +. (service /. ts.ts_cfg.tn_weight);
-          ts.ts_inflight <- ts.ts_inflight + 1;
-          Event_queue.push inflight ~at:finish ts;
-          running_peak := max !running_peak (Event_queue.length inflight);
-          completions :=
-            {
-              cp_job = job;
-              cp_slot = !slot;
-              cp_attempts = attempts;
-              cp_start_s = now;
-              cp_service_s = service;
-              cp_finish_s = finish;
-              cp_queue_wait_s = now -. job.jb_submit_s;
-              cp_error = error;
-            }
-            :: !completions
-    end
+  while !pending > 0 do
+    (* Earliest free slot (lowest index on ties — deterministic). *)
+    let slot = ref 0 in
+    Array.iteri (fun i f -> if f < slot_free.(!slot) then slot := i) slot_free;
+    let now = slot_free.(!slot) in
+    arrive ~now;
+    (* [now] never decreases (slot free times only grow), so a
+       finished entry never matters again. *)
+    while Event_queue.top_time inflight <= now do
+      let ts = Option.get (Event_queue.pop inflight) in
+      ts.ts_inflight <- ts.ts_inflight - 1
+    done;
+    (* Weighted fair share: the eligible tenant (ready job, quota
+       headroom) with the least accumulated virtual work per unit
+       weight goes next. *)
+    let best = ref None in
+    Array.iter
+      (fun ts ->
+        if (not (Event_queue.is_empty ts.ts_ready)) && under_quota ts then
+          match !best with
+          | None -> best := Some ts
+          | Some b ->
+              let kb = b.ts_vwork /. b.ts_cfg.tn_weight
+              and ks = ts.ts_vwork /. ts.ts_cfg.tn_weight in
+              if ks < kb || (ks = kb && ts.ts_cfg.tn_name < b.ts_cfg.tn_name)
+              then best := Some ts)
+      states;
+    match !best with
+    | None ->
+        (* Nothing runnable yet: park this slot at the next event —
+           an arrival, or a finish releasing its tenant's quota. Both
+           lie after [now]. *)
+        let t =
+          Float.min
+            (match !arrivals with j :: _ -> j.jb_submit_s | [] -> infinity)
+            (Event_queue.top_time inflight)
+        in
+        if t = Float.infinity then
+          (* Only possible if every pending job is quota-blocked with
+             nothing running — a configuration error (quota 0). *)
+          invalid_arg "scheduler: stalled (tenant quota 0?)"
+        else slot_free.(!slot) <- t
+    | Some ts ->
+        (* Within the tenant: priority, then FIFO by id. *)
+        let job = Option.get (Event_queue.pop ts.ts_ready) in
+        decr pending;
+        let attempts, service, error = attempt_loop ~retry ~execute job in
+        let finish = now +. service in
+        slot_free.(!slot) <- finish;
+        ts.ts_vwork <- ts.ts_vwork +. (service /. ts.ts_cfg.tn_weight);
+        ts.ts_inflight <- ts.ts_inflight + 1;
+        Event_queue.push inflight ~at:finish ts;
+        running_peak := max !running_peak (Event_queue.length inflight);
+        completions :=
+          {
+            cp_job = job;
+            cp_slot = !slot;
+            cp_attempts = attempts;
+            cp_start_s = now;
+            cp_service_s = service;
+            cp_finish_s = finish;
+            cp_queue_wait_s = now -. job.jb_submit_s;
+            cp_error = error;
+          }
+          :: !completions
   done;
   Tvm_obs.Metrics.set_gauge "sched.running_peak" (float_of_int !running_peak);
   List.rev !completions

@@ -69,16 +69,11 @@ type 'a completion = {
     domain — so its own internal parallelism (the tuner's [-j]) never
     reorders the schedule.
 
-    [stop] is polled before each dispatch; once it returns [true] the
-    remaining queue is abandoned (the [tvmd] kill switch) and only the
-    completions so far are returned.
-
     Raises [Invalid_argument] for a job naming an unregistered tenant
     or a tenant with a non-positive weight. *)
 val run :
   ?slots:int ->
   ?retry:Tvm_rpc.Retry_policy.t ->
-  ?stop:(unit -> bool) ->
   tenants:tenant list ->
   execute:('a job -> attempt:int -> (float, string) result) ->
   'a job list ->

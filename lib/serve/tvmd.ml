@@ -166,10 +166,6 @@ type scope_state = {
       (** template name → (feature memo, entries already saved) *)
 }
 
-let locked mu f =
-  Mutex.lock mu;
-  Fun.protect ~finally:(fun () -> Mutex.unlock mu) f
-
 (* ------------------------------------------------------------------ *)
 (* The daemon loop                                                     *)
 (* ------------------------------------------------------------------ *)
@@ -264,36 +260,11 @@ let serve ?(slots = 2) ?store ?max_jobs ?(retry = Tvm_rpc.Retry_policy.default)
           (List.sort compare
              (Hashtbl.fold (fun k _ acc -> k :: acc) st.sc_caches []))
   in
-  (* One pool catalog per distinct roster configuration, shared by
-     every lane: a catalog is an immutable device roster + policies,
-     and each tuning job runs its own session of it salted by the job
-     id — concurrent lanes share the pool without sharing schedule
-     state, and a job's results don't depend on which lane ran it. *)
-  let pool_mu = Mutex.create () in
-  let pool_catalogs : (string, Device_pool.catalog) Hashtbl.t = Hashtbl.create 4 in
-  let pool_catalog ~kind (spec : Spec.t) =
-    let key =
-      Printf.sprintf "%s|%d|%d|%d|%b|%h|%d|%d|%h|%s" spec.Spec.target
-        spec.Spec.fleet spec.Spec.devices spec.Spec.shards spec.Spec.speculate
-        spec.Spec.fault_rate spec.Spec.seed spec.Spec.max_retries
-        spec.Spec.timeout_s
-        (match spec.Spec.straggler with
-        | Some i -> string_of_int i
-        | None -> "-")
-    in
-    locked pool_mu (fun () ->
-        match Hashtbl.find_opt pool_catalogs key with
-        | Some c -> c
-        | None ->
-            let c = Device_pool.catalog_of_spec ~kind spec in
-            Hashtbl.add pool_catalogs key c;
-            c)
-  in
   (* Inside a lane every op runs with sequential host parallelism
      ([jobs = 1]): tvmd parallelizes across jobs, not within one, and
-     the determinism contract makes [-j] invisible in results. [salt]
-     (the scheduler job id) decorrelates fault sequences between jobs
-     sharing a pool catalog. *)
+     the determinism contract makes [-j] invisible in results. Each job
+     runs its own session of a fresh catalog; [salt] (the scheduler job
+     id) decorrelates fault sequences between jobs with equal rosters. *)
   let run_tune st ~salt (spec : Spec.t) =
     let spec = { spec with Spec.replay = true; jobs = 1 } in
     let w = Workloads.find spec.Spec.workload in
@@ -301,12 +272,14 @@ let serve ?(slots = 2) ?store ?max_jobs ?(retry = Tvm_rpc.Retry_policy.default)
     let name = "tvmd:" ^ spec.Spec.workload ^ "@" ^ spec.Spec.target in
     let tpl = Templates.gpu_flat ~name out in
     let kind = Tvm.Target.(device_kind (of_name spec.Spec.target)) in
-    let pool = Device_pool.session ~salt (pool_catalog ~kind spec) in
+    let pool =
+      Device_pool.session ~salt (Device_pool.catalog_of_spec ~kind spec)
+    in
     let spec =
       { spec with Spec.batch = Device_pool.suggested_batch pool ~kind ~base:spec.Spec.batch }
     in
     let kind_pred _ = true in
-    let cache = locked store_mu (fun () -> get_cache st name) in
+    let cache = Mutex.protect store_mu (fun () -> get_cache st name) in
     let res =
       Tuner.tune ~spec ~db:st.sc_db ~cache
         ~measure_batch:
@@ -416,7 +389,7 @@ let serve ?(slots = 2) ?store ?max_jobs ?(retry = Tvm_rpc.Retry_policy.default)
                with
                | service, summary ->
                    if service <= retry.Tvm_rpc.Retry_policy.timeout_s then
-                     locked store_mu (fun () ->
+                     Mutex.protect store_mu (fun () ->
                          flush_scope st;
                          match store with
                          | Some path ->
@@ -426,7 +399,8 @@ let serve ?(slots = 2) ?store ?max_jobs ?(retry = Tvm_rpc.Retry_policy.default)
                    Ok (service, summary)
                | exception e -> Error (Printexc.to_string e)
              in
-             locked memo_mu (fun () -> Hashtbl.replace memo j.Sched.jb_id r))
+             Mutex.protect memo_mu (fun () ->
+                 Hashtbl.replace memo j.Sched.jb_id r))
            stream)
        streams);
   (* ---------------- Phase 2: authoritative schedule --------------- *)
@@ -549,7 +523,7 @@ let serve ?(slots = 2) ?store ?max_jobs ?(retry = Tvm_rpc.Retry_policy.default)
 let stop_file = "stop"
 
 let serve_spool ?(slots = 2) ?store ?retry ?compact_above ?(poll_s = 0.05)
-    ?max_scans ?(stopped = fun () -> false) ~dir ~on_batch () =
+    ?(stopped = fun () -> false) ~dir ~on_batch () =
   let archive = Filename.concat dir "archive" in
   if not (Sys.file_exists archive) then Unix.mkdir archive 0o755;
   (* Deterministic ingestion: one scan's envelope files, sorted by
@@ -561,10 +535,9 @@ let serve_spool ?(slots = 2) ?store ?retry ?compact_above ?(poll_s = 0.05)
            && (String.length f = 0 || f.[0] <> '.')
            && not (Sys.is_directory (Filename.concat dir f)))
   in
-  let batches = ref 0 and scans = ref 0 in
+  let batches = ref 0 in
   let running = ref true in
   while !running do
-    incr scans;
     let files = scan () in
     if files <> [] then begin
       let requests =
@@ -602,10 +575,7 @@ let serve_spool ?(slots = 2) ?store ?retry ?compact_above ?(poll_s = 0.05)
     let drained =
       Sys.file_exists (Filename.concat dir stop_file) && scan () = []
     in
-    if
-      stopped () || drained
-      || match max_scans with Some n -> !scans >= n | None -> false
-    then running := false
+    if stopped () || drained then running := false
     else if files = [] then Unix.sleepf poll_s
   done;
   !batches

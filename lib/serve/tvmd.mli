@@ -58,6 +58,15 @@
     using {!store_rules}). Corrupt or version-mismatched store blocks
     are skipped with one warning each, never a crash.
 
+    A fingerprint covers the spec's JSON, so a change to
+    {!Tvm_spec.Job_spec.t}'s fields changes every fingerprint: [done]
+    records written before the spec dropped its four output-sink
+    fields ([journal_out], [trace_out], [metrics_out], [tune_log])
+    match no job, and those jobs re-execute once. A re-executed tune
+    job replays its measurements from the store's trial log, so it
+    picks the same best configuration, but it is charged the service
+    time of a replayed run, not the recorded one.
+
     {2 Determinism}
 
     Everything is driven by the virtual clock: service times come from
@@ -158,7 +167,7 @@ val serve :
     The loop exits when a file named [stop] exists in [dir] and a
     final scan finds no pending envelopes (graceful drain), when
     [stopped] returns true (a signal flag — the current batch still
-    finishes), or after [max_scans] scans. Between empty scans it
+    finishes). Between empty scans it
     sleeps [poll_s] (default 0.05 s) of wall time — the only wall
     clock in the daemon; everything inside a batch stays virtual.
     Returns the number of batches served. *)
@@ -168,7 +177,6 @@ val serve_spool :
   ?retry:Tvm_rpc.Retry_policy.t ->
   ?compact_above:int ->
   ?poll_s:float ->
-  ?max_scans:int ->
   ?stopped:(unit -> bool) ->
   dir:string ->
   on_batch:(int -> outcome -> unit) ->

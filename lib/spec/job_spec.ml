@@ -36,10 +36,6 @@ type t = {
   fleet : int;
   shards : int;
   speculate : bool;
-  journal_out : string option;
-  trace_out : string option;
-  metrics_out : string option;
-  tune_log : string option;
 }
 
 let default =
@@ -67,10 +63,6 @@ let default =
     fleet = 0;
     shards = 0;
     speculate = false;
-    journal_out = None;
-    trace_out = None;
-    metrics_out = None;
-    tune_log = None;
   }
 
 let make ?(op = default.op) ?(workload = default.workload)
@@ -84,13 +76,11 @@ let make ?(op = default.op) ?(workload = default.workload)
     ?(replay = default.replay) ?(fault_rate = default.fault_rate) ?straggler
     ?(max_retries = default.max_retries) ?(timeout_s = default.timeout_s)
     ?(fleet = default.fleet) ?(shards = default.shards)
-    ?(speculate = default.speculate) ?journal_out ?trace_out ?metrics_out
-    ?tune_log () =
+    ?(speculate = default.speculate) () =
   {
     op; workload; target; fusion; trials; method_name; seed; batch; sa_steps;
     n_chains; jobs; devices; validate; verbose; use_compile_cache; replay;
     fault_rate; straggler; max_retries; timeout_s; fleet; shards; speculate;
-    journal_out; trace_out; metrics_out; tune_log;
   }
 
 let to_json t =
@@ -120,10 +110,6 @@ let to_json t =
       ("fleet", Json.Num (Float.of_int t.fleet));
       ("shards", Json.Num (Float.of_int t.shards));
       ("speculate", Json.Bool t.speculate);
-      ("journal_out", opt (fun s -> Json.Str s) t.journal_out);
-      ("trace_out", opt (fun s -> Json.Str s) t.trace_out);
-      ("metrics_out", opt (fun s -> Json.Str s) t.metrics_out);
-      ("tune_log", opt (fun s -> Json.Str s) t.tune_log);
     ]
 
 let of_json j =
@@ -167,10 +153,6 @@ let of_json j =
     fleet = int "fleet" d.fleet;
     shards = int "shards" d.shards;
     speculate = bool "speculate" d.speculate;
-    journal_out = opt_str "journal_out";
-    trace_out = opt_str "trace_out";
-    metrics_out = opt_str "metrics_out";
-    tune_log = opt_str "tune_log";
   }
 
 let to_string t = Json.to_string (to_json t)

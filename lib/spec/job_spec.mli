@@ -8,10 +8,10 @@
     [workload], [target], [fusion]), how hard to search ([trials],
     [method_name], [seed], [batch], [sa_steps], [n_chains]), what
     resources to use ([jobs] host domains, [devices] simulated
-    devices), the replay policy ([replay]), the
-    fault/retry policy ([fault_rate], [straggler], [max_retries],
-    [timeout_s]) and the observability sinks ([journal_out],
-    [trace_out], [metrics_out], [tune_log]).
+    devices), the replay policy ([replay]) and the fault/retry policy
+    ([fault_rate], [straggler], [max_retries], [timeout_s]). Output
+    sinks (journal, trace, metrics, tune log) are not part of a job:
+    [tvmc] opens them around the run.
 
     [Compiler.build], [Tuner.tune], [tvmc] and the [tvmd] daemon all
     take this record; runtime handles that cannot be part of a
@@ -78,16 +78,12 @@ type t = {
   speculate : bool;
       (** duplicate straggling measurements on an idle fast device;
           never changes results, only the virtual makespan *)
-  journal_out : string option;  (** flight-recorder JSONL sink *)
-  trace_out : string option;  (** Chrome trace-event sink *)
-  metrics_out : string option;  (** metrics-registry JSON sink *)
-  tune_log : string option;  (** trial-history JSONL sink *)
 }
 
 val default : t
 (** [Tune] of [C7] on [cuda]: 64 trials, ML-guided, seed 42, batch 16,
     [jobs = Domain.recommended_domain_count ()], one device, caches on,
-    no faults, no sinks. *)
+    no faults. *)
 
 val make :
   ?op:op ->
@@ -113,18 +109,17 @@ val make :
   ?fleet:int ->
   ?shards:int ->
   ?speculate:bool ->
-  ?journal_out:string ->
-  ?trace_out:string ->
-  ?metrics_out:string ->
-  ?tune_log:string ->
   unit ->
   t
 (** The one constructor: every field defaults to {!default}'s value. *)
 
 val to_json : t -> Tvm_obs.Json.t
 val of_json : Tvm_obs.Json.t -> t
-(** Missing fields take {!default}'s value, so specs stay readable by
-    newer code; raises [Invalid_argument] on non-object JSON. *)
+(** Missing fields take {!default}'s value and unknown fields are
+    ignored, so specs stay readable across versions (an envelope that
+    still carries the removed [journal_out], [trace_out],
+    [metrics_out] or [tune_log] keys parses); raises
+    [Invalid_argument] on non-object JSON. *)
 
 val to_string : t -> string
 (** Single-line JSON (the [tvmc submit] wire format). *)

@@ -66,16 +66,12 @@ let registry : (int, t) Hashtbl.t = Hashtbl.create 64
 let registry_lock = Mutex.create ()
 
 let find_by_buffer (b : Expr.buffer) =
-  Mutex.lock registry_lock;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock registry_lock)
-    (fun () -> Hashtbl.find_opt registry b.Expr.bid)
+  Mutex.protect registry_lock (fun () ->
+      Hashtbl.find_opt registry b.Expr.bid)
 
 let register t =
-  Mutex.lock registry_lock;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock registry_lock)
-    (fun () -> Hashtbl.replace registry t.buffer.Expr.bid t)
+  Mutex.protect registry_lock (fun () ->
+      Hashtbl.replace registry t.buffer.Expr.bid t)
 
 let name t = t.tname
 let shape t = t.shape

@@ -187,7 +187,7 @@ let test_measurement_deterministic () =
   let m2 = time (measure_fn_for Machine.titan_x cfg stmt) in
   Alcotest.(check (float 1e-12)) "same config same measurement" m1 m2
 
-let test_db_best () =
+let test_db_records () =
   let module R = Tvm_autotune.Measure_result in
   let db = Tuner.Db.create () in
   Tuner.Db.add db "k" [ ("a", 1) ] (R.ok 0.5);
@@ -197,12 +197,16 @@ let test_db_best () =
   Alcotest.(check int) "all records kept" 4 (Tuner.Db.size db);
   Alcotest.(check int) "ok tally" 3 (Tuner.Db.status_count db "ok");
   Alcotest.(check int) "timeout tally" 1 (Tuner.Db.status_count db "timeout");
-  match Tuner.Db.best db "k" with
-  | Some r -> (
-      match R.time r.Tuner.Db.db_result with
-      | Some t -> Alcotest.(check (float 1e-9)) "best time" 0.3 t
-      | None -> Alcotest.fail "best record must be successful")
-  | None -> Alcotest.fail "expected a record"
+  let time cfg = Option.bind (Tuner.Db.find db "k" cfg) R.time in
+  Alcotest.(check (option (float 1e-9))) "record a=1" (Some 0.5)
+    (time [ ("a", 1) ]);
+  Alcotest.(check (option (float 1e-9))) "record a=2" (Some 0.3)
+    (time [ ("a", 2) ]);
+  checkb "failed record indexed"
+    (Option.map (fun r -> R.status_name r.R.status)
+       (Tuner.Db.find db "k" [ ("a", 4) ])
+    = Some "timeout");
+  checkb "keys kept apart" (Tuner.Db.find db "k" [ ("a", 3) ] = None)
 
 let suite =
   [
@@ -220,5 +224,5 @@ let suite =
     Alcotest.test_case "tuner improves" `Quick test_tuner_improves;
     Alcotest.test_case "ml >= random on budget" `Quick test_ml_beats_random_on_budget;
     Alcotest.test_case "deterministic measurement" `Quick test_measurement_deterministic;
-    Alcotest.test_case "tuning database" `Quick test_db_best;
+    Alcotest.test_case "tuning database" `Quick test_db_records;
   ]

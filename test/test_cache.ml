@@ -137,23 +137,6 @@ let test_best_stmt_is_measured_program () =
       checkb "best_stmt is the program measured for best_config"
         (Hashtbl.find measured (Cfg.canonical r.Tuner.best_config) == s)
 
-let test_merge_first_wins_in_source_order () =
-  let into = Cache.create ~name:"into" () in
-  let src = Cache.create ~name:"src" () in
-  Cache.add into [ ("a", 1) ] (valid [| 1. |]);
-  Cache.add src [ ("a", 3) ] Cache.Invalid;
-  Cache.add src [ ("a", 1) ] (valid [| 9. |]);
-  Cache.add src [ ("a", 2) ] (valid [| 2. |]);
-  Cache.merge ~into src;
-  checkb "existing entry not overwritten"
-    (Option.bind (Cache.find into [ ("a", 1) ]) Cache.feats = Some [| 1. |]);
-  checkb "new entry merged"
-    (Option.bind (Cache.find into [ ("a", 2) ]) Cache.feats = Some [| 2. |]);
-  let order = ref [] in
-  Cache.iter_entries into (fun k _ -> order := k :: !order);
-  checkb "merged entries follow the source's insertion order"
-    (List.rev !order = [ [ ("a", 1) ]; [ ("a", 3) ]; [ ("a", 2) ] ])
-
 (* Kernel table, and the cache verdict of every compiler record in
    the journal, of a journaled dqn build on [tuned]. *)
 let compile_outputs tuned =
@@ -373,8 +356,6 @@ let suite =
       `Quick test_best_stmt_is_fresh_lowering;
     Alcotest.test_case "best_stmt is the program the best trial measured"
       `Quick test_best_stmt_is_measured_program;
-    Alcotest.test_case "merge is first-wins in source order" `Quick
-      test_merge_first_wins_in_source_order;
     Alcotest.test_case
       "compile hands tuned programs forward; tuned-cache hits re-lower"
       `Quick test_compile_hands_programs_forward;

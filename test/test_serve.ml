@@ -34,8 +34,7 @@ let test_job_spec_roundtrip () =
         ~fusion:false ~trials:7 ~method_name:"random" ~seed:9 ~batch:4
         ~sa_steps:3 ~n_chains:2 ~jobs:3 ~devices:4 ~validate:true
         ~verbose:true ~use_compile_cache:false ~replay:true ~fault_rate:0.25
-        ~straggler:1 ~max_retries:5 ~timeout_s:0.5 ~journal_out:"j.txt"
-        ~trace_out:"t.json" ~metrics_out:"m.txt" ~tune_log:"l.jsonl" ();
+        ~straggler:1 ~max_retries:5 ~timeout_s:0.5 ();
       Job_spec.make ~op:Job_spec.Profile ~trials:0 ();
     ]
   in
@@ -51,7 +50,20 @@ let test_job_spec_roundtrip () =
   (* Missing fields take defaults: the empty object is the default spec. *)
   Alcotest.(check bool)
     "defaults fill in" true
-    (Job_spec.of_string "{}" = Job_spec.default)
+    (Job_spec.of_string "{}" = Job_spec.default);
+  (* Envelopes written before the spec dropped its output sinks still
+     carry those keys: they parse, and the keys are ignored. *)
+  let r = Tvm_serve.Tvmd.request ~tenant:"t" (Job_spec.make ~trials:3 ()) in
+  let s = Tvm_serve.Tvmd.to_string r in
+  let n = String.length s in
+  Alcotest.(check string) "envelope ends with the spec object" "}}"
+    (String.sub s (n - 2) 2);
+  let old =
+    String.sub s 0 (n - 2)
+    ^ {|,"journal_out":"j.txt","trace_out":"t.json","metrics_out":"m.txt","tune_log":"l.jsonl"}}|}
+  in
+  Alcotest.(check bool) "old sink keys ignored" true
+    (Tvm_serve.Tvmd.of_string old = r)
 
 (* ------------------------------------------------------------------ *)
 (* Store: block format                                                  *)
@@ -531,7 +543,7 @@ let test_request_roundtrip () =
       (Job_spec.make ~op:Job_spec.Tune ~workload:"C1" ~trials:8
          ~method_name:"random" ~jobs:2 ())
   in
-  let s = Tvmd.to_string r in
+  let s = Tvm_serve.Tvmd.to_string r in
   Alcotest.(check bool) "single line" false (String.contains s '\n');
   Alcotest.(check bool) "envelope round trips" true (Tvmd.of_string s = r);
   let d = Tvmd.of_string "{}" in
