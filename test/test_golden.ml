@@ -12,6 +12,7 @@ module Cfg = Tvm_autotune.Cfg_space
 module Tuner = Tvm_autotune.Tuner
 module Templates = Tvm_autotune.Templates
 module Feature = Tvm_autotune.Feature
+module Gbt = Tvm_autotune.Gbt
 module Workloads = Tvm_models.Workloads
 open Test_helpers
 
@@ -277,6 +278,66 @@ let test_model_digest () =
     (Digest.to_hex (Digest.string out))
 
 (* ------------------------------------------------------------------ *)
+(* GBT cost model: fitted trees                                         *)
+(* ------------------------------------------------------------------ *)
+
+(* Every fitted tree (split feature, [%h] threshold and leaf) and the
+   pairwise rank accuracy, for both objectives, on: the corpus's
+   feature rows, which have tied values and constant columns; a seeded
+   96-row set fitted sequentially and on a 4-domain pool; and sets too
+   small to split. A change to how the split search runs must leave
+   this digest unchanged. *)
+let expected_gbt_digest = "e4ac5cbb14624231fa48656a742474de"
+
+let rec print_tree buf = function
+  | Gbt.Leaf v -> Printf.bprintf buf "%h" v
+  | Gbt.Node n ->
+      Printf.bprintf buf "(f%d<=%h " n.feature n.threshold;
+      print_tree buf n.left;
+      Buffer.add_char buf ' ';
+      print_tree buf n.right;
+      Buffer.add_char buf ')'
+
+let gbt_corpus () =
+  let buf = Buffer.create (1 lsl 18) in
+  let fit label ?pool xs ys =
+    List.iter
+      (fun (oname, obj) ->
+        let m = Gbt.fit ~params:{ Gbt.default_params with obj } ?pool xs ys in
+        Printf.bprintf buf "%s %s base %h accuracy %h\n" label oname m.Gbt.base
+          (Gbt.rank_accuracy m xs ys);
+        List.iter
+          (fun t ->
+            print_tree buf t;
+            Buffer.add_char buf '\n')
+          m.Gbt.trees)
+      [ ("regression", Gbt.Regression); ("rank", Gbt.Rank) ]
+  in
+  let rows =
+    Array.of_list (List.filter_map (fun (_, s) -> Option.map Feature.extract s)
+                     (Lazy.force programs))
+  in
+  fit "corpus" rows (Array.mapi (fun i _ -> float_of_int (i * 7919 mod 97)) rows);
+  (* A continuous, a coarse (many ties), a constant and a two-valued
+     column; the target mixes them with seeded noise. *)
+  let rng = Random.State.make [| 2718 |] in
+  let xs =
+    Array.init 96 (fun _ ->
+        [| Random.State.float rng 1.; Float.of_int (Random.State.int rng 5); 3.;
+           (if Random.State.bool rng then 0. else 1.) |])
+  in
+  let ys =
+    Array.map
+      (fun x -> (x.(0) *. x.(1)) -. x.(3) +. Random.State.float rng 0.1)
+      xs
+  in
+  fit "seeded/seq" xs ys;
+  fit "seeded/pool4" ~pool:(Tvm_par.Pool.create ~domains:4 ()) xs ys;
+  fit "small" (Array.sub xs 0 3) (Array.sub ys 0 3);
+  fit "empty" [||] [||];
+  Buffer.contents buf
+
+(* ------------------------------------------------------------------ *)
 (* Measurement golden: tuning histories and a compiled kernel table      *)
 (* ------------------------------------------------------------------ *)
 
@@ -526,6 +587,8 @@ let suite =
       test_hash_edge_cases;
     Alcotest.test_case "hash allocates nothing" `Quick test_hash_allocates_nothing;
     Alcotest.test_case "machine model breakdowns digest" `Quick test_model_digest;
+    Alcotest.test_case "GBT fitted trees digest" `Quick
+      (check_loop_digest "GBT trees" expected_gbt_digest gbt_corpus);
     Alcotest.test_case "tuning histories and kernel table digest" `Quick
       test_measure_digest;
     Alcotest.test_case "device pool loop digest" `Quick
