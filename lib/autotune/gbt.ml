@@ -1,11 +1,16 @@
 (** Gradient-boosted regression trees — the default cost model (§5.2).
 
     A from-scratch stand-in for XGBoost [8]: depth-bounded regression
-    trees grown greedily on variance reduction with quantile candidate
-    thresholds, combined by shrinkage. Supports the paper's two
-    objectives: plain regression on the score, and a rank objective that
-    fits within-dataset rank positions — the explorer "selects the top
-    candidates based only on the relative order of the prediction". *)
+    trees grown by exact greedy search on variance reduction, combined
+    by shrinkage. As in XGBoost's exact greedy method, each feature
+    column is presorted once per fit; a node tries at most 16
+    candidate thresholds per column, the midpoints between quantiles
+    of its distinct values. Every sum runs over a node's rows in
+    ascending row order, so the fitted trees are fixed to the bit.
+    Supports the paper's two objectives: plain regression on the score,
+    and a rank objective that fits within-dataset rank positions — the
+    explorer "selects the top candidates based only on the relative
+    order of the prediction". *)
 
 type objective = Regression | Rank
 
@@ -44,47 +49,107 @@ let predict model x =
 (* Tree growing                                                        *)
 (* ------------------------------------------------------------------ *)
 
-let mean arr idxs =
-  if idxs = [] then 0.
-  else List.fold_left (fun acc i -> acc +. arr.(i)) 0. idxs /. float_of_int (List.length idxs)
+(* Per-fit split-search state. Columns are copied and presorted once
+   per fit; a node is a segment [lo, hi) of [rows], kept in ascending
+   row order, and [mark] flags the rows of the node being searched.
+   Column searches read [mark] from every domain; only [best_split]
+   writes it, before and after they run. *)
+type search = {
+  cols : float array array;  (** [cols.(f).(i)] = feature [f] of row [i] *)
+  sorted : int array array;  (** each column's rows, ascending under [Float.compare] *)
+  values : float array array;  (** per-column scratch: a node's distinct values *)
+  mark : bool array;
+  rows : int array;
+  spill : int array;  (** scratch for the right side of a partition *)
+}
 
-let sse arr idxs m =
-  List.fold_left (fun acc i -> acc +. ((arr.(i) -. m) ** 2.)) 0. idxs
-
-(** Candidate thresholds: up to 16 midpoints between quantiles. *)
-let candidates (xs : float array array) feature idxs =
-  let values =
-    List.map (fun i -> xs.(i).(feature)) idxs |> List.sort_uniq compare
+let search_of (xs : float array array) =
+  let n = Array.length xs in
+  let cols = Array.init (Array.length xs.(0)) (fun f -> Array.init n (fun i -> xs.(i).(f))) in
+  let sort col =
+    let order = Array.init n Fun.id in
+    Array.stable_sort (fun a b -> Float.compare col.(a) col.(b)) order;
+    order
   in
-  match values with
-  | [] | [ _ ] -> []
-  | values ->
-      let arr = Array.of_list values in
-      let n = Array.length arr in
-      let num = min 16 (n - 1) in
-      List.init num (fun q ->
-          let pos = (q + 1) * n / (num + 1) in
-          let pos = max 1 (min (n - 1) pos) in
-          (arr.(pos - 1) +. arr.(pos)) /. 2.)
-      |> List.sort_uniq compare
+  {
+    cols;
+    sorted = Array.map sort cols;
+    values = Array.map (fun _ -> Array.make n 0.) cols;
+    mark = Array.make n false;
+    rows = Array.make n 0;
+    spill = Array.make n 0;
+  }
 
-(* Best split within one feature column: scan thresholds ascending,
-   keep the first strictly-best gain — the same tie-break the old
-   sequential double loop applied within a column. *)
-let column_best xs residuals idxs total_sse f =
-  let best = ref None in
-  List.iter
-    (fun threshold ->
-      let left, right = List.partition (fun i -> xs.(i).(f) <= threshold) idxs in
-      if left <> [] && right <> [] then begin
-        let ml = mean residuals left and mr = mean residuals right in
-        let gain = total_sse -. sse residuals left ml -. sse residuals right mr in
-        match !best with
-        | Some (g, _, _, _, _) when g >= gain -> ()
-        | _ -> best := Some (gain, f, threshold, left, right)
-      end)
-    (candidates xs f idxs);
-  !best
+(* Every float reduction below adds the node's rows in ascending row
+   order, and squares deviations with [**] (libm [pow]). [d *. d]
+   rounds differently on about 1 in 1,200 doubles (glibc 2.36), which
+   can flip a near-tie between two gains and so change a tree. *)
+let mean st (r : float array) lo hi =
+  let s = ref 0. in
+  for k = lo to hi - 1 do
+    s := !s +. r.(st.rows.(k))
+  done;
+  !s /. float_of_int (hi - lo)
+
+let sse st (r : float array) lo hi m =
+  let s = ref 0. in
+  for k = lo to hi - 1 do
+    s := !s +. ((r.(st.rows.(k)) -. m) ** 2.)
+  done;
+  !s
+
+(* Best split within one feature column. The node's distinct values
+   are the marked entries of the presorted column with repeats dropped;
+   its candidate thresholds are up to 16 midpoints between their
+   quantiles, which come out ascending, so each is tried once, in
+   ascending order, keeping the first strictly-best gain. Only the
+   domain searching column [f] writes [st.values.(f)]. *)
+let column_best st (r : float array) lo hi total_sse f =
+  let col = st.cols.(f) and order = st.sorted.(f) and values = st.values.(f) in
+  let nv = ref 0 in
+  for j = 0 to Array.length order - 1 do
+    let i = order.(j) in
+    if st.mark.(i) && (!nv = 0 || Float.compare col.(i) values.(!nv - 1) <> 0) then begin
+      values.(!nv) <- col.(i);
+      incr nv
+    end
+  done;
+  let nv = !nv in
+  let found = ref false and best_gain = ref 0. and best_t = ref 0. in
+  let num = min 16 (nv - 1) and last_t = ref 0. in
+  for q = 0 to num - 1 do
+    let pos = max 1 (min (nv - 1) ((q + 1) * nv / (num + 1))) in
+    let t = (values.(pos - 1) +. values.(pos)) /. 2. in
+    if q = 0 || Float.compare t !last_t <> 0 then begin
+      let sl = ref 0. and nl = ref 0 and sr = ref 0. in
+      for k = lo to hi - 1 do
+        let i = st.rows.(k) in
+        if col.(i) <= t then begin
+          sl := !sl +. r.(i);
+          incr nl
+        end
+        else sr := !sr +. r.(i)
+      done;
+      let nl = !nl and nr = hi - lo - !nl in
+      if nl > 0 && nr > 0 then begin
+        let ml = !sl /. float_of_int nl and mr = !sr /. float_of_int nr in
+        let el = ref 0. and er = ref 0. in
+        for k = lo to hi - 1 do
+          let i = st.rows.(k) in
+          if col.(i) <= t then el := !el +. ((r.(i) -. ml) ** 2.)
+          else er := !er +. ((r.(i) -. mr) ** 2.)
+        done;
+        let gain = total_sse -. !el -. !er in
+        if not (!found && !best_gain >= gain) then begin
+          found := true;
+          best_gain := gain;
+          best_t := t
+        end
+      end
+    end;
+    last_t := t
+  done;
+  if !found then Some (!best_gain, f, !best_t) else None
 
 (* Combine per-column winners in ascending feature order with the same
    strictly-greater rule, which reproduces the sequential loop's result
@@ -94,42 +159,64 @@ let pick_best acc cand =
   match (acc, cand) with
   | _, None -> acc
   | None, c -> c
-  | Some (g0, _, _, _, _), Some (g, _, _, _, _) -> if g0 >= g then acc else cand
+  | Some (g0, _, _), Some (g, _, _) -> if g0 >= g then acc else cand
 
-let best_split ?(pool = Tvm_par.Pool.sequential) xs residuals idxs =
-  let n_features = Array.length xs.(List.hd idxs) in
-  let total_mean = mean residuals idxs in
-  let total_sse = sse residuals idxs total_mean in
+let best_split ~pool st r lo hi total_sse =
+  for k = lo to hi - 1 do
+    st.mark.(st.rows.(k)) <- true
+  done;
+  let n_features = Array.length st.cols in
   (* Fan out only when the node is big enough for the split search to
      dwarf the fork-join overhead; the guard depends only on data
      sizes, so results are identical either way. *)
-  if Tvm_par.Pool.domains pool > 1 && n_features > 1 && List.length idxs >= 64
-  then
-    Tvm_par.Pool.parallel_reduce pool
-      ~map:(column_best xs residuals idxs total_sse)
-      ~combine:pick_best ~init:None
-      (Array.init n_features Fun.id)
-  else begin
-    let best = ref None in
-    for f = 0 to n_features - 1 do
-      best := pick_best !best (column_best xs residuals idxs total_sse f)
-    done;
-    !best
-  end
+  let best =
+    if Tvm_par.Pool.domains pool > 1 && n_features > 1 && hi - lo >= 64 then
+      Tvm_par.Pool.parallel_reduce pool
+        ~map:(column_best st r lo hi total_sse)
+        ~combine:pick_best ~init:None
+        (Array.init n_features Fun.id)
+    else begin
+      let best = ref None in
+      for f = 0 to n_features - 1 do
+        best := pick_best !best (column_best st r lo hi total_sse f)
+      done;
+      !best
+    end
+  in
+  for k = lo to hi - 1 do
+    st.mark.(st.rows.(k)) <- false
+  done;
+  best
 
-let rec grow_tree ?pool params xs residuals idxs depth =
-  let m = mean residuals idxs in
-  if depth >= params.max_depth || List.length idxs < params.min_samples then Leaf m
+(* Stable partition of the segment on [col.(i) <= t]: both sides keep
+   ascending row order. Returns the boundary. *)
+let partition st f t lo hi =
+  let col = st.cols.(f) in
+  let nl = ref lo and nr = ref 0 in
+  for k = lo to hi - 1 do
+    let i = st.rows.(k) in
+    if col.(i) <= t then begin
+      st.rows.(!nl) <- i;
+      incr nl
+    end
+    else begin
+      st.spill.(!nr) <- i;
+      incr nr
+    end
+  done;
+  Array.blit st.spill 0 st.rows !nl !nr;
+  !nl
+
+let rec grow_tree ~pool params st r lo hi depth =
+  let m = mean st r lo hi in
+  if depth >= params.max_depth || hi - lo < params.min_samples then Leaf m
   else
-    match best_split ?pool xs residuals idxs with
-    | Some (gain, feature, threshold, left, right) when gain > 1e-12 ->
-        Node
-          {
-            feature;
-            threshold;
-            left = grow_tree ?pool params xs residuals left (depth + 1);
-            right = grow_tree ?pool params xs residuals right (depth + 1);
-          }
+    match best_split ~pool st r lo hi (sse st r lo hi m) with
+    | Some (gain, feature, threshold) when gain > 1e-12 ->
+        let mid = partition st feature threshold lo hi in
+        let left = grow_tree ~pool params st r lo mid (depth + 1) in
+        let right = grow_tree ~pool params st r mid hi (depth + 1) in
+        Node { feature; threshold; left; right }
     | Some _ | None -> Leaf m
 
 let rec scale_tree factor = function
@@ -155,22 +242,24 @@ let transform_targets obj (ys : float array) =
 
 (** Fit a boosted ensemble on [(xs, ys)]. Callers typically pass
     [ys = score] where higher is better (e.g. -log time). *)
-let fit ?(params = default_params) ?pool (xs : float array array)
-    (ys : float array) : t =
+let fit ?(params = default_params) ?(pool = Tvm_par.Pool.sequential)
+    (xs : float array array) (ys : float array) : t =
   let n = Array.length xs in
   if n = 0 then { trees = []; base = 0.; objective = params.obj }
   else begin
     let targets = transform_targets params.obj ys in
     let base = Array.fold_left ( +. ) 0. targets /. float_of_int n in
     let preds = Array.make n base in
-    let idxs = List.init n Fun.id in
+    let st = search_of xs in
     let trees = ref [] in
     (* Boosting is sequential by construction (each tree fits the
        previous ensemble's residuals); the parallelism lives inside
        [best_split]'s per-column search. *)
     for _ = 1 to params.n_trees do
       let residuals = Array.init n (fun i -> targets.(i) -. preds.(i)) in
-      let tree = grow_tree ?pool params xs residuals idxs 0 in
+      (* The root holds every row, ascending; growing permutes [rows]. *)
+      Array.iteri (fun i _ -> st.rows.(i) <- i) st.rows;
+      let tree = grow_tree ~pool params st residuals 0 n 0 in
       let tree = scale_tree params.learning_rate tree in
       Array.iteri (fun i x -> preds.(i) <- preds.(i) +. predict_tree tree x) xs;
       trees := tree :: !trees
@@ -182,16 +271,15 @@ let fit ?(params = default_params) ?pool (xs : float array array)
     quantity that matters for explorer quality. Rows fan out over
     [pool]; per-row pair counts are exact integers, so the summed
     accuracy is independent of domain count. *)
-let rank_accuracy ?(pool = Tvm_par.Pool.sequential) model xs ys =
+let rank_accuracy ?(pool = Tvm_par.Pool.sequential) model xs (ys : float array) =
   let n = Array.length xs in
+  let preds = Array.map (predict model) xs in
   let row i =
     let correct = ref 0 and total = ref 0 in
-    let pi = predict model xs.(i) in
     for j = i + 1 to n - 1 do
       if ys.(i) <> ys.(j) then begin
         incr total;
-        let pj = predict model xs.(j) in
-        if (ys.(i) < ys.(j)) = (pi < pj) then incr correct
+        if (ys.(i) < ys.(j)) = (preds.(i) < preds.(j)) then incr correct
       end
     done;
     (!correct, !total)

@@ -1,10 +1,13 @@
 (** Gradient-boosted regression trees — the default cost model (§5.2).
 
     A from-scratch stand-in for XGBoost: depth-bounded regression trees
-    grown greedily on variance reduction with quantile candidate
-    thresholds, combined by shrinkage. Supports both plain regression
-    and the paper's rank objective ("the explorer selects the top
-    candidates based only on the relative order of the prediction"). *)
+    grown by exact greedy search on variance reduction over columns
+    presorted once per fit, trying at most 16 quantile-midpoint
+    thresholds per node and column, combined by shrinkage. Sums run in
+    ascending row order, so fitted trees are bit-reproducible. Supports
+    both plain regression and the paper's rank objective ("the explorer
+    selects the top candidates based only on the relative order of the
+    prediction"). *)
 
 type objective = Regression | Rank
 

@@ -216,21 +216,33 @@ let test_sa_bit_identical () =
         (run d = base))
     [ 2; 4; 8 ]
 
+(* Whole trees must match at every domain count. Tied and constant
+   columns make nodes whose columns have few or no candidate
+   thresholds while other domains search the same node's rows. *)
 let test_gbt_pool_identical () =
   let rng = Random.State.make [| 11 |] in
   let xs =
-    Array.init 128 (fun _ -> Array.init 6 (fun _ -> Random.State.float rng 1.))
+    Array.init 128 (fun _ ->
+        [| Random.State.float rng 1.; Random.State.float rng 1.;
+           Float.of_int (Random.State.int rng 4); 2.5;
+           Random.State.float rng 1.; (if Random.State.bool rng then 0. else 1.) |])
   in
-  let ys = Array.map (fun x -> (x.(0) *. x.(1)) -. x.(3)) xs in
-  let seq = Gbt.fit xs ys in
-  let par = Gbt.fit ~pool:(Par.create ~domains:4 ()) xs ys in
-  Array.iter
-    (fun x ->
-      checkb "prediction bit-identical" (Gbt.predict seq x = Gbt.predict par x))
-    xs;
-  let acc_seq = Gbt.rank_accuracy seq xs ys in
-  let acc_par = Gbt.rank_accuracy ~pool:(Par.create ~domains:4 ()) par xs ys in
-  checkb "rank accuracy bit-identical" (acc_seq = acc_par)
+  let ys = Array.map (fun x -> (x.(0) *. x.(2)) -. x.(4) +. x.(5)) xs in
+  List.iter
+    (fun obj ->
+      let params = { Gbt.default_params with obj } in
+      let seq = Gbt.fit ~params xs ys in
+      checkb "trees split" (List.exists (function Gbt.Node _ -> true | _ -> false) seq.Gbt.trees);
+      List.iter
+        (fun d ->
+          let pool = Par.create ~domains:d () in
+          let par = Gbt.fit ~params ~pool xs ys in
+          checkb (Printf.sprintf "trees identical at %d domains" d) (par = seq);
+          checkb
+            (Printf.sprintf "rank accuracy identical at %d domains" d)
+            (Gbt.rank_accuracy ~pool par xs ys = Gbt.rank_accuracy seq xs ys))
+        [ 1; 2; 4 ])
+    [ Gbt.Regression; Gbt.Rank ]
 
 (* ------------------------------------------------------------------ *)
 (* End-to-end: the whole tuning loop at -j1 vs -j4                      *)
