@@ -37,11 +37,9 @@ let () =
   List.iter
     (fun method_ ->
       let res = Tuner.tune ~method_ ~measure ~n_trials:budget tpl in
-      Printf.printf "\n%-10s best %.3f ms after %d trials%s\n"
+      Printf.printf "\n%-10s best %.3f ms after %d trials\n"
         (Tuner.method_to_string method_)
-        (1e3 *. res.Tuner.best_time) budget
-        (if Float.is_nan res.Tuner.model_accuracy then ""
-         else Printf.sprintf " (cost-model rank accuracy %.2f)" res.Tuner.model_accuracy);
+        (1e3 *. res.Tuner.best_time) budget;
       Printf.printf "  best config: %s\n" (Cfg.to_string res.Tuner.best_config))
     [ Tuner.Ml_model; Tuner.Random_search; Tuner.Genetic_algorithm ];
 

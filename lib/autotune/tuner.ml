@@ -65,7 +65,6 @@ type result = {
   best_config : Cfg_space.config;
   best_time : float;
   history : trial list;  (** in measurement order *)
-  model_accuracy : float;  (** final rank accuracy on collected data *)
   best_stmt : Tvm_tir.Stmt.t option;
       (** the best trial's program; [None] when it was replayed *)
 }
@@ -545,7 +544,9 @@ let tune ?(spec = Tvm_spec.Job_spec.default) ?db ?cache ?measure_batch
               else proposed @ filler
         in
         ignore (run_batch cfgs);
-        if !xs <> [] then
+        (* Refit only for a proposal round still to come: a model fitted
+           after the last batch would never be read. *)
+        if !xs <> [] && !trial_index > before && !trial_index < n_trials then
           model :=
             Some
               (timed_phase "fit" @@ fun () ->
@@ -553,18 +554,10 @@ let tune ?(spec = Tvm_spec.Job_spec.default) ?db ?cache ?measure_batch
     (* A round with no new measurements means the space is exhausted. *)
     if !trial_index = before then exhausted := true
   done;
-  let model_accuracy =
-    match !model with
-    | Some m when List.length !xs > 4 ->
-        Gbt.rank_accuracy ~pool:par m (Array.of_list !xs) (Array.of_list !ys)
-    | _ -> ( match method_ with Ml_model -> 0.5 | _ -> Float.nan)
-  in
-  if Float.is_finite model_accuracy then
-    Obs_metrics.set_gauge "tuner.model_accuracy" model_accuracy;
   match !best_config with
   | Some cfg ->
       { best_config = cfg; best_time = !best_time; history = List.rev !history;
-        model_accuracy; best_stmt = !best_stmt }
+        best_stmt = !best_stmt }
   | None ->
       invalid_arg
         (Printf.sprintf "tune(%s): no valid configuration found in %d trials"

@@ -34,7 +34,6 @@ type result = {
   best_config : Cfg_space.config;
   best_time : float;  (** always finite: [tune] raises if no trial succeeded *)
   history : trial list;  (** in measurement order *)
-  model_accuracy : float;  (** final rank accuracy on collected data *)
   best_stmt : Tvm_tir.Stmt.t option;
       (** the program the best trial measured, handed forward so the
           caller need not re-lower [best_config]; [None] when that

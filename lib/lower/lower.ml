@@ -6,11 +6,14 @@
       order, reconstructing original axis values through the
       split/fuse relations,
     + region inference for [compute_at]-attached stages by interval
-      analysis of the consumer's accesses (exact under divisor splits),
+      analysis of the consumer's accesses (exact under divisor splits;
+      offsets pin each inner var by point evaluation, then substitute
+      all pins at once — {!minimize_inner}),
     + reduction lowering into init + update nests,
     + tensorize pattern-matching and replacement with intrinsic calls,
     + DMA rewriting of accelerator-scope copy stages.
 
+    The finished program goes through one {!Simplify.stmt} pass.
     The virtual-thread transformation of §4.4 is a separate pass
     ({!Vthread_lower}) running on the output of this one. *)
 
@@ -188,6 +191,46 @@ let substituted_exprs (st : Sched.stage) values =
   | Tensor.Value e -> [ s e ]
   | Tensor.Reduce r -> [ s r.Tensor.src; s r.Tensor.init ]
 
+(* Range of a variable while sizing a region: an [inner] var spans its
+   extent, any other (outer) var is pinned to 0. *)
+let inner_range inner vid =
+  match List.find_opt (fun ((iv : Expr.var), _) -> iv.Expr.vid = vid) inner with
+  | Some (_, extent) -> Interval.of_extent ~min:0 ~extent
+  | None -> Interval.point 0
+
+(** Region offset of index [e]: [e] minimized over the [inner] vars.
+    Each inner var [e] mentions is pinned, in [inner]'s order, at the
+    end of its range that gives the lower interval bound (reversed
+    accesses like [k-1-ry] need the high end), with the vars pinned so
+    far evaluated as points; outer vars count as 0 while deciding but
+    stay symbolic. The pins are substituted in one pass. This decides
+    as substituting each end and folding would (DESIGN, "Region
+    inference limits"). *)
+let minimize_inner ~(inner : (Expr.var * int) list) e =
+  let pinned = ref [] in
+  List.iter
+    (fun ((v : Expr.var), extent) ->
+      if Visit.mentions v e then begin
+        let lo_at n =
+          let env vid =
+            if vid = v.Expr.vid then Some (Interval.point n)
+            else
+              match List.assoc_opt vid !pinned with
+              | Some p -> Some (Interval.point p)
+              | None -> Some (inner_range inner vid)
+          in
+          (Interval.eval env e).Interval.lo
+        in
+        let decreasing =
+          try lo_at (extent - 1) < lo_at 0 with Interval.Not_analyzable _ -> false
+        in
+        pinned := (v.Expr.vid, if decreasing then extent - 1 else 0) :: !pinned
+      end)
+    inner;
+  match !pinned with
+  | [] -> e
+  | pinned -> Visit.subst_expr (fun v -> Option.map Expr.int (List.assoc_opt v.Expr.vid pinned)) e
+
 (** Hull of all accesses to [buf] in [exprs], splitting loop vars into
     [inner] (ranging over their extents) and outer (symbolic; pinned to
     0 for sizing). Returns (offset exprs, sizes); [None] if unused. *)
@@ -206,28 +249,7 @@ let infer_region ~(buf : Expr.buffer) ~(inner : (Expr.var * int) list) exprs =
   | [] -> None
   | first :: _ as all ->
       let rank = List.length first in
-      let env vid =
-        match List.find_opt (fun (iv, _) -> iv.Expr.vid = vid) inner with
-        | Some (_, extent) -> Some (Interval.of_extent ~min:0 ~extent)
-        | None -> Some (Interval.point 0)
-      in
-      (* Offset = the index expression minimized over the inner vars:
-         substitute each inner var at whichever end of its range lowers
-         the index (reversed accesses like [k-1-ry] need the high end). *)
-      let minimize_inner e =
-        List.fold_left
-          (fun e (v, extent) ->
-            let at n = Visit.subst_var_expr v (Expr.int n) e in
-            let decreasing =
-              try
-                let lo0 = (Interval.eval env (at 0)).Interval.lo in
-                let lo1 = (Interval.eval env (at (extent - 1))).Interval.lo in
-                lo1 < lo0
-              with Interval.Not_analyzable _ -> false
-            in
-            if decreasing then at (extent - 1) else at 0)
-          e inner
-      in
+      let env vid = Some (inner_range inner vid) in
       let dims =
         List.init rank (fun d ->
             let bounds =
@@ -241,7 +263,7 @@ let infer_region ~(buf : Expr.buffer) ~(inner : (Expr.var * int) list) exprs =
             in
             let hull = List.fold_left Interval.union (List.hd bounds) (List.tl bounds) in
             let offsets =
-              List.map (fun idx -> Simplify.expr (minimize_inner (List.nth idx d))) all
+              List.map (fun idx -> Simplify.expr (minimize_inner ~inner (List.nth idx d))) all
             in
             let offset =
               List.fold_left (fun acc o -> Expr.min_ acc o) (List.hd offsets)

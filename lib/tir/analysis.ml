@@ -285,7 +285,7 @@ let stride_wrt access (v : Expr.var) =
             access.acc_indices row_strides
         in
         Some (List.fold_left ( + ) 0 components)
-      with Interval.Not_analyzable _ | Invalid_argument _ -> None
+      with Interval.Not_analyzable _ -> None
     in
     match (flat_at 0, flat_at 1) with
     | Some a, Some b -> Some (b - a)

@@ -20,6 +20,8 @@ let union a b = { lo = min a.lo b.lo; hi = max a.hi b.hi }
 let contains i n = i.lo <= n && n <= i.hi
 let to_string i = Printf.sprintf "[%d,%d]" i.lo i.hi
 
+exception Not_analyzable of string
+
 let add a b = { lo = a.lo + b.lo; hi = a.hi + b.hi }
 let sub a b = { lo = a.lo - b.hi; hi = a.hi - b.lo }
 
@@ -33,20 +35,19 @@ let div a b =
     let d = b.lo in
     let fdiv x = if x >= 0 then x / d else -(((-x) + d - 1) / d) in
     { lo = fdiv a.lo; hi = fdiv a.hi }
-  else invalid_arg "Interval.div: non-constant or non-positive divisor"
+  else raise (Not_analyzable "non-constant or non-positive divisor")
 
 let modulo a b =
   if b.lo = b.hi && b.lo > 0 then
     let d = b.lo in
-    if a.lo >= 0 && a.hi - a.lo + 1 >= d then { lo = 0; hi = d - 1 }
+    if a.lo = a.hi then point (((a.lo mod d) + d) mod d)
+    else if a.lo >= 0 && a.hi - a.lo + 1 >= d then { lo = 0; hi = d - 1 }
     else if a.lo >= 0 && a.lo / d = a.hi / d then { lo = a.lo mod d; hi = a.hi mod d }
     else { lo = 0; hi = d - 1 }
-  else invalid_arg "Interval.modulo: non-constant or non-positive divisor"
+  else raise (Not_analyzable "non-constant or non-positive modulus")
 
 let min_ a b = { lo = min a.lo b.lo; hi = min a.hi b.hi }
 let max_ a b = { lo = max a.lo b.lo; hi = max a.hi b.hi }
-
-exception Not_analyzable of string
 
 (* The worker behind {!eval}: [memo] caches the interval of composite
    nodes by physical identity for the duration of one evaluation, so

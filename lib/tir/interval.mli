@@ -19,8 +19,12 @@ val union : t -> t -> t
 val contains : t -> int -> bool
 val to_string : t -> string
 
+exception Not_analyzable of string
+
 (** Interval arithmetic. [div]/[modulo] require a positive constant
-    divisor and raise [Invalid_argument] otherwise. *)
+    divisor and raise {!Not_analyzable} otherwise. On point operands
+    each operation returns the point {!Expr}'s constant folding would
+    give; region inference relies on that. *)
 val add : t -> t -> t
 
 val sub : t -> t -> t
@@ -30,11 +34,10 @@ val modulo : t -> t -> t
 val min_ : t -> t -> t
 val max_ : t -> t -> t
 
-exception Not_analyzable of string
-
 (** Evaluate an expression to an interval under [env : var id ->
     interval option]; raises {!Not_analyzable} on constructs outside the
-    analyzable fragment (loads, calls, unbound variables). *)
+    analyzable fragment (loads, calls, unbound variables, division by
+    anything but a positive constant). *)
 val eval : (int -> t option) -> Expr.t -> t
 
 (** {!eval} under an association list from variables to intervals. *)

@@ -197,7 +197,7 @@ let rec ev st (e : Expr.t) : Interval.t =
           | Expr.FloorMod -> Interval.modulo ia ib
           | Expr.Min -> Interval.min_ ia ib
           | Expr.Max -> Interval.max_ ia ib
-        with Invalid_argument msg -> raise (NA msg))
+        with Interval.Not_analyzable msg -> raise (NA msg))
     | Expr.Select (c, t, f) ->
         let it = try Some (ev (push_guards st c) t) with Unreachable -> None in
         let if_ = ev st f in

@@ -95,6 +95,21 @@ let subst_map_expr bindings e =
   List.iter (fun (v, e) -> Hashtbl.replace table v.Expr.vid e) (List.rev bindings);
   subst_expr (fun v -> Hashtbl.find_opt table v.Expr.vid) e
 
+(** Whether [v] occurs in [e]. Allocates nothing; walks every
+    occurrence (no sharing memo), so meant for index-sized
+    expressions. *)
+let rec mentions (v : Expr.var) (e : Expr.t) =
+  match e with
+  | Expr.Var v' -> v'.Expr.vid = v.Expr.vid
+  | Expr.IntImm _ | Expr.FloatImm _ -> false
+  | Expr.Binop (_, a, b) | Expr.Cmp (_, a, b) | Expr.And (a, b) | Expr.Or (a, b) ->
+      mentions v a || mentions v b
+  | Expr.Not a | Expr.Cast (_, a) -> mentions v a
+  | Expr.Select (c, t, f) -> mentions v c || mentions v t || mentions v f
+  | Expr.Load (_, es) | Expr.Call (_, es) -> mentions_any v es
+
+and mentions_any v = function [] -> false | e :: es -> mentions v e || mentions_any v es
+
 (** Free variables of an expression (buffer shapes not included). *)
 let free_vars e =
   fold_expr (fun acc e -> match e with Expr.Var v -> v :: acc | _ -> acc) [] e

@@ -166,6 +166,22 @@ let test_ml_beats_random_on_budget () =
     (Printf.sprintf "ml (%.4g) <= 1.25 * random (%.4g)" ml rand)
     (ml <= rand *. 1.25)
 
+(* The model is refitted only for a proposal round still to come: an
+   ML tune whose trials fit in one batch (the seed probe plus one random
+   round of 11) never fits, and one that needs a second round does. *)
+let test_no_unread_fit () =
+  let tpl = conv_template () in
+  let fit_s n_trials =
+    Tvm_obs.Metrics.reset ();
+    ignore
+      (Tuner.tune
+         ~spec:(Tvm_spec.Job_spec.make ~seed:3 ~batch:16 ())
+         ~method_:Tuner.Ml_model ~measure:(measure_fn_for Machine.titan_x) ~n_trials tpl);
+    Tvm_obs.Metrics.get "tune.phase.fit_s"
+  in
+  checkb "single batch: no fit" (fit_s 12 = None);
+  checkb "second round: fitted" (fit_s 24 <> None)
+
 let test_measurement_deterministic () =
   let tpl = conv_template () in
   let rng = Random.State.make [| 17 |] in
@@ -223,6 +239,7 @@ let suite =
     Alcotest.test_case "random batch dedups" `Quick test_random_batch_dedups;
     Alcotest.test_case "tuner improves" `Quick test_tuner_improves;
     Alcotest.test_case "ml >= random on budget" `Quick test_ml_beats_random_on_budget;
+    Alcotest.test_case "no fit after the last batch" `Quick test_no_unread_fit;
     Alcotest.test_case "deterministic measurement" `Quick test_measurement_deterministic;
     Alcotest.test_case "tuning database" `Quick test_db_records;
   ]

@@ -213,6 +213,66 @@ let random_schedule_preserves_semantics =
       ignore (run sched [ (a, av); (b, bv); (c, cv) ]);
       Nd.equal_approx ~tol:1e-3 (ref_dense av bv) cv)
 
+(* The offset minimization [Lower.minimize_inner] replaced, as its
+   oracle: each inner var in turn is substituted at both ends of its
+   range, the folded results are evaluated (every other inner var
+   spanning its range, outer vars at 0), and the end with the lower
+   bound is kept. *)
+let substitute_and_evaluate ~inner e =
+  let env vid =
+    match List.find_opt (fun ((v : Expr.var), _) -> v.Expr.vid = vid) inner with
+    | Some (_, extent) -> Some (Interval.of_extent ~min:0 ~extent)
+    | None -> Some (Interval.point 0)
+  in
+  List.fold_left
+    (fun e (v, extent) ->
+      let at n = Visit.subst_var_expr v (Expr.int n) e in
+      let decreasing =
+        try
+          let lo0 = (Interval.eval env (at 0)).Interval.lo in
+          let lo1 = (Interval.eval env (at (extent - 1))).Interval.lo in
+          lo1 < lo0
+        with Interval.Not_analyzable _ -> false
+      in
+      if decreasing then at (extent - 1) else at 0)
+    e inner
+
+(* Random index expressions over three inner vars (extents 1 to 5) and
+   an outer var: sums, differences and products with small constants of
+   either sign, floor division and modulus by positive constants. *)
+let minimize_inner_matches_substitution =
+  QCheck.Test.make ~name:"offset minimization = substitute-and-evaluate" ~count:500
+    QCheck.(int_range 0 1_000_000)
+    (fun seed ->
+      let rng = Random.State.make [| seed |] in
+      let inner =
+        List.init 3 (fun k ->
+            (Expr.Var.fresh (Printf.sprintf "r%d" k), 1 + Random.State.int rng 5))
+      in
+      let outer = Expr.Var.fresh "o" in
+      let vars = outer :: List.map fst inner in
+      let rec gen depth =
+        if depth = 0 || Random.State.int rng 4 = 0 then
+          if Random.State.int rng 3 = 0 then Expr.int (Random.State.int rng 7 - 3)
+          else Expr.var (List.nth vars (Random.State.int rng (List.length vars)))
+        else
+          let a = gen (depth - 1) and b = gen (depth - 1) in
+          let divisor = Expr.int (1 + Random.State.int rng 4) in
+          match Random.State.int rng 5 with
+          | 0 -> Expr.(a + b)
+          | 1 -> Expr.(a - b)
+          | 2 -> Expr.(a * b)
+          | 3 -> Expr.(a / divisor)
+          | _ -> Expr.(a % divisor)
+      in
+      let e = gen 5 in
+      let expected = Simplify.expr (substitute_and_evaluate ~inner e) in
+      let got = Simplify.expr (Lower.minimize_inner ~inner e) in
+      expected == got
+      || QCheck.Test.fail_reportf "%s: substitute-and-evaluate %s, minimize_inner %s"
+           (Printer.expr_to_string e) (Printer.expr_to_string expected)
+           (Printer.expr_to_string got))
+
 let suite =
   [
     Alcotest.test_case "guards for non-dividing splits" `Quick test_guard_non_dividing_split;
@@ -223,4 +283,5 @@ let suite =
     Alcotest.test_case "tensorize mismatch rejected" `Quick test_tensorize_shape_mismatch;
     Alcotest.test_case "shared staging + barrier" `Quick test_gpu_barrier_insertion;
     QCheck_alcotest.to_alcotest random_schedule_preserves_semantics;
+    QCheck_alcotest.to_alcotest minimize_inner_matches_substitution;
   ]

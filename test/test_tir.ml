@@ -137,6 +137,140 @@ let test_single_trip_loop () =
   | Stmt.Store (_, [ Expr.IntImm 2 ], _) -> ()
   | other -> Alcotest.failf "expected direct store, got %s" (Printer.stmt_to_string other)
 
+(* An [If] whose branches both simplify away is itself dropped, so a
+   second pass finds nothing left to do. *)
+let test_empty_if_dropped () =
+  let v = Expr.Var.fresh "i" and c = Expr.Var.fresh "c" in
+  let b = Expr.Buffer.create "out" [ Expr.int 4 ] in
+  let dead = Stmt.for_ v Expr.zero Expr.zero (Stmt.Store (b, [ Expr.zero ], Expr.f32 1.)) in
+  let s = Stmt.If_then_else (Expr.(var c < int 2), dead, Some dead) in
+  checkb "both branches empty" (Simplify.stmt s = Stmt.Skip)
+
+(* The per-binding simplifier [Simplify.stmt] replaced, as the oracle
+   for its single pass: every cheap binding rewrites its whole body
+   through [Visit.subst_var_stmt], and a serial unit loop's body is
+   simplified once before and once after its binding is substituted.
+   Its empty-[If] rule is today's, under which simplification is
+   idempotent. *)
+let rec per_binding_simplify (s : Stmt.t) : Stmt.t =
+  let go = per_binding_simplify and ex = Simplify.expr in
+  match s with
+  | Stmt.Store (b, idx, v) -> Stmt.Store (b, List.map ex idx, ex v)
+  | Stmt.For l -> (
+      let min_ = ex l.Stmt.min_ and extent = ex l.Stmt.extent in
+      let body = go l.Stmt.body in
+      match extent with
+      | Expr.IntImm 0 -> Stmt.Skip
+      | Expr.IntImm 1 when l.Stmt.kind = Stmt.Serial ->
+          go (Stmt.Let_stmt (l.Stmt.loop_var, min_, body))
+      | _ -> Stmt.For { l with min_; extent; body })
+  | Stmt.If_then_else (c, t, e) -> (
+      match ex c with
+      | Expr.IntImm 0 -> ( match e with Some e -> go e | None -> Stmt.Skip)
+      | Expr.IntImm _ -> go t
+      | c -> (
+          match (go t, Option.map go e) with
+          | Stmt.Skip, (None | Some Stmt.Skip) -> Stmt.Skip
+          | t, Some Stmt.Skip -> Stmt.If_then_else (c, t, None)
+          | t, e -> Stmt.If_then_else (c, t, e)))
+  | Stmt.Let_stmt (v, e, b) -> (
+      match ex e with
+      | (Expr.IntImm _ | Expr.FloatImm _ | Expr.Var _) as e -> go (Visit.subst_var_stmt v e b)
+      | e -> Stmt.Let_stmt (v, e, go b))
+  | Stmt.Seq ss -> Stmt.seq (List.concat_map Stmt.flatten_seq (List.map go ss))
+  | Stmt.Allocate (b, body) -> (
+      match go body with Stmt.Skip -> Stmt.Skip | body -> Stmt.Allocate (b, body))
+  | Stmt.Evaluate e -> Stmt.Evaluate (ex e)
+  | Stmt.Call_intrin _ | Stmt.Dma_copy _ | Stmt.Barrier | Stmt.Push_dep _
+  | Stmt.Pop_dep _ | Stmt.Skip ->
+      s
+
+(* Same statement shape, every expression physically the same node. *)
+let rec phys_equal_stmt (a : Stmt.t) (b : Stmt.t) =
+  let same_exprs = List.equal ( == ) in
+  match (a, b) with
+  | Stmt.Store (b1, i1, v1), Stmt.Store (b2, i2, v2) ->
+      b1 == b2 && same_exprs i1 i2 && v1 == v2
+  | Stmt.For l1, Stmt.For l2 ->
+      Expr.Var.equal l1.Stmt.loop_var l2.Stmt.loop_var
+      && l1.Stmt.min_ == l2.Stmt.min_ && l1.Stmt.extent == l2.Stmt.extent
+      && l1.Stmt.kind = l2.Stmt.kind
+      && phys_equal_stmt l1.Stmt.body l2.Stmt.body
+  | Stmt.If_then_else (c1, t1, e1), Stmt.If_then_else (c2, t2, e2) ->
+      c1 == c2 && phys_equal_stmt t1 t2 && Option.equal phys_equal_stmt e1 e2
+  | Stmt.Let_stmt (v1, e1, b1), Stmt.Let_stmt (v2, e2, b2) ->
+      Expr.Var.equal v1 v2 && e1 == e2 && phys_equal_stmt b1 b2
+  | Stmt.Seq s1, Stmt.Seq s2 -> List.equal phys_equal_stmt s1 s2
+  | Stmt.Allocate (b1, s1), Stmt.Allocate (b2, s2) -> b1 == b2 && phys_equal_stmt s1 s2
+  | Stmt.Evaluate e1, Stmt.Evaluate e2 -> e1 == e2
+  | Stmt.Skip, Stmt.Skip -> true
+  | _ -> false
+
+(* A random loop program over the variables in scope: nests of [For]
+   (extents 0, 1 and 3, or symbolic; serial and annotated), cheap and
+   non-cheap [Let_stmt], [If] with and without an else branch, [Seq]
+   and [Allocate], around stores whose indices mix the bound
+   variables. *)
+let random_program rng =
+  let pick l = List.nth l (Random.State.int rng (List.length l)) in
+  let out = Expr.Buffer.create "out" [ Expr.int 64 ] in
+  let free = Expr.Var.fresh "n" in
+  let rec gen_expr vars depth =
+    if depth = 0 || Random.State.int rng 3 = 0 then
+      if Random.State.bool rng then Expr.int (Random.State.int rng 4)
+      else Expr.var (pick vars)
+    else
+      let a = gen_expr vars (depth - 1) and b = gen_expr vars (depth - 1) in
+      let divisor () = Expr.int (1 + Random.State.int rng 3) in
+      match Random.State.int rng 6 with
+      | 0 -> Expr.(a + b)
+      | 1 -> Expr.(a - b)
+      | 2 -> Expr.(a * b)
+      | 3 -> Expr.(a / divisor ())
+      | 4 -> Expr.(a % divisor ())
+      | _ -> if Random.State.bool rng then Expr.min_ a b else Expr.max_ a b
+  in
+  let cheap vars = if Random.State.bool rng then Expr.int 2 else Expr.var (pick vars) in
+  let rec gen vars depth =
+    let leaf () =
+      Stmt.Store (out, [ gen_expr vars 3 ], Expr.cast Dtype.Float32 (gen_expr vars 2))
+    in
+    if depth = 0 then leaf ()
+    else
+      let sub vars = gen vars (depth - 1) in
+      match Random.State.int rng 12 with
+      | 0 | 1 | 2 ->
+          let v = Expr.Var.fresh "i" in
+          let extent =
+            pick [ Expr.zero; Expr.one; Expr.one; Expr.int 3; gen_expr vars 1 ]
+          in
+          let kind = pick [ Stmt.Serial; Stmt.Serial; Stmt.Parallel; Stmt.Unrolled ] in
+          let min_ = if Random.State.bool rng then cheap vars else gen_expr vars 2 in
+          Stmt.for_ ~kind v min_ extent (sub (v :: vars))
+      | 3 | 4 ->
+          let v = Expr.Var.fresh "l" in
+          let value = if Random.State.bool rng then cheap vars else gen_expr vars 2 in
+          Stmt.Let_stmt (v, value, sub (v :: vars))
+      | 5 | 6 ->
+          let c = Expr.(gen_expr vars 2 < gen_expr vars 1) in
+          let e = if Random.State.bool rng then Some (sub vars) else None in
+          Stmt.If_then_else (c, sub vars, e)
+      | 7 | 8 | 9 -> Stmt.Seq (List.init (Random.State.int rng 5) (fun _ -> sub vars))
+      | 10 -> Stmt.Allocate (Expr.Buffer.create "tmp" [ Expr.int 4 ], sub vars)
+      | _ -> leaf ()
+  in
+  gen [ free ] 7
+
+let single_pass_simplify_matches_per_binding =
+  QCheck.Test.make ~name:"single-pass simplify = per-binding simplify" ~count:500
+    QCheck.(int_range 0 1_000_000)
+    (fun seed ->
+      let s = random_program (Random.State.make [| seed |]) in
+      let expected = per_binding_simplify s and got = Simplify.stmt s in
+      phys_equal_stmt expected got
+      || QCheck.Test.fail_reportf "per-binding:\n%s\nsingle pass:\n%s"
+           (Printer.stmt_to_string expected) (Printer.stmt_to_string got))
+
 (* ------------------------------------------------------------------ *)
 (* Analysis                                                             *)
 (* ------------------------------------------------------------------ *)
@@ -243,6 +377,28 @@ let test_non_constant_extent () =
   checkb "gpu rejects shared overflow first"
     (not (gpu (prog 65536)).Tvm_sim.Gpu_model.valid)
 
+(* An access indexed by [x / y] lies outside the interval fragment:
+   evaluation raises [Not_analyzable], the footprint falls back to the
+   whole buffer and feature extraction still succeeds. *)
+let test_variable_divisor () =
+  let x = Expr.Var.fresh "x" and y = Expr.Var.fresh "y" in
+  let src = Expr.Buffer.create "src" [ Expr.int 64 ] in
+  let dst = Expr.Buffer.create "dst" [ Expr.int 64 ] in
+  let idx = Expr.(var x / var y) in
+  let env = [ (x, Interval.of_extent ~min:0 ~extent:8); (y, Interval.of_extent ~min:1 ~extent:4) ] in
+  (match Interval.eval_under env idx with
+  | _ -> Alcotest.fail "expected Not_analyzable"
+  | exception Interval.Not_analyzable _ -> ());
+  let stmt =
+    Stmt.for_ x Expr.zero (Expr.int 8)
+      (Stmt.for_ y Expr.one (Expr.int 4)
+         (Stmt.Store (dst, [ Expr.var x ], Expr.load src [ idx ])))
+  in
+  let load = List.find (fun a -> not a.Analysis.acc_is_store) (accesses_of stmt) in
+  check Alcotest.int "whole-buffer footprint" 64 (Analysis.footprint_at_level load 1);
+  check Alcotest.int "feature length" Tvm_autotune.Feature.length
+    (Array.length (Tvm_autotune.Feature.extract stmt))
+
 (* ------------------------------------------------------------------ *)
 (* Visit / substitution                                                 *)
 (* ------------------------------------------------------------------ *)
@@ -285,12 +441,15 @@ let suite =
     QCheck_alcotest.to_alcotest interval_soundness;
     Alcotest.test_case "simplify stmt" `Quick test_simplify_stmt;
     Alcotest.test_case "single-trip loop" `Quick test_single_trip_loop;
+    Alcotest.test_case "empty if dropped" `Quick test_empty_if_dropped;
+    QCheck_alcotest.to_alcotest single_pass_simplify_matches_per_binding;
     Alcotest.test_case "collect accesses" `Quick test_collect_accesses;
     Alcotest.test_case "footprints" `Quick test_footprints;
     Alcotest.test_case "strides" `Quick test_strides;
     Alcotest.test_case "flops" `Quick test_flops;
     Alcotest.test_case "ann summary" `Quick test_ann_summary;
     Alcotest.test_case "non-constant extent" `Quick test_non_constant_extent;
+    Alcotest.test_case "variable divisor" `Quick test_variable_divisor;
     Alcotest.test_case "substitution" `Quick test_subst;
     Alcotest.test_case "free vars" `Quick test_free_vars;
     Alcotest.test_case "retarget buffer" `Quick test_retarget;
