@@ -268,35 +268,17 @@ let fit ?(params = default_params) ?(pool = Tvm_par.Pool.sequential)
   end
 
 (** Kendall-style pairwise ordering accuracy on held-out data; the
-    quantity that matters for explorer quality. Rows fan out over
-    [pool]; per-row pair counts are exact integers, so the summed
-    accuracy is independent of domain count. *)
-let rank_accuracy ?(pool = Tvm_par.Pool.sequential) model xs (ys : float array) =
+    quantity that matters for explorer quality. *)
+let rank_accuracy model xs (ys : float array) =
   let n = Array.length xs in
   let preds = Array.map (predict model) xs in
-  let row i =
-    let correct = ref 0 and total = ref 0 in
+  let correct = ref 0 and total = ref 0 in
+  for i = 0 to n - 1 do
     for j = i + 1 to n - 1 do
       if ys.(i) <> ys.(j) then begin
         incr total;
         if (ys.(i) < ys.(j)) = (preds.(i) < preds.(j)) then incr correct
       end
-    done;
-    (!correct, !total)
-  in
-  let correct, total =
-    if Tvm_par.Pool.domains pool > 1 && n >= 64 then
-      Tvm_par.Pool.parallel_reduce pool ~map:row
-        ~combine:(fun (c, t) (c', t') -> (c + c', t + t'))
-        ~init:(0, 0) (Array.init n Fun.id)
-    else begin
-      let c = ref 0 and t = ref 0 in
-      for i = 0 to n - 1 do
-        let c', t' = row i in
-        c := !c + c';
-        t := !t + t'
-      done;
-      (!c, !t)
-    end
-  in
-  if total = 0 then 1. else float_of_int correct /. float_of_int total
+    done
+  done;
+  if !total = 0 then 1. else float_of_int !correct /. float_of_int !total

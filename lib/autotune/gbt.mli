@@ -46,7 +46,5 @@ val transform_targets : objective -> float array -> float array
 val fit : ?params:params -> ?pool:Tvm_par.Pool.t -> float array array -> float array -> t
 
 (** Pairwise ordering accuracy on held-out data — the quantity that
-    matters for explorer quality (1.0 = perfect ranking). Rows fan out
-    over [pool]; exact integer tallies keep the result independent of
-    domain count. *)
-val rank_accuracy : ?pool:Tvm_par.Pool.t -> t -> float array array -> float array -> float
+    matters for explorer quality (1.0 = perfect ranking). *)
+val rank_accuracy : t -> float array array -> float array -> float

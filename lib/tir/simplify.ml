@@ -73,9 +73,9 @@ let rec stmt_in env (s : Stmt.t) : Stmt.t =
       | Expr.IntImm 0 -> ( match e with Some e -> go e | None -> Stmt.Skip)
       | Expr.IntImm _ -> go t
       | c -> (
-          (* Emptied in both branches, the [If] goes too: the pass is
-             idempotent, which is what lets one walk stand in for
-             re-simplifying a body after each binding. *)
+          (* Emptied in both branches, the [If] goes too, which keeps
+             the pass idempotent (DESIGN, "Substitution commutes with
+             folding"). *)
           match (go t, Option.map go e) with
           | Stmt.Skip, (None | Some Stmt.Skip) -> Stmt.Skip
           | t, Some Stmt.Skip -> Stmt.If_then_else (c, t, None)

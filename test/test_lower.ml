@@ -239,7 +239,8 @@ let substitute_and_evaluate ~inner e =
 
 (* Random index expressions over three inner vars (extents 1 to 5) and
    an outer var: sums, differences and products with small constants of
-   either sign, floor division and modulus by positive constants. *)
+   either sign, floor division and modulus by positive constants, min
+   and max. *)
 let minimize_inner_matches_substitution =
   QCheck.Test.make ~name:"offset minimization = substitute-and-evaluate" ~count:500
     QCheck.(int_range 0 1_000_000)
@@ -258,12 +259,14 @@ let minimize_inner_matches_substitution =
         else
           let a = gen (depth - 1) and b = gen (depth - 1) in
           let divisor = Expr.int (1 + Random.State.int rng 4) in
-          match Random.State.int rng 5 with
+          match Random.State.int rng 7 with
           | 0 -> Expr.(a + b)
           | 1 -> Expr.(a - b)
           | 2 -> Expr.(a * b)
           | 3 -> Expr.(a / divisor)
-          | _ -> Expr.(a % divisor)
+          | 4 -> Expr.(a % divisor)
+          | 5 -> Expr.min_ a b
+          | _ -> Expr.max_ a b
       in
       let e = gen 5 in
       let expected = Simplify.expr (substitute_and_evaluate ~inner e) in
