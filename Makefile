@@ -204,32 +204,27 @@ check-compact: build
 	cmp _build/check-compact/r_cold _build/check-compact/r_compacted
 
 # Sharded-fleet gate: the fleet test suite, then tvmc on a 1000-device
-# 20%-faulty fleet with speculation. The tuning log AND the journal
-# must be byte-identical at -j1 vs -j8; the log must additionally be
-# byte-identical across shard counts (4 vs 16) and with speculation
-# off (placement-invariant results — only the journal's placement
-# fields may differ across those).
+# 20%-faulty fleet. The tuning log AND the journal must be
+# byte-identical at -j1 vs -j8; the log must additionally be
+# byte-identical across shard counts (4 vs 16) (placement-invariant
+# results — only the journal's placement fields may differ).
 check-fleet: build
 	dune exec test/test_main.exe -- test fleet
 	mkdir -p _build/check-fleet
 	dune exec bin/tvmc.exe -- tune C7 --trials 40 --seed 5 --fleet 1000 \
-	  --shards 16 --fault-rate 0.2 --speculate -j 1 \
+	  --shards 16 --fault-rate 0.2 -j 1 \
 	  --tune-log _build/check-fleet/j1.log \
 	  --journal-out _build/check-fleet/j1.jsonl
 	dune exec bin/tvmc.exe -- tune C7 --trials 40 --seed 5 --fleet 1000 \
-	  --shards 16 --fault-rate 0.2 --speculate -j 8 \
+	  --shards 16 --fault-rate 0.2 -j 8 \
 	  --tune-log _build/check-fleet/j8.log \
 	  --journal-out _build/check-fleet/j8.jsonl
 	cmp _build/check-fleet/j1.log _build/check-fleet/j8.log
 	cmp _build/check-fleet/j1.jsonl _build/check-fleet/j8.jsonl
 	dune exec bin/tvmc.exe -- tune C7 --trials 40 --seed 5 --fleet 1000 \
-	  --shards 4 --fault-rate 0.2 --speculate -j 4 \
+	  --shards 4 --fault-rate 0.2 -j 4 \
 	  --tune-log _build/check-fleet/shards4.log
 	cmp _build/check-fleet/j1.log _build/check-fleet/shards4.log
-	dune exec bin/tvmc.exe -- tune C7 --trials 40 --seed 5 --fleet 1000 \
-	  --shards 16 --fault-rate 0.2 -j 4 \
-	  --tune-log _build/check-fleet/nospec.log
-	cmp _build/check-fleet/j1.log _build/check-fleet/nospec.log
 	dune exec bench/main.exe -- --quick --json _build/check-fleet/obs.json \
 	  fleet
 

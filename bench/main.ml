@@ -299,10 +299,10 @@ module Fl = Tvm_rpc.Device_pool
 (* Fleet scaling: one fixed synthetic workload dispatched to sharded
    fleets of 8/64/256/1000 heterogeneous devices. Everything is
    virtual-clock ([Device_pool.simulate]), so the makespans, the scaling
-   efficiency ((T(8)/T(256)) / (usable(256)/usable(8))), the steal rate
-   and the speculation speedup are all deterministic and gate-able. *)
+   efficiency ((T(8)/T(256)) / (usable(256)/usable(8))) and the steal
+   rate are all deterministic and gate-able. *)
 let bench_fleet () =
-  E.banner "Measurement fleet: sharded scaling, stealing, speculation";
+  E.banner "Measurement fleet: sharded scaling and stealing";
   let kind = Fl.Gpu_dev Tvm_sim.Machine.titan_x in
   let n_jobs = 2000 in
   (* Deterministic spread of model times around ~77 ms: with per-job
@@ -357,32 +357,7 @@ let bench_fleet () =
   in
   Tvm_obs.Metrics.set_gauge "bench.fleet.steal_rate" steal_rate;
   Printf.printf "  steal rate under imbalance: %.1f%% of jobs moved shard\n"
-    steal_rate;
-  (* Speculation: a 64-device fleet with one 12x straggler of the
-     target kind. Speculation must cut the straggler-dominated tail of
-     the makespan without changing a single result. *)
-  let spec_jobs = 300 in
-  let spec_costs = Array.sub costs 0 spec_jobs in
-  let run_spec speculate =
-    let f =
-      Fl.session
-        (Fl.catalog ~speculate (Fl.mixed_kinds ~straggler:0 64))
-    in
-    let r = Fl.simulate f ~kind ~cost_s:spec_costs in
-    (Fl.makespan f, r, Fl.stats f)
-  in
-  let mk_off, r_off, _ = run_spec false in
-  let mk_on, r_on, st_on = run_spec true in
-  let spec_speedup = mk_off /. Float.max 1e-9 mk_on in
-  let identical = r_off = r_on in
-  Tvm_obs.Metrics.set_gauge "bench.fleet.speculation_speedup" spec_speedup;
-  Tvm_obs.Metrics.set_gauge "bench.fleet.spec_identical"
-    (if identical then 1. else 0.);
-  Printf.printf
-    "  straggler makespan: %.2f s -> %.2f s with speculation (%.2fx, %d \
-     launched / %d won); results %s\n"
-    mk_off mk_on spec_speedup st_on.Fl.fs_spec_launched st_on.Fl.fs_spec_wins
-    (if identical then "identical" else "DIFFER (bug!)")
+    steal_rate
 
 (* ------------------------------------------------------------------ *)
 (* Driver                                                               *)

@@ -217,10 +217,10 @@ let tune_cmd =
       & info [ "straggler" ]
           ~doc:
             "Make device N a straggler: 12x slower than its peers (on a \
-             $(b,--fleet) roster it is forced to the target kind, as \
-             speculation bait). Results do not change; use with \
-             --journal-out and `tvmc report` to see the outlier detection \
-             single it out.")
+             $(b,--fleet) roster it is forced to the target kind, so it \
+             runs the target's jobs). Results do not change, only the \
+             simulated makespan; use with --journal-out and `tvmc report` \
+             to see the outlier detection single it out.")
   in
   let tune_log =
     Arg.(
@@ -241,7 +241,7 @@ let tune_cmd =
              instead of $(b,--devices) replicas of the target (0 = \
              replicas). Results are placement-invariant: the log is \
              byte-identical across -j, $(b,--devices), $(b,--shards) and \
-             $(b,--speculate).")
+             $(b,--straggler).")
   in
   let shards =
     Arg.(
@@ -252,24 +252,14 @@ let tune_cmd =
              about one per 32 devices); idle shards steal backlog from \
              busy ones")
   in
-  let speculate =
-    Arg.(
-      value & flag
-      & info [ "speculate" ]
-          ~doc:
-            "Duplicate straggling measurements on an idle device of the \
-             same kind; first finisher wins. Never changes results, only \
-             the simulated makespan.")
-  in
   let run workload trials method_name fault_rate max_retries timeout_ms seed
-      jobs devices fleet_n shards speculate straggler tune_log validate
+      jobs devices fleet_n shards straggler tune_log validate
       trace_out metrics_out journal_out =
     with_obs ~journal_out ~trace_out ~metrics_out @@ fun () ->
     let spec =
       Tvm_spec.Job_spec.make ~op:Tvm_spec.Job_spec.Tune ~workload ~trials
         ~method_name ~seed ~jobs ~devices ~validate ~fault_rate ?straggler
-        ~max_retries ~timeout_s:(timeout_ms /. 1e3) ~fleet:fleet_n ~shards
-        ~speculate ()
+        ~max_retries ~timeout_s:(timeout_ms /. 1e3) ~fleet:fleet_n ~shards ()
     in
     let w = Workloads.find workload in
     let out = Tvm_experiments.Fig_e2e.conv_tensor w in
@@ -289,13 +279,11 @@ let tune_cmd =
     let measure_batch = Pool.batch_measure_fn ~par pool ~kind_pred in
     let roster = Pool.stats pool in
     Printf.printf
-      "tuning %s (%s) on %d devices in %d shard(s)%s, %d trials, batch %d, \
+      "tuning %s (%s) on %d devices in %d shard(s), %d trials, batch %d, \
        space %d, -j %d...\n\
        %!"
       (Workloads.to_string w) method_name roster.Pool.fs_devices
-      roster.Pool.fs_shards
-      (if speculate then ", speculative" else "")
-      trials spec.Tvm_spec.Job_spec.batch
+      roster.Pool.fs_shards trials spec.Tvm_spec.Job_spec.batch
       (Tvm_autotune.Cfg_space.size tpl.Tvm_autotune.Tuner.tpl_space)
       jobs;
     let db = Tvm_autotune.Tuner.Db.create () in
@@ -320,10 +308,9 @@ let tune_cmd =
     let st = Pool.stats pool in
     Printf.printf
       "pool: %d jobs, %d attempts, %d retries; %d steals (%d jobs moved); \
-       speculation %d launched / %d won / %d lost; makespan %.2f s\n"
+       makespan %.2f s\n"
       st.Pool.fs_jobs st.Pool.fs_attempts st.Pool.fs_retries st.Pool.fs_steals
-      st.Pool.fs_stolen_jobs st.Pool.fs_spec_launched st.Pool.fs_spec_wins
-      st.Pool.fs_spec_losses (Pool.makespan pool);
+      st.Pool.fs_stolen_jobs (Pool.makespan pool);
     if validate then begin
       let stmt =
         tpl.Tvm_autotune.Tuner.tpl_instantiate res.Tvm_autotune.Tuner.best_config
@@ -341,7 +328,7 @@ let tune_cmd =
   Cmd.v (Cmd.info "tune" ~doc:"Tune a single operator workload")
     Term.(
       const run $ workload $ trials $ method_ $ fault_rate $ max_retries
-      $ timeout_ms $ seed $ jobs_arg $ devices $ fleet $ shards $ speculate
+      $ timeout_ms $ seed $ jobs_arg $ devices $ fleet $ shards
       $ straggler $ tune_log $ validate_arg $ trace_out_arg $ metrics_out_arg
       $ journal_out_arg)
 

@@ -8,8 +8,9 @@
     values, and lowers it for the target.
 
     Invalid knob combinations (non-dividing tiles where cache stages
-    need exactness, oversubscribed threads) raise; the tuner records
-    them as failed measurements, exactly as real on-device builds fail. *)
+    need exactness, oversubscribed threads) raise
+    [Tuner.Invalid_config]; the tuner records them as failed
+    measurements, exactly as real on-device builds fail. *)
 
 open Tvm_tir
 module Tensor = Tvm_te.Tensor
@@ -17,9 +18,7 @@ module Sched = Tvm_schedule.Sched
 module Iter_var = Tvm_schedule.Iter_var
 module Lower = Tvm_lower.Lower
 
-exception Invalid_config of string
-
-let reject fmt = Printf.ksprintf (fun s -> raise (Invalid_config s)) fmt
+let reject fmt = Printf.ksprintf (fun s -> raise (Tuner.Invalid_config s)) fmt
 
 let require_divides a b = if b mod a <> 0 then reject "%d does not divide %d" a b
 

@@ -34,12 +34,19 @@ type origin = { og_kind : string; og_chain : int; og_score : float }
 let origin ?(chain = -1) ?(score = Float.nan) kind =
   { og_kind = kind; og_chain = chain; og_score = score }
 
+exception Invalid_config of string
+
 type template = {
   tpl_name : string;
   tpl_space : Cfg_space.t;
   tpl_instantiate : Cfg_space.config -> Tvm_tir.Stmt.t;
       (** lowered program for a configuration *)
 }
+
+let try_instantiate template cfg =
+  match template.tpl_instantiate cfg with
+  | stmt -> Some stmt
+  | exception Invalid_config _ -> None
 
 type method_ = Ml_model | Random_search | Genetic_algorithm
 
@@ -164,10 +171,9 @@ let timed_phase name f =
     prepare, timed into [tune.phase.lower_s] / [tune.phase.feature_s].
     These are busy time summed over every domain that runs them (worker
     domains buffer them under [Metrics.with_local_counters]), so at
-    [-j N] they can exceed the wall time of the phases they sit in. An
-    instantiation that raises is an invalid configuration: [None]. *)
+    [-j N] they can exceed the wall time of the phases they sit in. *)
 let instantiate template cfg =
-  try Some (timed_phase "lower" (fun () -> template.tpl_instantiate cfg)) with _ -> None
+  timed_phase "lower" (fun () -> try_instantiate template cfg)
 
 let features stmt = timed_phase "feature" (fun () -> Feature.extract stmt)
 

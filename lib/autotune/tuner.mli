@@ -7,12 +7,22 @@
     structured {!Measure_result.t} values; failed trials are recorded
     with their failure category and never train the cost model. *)
 
+exception Invalid_config of string
+(** A template rejects a configuration it cannot build (a tile that
+    does not divide its axis, too many threads): the moral equivalent
+    of a failed on-device build. *)
+
 type template = {
   tpl_name : string;
   tpl_space : Cfg_space.t;
   tpl_instantiate : Cfg_space.config -> Tvm_tir.Stmt.t;
-      (** lowered program for a configuration; raises on invalid ones *)
+      (** lowered program for a configuration; raises {!Invalid_config}
+          on invalid ones *)
 }
+
+val try_instantiate : template -> Cfg_space.config -> Tvm_tir.Stmt.t option
+(** [tpl_instantiate], with {!Invalid_config} as [None]. Any other
+    exception is a bug and propagates. *)
 
 type method_ = Ml_model | Random_search | Genetic_algorithm
 

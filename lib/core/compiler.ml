@@ -89,7 +89,7 @@ let default_config ?(samples = 12) ~seed target (tpl : Tuner.template) =
   let best = ref None in
   for _ = 1 to samples do
     let cfg = Cfg_space.random_config tpl.Tuner.tpl_space rng in
-    match (try Some (tpl.Tuner.tpl_instantiate cfg) with _ -> None) with
+    match Tuner.try_instantiate tpl cfg with
     | Some stmt ->
         let t = Target.time_s target stmt in
         if Float.is_finite t then begin

@@ -30,7 +30,7 @@ let ablation_features ?(n = 120) () =
   while List.length !samples < n && !attempts < n * 30 do
     incr attempts;
     let cfg = Cfg.random_config tpl.Tuner.tpl_space rng in
-    match (try Some (tpl.Tuner.tpl_instantiate cfg) with _ -> None) with
+    match Tuner.try_instantiate tpl cfg with
     | Some stmt ->
         let t = Tvm_sim.Gpu_model.time_s Machine.titan_x stmt in
         if Float.is_finite t then samples := (stmt, -.Float.log t) :: !samples

@@ -380,7 +380,7 @@ let bench_lower ?(n = 120) () =
     let k = Cfg.canonical cfg in
     if not (Hashtbl.mem seen k) then begin
       Hashtbl.replace seen k ();
-      match (try Some (tpl.Tuner.tpl_instantiate cfg) with _ -> None) with
+      match Tuner.try_instantiate tpl cfg with
       | Some _ ->
           cfgs := cfg :: !cfgs;
           incr found
@@ -390,7 +390,7 @@ let bench_lower ?(n = 120) () =
   let cfgs = List.rev !cfgs in
   let n = List.length cfgs in
   let compile cfg =
-    match (try Some (tpl.Tuner.tpl_instantiate cfg) with _ -> None) with
+    match Tuner.try_instantiate tpl cfg with
     | Some s -> Tvm_autotune.Compile_cache.Valid (Tvm_autotune.Feature.extract s)
     | None -> Tvm_autotune.Compile_cache.Invalid
   in

@@ -146,14 +146,11 @@ let default_rules =
       ~tol:0.5;
     (* Sharded measurement fleet: everything virtual-clock and
        deterministic, so the tolerances only absorb deliberate workload
-       tweaks. The ISSUE floors are efficiency >= 0.7 and speculation
-       speedup >= 1.5x; the baseline sits comfortably above both. *)
+       tweaks. The efficiency floor is 0.7; the baseline sits
+       comfortably above it. *)
     rule "gauges" "bench.fleet.scaling_efficiency" ~dir:Higher_better
       ~tol:0.1;
-    rule "gauges" "bench.fleet.speculation_speedup" ~dir:Higher_better
-      ~tol:0.25;
     rule "gauges" "bench.fleet.steal_rate" ~dir:Higher_better ~tol:0.5;
-    rule "gauges" "bench.fleet.spec_identical" ~dir:Exact ~tol:0.;
     (* SA propose hot path (satellite of the fleet PR): host wall-clock,
        so the tolerance is generous — the gate catches the memo being
        lost (a ~5x collapse), not scheduler jitter. *)

@@ -57,7 +57,6 @@ type entry =
           (** shard that ran the attempt; [-1] only in journals written
               before dispatch records carried shards *)
       d_stolen : bool;  (** job was stolen from another shard's backlog *)
-      d_spec : bool;  (** speculative duplicate of a straggling attempt *)
     }
   | Measure of {
       m_uid : int;
@@ -86,7 +85,6 @@ val prepare : uid:int -> cache:string -> valid:bool -> unit
 val dispatch :
   shard:int ->
   stolen:bool ->
-  spec:bool ->
   uid:int ->
   dev:int ->
   device:string ->
@@ -96,8 +94,7 @@ val dispatch :
   queue_s:float ->
   unit
 (** [shard] ran the attempt; [stolen] marks a job taken from another
-    shard's backlog and [spec] a speculative twin, whose outcome is
-    ["cancelled"] when its sibling finished first. *)
+    shard's backlog. *)
 
 val measure :
   uid:int -> status:string -> time_s:float option -> attempts:int -> unit

@@ -67,8 +67,6 @@ type t = {
   rp_best : trial_info option;  (** fastest ok trial *)
   rp_shards : shard_stat list;  (** by shard id; [] for shardless journals *)
   rp_stolen : int;  (** dispatches that ran on a stealing shard *)
-  rp_spec_wins : int;  (** speculative twins that finished first *)
-  rp_spec_losses : int;  (** twins cancelled by their primary *)
 }
 
 (* A straggler is an outlier either in failure rate (vs the fleet
@@ -96,7 +94,7 @@ let analyze ?(top = 5) (entries : Journal.entry list) : t =
   let shard_tbl : (int, string * int * int * int * float) Hashtbl.t =
     Hashtbl.create 8
   in
-  let stolen = ref 0 and spec_wins = ref 0 and spec_losses = ref 0 in
+  let stolen = ref 0 in
   let cache_hits = ref 0 and cache_misses = ref 0 and invalid = ref 0 in
   let measured : trial_info list ref = ref [] in
   let tally tbl k =
@@ -123,15 +121,11 @@ let analyze ?(top = 5) (entries : Journal.entry list) : t =
             d_queue_s;
             d_shard;
             d_stolen;
-            d_spec;
             _;
           } ->
           incr dispatches;
           if d_attempt > 0 then incr retries;
           if d_stolen then incr stolen;
-          if d_spec then
-            if d_outcome = "cancelled" then incr spec_losses
-            else incr spec_wins;
           if d_shard >= 0 then begin
             let kind, att, ok, stl, cost =
               Option.value
@@ -293,8 +287,6 @@ let analyze ?(top = 5) (entries : Journal.entry list) : t =
          shard_tbl []
        |> List.sort (fun a b -> compare a.sh_shard b.sh_shard));
     rp_stolen = !stolen;
-    rp_spec_wins = !spec_wins;
-    rp_spec_losses = !spec_losses;
   }
 
 let stragglers t = List.filter (fun d -> d.ds_straggler) t.rp_devices
@@ -363,8 +355,7 @@ let render (t : t) : string =
         p "  %-6d %-12s %8d %6d %8d %10.2f %5.1f%%\n" s.sh_shard s.sh_kind
           s.sh_attempts s.sh_ok s.sh_stolen s.sh_cost_s (100. *. s.sh_share))
       t.rp_shards;
-    p "  steals: %d stolen dispatches; speculation: %d wins, %d losses\n"
-      t.rp_stolen t.rp_spec_wins t.rp_spec_losses
+    p "  steals: %d stolen dispatches\n" t.rp_stolen
   end;
   (match t.rp_best with
   | Some b ->

@@ -1,10 +1,10 @@
 (* See device_pool.mli. The engine is an event-driven virtual-time
    scheduler run entirely on the calling domain: pure model times are
    the only thing computed in parallel, and every stateful decision
-   (placement, fault draws, steals, speculation, retries, journal
-   records) replays sequentially in a deterministic order — an
-   {!Event_queue} of run completions keyed (finish time, push
-   sequence) with lazy invalidation for cancelled twins. *)
+   (placement, fault draws, steals, retries, journal records) replays
+   sequentially in a deterministic order — an {!Event_queue} of run
+   completions keyed (finish time, push sequence). A job has at most
+   one attempt in flight, so every completion is processed. *)
 
 module Machine = Tvm_sim.Machine
 module Cpu_model = Tvm_sim.Cpu_model
@@ -58,14 +58,10 @@ type catalog = {
   c_per_job_s : float;  (* per-job dispatch cost *)
   c_fault_plan : Fault.plan;
   c_retry : Retry_policy.t;
-  c_speculate : bool;
 }
 
-(* Timed repetitions per measurement, and the straggler threshold:
-   speculate once an attempt's charged time passes this multiple of
-   the median completed cost. *)
+(* Timed repetitions per measurement. *)
 let repeats = 3
-let spec_factor = 1.5
 
 type fdevice = {
   fd_id : int;
@@ -101,9 +97,6 @@ type t = {
   mutable attempts_n : int;
   mutable steals : int;
   mutable stolen_jobs : int;
-  mutable spec_launched : int;
-  mutable spec_wins : int;
-  mutable spec_losses : int;
   mutable retries_n : int;
 }
 
@@ -112,8 +105,8 @@ type t = {
 (* ------------------------------------------------------------------ *)
 
 let catalog ?(noise = 0.02) ?(overhead_s = 0.5) ?(per_job_s = 0.05)
-    ?(fault_plan = Fault.none) ?(retry = Retry_policy.default) ?(speculate = false)
-    ?(shards = 0) roster =
+    ?(fault_plan = Fault.none) ?(retry = Retry_policy.default) ?(shards = 0)
+    roster =
   if roster = [] then invalid_arg "Device_pool.catalog: empty roster";
   {
     c_roster = Array.of_list roster;
@@ -123,7 +116,6 @@ let catalog ?(noise = 0.02) ?(overhead_s = 0.5) ?(per_job_s = 0.05)
     c_per_job_s = per_job_s;
     c_fault_plan = fault_plan;
     c_retry = retry;
-    c_speculate = speculate;
   }
 
 let palette =
@@ -147,9 +139,9 @@ let mixed_kinds ?(primary = Gpu_dev Machine.titan_x) ?straggler n =
   in
   let others = if Array.length others = 0 then [| primary |] else others in
   List.init n (fun i ->
-      (* The straggler slot is forced to the primary kind: a slow
-         device only exercises speculation if it competes for the
-         target's jobs. *)
+      (* The straggler slot is forced to the primary kind: `tvmc
+         report` can only flag a slow device that runs the target's
+         jobs. *)
       let k =
         if straggler = Some i then primary
         else if i mod 2 = 0 then primary
@@ -180,9 +172,7 @@ let catalog_of_spec ?kind (spec : Tvm_spec.Job_spec.t) =
       timeout_s = spec.timeout_s;
     }
   in
-  let with_policies =
-    catalog ~fault_plan ~retry ~speculate:spec.speculate ~shards:spec.shards
-  in
+  let with_policies = catalog ~fault_plan ~retry ~shards:spec.shards in
   if spec.fleet > 0 then
     with_policies (mixed_kinds ~primary:kind ?straggler:spec.straggler spec.fleet)
   else
@@ -261,9 +251,6 @@ let session ?(salt = 0) cat =
     attempts_n = 0;
     steals = 0;
     stolen_jobs = 0;
-    spec_launched = 0;
-    spec_wins = 0;
-    spec_losses = 0;
     retries_n = 0;
   }
 
@@ -298,9 +285,6 @@ type stats = {
   fs_attempts : int;
   fs_steals : int;
   fs_stolen_jobs : int;
-  fs_spec_launched : int;
-  fs_spec_wins : int;
-  fs_spec_losses : int;
   fs_retries : int;
   fs_shard_stats : shard_stat list;
 }
@@ -315,9 +299,6 @@ let stats t =
     fs_attempts = t.attempts_n;
     fs_steals = t.steals;
     fs_stolen_jobs = t.stolen_jobs;
-    fs_spec_launched = t.spec_launched;
-    fs_spec_wins = t.spec_wins;
-    fs_spec_losses = t.spec_losses;
     fs_retries = t.retries_n;
     fs_shard_stats =
       Array.to_list
@@ -351,8 +332,8 @@ type jobdef = {
   jd_fid : int;
 }
 
-(* Per-(job, attempt) outcome: a pure function of the jobdef, so a
-   speculative twin replays exactly the outcome of its sibling. *)
+(* Per-(job, attempt) outcome: a pure function of the jobdef and the
+   attempt number, whichever device runs it. *)
 type joutcome =
   | O_ok of float  (* measured seconds *)
   | O_timeout  (* injected hang, killed at the budget *)
@@ -365,14 +346,12 @@ type joutcome =
 type run_rec = {
   rn_job : int;
   rn_attempt : int;
-  rn_spec : bool;
   rn_stolen : bool;
   rn_dev : fdevice;
   rn_start : float;
   rn_finish : float;
   rn_outcome : joutcome;
   rn_start_ns : int64;  (* host clock at launch, for the trace slice *)
-  mutable rn_dead : bool;  (* cancelled twin: skip its event *)
 }
 
 type jstate = {
@@ -380,9 +359,6 @@ type jstate = {
   mutable js_attempt : int;
   mutable js_ready : float;  (* when it (re-)entered a queue *)
   mutable js_stolen : bool;
-  mutable js_spec_used : bool;  (* one twin per attempt *)
-  mutable js_primary : run_rec option;
-  mutable js_twin : run_rec option;
 }
 
 let outcome_of t jd ~attempt =
@@ -491,9 +467,6 @@ let run_defs t ~publish ~kname (defs : jobdef array) : Measure_result.t array =
             js_attempt = 0;
             js_ready = submit_clock;
             js_stolen = false;
-            js_spec_used = false;
-            js_primary = None;
-            js_twin = None;
           })
     in
     let total_queued = ref 0 in
@@ -541,10 +514,7 @@ let run_defs t ~publish ~kname (defs : jobdef array) : Measure_result.t array =
        processed first and the retries it makes due are drained after
        it. *)
     let events = Event_queue.create () and retryq = Event_queue.create () in
-    let ok_costs = ref [] and ok_count = ref 0 in
-    (* Live primary runs, for the speculation scan (lazily pruned). *)
-    let active_runs = ref [] in
-    let launch dev j ~spec =
+    let launch dev j =
       let st = states.(j) and jd = defs.(j) in
       let attempt = st.js_attempt in
       let oc = outcome_of t jd ~attempt in
@@ -564,14 +534,12 @@ let run_defs t ~publish ~kname (defs : jobdef array) : Measure_result.t array =
         {
           rn_job = j;
           rn_attempt = attempt;
-          rn_spec = spec;
           rn_stolen = stolen;
           rn_dev = dev;
           rn_start = start;
           rn_finish = start +. charge;
           rn_outcome = oc;
           rn_start_ns = (if Trace.enabled () then Trace.now_ns () else 0L);
-          rn_dead = false;
         }
       in
       dev.fd_free_at <- r.rn_finish;
@@ -580,22 +548,12 @@ let run_defs t ~publish ~kname (defs : jobdef array) : Measure_result.t array =
       if stolen then sh.sh_stolen <- sh.sh_stolen + 1;
       t.attempts_n <- t.attempts_n + 1;
       count "pool.attempts";
-      if spec then begin
-        t.spec_launched <- t.spec_launched + 1;
-        count "pool.spec_launched";
-        st.js_spec_used <- true;
-        st.js_twin <- Some r
-      end
-      else begin
-        observe "pool.queue_wait_s" (start -. st.js_ready);
-        st.js_primary <- Some r;
-        active_runs := r :: !active_runs
-      end;
+      observe "pool.queue_wait_s" (start -. st.js_ready);
       Event_queue.push events ~at:r.rn_finish r
     in
     let try_local dev =
       match q_pop t.shards.(dev.fd_shard) with
-      | Some j -> launch dev j ~spec:false; true
+      | Some j -> launch dev j; true
       | None -> false
     in
     let try_steal dev =
@@ -627,75 +585,16 @@ let run_defs t ~publish ~kname (defs : jobdef array) : Measure_result.t array =
           count ~by:(float_of_int take) "pool.stolen_jobs";
           try_local dev
     in
-    (* Speculative re-measurement: duplicate the in-flight run whose
-       charged time crosses [spec_factor × median completed ok cost]
-       (the journal report's straggler heuristic, pool-relative) and whose twin
-       would finish sooner here. The twin replays the same (job,
-       attempt) outcome — no new fault draw. *)
-    let try_speculate dev =
-      if (not c.c_speculate) || !ok_count < 3 then false
-      else begin
-        active_runs :=
-          List.filter
-            (fun r ->
-              (not r.rn_dead)
-              &&
-              match states.(r.rn_job).js_primary with
-              | Some r' -> r' == r
-              | None -> false)
-            !active_runs;
-        let med = Metrics.median !ok_costs in
-        let threshold = spec_factor *. med in
-        let best = ref None in
-        List.iter
-          (fun r ->
-            let st = states.(r.rn_job) in
-            if
-              st.js_twin = None
-              && (not st.js_spec_used)
-              && r.rn_dev.fd_kname = dev.fd_kname
-              && r.rn_finish -. r.rn_start > threshold
-            then begin
-              let est =
-                charge_on t dev r.rn_outcome
-                +.
-                if dev.fd_epoch <> epoch then c.c_overhead_s *. dev.fd_speed
-                else 0.
-              in
-              (* Only duplicate when the twin would actually win. *)
-              if r.rn_finish > t.clock +. est then
-                match !best with
-                | Some b
-                  when b.rn_finish > r.rn_finish
-                       || (b.rn_finish = r.rn_finish && b.rn_job < r.rn_job) ->
-                    ()
-                | _ -> best := Some r
-            end)
-          !active_runs;
-        match !best with
-        | None -> false
-        | Some r ->
-            (* The twin reuses the primary's (job, attempt): the launch
-               recomputes the identical outcome, no new fault draw. *)
-            launch dev r.rn_job ~spec:true;
-            true
-      end
-    in
     let fill_all () =
-      (* Local backlogs first, then stealing for the still-idle, then
-         speculation once every backlog is dry. Every launch makes the
-         device busy (charges are strictly positive), so each device
-         takes at most one job per pass. *)
+      (* Local backlogs first, then stealing for the still-idle. Every
+         launch makes the device busy (charges are strictly positive),
+         so each device takes at most one job per pass. *)
       Array.iter
         (fun d -> if d.fd_free_at <= t.clock then ignore (try_local d))
         t.devs;
       if !total_queued > 0 then
         Array.iter
           (fun d -> if d.fd_free_at <= t.clock then ignore (try_steal d))
-          t.devs;
-      if c.c_speculate && !ok_count >= 3 then
-        Array.iter
-          (fun d -> if d.fd_free_at <= t.clock then ignore (try_speculate d))
           t.devs
     in
     let drain_retries () =
@@ -703,14 +602,13 @@ let run_defs t ~publish ~kname (defs : jobdef array) : Measure_result.t array =
         let at = Event_queue.top_time retryq in
         let j = Option.get (Event_queue.pop retryq) in
         let st = states.(j) in
-        (* A resolved job's pending retry is dropped silently — in
-           particular it charges no backoff anywhere (the
-           twin-cancelled-mid-backoff fix). *)
-        if res.(j) = None then begin
-          st.js_ready <- at;
-          st.js_stolen <- false;
-          q_push t.shards.(st.js_home) j
-        end
+        (* A job enters the retry queue only from [process], while it is
+           unresolved and has no other run, and stays out of every
+           backlog until it leaves the queue here. *)
+        assert (res.(j) = None);
+        st.js_ready <- at;
+        st.js_stolen <- false;
+        q_push t.shards.(st.js_home) j
       done
     in
     (* One record per attempt, however it ended: a journal dispatch
@@ -722,9 +620,9 @@ let run_defs t ~publish ~kname (defs : jobdef array) : Measure_result.t array =
       let uid = defs.(r.rn_job).jd_uid in
       let queue_s = r.rn_start -. states.(r.rn_job).js_ready in
       if uid >= 0 then
-        Journal.dispatch ~shard:r.rn_dev.fd_shard ~stolen:r.rn_stolen
-          ~spec:r.rn_spec ~uid ~dev:r.rn_dev.fd_id ~device:r.rn_dev.fd_kname
-          ~attempt:r.rn_attempt ~outcome ~cost_s:cost ~queue_s;
+        Journal.dispatch ~shard:r.rn_dev.fd_shard ~stolen:r.rn_stolen ~uid
+          ~dev:r.rn_dev.fd_id ~device:r.rn_dev.fd_kname ~attempt:r.rn_attempt
+          ~outcome ~cost_s:cost ~queue_s;
       if Trace.enabled () then begin
         name_lane r.rn_dev;
         let lane = Trace.device_lane r.rn_dev.fd_id in
@@ -747,26 +645,6 @@ let run_defs t ~publish ~kname (defs : jobdef array) : Measure_result.t array =
       r.rn_dev.fd_busy_s <- r.rn_dev.fd_busy_s +. (r.rn_finish -. r.rn_start);
       record_attempt r ~outcome:(outcome_name r.rn_outcome)
         ~cost:(r.rn_finish -. r.rn_start);
-      (* Cancel the slower twin: first result wins, the loser is
-         charged for the time it burned and freed now. *)
-      let other = if r.rn_spec then st.js_primary else st.js_twin in
-      (match other with
-      | Some tw when not tw.rn_dead ->
-          tw.rn_dead <- true;
-          tw.rn_dev.fd_busy_s <- tw.rn_dev.fd_busy_s +. (t.clock -. tw.rn_start);
-          tw.rn_dev.fd_free_at <- t.clock;
-          record_attempt tw ~outcome:"cancelled" ~cost:(t.clock -. tw.rn_start);
-          if tw.rn_spec then begin
-            t.spec_losses <- t.spec_losses + 1;
-            count "pool.spec_losses"
-          end
-          else begin
-            t.spec_wins <- t.spec_wins + 1;
-            count "pool.spec_wins"
-          end
-      | _ -> ());
-      st.js_primary <- None;
-      st.js_twin <- None;
       observe "pool.job_cost_s" (r.rn_finish -. r.rn_start);
       (match r.rn_outcome with
       | O_timeout | O_overrun -> count "pool.timeouts"
@@ -778,38 +656,26 @@ let run_defs t ~publish ~kname (defs : jobdef array) : Measure_result.t array =
       if retryable r.rn_outcome && r.rn_attempt < c.c_retry.Retry_policy.max_retries
       then begin
         st.js_attempt <- r.rn_attempt + 1;
-        st.js_spec_used <- false;
         t.retries_n <- t.retries_n + 1;
         count "pool.retries";
         Event_queue.push retryq
           ~at:(Retry_policy.retry_at c.c_retry ~now:t.clock ~attempt:r.rn_attempt) j
       end
-      else begin
-        (match r.rn_outcome with
-        | O_ok m ->
-            ok_costs :=
-              (c.c_per_job_s +. (float_of_int repeats *. m)) :: !ok_costs;
-            incr ok_count
-        | _ -> ());
-        resolve j (result_of ~attempts r.rn_outcome)
-      end
+      else resolve j (result_of ~attempts r.rn_outcome)
     in
     fill_all ();
     while !done_n < n do
-      match Event_queue.top events with
-      | Some r when r.rn_dead -> ignore (Event_queue.pop events)
-      | ev ->
-          let retry_at = Event_queue.top_time retryq in
-          (match ev with
-          | Some r when not (retry_at < r.rn_finish) ->
-              ignore (Event_queue.pop events);
-              t.clock <- Float.max t.clock r.rn_finish;
-              process r
-          | None when retry_at = infinity ->
-              failwith "Device_pool: schedule stuck (no events, no retries)"
-          | _ -> t.clock <- Float.max t.clock retry_at);
-          drain_retries ();
-          fill_all ()
+      let retry_at = Event_queue.top_time retryq in
+      (match Event_queue.top events with
+      | Some r when not (retry_at < r.rn_finish) ->
+          ignore (Event_queue.pop events);
+          t.clock <- Float.max t.clock r.rn_finish;
+          process r
+      | None when retry_at = infinity ->
+          failwith "Device_pool: schedule stuck (no events, no retries)"
+      | _ -> t.clock <- Float.max t.clock retry_at);
+      drain_retries ();
+      fill_all ()
     done;
     t.clock <- makespan t;
     if publish then Metrics.set_gauge "pool.makespan_s" t.clock;

@@ -5,12 +5,9 @@
     A pool is a roster of devices (kind + host-side speed factor),
     partitioned into {b per-kind shards}. Measurement batches are
     dispatched as {b contiguous per-shard slices} (each device pays the
-    upload/RPC overhead once per batch); an idle shard {b steals} the
-    tail half of the deepest backlog of a compatible shard; and with
-    speculation on, an idle device {b duplicates} a straggling
-    in-flight attempt (running cost beyond 1.5× the median
-    completed cost) on a faster device: first finisher wins, the twin
-    is cancelled and charged for the time it burned. Measurements come
+    upload/RPC overhead once per batch), and an idle shard {b steals}
+    the tail half of the deepest backlog of a compatible shard. Each
+    attempt runs exactly once, on one device. Measurements come
     from the analytical machine models plus deterministic noise keyed
     by the configuration, returned as structured {!Measure_result.t}
     values.
@@ -22,25 +19,23 @@
 
     {b Determinism.} Pure model times fan out over a {!Tvm_par.Pool};
     the whole virtual-time schedule (an {!Event_queue} of run
-    completions and one of retries, fault draws, steals, speculation,
-    journal records) then replays sequentially on the calling domain. Results are made
-    {e placement-invariant}:
+    completions and one of retries, fault draws, steals, journal
+    records) then replays sequentially on the calling domain. Results
+    are made {e placement-invariant}:
 
     - fault draws are keyed by the job's {e submission ordinal}, never
       by the device that happens to run it;
     - every job is pinned to one device {e kind}, so the model time
-      does not depend on which device wins the race;
+      does not depend on which device runs it;
     - per-device speed factors scale only the {e charged} duration,
       never the measured value nor the deterministic-overrun check;
-    - a speculative twin replays the {e same} (job, attempt) outcome,
-      and backoff is charged to the job's ready time
-      ({!Retry_policy.retry_at}), so a twin cancelled mid-backoff
-      charges nothing.
+    - backoff is charged to the job's ready time
+      ({!Retry_policy.retry_at}), never to a device.
 
     Consequently trial results (and thus tuning logs) are
     byte-identical across [-j], device count, shard count and
-    speculation on/off; the journal additionally records placement, so
-    it is byte-identical across [-j] at a fixed roster. *)
+    stragglers; the journal additionally records placement, so it is
+    byte-identical across [-j] at a fixed roster. *)
 
 module Machine = Tvm_sim.Machine
 module Measure_result = Tvm_autotune.Measure_result
@@ -68,7 +63,6 @@ val catalog :
   ?per_job_s:float ->
   ?fault_plan:Fault.plan ->
   ?retry:Retry_policy.t ->
-  ?speculate:bool ->
   ?shards:int ->
   (device_kind * float) list ->
   catalog
@@ -77,16 +71,16 @@ val catalog :
     shard count per device kind (0 = auto, ~1 shard per 32 devices
     capped at 16). [overhead_s] (default 0.5) is paid once per device
     per batch; [per_job_s] (default 0.05) is the per-job dispatch cost;
-    [noise] defaults to 0.02. Each measurement is timed 3 times, and
-    speculation (when on) duplicates an attempt whose charged time
-    passes 1.5× the median completed cost. *)
+    [noise] defaults to 0.02. Each measurement is timed 3 times. *)
 
 val mixed_kinds :
   ?primary:device_kind -> ?straggler:int -> int -> (device_kind * float) list
 (** A deterministic heterogeneous roster of [n] devices: every even
     slot is [primary] (default Titan X), odd slots cycle through the
     other kinds; mild deterministic speed variation, plus one
-    [straggler] device of the primary kind slowed 12× if given. *)
+    [straggler] device slowed 12× if given. The straggler is always of
+    the primary kind, so it runs the target's jobs and [tvmc report]
+    can flag it. *)
 
 val catalog_of_spec : ?kind:device_kind -> Tvm_spec.Job_spec.t -> catalog
 (** The roster a spec asks for, of kind [kind] (default: the board
@@ -100,7 +94,7 @@ val catalog_of_spec : ?kind:device_kind -> Tvm_spec.Job_spec.t -> catalog
     [spec.straggler] slows that device 12×. Both rosters share the
     transient faults at [spec.fault_rate] seeded by [spec.seed], the
     retries/budget from [spec.max_retries]/[spec.timeout_s], and
-    [spec.shards]/[spec.speculate]. *)
+    [spec.shards]. *)
 
 val session : ?salt:int -> catalog -> t
 (** Fresh schedule state over [cat]. [salt] (default 0) decorrelates
@@ -137,9 +131,6 @@ type stats = {
   fs_attempts : int;
   fs_steals : int;  (** steal transactions *)
   fs_stolen_jobs : int;  (** jobs that changed shard *)
-  fs_spec_launched : int;
-  fs_spec_wins : int;  (** speculative twin finished first *)
-  fs_spec_losses : int;  (** twin cancelled, primary won *)
   fs_retries : int;
   fs_shard_stats : shard_stat list;
 }
@@ -155,9 +146,8 @@ val measure_batch :
 (** Measure a batch of (noise key, program) jobs, pinned to the first
     roster kind [kind_pred] accepts. Model times fan out over [par];
     the schedule replays on the caller. Result [i] belongs to job [i]
-    and is independent of [par], roster size, shard count and
-    speculation. With no matching kind every job gets a [Pool_error]
-    result. *)
+    and is independent of [par], roster size and shard count. With no
+    matching kind every job gets a [Pool_error] result. *)
 
 val simulate :
   t -> kind:device_kind -> cost_s:float array -> Measure_result.t array

@@ -23,11 +23,9 @@ let backoff_s t ~attempt =
     may dispatch, given the failure was observed at [now].
 
     This is the {e job-local} form of backoff accounting: the pause is
-    charged to the job's ready time, never to a shared clock. The
-    distinction matters once a job can have two in-flight copies: with
-    speculation, charging backoff to the pool clock would bill the
-    pause once per copy, and a speculative duplicate cancelled
-    mid-backoff must leave the clock untouched. The pool coordinator
-    therefore keys its retry queue on [retry_at] and drops the ready
-    entry silently if the twin already resolved the job. *)
+    charged to the job's ready time, never to a device or a shared
+    clock. Backoff delays the job, not the device: the device that saw
+    the failure is free at once and takes other work from its
+    backlog while the failed job waits. The pool coordinator keys its
+    retry queue on [retry_at]. *)
 let retry_at t ~now ~attempt = now +. backoff_s t ~attempt

@@ -35,7 +35,6 @@ type t = {
   timeout_s : float;
   fleet : int;
   shards : int;
-  speculate : bool;
 }
 
 let default =
@@ -62,7 +61,6 @@ let default =
     timeout_s = 10.;
     fleet = 0;
     shards = 0;
-    speculate = false;
   }
 
 let make ?(op = default.op) ?(workload = default.workload)
@@ -75,12 +73,11 @@ let make ?(op = default.op) ?(workload = default.workload)
     ?(use_compile_cache = default.use_compile_cache)
     ?(replay = default.replay) ?(fault_rate = default.fault_rate) ?straggler
     ?(max_retries = default.max_retries) ?(timeout_s = default.timeout_s)
-    ?(fleet = default.fleet) ?(shards = default.shards)
-    ?(speculate = default.speculate) () =
+    ?(fleet = default.fleet) ?(shards = default.shards) () =
   {
     op; workload; target; fusion; trials; method_name; seed; batch; sa_steps;
     n_chains; jobs; devices; validate; verbose; use_compile_cache; replay;
-    fault_rate; straggler; max_retries; timeout_s; fleet; shards; speculate;
+    fault_rate; straggler; max_retries; timeout_s; fleet; shards;
   }
 
 let to_json t =
@@ -109,7 +106,6 @@ let to_json t =
       ("timeout_s", Json.num t.timeout_s);
       ("fleet", Json.Num (Float.of_int t.fleet));
       ("shards", Json.Num (Float.of_int t.shards));
-      ("speculate", Json.Bool t.speculate);
     ]
 
 let of_json j =
@@ -152,7 +148,6 @@ let of_json j =
     timeout_s = num "timeout_s" d.timeout_s;
     fleet = int "fleet" d.fleet;
     shards = int "shards" d.shards;
-    speculate = bool "speculate" d.speculate;
   }
 
 let to_string t = Json.to_string (to_json t)

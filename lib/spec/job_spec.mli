@@ -8,8 +8,11 @@
     [workload], [target], [fusion]), how hard to search ([trials],
     [method_name], [seed], [batch], [sa_steps], [n_chains]), what
     resources to use ([jobs] host domains, [devices] simulated
-    devices), the replay policy ([replay]) and the fault/retry policy
-    ([fault_rate], [straggler], [max_retries], [timeout_s]). Output
+    devices, or a [fleet] roster cut into [shards]), the replay policy
+    ([replay]) and the fault/retry policy ([fault_rate], [max_retries],
+    [timeout_s]). [straggler] slows one device down; like [jobs],
+    [devices] and [shards] it changes only the simulated makespan,
+    never a result. Output
     sinks (journal, trace, metrics, tune log) are not part of a job:
     [tvmc] opens them around the run.
 
@@ -75,9 +78,6 @@ type t = {
           ({!Tvm_rpc.Device_pool.mixed_kinds}); 0 = [devices] replicas
           of the target *)
   shards : int;  (** shards per device kind in the pool, 0 = auto *)
-  speculate : bool;
-      (** duplicate straggling measurements on an idle fast device;
-          never changes results, only the virtual makespan *)
 }
 
 val default : t
@@ -108,7 +108,6 @@ val make :
   ?timeout_s:float ->
   ?fleet:int ->
   ?shards:int ->
-  ?speculate:bool ->
   unit ->
   t
 (** The one constructor: every field defaults to {!default}'s value. *)
@@ -118,7 +117,7 @@ val of_json : Tvm_obs.Json.t -> t
 (** Missing fields take {!default}'s value and unknown fields are
     ignored, so specs stay readable across versions (an envelope that
     still carries the removed [journal_out], [trace_out],
-    [metrics_out] or [tune_log] keys parses); raises
+    [metrics_out], [tune_log] or [speculate] keys parses); raises
     [Invalid_argument] on non-object JSON. *)
 
 val to_string : t -> string

@@ -1,9 +1,7 @@
 (* Device pool tests at fleet scale: placement-invariant results
    (1000 heterogeneous devices, faults, batches of two device kinds),
-   work stealing that never changes a result,
-   speculative straggler re-measurement that cuts the makespan without
-   changing a result, and the job-local backoff accounting that makes
-   a twin cancelled mid-backoff free. *)
+   work stealing and stragglers that never change a result, exactly
+   one dispatch per attempt, and job-local backoff accounting. *)
 
 open Tvm_tir
 module Par = Tvm_par.Pool
@@ -61,8 +59,8 @@ let batches_of sizes =
     sizes
   |> Array.of_list
 
-let faulty_catalog ?(speculate = false) ?shards ?straggler n =
-  Pool.catalog ?shards ~speculate
+let faulty_catalog ?shards ?straggler n =
+  Pool.catalog ?shards
     ~fault_plan:(Fault.transient ~seed:11 ~rate:0.2 ())
     (Pool.mixed_kinds ?straggler n)
 
@@ -79,7 +77,7 @@ let test_fleet_deterministic_across_j () =
   let run jobs =
     Journal.set_enabled true;
     Journal.set_job_tags (Array.init total (fun i -> i));
-    let t = Pool.session ~salt:5 (faulty_catalog ~speculate:true 1000) in
+    let t = Pool.session ~salt:5 (faulty_catalog 1000) in
     let par = Par.create ~domains:jobs () in
     let res = measure_all ~par t (batches_of sizes) in
     Journal.clear_job_tags ();
@@ -100,35 +98,33 @@ let test_fleet_deterministic_across_j () =
     (Array.fold_left (fun a b -> a + Array.length b) 0 r1)
 
 (* Results (not journals: those record placement) must also be
-   invariant under shard count and speculation. *)
-let test_results_invariant_shards_spec () =
+   invariant under shard count. *)
+let test_results_invariant_shards () =
   let sizes = [ (titan, 30); (xeon, 20) ] in
-  let run ?shards ?(speculate = false) () =
-    let t = Pool.session ~salt:5 (faulty_catalog ~speculate ?shards 300) in
+  let run ?shards () =
+    let t = Pool.session ~salt:5 (faulty_catalog ?shards 300) in
     measure_all t (batches_of sizes)
   in
   let base = run ~shards:4 () in
   checkb "results invariant under shard count"
     (base = run ~shards:16 ());
-  checkb "results invariant under auto sharding" (base = run ());
-  checkb "results invariant under speculation"
-    (base = run ~shards:4 ~speculate:true ())
+  checkb "results invariant under auto sharding" (base = run ())
 
 (* The same invariance as a property: for random batch sizes, salts
-   and shard counts, a session's results match a single-shard,
-   non-speculative session of the same catalog and salt. *)
+   and shard counts, a session's results match a single-shard session
+   of the same catalog and salt. *)
 let results_invariant_random_batches =
-  QCheck.Test.make ~name:"batch results invariant under random shards/spec"
+  QCheck.Test.make ~name:"batch results invariant under random shards"
     ~count:25
     QCheck.(
       quad (int_range 0 20) (int_range 0 20) (int_range 0 6) (int_range 2 16))
     (fun (n1, n2, salt, shards) ->
       let sizes = [ (titan, n1); (xeon, n2); (titan, (n1 + n2) mod 13) ] in
-      let run ~shards ~speculate =
-        let t = Pool.session ~salt (faulty_catalog ~speculate ~shards 120) in
+      let run ~shards =
+        let t = Pool.session ~salt (faulty_catalog ~shards 120) in
         measure_all t (batches_of sizes)
       in
-      run ~shards:1 ~speculate:false = run ~shards ~speculate:true)
+      run ~shards:1 = run ~shards)
 
 (* ------------------------------------------------------------------ *)
 (* Stealing and scaling                                                 *)
@@ -171,73 +167,56 @@ let test_scaling_efficiency () =
     (eff >= 0.7)
 
 (* ------------------------------------------------------------------ *)
-(* Speculation                                                          *)
+(* One attempt in flight per job                                        *)
 (* ------------------------------------------------------------------ *)
 
-(* A 12x straggler of the target kind: speculation must cut the
-   straggler-dominated makespan by >= 1.5x and change nothing else. *)
-let test_speculation_beats_straggler () =
-  let run speculate =
-    let t =
-      Pool.session
-        (Pool.catalog ~speculate (Pool.mixed_kinds ~straggler:0 64))
-    in
-    let r = Pool.simulate t ~kind:titan ~cost_s:(costs 300) in
-    (r, Pool.makespan t, Pool.stats t)
-  in
-  let r_off, mk_off, _ = run false in
-  let r_on, mk_on, st_on = run true in
-  checkb "speculation changes no result" (r_off = r_on);
-  checkb "twins were launched" (st_on.Pool.fs_spec_launched > 0);
-  checkb "twins won races" (st_on.Pool.fs_spec_wins > 0);
-  checkb
-    (Printf.sprintf "speculation speedup %.2fx >= 1.5x"
-       (mk_off /. mk_on))
-    (mk_off >= 1.5 *. mk_on)
+(* Every attempt runs once, on one device, and leaves one dispatch
+   record: a job's records number exactly its [attempts], and none is
+   a cancelled copy. *)
+let test_one_dispatch_per_attempt () =
+  let n = 200 in
+  Journal.set_enabled true;
+  Journal.set_job_tags (Array.init n (fun i -> i));
+  let t = Pool.session ~salt:3 (faulty_catalog ~straggler:0 64) in
+  let r = Pool.simulate t ~kind:titan ~cost_s:(costs n) in
+  Journal.clear_job_tags ();
+  let entries = Journal.entries () in
+  Journal.set_enabled false;
+  let per_job = Array.make n 0 and cancelled = ref 0 in
+  List.iter
+    (function
+      | Journal.Dispatch { d_uid; d_outcome; _ } ->
+          per_job.(d_uid) <- per_job.(d_uid) + 1;
+          if d_outcome = "cancelled" then incr cancelled
+      | _ -> ())
+    entries;
+  checkb "faults forced retries" (Array.exists (fun (x : R.t) -> x.R.attempts > 1) r);
+  checkb "dispatches per job = attempts"
+    (Array.for_all2 (fun k (x : R.t) -> k = x.R.attempts) per_job r);
+  Alcotest.(check int) "no cancelled dispatch" 0 !cancelled
 
-(* Regression: a twin that replays a retryable fault is
-   cancelled mid-backoff when its primary resolves first. Backoff is
-   charged to the job's ready time (Retry_policy.retry_at), never to a
-   shared clock, so speculation must not add retries, must not change
-   results, and must not inflate the virtual clock — even on a fleet
-   where faults and twins interact constantly. *)
-let test_cancelled_twin_charges_nothing () =
-  let run speculate =
-    Journal.set_enabled true;
-    Journal.set_job_tags (Array.init 200 (fun i -> i));
+(* A 12x straggler of the target kind stretches the makespan and
+   changes no result, on a clean fleet and at 20% faults. *)
+let test_straggler_changes_no_result () =
+  let run ?straggler ~rate () =
     let t =
       Pool.session ~salt:3
-        (faulty_catalog ~speculate ~straggler:0 64)
+        (Pool.catalog
+           ~fault_plan:(Fault.transient ~seed:11 ~rate ())
+           (Pool.mixed_kinds ?straggler 64))
     in
-    let r = Pool.simulate t ~kind:titan ~cost_s:(costs 200) in
-    Journal.clear_job_tags ();
-    let entries = Journal.entries () in
-    Journal.set_enabled false;
-    (r, Pool.makespan t, Pool.stats t, entries)
+    let r = Pool.simulate t ~kind:titan ~cost_s:(costs 300) in
+    (r, Pool.makespan t)
   in
-  let r_off, mk_off, st_off, _ = run false in
-  let r_on, mk_on, st_on, entries_on = run true in
-  checkb "results identical with twins racing faults" (r_off = r_on);
-  Alcotest.(check int)
-    "retry count identical: no backoff charged per copy"
-    st_off.Pool.fs_retries st_on.Pool.fs_retries;
-  let cancelled =
-    List.length
-      (List.filter
-         (function
-           | Journal.Dispatch { d_outcome = "cancelled"; _ } -> true
-           | _ -> false)
-         entries_on)
-  in
-  checkb "twins were cancelled mid-flight" (cancelled > 0);
-  Alcotest.(check int) "every cancellation tallied"
-    (st_on.Pool.fs_spec_wins + st_on.Pool.fs_spec_losses)
-    cancelled;
-  (* Speculation may only help the clock (a double-charged backoff
-     showed up here as a makespan inflation). *)
-  checkb
-    (Printf.sprintf "makespan %.2f s (spec) <= %.2f s (no spec)" mk_on mk_off)
-    (mk_on <= mk_off +. 1e-9)
+  List.iter
+    (fun rate ->
+      let r, mk = run ~rate () and r_s, mk_s = run ~straggler:0 ~rate () in
+      checkb (Printf.sprintf "results identical at %.0f%% faults" (100. *. rate))
+        (r = r_s);
+      checkb
+        (Printf.sprintf "straggler stretches the makespan (%.2f s > %.2f s)" mk_s mk)
+        (mk_s > mk))
+    [ 0.; 0.2 ]
 
 let test_retry_at_is_job_local () =
   let p = Retry.default in
@@ -288,7 +267,7 @@ let test_report_shard_tallies () =
   Journal.set_enabled true;
   Journal.set_job_tags (Array.init 400 (fun i -> i));
   let roster = List.init 32 (fun i -> (titan, if i = 0 then 12.0 else 1.0)) in
-  let t = Pool.session (Pool.catalog ~shards:4 ~speculate:true roster) in
+  let t = Pool.session (Pool.catalog ~shards:4 roster) in
   ignore (Pool.simulate t ~kind:titan ~cost_s:(costs 400));
   Journal.clear_job_tags ();
   let rp = Report.analyze (Journal.entries ()) in
@@ -300,10 +279,6 @@ let test_report_shard_tallies () =
   checkb "report sees stolen dispatches" (rp.Report.rp_stolen > 0);
   checkb "stolen dispatches bounded by steal events"
     (rp.Report.rp_stolen <= st.Pool.fs_stolen_jobs);
-  Alcotest.(check int) "report spec wins match fleet stats"
-    st.Pool.fs_spec_wins rp.Report.rp_spec_wins;
-  Alcotest.(check int) "report spec losses match fleet stats"
-    st.Pool.fs_spec_losses rp.Report.rp_spec_losses;
   let total_share =
     List.fold_left (fun a s -> a +. s.Report.sh_share) 0. rp.Report.rp_shards
   in
@@ -363,20 +338,20 @@ let suite =
   [
     Alcotest.test_case "1000-device fleet: -j1 = -j8 (results + journal)"
       `Quick test_fleet_deterministic_across_j;
-    Alcotest.test_case "results invariant under shards/speculation" `Quick
-      test_results_invariant_shards_spec;
+    Alcotest.test_case "results invariant under shard count" `Quick
+      test_results_invariant_shards;
     QCheck_alcotest.to_alcotest results_invariant_random_batches;
     Alcotest.test_case "stealing rebalances without changing results" `Quick
       test_stealing_rebalances;
     Alcotest.test_case "scaling efficiency >= 0.7 at 8 -> 256" `Quick
       test_scaling_efficiency;
-    Alcotest.test_case "speculation beats a 12x straggler >= 1.5x" `Quick
-      test_speculation_beats_straggler;
-    Alcotest.test_case "cancelled twin charges no backoff" `Quick
-      test_cancelled_twin_charges_nothing;
+    Alcotest.test_case "one dispatch per attempt" `Quick
+      test_one_dispatch_per_attempt;
+    Alcotest.test_case "a straggler changes no result" `Quick
+      test_straggler_changes_no_result;
     Alcotest.test_case "retry_at is job-local" `Quick test_retry_at_is_job_local;
     QCheck_alcotest.to_alcotest event_queue_matches_model;
-    Alcotest.test_case "report: shard/steal/speculation tallies" `Quick
+    Alcotest.test_case "report: shard/steal tallies" `Quick
       test_report_shard_tallies;
     Alcotest.test_case "sa propose memo caps predictor calls" `Quick
       test_sa_propose_memo;

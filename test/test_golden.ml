@@ -451,19 +451,6 @@ let pool_costs ~salt n =
       | 1 -> Float.nan
       | r -> 0.02 *. float_of_int (1 + (r mod 5)))
 
-(* Drop the always-false speculation flag from a dispatch line, so the
-   digest pins only what a pool without speculation writes. *)
-let strip_spec line =
-  let key = ",\"spec\":false" in
-  let n = String.length line and k = String.length key in
-  let rec find i =
-    if i + k > n then line
-    else if String.sub line i k = key then
-      String.sub line 0 i ^ String.sub line (i + k) (n - i - k)
-    else find (i + 1)
-  in
-  find 0
-
 let pool_corpus () =
   let buf = Buffer.create 65536 in
   let titan = Pool.Gpu_dev Tvm_sim.Machine.titan_x in
@@ -471,7 +458,7 @@ let pool_corpus () =
   List.iter
     (fun (label, rate, shards, straggler, n_devs) ->
       let cat =
-        Pool.catalog ~shards ~speculate:false
+        Pool.catalog ~shards
           ~fault_plan:(Tvm_rpc.Fault.transient ~seed:17 ~rate ())
           (Pool.mixed_kinds ?straggler n_devs)
       in
@@ -489,9 +476,7 @@ let pool_corpus () =
       List.iter
         (fun e ->
           match e with
-          | Journal.Dispatch _ ->
-              Buffer.add_string buf
-                (strip_spec (Journal.entry_to_line e) ^ "\n")
+          | Journal.Dispatch _ -> Buffer.add_string buf (Journal.entry_to_line e ^ "\n")
           | _ -> ())
         (Journal.entries ());
       Journal.set_enabled false;

@@ -51,8 +51,9 @@ let test_job_spec_roundtrip () =
   Alcotest.(check bool)
     "defaults fill in" true
     (Job_spec.of_string "{}" = Job_spec.default);
-  (* Envelopes written before the spec dropped its output sinks still
-     carry those keys: they parse, and the keys are ignored. *)
+  (* Envelopes written before the spec dropped its output sinks and its
+     speculation flag still carry those keys: they parse, and the keys
+     are ignored. *)
   let r = Tvm_serve.Tvmd.request ~tenant:"t" (Job_spec.make ~trials:3 ()) in
   let s = Tvm_serve.Tvmd.to_string r in
   let n = String.length s in
@@ -60,9 +61,9 @@ let test_job_spec_roundtrip () =
     (String.sub s (n - 2) 2);
   let old =
     String.sub s 0 (n - 2)
-    ^ {|,"journal_out":"j.txt","trace_out":"t.json","metrics_out":"m.txt","tune_log":"l.jsonl"}}|}
+    ^ {|,"journal_out":"j.txt","trace_out":"t.json","metrics_out":"m.txt","tune_log":"l.jsonl","speculate":true}}|}
   in
-  Alcotest.(check bool) "old sink keys ignored" true
+  Alcotest.(check bool) "old sink and speculate keys ignored" true
     (Tvm_serve.Tvmd.of_string old = r)
 
 (* ------------------------------------------------------------------ *)
