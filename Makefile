@@ -203,28 +203,29 @@ check-compact: build
 	  --results _build/check-compact/r_compacted
 	cmp _build/check-compact/r_cold _build/check-compact/r_compacted
 
-# Sharded-fleet gate: the fleet test suite, then tvmc on a 1000-device
-# 20%-faulty fleet. The tuning log AND the journal must be
+# Measurement-fleet gate: the fleet test suite, then tvmc on a
+# 1000-device 20%-faulty fleet. The tuning log AND the journal must be
 # byte-identical at -j1 vs -j8; the log must additionally be
-# byte-identical across shard counts (4 vs 16) (placement-invariant
-# results — only the journal's placement fields may differ).
+# byte-identical with a 12x straggler on device 0 (placement-invariant
+# results: the straggler moves jobs between devices and stretches the
+# makespan, and only the journal's placement fields may differ).
 check-fleet: build
 	dune exec test/test_main.exe -- test fleet
 	mkdir -p _build/check-fleet
 	dune exec bin/tvmc.exe -- tune C7 --trials 40 --seed 5 --fleet 1000 \
-	  --shards 16 --fault-rate 0.2 -j 1 \
+	  --fault-rate 0.2 -j 1 \
 	  --tune-log _build/check-fleet/j1.log \
 	  --journal-out _build/check-fleet/j1.jsonl
 	dune exec bin/tvmc.exe -- tune C7 --trials 40 --seed 5 --fleet 1000 \
-	  --shards 16 --fault-rate 0.2 -j 8 \
+	  --fault-rate 0.2 -j 8 \
 	  --tune-log _build/check-fleet/j8.log \
 	  --journal-out _build/check-fleet/j8.jsonl
 	cmp _build/check-fleet/j1.log _build/check-fleet/j8.log
 	cmp _build/check-fleet/j1.jsonl _build/check-fleet/j8.jsonl
 	dune exec bin/tvmc.exe -- tune C7 --trials 40 --seed 5 --fleet 1000 \
-	  --shards 4 --fault-rate 0.2 -j 4 \
-	  --tune-log _build/check-fleet/shards4.log
-	cmp _build/check-fleet/j1.log _build/check-fleet/shards4.log
+	  --straggler 0 --fault-rate 0.2 -j 4 \
+	  --tune-log _build/check-fleet/straggler.log
+	cmp _build/check-fleet/j1.log _build/check-fleet/straggler.log
 	dune exec bench/main.exe -- --quick --json _build/check-fleet/obs.json \
 	  fleet
 

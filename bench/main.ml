@@ -296,13 +296,13 @@ let bench_serve_rt () =
 
 module Fl = Tvm_rpc.Device_pool
 
-(* Fleet scaling: one fixed synthetic workload dispatched to sharded
-   fleets of 8/64/256/1000 heterogeneous devices. Everything is
-   virtual-clock ([Device_pool.simulate]), so the makespans, the scaling
-   efficiency ((T(8)/T(256)) / (usable(256)/usable(8))) and the steal
-   rate are all deterministic and gate-able. *)
+(* Fleet scaling: one fixed synthetic workload dispatched to fleets of
+   8/64/256/1000 heterogeneous devices. Everything is virtual-clock
+   ([Device_pool.simulate]), so the makespans and the scaling efficiency
+   ((T(8)/T(256)) / (usable(256)/usable(8))) are deterministic and
+   gate-able. *)
 let bench_fleet () =
-  E.banner "Measurement fleet: sharded scaling and stealing";
+  E.banner "Measurement fleet: scaling";
   let kind = Fl.Gpu_dev Tvm_sim.Machine.titan_x in
   let n_jobs = 2000 in
   (* Deterministic spread of model times around ~77 ms: with per-job
@@ -315,49 +315,24 @@ let bench_fleet () =
     let f = Fl.session (Fl.catalog (Fl.mixed_kinds d)) in
     let r = Fl.simulate f ~kind ~cost_s:costs in
     assert (Array.length r = n_jobs);
-    (Fl.makespan f, Fl.usable f ~kind, Fl.stats f)
+    (Fl.makespan f, Fl.usable f ~kind)
   in
   let sizes = [ 8; 64; 256; 1000 ] in
   let results = List.map (fun d -> (d, run_at d)) sizes in
   List.iter
-    (fun (d, (mk, usable, st)) ->
+    (fun (d, (mk, usable)) ->
       Tvm_obs.Metrics.set_gauge
         (Printf.sprintf "bench.fleet.makespan_%d" d)
         mk;
-      Printf.printf
-        "  %4d devices (%3d usable, %2d shards): makespan %8.2f s, %4d \
-         steals (%4d jobs moved)\n"
-        d usable st.Fl.fs_shards mk st.Fl.fs_steals st.Fl.fs_stolen_jobs)
+      Printf.printf "  %4d devices (%3d usable): makespan %8.2f s\n" d usable mk)
     results;
-  let span d = match List.assoc d results with mk, _, _ -> mk in
-  let usable_at d = match List.assoc d results with _, u, _ -> u in
+  let span d = fst (List.assoc d results) in
+  let usable_at d = snd (List.assoc d results) in
   let perfect = float_of_int (usable_at 256) /. float_of_int (usable_at 8) in
   let efficiency = span 8 /. span 256 /. perfect in
   Tvm_obs.Metrics.set_gauge "bench.fleet.scaling_efficiency" efficiency;
   Printf.printf "  scaling efficiency 8 -> 256 devices: %.2f (perfect = 1.0)\n"
-    efficiency;
-  (* Work stealing under imbalance: a homogeneous-kind fleet whose
-     first shard is made of 4x-slow devices. Batched dispatch hands
-     every shard an equal slice, so the fast shards must drain the slow
-     shard's backlog for the makespan to stay near the fast-device
-     bound. *)
-  let steal_rate =
-    let roster =
-      List.init 64 (fun i -> (kind, if i < 8 then 4.0 else 1.0))
-    in
-    let f = Fl.session (Fl.catalog ~shards:8 roster) in
-    let r = Fl.simulate f ~kind ~cost_s:costs in
-    assert (Array.length r = n_jobs);
-    let st = Fl.stats f in
-    Printf.printf
-      "  imbalanced 64-device fleet: makespan %.2f s, %d steals moved %d \
-       of %d jobs\n"
-      (Fl.makespan f) st.Fl.fs_steals st.Fl.fs_stolen_jobs n_jobs;
-    100. *. float_of_int st.Fl.fs_stolen_jobs /. float_of_int n_jobs
-  in
-  Tvm_obs.Metrics.set_gauge "bench.fleet.steal_rate" steal_rate;
-  Printf.printf "  steal rate under imbalance: %.1f%% of jobs moved shard\n"
-    steal_rate
+    efficiency
 
 (* ------------------------------------------------------------------ *)
 (* Driver                                                               *)

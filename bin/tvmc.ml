@@ -207,8 +207,10 @@ let tune_cmd =
       & info [ "devices" ]
           ~doc:
             "Simulated replicas of the target board in the measurement \
-             pool. Like -j it never changes outcomes (fault draws are keyed \
-             by job, not device); it changes the simulated makespan.")
+             pool. Up to 8 it never changes outcomes, like -j (fault draws \
+             are keyed by job, not device), only the simulated makespan; \
+             more devices widen the measurement batch, which changes the \
+             search.")
   in
   let straggler =
     Arg.(
@@ -239,35 +241,26 @@ let tune_cmd =
             "Measure on a roster of N simulated heterogeneous devices \
              (mixed gpu/cpu kinds, jobs pinned to the target's kind) \
              instead of $(b,--devices) replicas of the target (0 = \
-             replicas). Results are placement-invariant: the log is \
-             byte-identical across -j, $(b,--devices), $(b,--shards) and \
-             $(b,--straggler).")
-  in
-  let shards =
-    Arg.(
-      value & opt int 0
-      & info [ "shards" ]
-          ~doc:
-            "Shards per device kind in the measurement pool (0 = auto, \
-             about one per 32 devices); idle shards steal backlog from \
-             busy ones")
+             replicas); idle devices of the target's kind pull jobs from \
+             one queue per batch. Results are placement-invariant: the \
+             log is byte-identical across -j and $(b,--straggler).")
   in
   let run workload trials method_name fault_rate max_retries timeout_ms seed
-      jobs devices fleet_n shards straggler tune_log validate
+      jobs devices fleet_n straggler tune_log validate
       trace_out metrics_out journal_out =
     with_obs ~journal_out ~trace_out ~metrics_out @@ fun () ->
     let spec =
       Tvm_spec.Job_spec.make ~op:Tvm_spec.Job_spec.Tune ~workload ~trials
         ~method_name ~seed ~jobs ~devices ~validate ~fault_rate ?straggler
-        ~max_retries ~timeout_s:(timeout_ms /. 1e3) ~fleet:fleet_n ~shards ()
+        ~max_retries ~timeout_s:(timeout_ms /. 1e3) ~fleet:fleet_n ()
     in
     let w = Workloads.find workload in
     let out = Tvm_experiments.Fig_e2e.conv_tensor w in
     let tpl = Tvm_autotune.Templates.gpu_flat ~name:("tvmc_" ^ workload) out in
     let par = Tvm_par.Pool.create ~domains:jobs () in
     let method_ = Tvm_autotune.Tuner.method_of_name method_name in
-    (* Widen the measurement batch to keep the pool's shards saturated
-       (a no-op for up to 8 devices at the default batch of 16). *)
+    (* Widen the measurement batch to keep the pool's devices busy (a
+       no-op for up to 8 devices at the default batch of 16). *)
     let kind = Tvm.Target.(device_kind (of_name spec.target)) in
     let pool = Pool.of_spec ~kind spec in
     let spec =
@@ -277,13 +270,12 @@ let tune_cmd =
     let kind_pred _ = true in
     let measure = Pool.measure_fn pool ~kind_pred in
     let measure_batch = Pool.batch_measure_fn ~par pool ~kind_pred in
-    let roster = Pool.stats pool in
     Printf.printf
-      "tuning %s (%s) on %d devices in %d shard(s), %d trials, batch %d, \
-       space %d, -j %d...\n\
+      "tuning %s (%s) on %d devices, %d trials, batch %d, space %d, -j \
+       %d...\n\
        %!"
-      (Workloads.to_string w) method_name roster.Pool.fs_devices
-      roster.Pool.fs_shards trials spec.Tvm_spec.Job_spec.batch
+      (Workloads.to_string w) method_name (Pool.stats pool).Pool.fs_devices
+      trials spec.Tvm_spec.Job_spec.batch
       (Tvm_autotune.Cfg_space.size tpl.Tvm_autotune.Tuner.tpl_space)
       jobs;
     let db = Tvm_autotune.Tuner.Db.create () in
@@ -307,10 +299,9 @@ let tune_cmd =
             (Tvm_autotune.Tuner.Db.status_counts db)));
     let st = Pool.stats pool in
     Printf.printf
-      "pool: %d jobs, %d attempts, %d retries; %d steals (%d jobs moved); \
-       makespan %.2f s\n"
-      st.Pool.fs_jobs st.Pool.fs_attempts st.Pool.fs_retries st.Pool.fs_steals
-      st.Pool.fs_stolen_jobs (Pool.makespan pool);
+      "pool: %d jobs, %d attempts, %d retries; makespan %.2f s\n"
+      st.Pool.fs_jobs st.Pool.fs_attempts st.Pool.fs_retries
+      (Pool.makespan pool);
     if validate then begin
       let stmt =
         tpl.Tvm_autotune.Tuner.tpl_instantiate res.Tvm_autotune.Tuner.best_config
@@ -328,9 +319,8 @@ let tune_cmd =
   Cmd.v (Cmd.info "tune" ~doc:"Tune a single operator workload")
     Term.(
       const run $ workload $ trials $ method_ $ fault_rate $ max_retries
-      $ timeout_ms $ seed $ jobs_arg $ devices $ fleet $ shards
-      $ straggler $ tune_log $ validate_arg $ trace_out_arg $ metrics_out_arg
-      $ journal_out_arg)
+      $ timeout_ms $ seed $ jobs_arg $ devices $ fleet $ straggler $ tune_log
+      $ validate_arg $ trace_out_arg $ metrics_out_arg $ journal_out_arg)
 
 (* ---- profile ---- *)
 

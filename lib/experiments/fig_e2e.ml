@@ -163,15 +163,21 @@ let fig15 () =
           (robust_tune ~method_:Tuner.Random_search ~measure ~trials:(trials 160) tpl)
             .Tuner.best_time
         in
-        (* Winograd pre-transformed applies to 3x3 stride-1 convs. *)
+        (* Winograd pre-transformed applies to 3x3 stride-1 convs with
+           even spatial dims (F(2x2, 3x3) tiles the output in 2x2). *)
         let tvm_pt =
-          (* [robust_tune] raises if no winograd configuration ever
-             measured successfully, so a returned best is always real. *)
-          if w.Workloads.kernel = 3 && w.Workloads.stride = 1 then
+          if
+            w.Workloads.kernel = 3 && w.Workloads.stride = 1
+            && w.Workloads.hw mod 2 = 0
+          then
+            (* [robust_tune] raises [Invalid_argument] when no winograd
+               configuration measured successfully; that cell is left
+               empty. *)
             try
-              let wtpl = winograd_template w in
-              Some (robust_tune ~measure ~trials:(trials 120) wtpl).Tuner.best_time
-            with _ -> None
+              Some
+                (robust_tune ~measure ~trials:(trials 120) (winograd_template w))
+                  .Tuner.best_time
+            with Invalid_argument _ -> None
           else None
         in
         ( w.Workloads.name,

@@ -144,13 +144,12 @@ let default_rules =
       ~tol:0.5;
     rule "histograms" "tvmd.completion_s" ~field:"p99" ~dir:Lower_better
       ~tol:0.5;
-    (* Sharded measurement fleet: everything virtual-clock and
-       deterministic, so the tolerances only absorb deliberate workload
-       tweaks. The efficiency floor is 0.7; the baseline sits
-       comfortably above it. *)
+    (* Measurement fleet: virtual-clock and deterministic, so the
+       tolerance only absorbs deliberate workload tweaks. The
+       efficiency floor is 0.7; the baseline sits comfortably above
+       it. *)
     rule "gauges" "bench.fleet.scaling_efficiency" ~dir:Higher_better
       ~tol:0.1;
-    rule "gauges" "bench.fleet.steal_rate" ~dir:Higher_better ~tol:0.5;
     (* SA propose hot path (satellite of the fleet PR): host wall-clock,
        so the tolerance is generous — the gate catches the memo being
        lost (a ~5x collapse), not scheduler jitter. *)

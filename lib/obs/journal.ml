@@ -21,8 +21,6 @@ type entry =
       d_outcome : string;
       d_cost_s : float;
       d_queue_s : float;
-      d_shard : int;  (* -1 in journals written before shards existed *)
-      d_stolen : bool;
     }
   | Measure of {
       m_uid : int;
@@ -63,13 +61,11 @@ let propose ~uid ~origin ~chain ~score ~config =
 let prepare ~uid ~cache ~valid =
   record (Prepare { q_uid = uid; q_cache = cache; q_valid = valid })
 
-let dispatch ~shard ~stolen ~uid ~dev ~device ~attempt ~outcome ~cost_s
-    ~queue_s =
+let dispatch ~uid ~dev ~device ~attempt ~outcome ~cost_s ~queue_s =
   record
     (Dispatch
        { d_uid = uid; d_dev = dev; d_device = device; d_attempt = attempt;
-         d_outcome = outcome; d_cost_s = cost_s; d_queue_s = queue_s;
-         d_shard = shard; d_stolen = stolen })
+         d_outcome = outcome; d_cost_s = cost_s; d_queue_s = queue_s })
 
 let measure ~uid ~status ~time_s ~attempts =
   record
@@ -116,12 +112,11 @@ let entry_to_line = function
       Printf.sprintf {|{"ev":"prepare","uid":%d,"cache":%s,"valid":%b}|} q_uid
         (Json.escape q_cache) q_valid
   | Dispatch
-      { d_uid; d_dev; d_device; d_attempt; d_outcome; d_cost_s; d_queue_s;
-        d_shard; d_stolen } ->
+      { d_uid; d_dev; d_device; d_attempt; d_outcome; d_cost_s; d_queue_s } ->
       Printf.sprintf
-        {|{"ev":"dispatch","uid":%d,"dev":%d,"device":%s,"attempt":%d,"outcome":%s,"cost_s":%s,"queue_s":%s,"shard":%d,"stolen":%b}|}
+        {|{"ev":"dispatch","uid":%d,"dev":%d,"device":%s,"attempt":%d,"outcome":%s,"cost_s":%s,"queue_s":%s}|}
         d_uid d_dev (Json.escape d_device) d_attempt (Json.escape d_outcome)
-        (Json.num_string d_cost_s) (Json.num_string d_queue_s) d_shard d_stolen
+        (Json.num_string d_cost_s) (Json.num_string d_queue_s)
   | Measure { m_uid; m_status; m_time_s; m_attempts } ->
       Printf.sprintf
         {|{"ev":"measure","uid":%d,"status":%s,"time_s":%s,"attempts":%d}|}
@@ -187,20 +182,13 @@ let parse_line line =
             let* outcome = str "outcome" in
             let* cost_s = num "cost_s" in
             let* queue_s = num "queue_s" in
-            (* Shard/steal fields arrived with the fleet; journals
-               written before then parse as shard [-1], not stolen.
-               An old journal's "spec" key is ignored like any unknown
-               key. *)
-            let shard = Option.value ~default:(-1) (int_ "shard") in
-            let stolen =
-              match Json.member "stolen" j with Some (Json.Bool b) -> b | _ -> false
-            in
+            (* Placement and speculation keys that older pools wrote
+               are ignored like any unknown key. *)
             Some
               (Dispatch
                  { d_uid = uid; d_dev = dev; d_device = device;
                    d_attempt = attempt; d_outcome = outcome; d_cost_s = cost_s;
-                   d_queue_s = queue_s; d_shard = shard;
-                   d_stolen = stolen })
+                   d_queue_s = queue_s })
         | Some "measure" ->
             let* uid = int_ "uid" in
             let* status = str "status" in

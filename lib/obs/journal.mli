@@ -53,10 +53,6 @@ type entry =
       d_outcome : string;
       d_cost_s : float;  (** simulated cost charged to the device *)
       d_queue_s : float;  (** simulated wait for the device to free up *)
-      d_shard : int;
-          (** shard that ran the attempt; [-1] only in journals written
-              before dispatch records carried shards *)
-      d_stolen : bool;  (** job was stolen from another shard's backlog *)
     }
   | Measure of {
       m_uid : int;
@@ -83,8 +79,6 @@ val propose :
   uid:int -> origin:string -> chain:int -> score:float -> config:string -> unit
 val prepare : uid:int -> cache:string -> valid:bool -> unit
 val dispatch :
-  shard:int ->
-  stolen:bool ->
   uid:int ->
   dev:int ->
   device:string ->
@@ -93,8 +87,6 @@ val dispatch :
   cost_s:float ->
   queue_s:float ->
   unit
-(** [shard] ran the attempt; [stolen] marks a job taken from another
-    shard's backlog. *)
 
 val measure :
   uid:int -> status:string -> time_s:float option -> attempts:int -> unit

@@ -39,18 +39,6 @@ type chain_stat = {
   cs_best_s : float;  (** best measured time, [infinity] if none *)
 }
 
-(** Per-shard tallies, from every dispatch record that carries a shard
-    id (all but journals written before shards existed). *)
-type shard_stat = {
-  sh_shard : int;
-  sh_kind : string;
-  sh_attempts : int;
-  sh_ok : int;
-  sh_stolen : int;  (** attempts that arrived by work stealing *)
-  sh_cost_s : float;  (** total simulated seconds charged *)
-  sh_share : float;  (** fraction of the fleet's charged time *)
-}
-
 type t = {
   rp_runs : (string * string * int) list;  (** (name, method, trials) *)
   rp_trials : int;  (** measure records *)
@@ -65,8 +53,6 @@ type t = {
   rp_invalid : int;  (** prepare records with [valid = false] *)
   rp_slowest : trial_info list;  (** top-K slowest ok trials, desc *)
   rp_best : trial_info option;  (** fastest ok trial *)
-  rp_shards : shard_stat list;  (** by shard id; [] for shardless journals *)
-  rp_stolen : int;  (** dispatches that ran on a stealing shard *)
 }
 
 (* A straggler is an outlier either in failure rate (vs the fleet
@@ -91,10 +77,6 @@ let analyze ?(top = 5) (entries : Journal.entry list) : t =
   let chain_tally : (int, int * float) Hashtbl.t = Hashtbl.create 32 in
   let dev_tbl : (int, device_stat ref) Hashtbl.t = Hashtbl.create 8 in
   let trials = ref 0 and dispatches = ref 0 and retries = ref 0 in
-  let shard_tbl : (int, string * int * int * int * float) Hashtbl.t =
-    Hashtbl.create 8
-  in
-  let stolen = ref 0 in
   let cache_hits = ref 0 and cache_misses = ref 0 and invalid = ref 0 in
   let measured : trial_info list ref = ref [] in
   let tally tbl k =
@@ -119,26 +101,10 @@ let analyze ?(top = 5) (entries : Journal.entry list) : t =
             d_outcome;
             d_cost_s;
             d_queue_s;
-            d_shard;
-            d_stolen;
             _;
           } ->
           incr dispatches;
           if d_attempt > 0 then incr retries;
-          if d_stolen then incr stolen;
-          if d_shard >= 0 then begin
-            let kind, att, ok, stl, cost =
-              Option.value
-                ~default:(d_device, 0, 0, 0, 0.)
-                (Hashtbl.find_opt shard_tbl d_shard)
-            in
-            Hashtbl.replace shard_tbl d_shard
-              ( kind,
-                att + 1,
-                (ok + if d_outcome = "ok" then 1 else 0),
-                (stl + if d_stolen then 1 else 0),
-                cost +. d_cost_s )
-          end;
           let ds =
             match Hashtbl.find_opt dev_tbl d_dev with
             | Some r -> r
@@ -268,25 +234,6 @@ let analyze ?(top = 5) (entries : Journal.entry list) : t =
     rp_invalid = !invalid;
     rp_slowest = slowest;
     rp_best = best;
-    rp_shards =
-      (let total_cost =
-         Hashtbl.fold (fun _ (_, _, _, _, c) acc -> acc +. c) shard_tbl 0.
-       in
-       Hashtbl.fold
-         (fun id (kind, att, ok, stl, cost) acc ->
-           {
-             sh_shard = id;
-             sh_kind = kind;
-             sh_attempts = att;
-             sh_ok = ok;
-             sh_stolen = stl;
-             sh_cost_s = cost;
-             sh_share = (if total_cost > 0. then cost /. total_cost else 0.);
-           }
-           :: acc)
-         shard_tbl []
-       |> List.sort (fun a b -> compare a.sh_shard b.sh_shard));
-    rp_stolen = !stolen;
   }
 
 let stragglers t = List.filter (fun d -> d.ds_straggler) t.rp_devices
@@ -345,17 +292,6 @@ let render (t : t) : string =
               d.ds_dev d.ds_name d.ds_mean_cost_s (100. *. d.ds_fail_rate)
               d.ds_timeouts d.ds_crashes d.ds_corrupt)
           ss
-  end;
-  if t.rp_shards <> [] then begin
-    p "\nfleet shards:\n";
-    p "  %-6s %-12s %8s %6s %8s %10s %6s\n" "shard" "kind" "attempts" "ok"
-      "stolen" "cost_s" "share";
-    List.iter
-      (fun s ->
-        p "  %-6d %-12s %8d %6d %8d %10.2f %5.1f%%\n" s.sh_shard s.sh_kind
-          s.sh_attempts s.sh_ok s.sh_stolen s.sh_cost_s (100. *. s.sh_share))
-      t.rp_shards;
-    p "  steals: %d stolen dispatches\n" t.rp_stolen
   end;
   (match t.rp_best with
   | Some b ->

@@ -1,7 +1,7 @@
 (* See device_pool.mli. The engine is an event-driven virtual-time
    scheduler run entirely on the calling domain: pure model times are
    the only thing computed in parallel, and every stateful decision
-   (placement, fault draws, steals, retries, journal records) replays
+   (placement, fault draws, retries, journal records) replays
    sequentially in a deterministic order — an {!Event_queue} of run
    completions keyed (finish time, push sequence). A job has at most
    one attempt in flight, so every completion is processed. *)
@@ -52,7 +52,6 @@ let noise_of_key key =
 
 type catalog = {
   c_roster : (device_kind * float) array;
-  c_shards : int;  (* per kind; 0 = auto *)
   c_noise : float;
   c_overhead_s : float;  (* once per device per batch *)
   c_per_job_s : float;  (* per-job dispatch cost *)
@@ -67,36 +66,19 @@ type fdevice = {
   fd_id : int;
   fd_kname : string;
   fd_speed : float;
-  fd_shard : int;
   mutable fd_free_at : float;
   mutable fd_epoch : int;  (* last batch whose upload overhead is paid *)
-  mutable fd_busy_s : float;
   mutable fd_lane_named : bool;  (* trace lane labelled *)
-}
-
-(* Shard backlogs are two-list FIFO queues of flat job indices. *)
-type shard = {
-  sh_id : int;
-  sh_kname : string;
-  sh_ndevs : int;
-  mutable sh_front : int list;
-  mutable sh_back : int list;
-  mutable sh_qlen : int;
-  mutable sh_attempts : int;
-  mutable sh_stolen : int;  (* attempts that arrived by stealing *)
 }
 
 type t = {
   cat : catalog;
-  devs : fdevice array;
-  shards : shard array;
+  devs : fdevice array;  (* the roster, in id order *)
   salt : int;
   mutable clock : float;
   mutable epoch : int;
   mutable jobs_submitted : int;
   mutable attempts_n : int;
-  mutable steals : int;
-  mutable stolen_jobs : int;
   mutable retries_n : int;
 }
 
@@ -105,12 +87,10 @@ type t = {
 (* ------------------------------------------------------------------ *)
 
 let catalog ?(noise = 0.02) ?(overhead_s = 0.5) ?(per_job_s = 0.05)
-    ?(fault_plan = Fault.none) ?(retry = Retry_policy.default) ?(shards = 0)
-    roster =
+    ?(fault_plan = Fault.none) ?(retry = Retry_policy.default) roster =
   if roster = [] then invalid_arg "Device_pool.catalog: empty roster";
   {
     c_roster = Array.of_list roster;
-    c_shards = shards;
     c_noise = noise;
     c_overhead_s = overhead_s;
     c_per_job_s = per_job_s;
@@ -172,7 +152,7 @@ let catalog_of_spec ?kind (spec : Tvm_spec.Job_spec.t) =
       timeout_s = spec.timeout_s;
     }
   in
-  let with_policies = catalog ~fault_plan ~retry ~shards:spec.shards in
+  let with_policies = catalog ~fault_plan ~retry in
   if spec.fleet > 0 then
     with_policies (mixed_kinds ~primary:kind ?straggler:spec.straggler spec.fleet)
   else
@@ -184,73 +164,25 @@ let catalog_of_spec ?kind (spec : Tvm_spec.Job_spec.t) =
            (kind, if spec.straggler = Some i then straggler_speed else 1.)))
 
 let session ?(salt = 0) cat =
-  (* Group devices by kind name (sorted for a stable shard order), cut
-     each kind's devices into contiguous shards. *)
-  let knames =
-    Array.to_list cat.c_roster
-    |> List.map (fun (k, _) -> kind_name k)
-    |> List.sort_uniq compare
-  in
-  let shards = ref [] and devs = ref [] and sh_id = ref 0 in
-  List.iter
-    (fun kname ->
-      let members =
-        Array.to_list cat.c_roster
-        |> List.mapi (fun i kd -> (i, kd))
-        |> List.filter (fun (_, (k, _)) -> kind_name k = kname)
-      in
-      let nk = List.length members in
-      let n_sh =
-        if cat.c_shards > 0 then min cat.c_shards nk
-        else max 1 (min 16 (nk / 32))
-      in
-      let members = Array.of_list members in
-      for s = 0 to n_sh - 1 do
-        let lo = s * nk / n_sh and hi = (s + 1) * nk / n_sh in
-        let id = !sh_id in
-        incr sh_id;
-        let sdevs =
-          Array.init (hi - lo) (fun i ->
-              let roster_id, (_, speed) = members.(lo + i) in
-              {
-                fd_id = roster_id;
-                fd_kname = kname;
-                fd_speed = speed;
-                fd_shard = id;
-                fd_free_at = 0.;
-                fd_epoch = -1;
-                fd_busy_s = 0.;
-                fd_lane_named = false;
-              })
-        in
-        Array.iter (fun d -> devs := d :: !devs) sdevs;
-        shards :=
-          {
-            sh_id = id;
-            sh_kname = kname;
-            sh_ndevs = hi - lo;
-            sh_front = [];
-            sh_back = [];
-            sh_qlen = 0;
-            sh_attempts = 0;
-            sh_stolen = 0;
-          }
-          :: !shards
-      done)
-    knames;
   {
     cat;
     devs =
-      Array.of_list (List.sort (fun a b -> compare a.fd_id b.fd_id) !devs);
-    shards =
-      Array.of_list (List.sort (fun a b -> compare a.sh_id b.sh_id) !shards);
+      Array.mapi
+        (fun id (kind, speed) ->
+          {
+            fd_id = id;
+            fd_kname = kind_name kind;
+            fd_speed = speed;
+            fd_free_at = 0.;
+            fd_epoch = -1;
+            fd_lane_named = false;
+          })
+        cat.c_roster;
     salt;
     clock = 0.;
     epoch = 0;
     jobs_submitted = 0;
     attempts_n = 0;
-    steals = 0;
-    stolen_jobs = 0;
     retries_n = 0;
   }
 
@@ -269,52 +201,20 @@ let suggested_batch t ~kind ~base =
 let makespan t =
   Array.fold_left (fun acc d -> Float.max acc d.fd_free_at) t.clock t.devs
 
-type shard_stat = {
-  ss_shard : int;
-  ss_kind : string;
-  ss_devices : int;
-  ss_attempts : int;
-  ss_stolen : int;
-  ss_busy_s : float;
-}
-
 type stats = {
   fs_devices : int;
-  fs_shards : int;
   fs_jobs : int;
   fs_attempts : int;
-  fs_steals : int;
-  fs_stolen_jobs : int;
   fs_retries : int;
-  fs_shard_stats : shard_stat list;
 }
 
 let stats t =
-  let busy = Array.make (Array.length t.shards) 0. in
-  Array.iter (fun d -> busy.(d.fd_shard) <- busy.(d.fd_shard) +. d.fd_busy_s) t.devs;
   {
     fs_devices = Array.length t.devs;
-    fs_shards = Array.length t.shards;
     fs_jobs = t.jobs_submitted;
     fs_attempts = t.attempts_n;
-    fs_steals = t.steals;
-    fs_stolen_jobs = t.stolen_jobs;
     fs_retries = t.retries_n;
-    fs_shard_stats =
-      Array.to_list
-        (Array.map
-           (fun sh ->
-             {
-               ss_shard = sh.sh_id;
-               ss_kind = sh.sh_kname;
-               ss_devices = sh.sh_ndevs;
-               ss_attempts = sh.sh_attempts;
-               ss_stolen = sh.sh_stolen;
-               ss_busy_s = busy.(sh.sh_id);
-             })
-           t.shards);
   }
-
 
 (* ------------------------------------------------------------------ *)
 (* The schedule engine                                                 *)
@@ -324,7 +224,7 @@ let stats t =
    the config-keyed noise; non-finite means the machine model rejected
    the schedule. [jd_fid] is the fault identity: salt + submission
    ordinal, so the fault sequence a job sees is independent of which
-   device, shard or steal schedule ran it. *)
+   device ran it. *)
 type jobdef = {
   jd_measured : float;
   jd_err : string option;  (* the model raised *)
@@ -346,7 +246,6 @@ type joutcome =
 type run_rec = {
   rn_job : int;
   rn_attempt : int;
-  rn_stolen : bool;
   rn_dev : fdevice;
   rn_start : float;
   rn_finish : float;
@@ -355,10 +254,8 @@ type run_rec = {
 }
 
 type jstate = {
-  js_home : int;  (* home shard id *)
   mutable js_attempt : int;
-  mutable js_ready : float;  (* when it (re-)entered a queue *)
-  mutable js_stolen : bool;
+  mutable js_ready : float;  (* when it (re-)entered the queue *)
 }
 
 let outcome_of t jd ~attempt =
@@ -383,7 +280,7 @@ let outcome_of t jd ~attempt =
                 else O_ok jd.jd_measured))
 
 (* Charged device-seconds for running [outcome] on [dev], excluding
-   batch-upload and steal-transfer surcharges. Speed scales everything
+   the batch-upload surcharge. Speed scales everything
    except budget kills, which the tracker enforces in wall time. *)
 let charge_on t dev = function
   | O_ok m ->
@@ -446,69 +343,16 @@ let run_defs t ~publish ~kname (defs : jobdef array) : Measure_result.t array =
       res.(j) <- Some r;
       incr done_n
     in
-    (* Home-shard assignment: the jobs are cut into contiguous
-       per-shard slices over the shards of their kind (batched
-       dispatch). *)
-    let shs =
-      Array.of_list
-        (List.filter (fun s -> s.sh_kname = kname) (Array.to_list t.shards))
-    in
-    let k = Array.length shs in
-    let homes = Array.make n 0 in
-    for s = 0 to k - 1 do
-      for j = s * n / k to ((s + 1) * n / k) - 1 do
-        homes.(j) <- shs.(s).sh_id
-      done
-    done;
+    (* One FIFO of job indices for the whole batch: idle devices of
+       the batch's kind pull the oldest job, and retries re-enter at
+       the back. *)
     let states =
-      Array.init n (fun j ->
-          {
-            js_home = homes.(j);
-            js_attempt = 0;
-            js_ready = submit_clock;
-            js_stolen = false;
-          })
+      Array.init n (fun _ -> { js_attempt = 0; js_ready = submit_clock })
     in
-    let total_queued = ref 0 in
-    let q_push sh j =
-      sh.sh_back <- j :: sh.sh_back;
-      sh.sh_qlen <- sh.sh_qlen + 1;
-      incr total_queued
-    in
-    let q_pop sh =
-      let take j rest =
-        sh.sh_qlen <- sh.sh_qlen - 1;
-        decr total_queued;
-        sh.sh_front <- rest;
-        Some j
-      in
-      match sh.sh_front with
-      | j :: rest -> take j rest
-      | [] -> (
-          match List.rev sh.sh_back with
-          | [] -> None
-          | j :: rest ->
-              sh.sh_back <- [];
-              take j rest)
-    in
-    (* Victim keeps the front (oldest) of its backlog; the thief takes
-       the tail half, oldest-first. *)
-    let q_steal victim ~take =
-      let all = victim.sh_front @ List.rev victim.sh_back in
-      let keep = victim.sh_qlen - take in
-      let rec split i acc = function
-        | rest when i = keep -> (List.rev acc, rest)
-        | x :: rest -> split (i + 1) (x :: acc) rest
-        | [] -> (List.rev acc, [])
-      in
-      let kept, taken = split 0 [] all in
-      victim.sh_front <- kept;
-      victim.sh_back <- [];
-      victim.sh_qlen <- keep;
-      total_queued := !total_queued - take;
-      taken
-    in
-    Array.iteri (fun j h -> q_push t.shards.(h) j) homes;
+    let queue = Queue.create () in
+    for j = 0 to n - 1 do
+      Queue.push j queue
+    done;
     (* Run completions and retry-ready jobs, each in (time, push
        order). Two queues, not one: at equal times a completion is
        processed first and the retries it makes due are drained after
@@ -518,23 +362,19 @@ let run_defs t ~publish ~kname (defs : jobdef array) : Measure_result.t array =
       let st = states.(j) and jd = defs.(j) in
       let attempt = st.js_attempt in
       let oc = outcome_of t jd ~attempt in
-      let stolen = st.js_stolen in
-      let charge =
-        charge_on t dev oc
-        +. (if dev.fd_epoch <> epoch then begin
-              dev.fd_epoch <- epoch;
-              c.c_overhead_s *. dev.fd_speed
-            end
-            else 0.)
-        +. if stolen then 0.25 *. c.c_overhead_s *. dev.fd_speed else 0.
+      let upload =
+        if dev.fd_epoch <> epoch then begin
+          dev.fd_epoch <- epoch;
+          c.c_overhead_s *. dev.fd_speed
+        end
+        else 0.
       in
-      let charge = Float.max 1e-9 charge in
+      let charge = Float.max 1e-9 (charge_on t dev oc +. upload) in
       let start = t.clock in
       let r =
         {
           rn_job = j;
           rn_attempt = attempt;
-          rn_stolen = stolen;
           rn_dev = dev;
           rn_start = start;
           rn_finish = start +. charge;
@@ -543,59 +383,19 @@ let run_defs t ~publish ~kname (defs : jobdef array) : Measure_result.t array =
         }
       in
       dev.fd_free_at <- r.rn_finish;
-      let sh = t.shards.(dev.fd_shard) in
-      sh.sh_attempts <- sh.sh_attempts + 1;
-      if stolen then sh.sh_stolen <- sh.sh_stolen + 1;
       t.attempts_n <- t.attempts_n + 1;
       count "pool.attempts";
       observe "pool.queue_wait_s" (start -. st.js_ready);
       Event_queue.push events ~at:r.rn_finish r
     in
-    let try_local dev =
-      match q_pop t.shards.(dev.fd_shard) with
-      | Some j -> launch dev j; true
-      | None -> false
-    in
-    let try_steal dev =
-      let sh = t.shards.(dev.fd_shard) in
-      let victim =
-        Array.fold_left
-          (fun best s ->
-            if s.sh_id <> sh.sh_id && s.sh_kname = sh.sh_kname && s.sh_qlen > 0
-            then
-              match best with
-              | Some b when b.sh_qlen >= s.sh_qlen -> best
-              | _ -> Some s
-            else best)
-          None t.shards
-      in
-      match victim with
-      | None -> false
-      | Some v ->
-          let take = (v.sh_qlen + 1) / 2 in
-          let taken = q_steal v ~take in
-          List.iter
-            (fun j ->
-              states.(j).js_stolen <- true;
-              q_push sh j)
-            taken;
-          t.steals <- t.steals + 1;
-          t.stolen_jobs <- t.stolen_jobs + take;
-          count "pool.steals";
-          count ~by:(float_of_int take) "pool.stolen_jobs";
-          try_local dev
-    in
     let fill_all () =
-      (* Local backlogs first, then stealing for the still-idle. Every
-         launch makes the device busy (charges are strictly positive),
-         so each device takes at most one job per pass. *)
+      (* Every launch makes the device busy (charges are strictly
+         positive), so each device takes at most one job per pass. *)
       Array.iter
-        (fun d -> if d.fd_free_at <= t.clock then ignore (try_local d))
-        t.devs;
-      if !total_queued > 0 then
-        Array.iter
-          (fun d -> if d.fd_free_at <= t.clock then ignore (try_steal d))
-          t.devs
+        (fun d ->
+          if d.fd_kname = kname && d.fd_free_at <= t.clock then
+            Option.iter (launch d) (Queue.take_opt queue))
+        t.devs
     in
     let drain_retries () =
       while Event_queue.top_time retryq <= t.clock do
@@ -603,12 +403,11 @@ let run_defs t ~publish ~kname (defs : jobdef array) : Measure_result.t array =
         let j = Option.get (Event_queue.pop retryq) in
         let st = states.(j) in
         (* A job enters the retry queue only from [process], while it is
-           unresolved and has no other run, and stays out of every
-           backlog until it leaves the queue here. *)
+           unresolved and has no other run, and stays out of the batch
+           queue until it leaves the retry queue here. *)
         assert (res.(j) = None);
         st.js_ready <- at;
-        st.js_stolen <- false;
-        q_push t.shards.(st.js_home) j
+        Queue.push j queue
       done
     in
     (* One record per attempt, however it ended: a journal dispatch
@@ -620,9 +419,8 @@ let run_defs t ~publish ~kname (defs : jobdef array) : Measure_result.t array =
       let uid = defs.(r.rn_job).jd_uid in
       let queue_s = r.rn_start -. states.(r.rn_job).js_ready in
       if uid >= 0 then
-        Journal.dispatch ~shard:r.rn_dev.fd_shard ~stolen:r.rn_stolen ~uid
-          ~dev:r.rn_dev.fd_id ~device:r.rn_dev.fd_kname ~attempt:r.rn_attempt
-          ~outcome ~cost_s:cost ~queue_s;
+        Journal.dispatch ~uid ~dev:r.rn_dev.fd_id ~device:r.rn_dev.fd_kname
+          ~attempt:r.rn_attempt ~outcome ~cost_s:cost ~queue_s;
       if Trace.enabled () then begin
         name_lane r.rn_dev;
         let lane = Trace.device_lane r.rn_dev.fd_id in
@@ -642,7 +440,6 @@ let run_defs t ~publish ~kname (defs : jobdef array) : Measure_result.t array =
     let process r =
       let st = states.(r.rn_job) in
       let j = r.rn_job in
-      r.rn_dev.fd_busy_s <- r.rn_dev.fd_busy_s +. (r.rn_finish -. r.rn_start);
       record_attempt r ~outcome:(outcome_name r.rn_outcome)
         ~cost:(r.rn_finish -. r.rn_start);
       observe "pool.job_cost_s" (r.rn_finish -. r.rn_start);

@@ -1,16 +1,16 @@
 (** Simulated measurement device pool behind an RPC tracker (§5.4,
-    Fig 11), from a handful of replicas of one board up to sharded
-    fleets of a thousand heterogeneous devices.
+    Fig 11), from a handful of replicas of one board up to fleets of a
+    thousand heterogeneous devices.
 
-    A pool is a roster of devices (kind + host-side speed factor),
-    partitioned into {b per-kind shards}. Measurement batches are
-    dispatched as {b contiguous per-shard slices} (each device pays the
-    upload/RPC overhead once per batch), and an idle shard {b steals}
-    the tail half of the deepest backlog of a compatible shard. Each
-    attempt runs exactly once, on one device. Measurements come
-    from the analytical machine models plus deterministic noise keyed
-    by the configuration, returned as structured {!Measure_result.t}
-    values.
+    A pool is a roster of devices (kind + host-side speed factor).
+    Each measurement batch is pinned to one device kind and put on
+    {b one FIFO pull queue}: every idle device of that kind, in
+    device-id order, takes the oldest queued job, and a retried job
+    re-enters at the back. Each device pays the upload/RPC overhead
+    once per batch, and each attempt runs exactly once, on one device.
+    Measurements come from the analytical machine models plus
+    deterministic noise keyed by the configuration, returned as
+    structured {!Measure_result.t} values.
 
     The pool is fault-tolerant: a {!Fault.plan} injects deterministic
     transient timeouts, crashes and corrupted measurements, and a
@@ -19,8 +19,8 @@
 
     {b Determinism.} Pure model times fan out over a {!Tvm_par.Pool};
     the whole virtual-time schedule (an {!Event_queue} of run
-    completions and one of retries, fault draws, steals, journal
-    records) then replays sequentially on the calling domain. Results
+    completions and one of retries, fault draws, journal records)
+    then replays sequentially on the calling domain. Results
     are made {e placement-invariant}:
 
     - fault draws are keyed by the job's {e submission ordinal}, never
@@ -32,8 +32,8 @@
     - backoff is charged to the job's ready time
       ({!Retry_policy.retry_at}), never to a device.
 
-    Consequently trial results (and thus tuning logs) are
-    byte-identical across [-j], device count, shard count and
+    Consequently trial results (and thus tuning logs at a fixed batch
+    width) are byte-identical across [-j], device count and
     stragglers; the journal additionally records placement, so it is
     byte-identical across [-j] at a fixed roster. *)
 
@@ -63,13 +63,10 @@ val catalog :
   ?per_job_s:float ->
   ?fault_plan:Fault.plan ->
   ?retry:Retry_policy.t ->
-  ?shards:int ->
   (device_kind * float) list ->
   catalog
 (** [catalog roster] with [(kind, speed)] per device; [speed >= 1] is a
-    host-side slowness multiplier on charged time. [shards] is the
-    shard count per device kind (0 = auto, ~1 shard per 32 devices
-    capped at 16). [overhead_s] (default 0.5) is paid once per device
+    host-side slowness multiplier on charged time. [overhead_s] (default 0.5) is paid once per device
     per batch; [per_job_s] (default 0.05) is the per-job dispatch cost;
     [noise] defaults to 0.02. Each measurement is timed 3 times. *)
 
@@ -93,8 +90,7 @@ val catalog_of_spec : ?kind:device_kind -> Tvm_spec.Job_spec.t -> catalog
 
     [spec.straggler] slows that device 12×. Both rosters share the
     transient faults at [spec.fault_rate] seeded by [spec.seed], the
-    retries/budget from [spec.max_retries]/[spec.timeout_s], and
-    [spec.shards]. *)
+    retries/budget from [spec.max_retries]/[spec.timeout_s]. *)
 
 val session : ?salt:int -> catalog -> t
 (** Fresh schedule state over [cat]. [salt] (default 0) decorrelates
@@ -109,30 +105,17 @@ val usable : t -> kind:device_kind -> int
 (** Devices whose kind matches [kind] by name. *)
 
 val suggested_batch : t -> kind:device_kind -> base:int -> int
-(** Measurement batch size that keeps the matching shards saturated:
+(** Measurement batch size that keeps the matching devices busy:
     [max base (2 × usable)], capped at 512. *)
 
 val makespan : t -> float
 (** Virtual time at which everything submitted so far has finished. *)
 
-type shard_stat = {
-  ss_shard : int;
-  ss_kind : string;
-  ss_devices : int;
-  ss_attempts : int;  (** attempts executed by this shard *)
-  ss_stolen : int;  (** ... of which arrived by stealing *)
-  ss_busy_s : float;  (** total charged device time *)
-}
-
 type stats = {
   fs_devices : int;
-  fs_shards : int;
   fs_jobs : int;  (** measurement jobs submitted *)
   fs_attempts : int;
-  fs_steals : int;  (** steal transactions *)
-  fs_stolen_jobs : int;  (** jobs that changed shard *)
   fs_retries : int;
-  fs_shard_stats : shard_stat list;
 }
 
 val stats : t -> stats
@@ -146,7 +129,7 @@ val measure_batch :
 (** Measure a batch of (noise key, program) jobs, pinned to the first
     roster kind [kind_pred] accepts. Model times fan out over [par];
     the schedule replays on the caller. Result [i] belongs to job [i]
-    and is independent of [par], roster size and shard count. With no
+    and is independent of [par] and roster size. With no
     matching kind every job gets a [Pool_error] result. *)
 
 val simulate :

@@ -61,9 +61,9 @@
     A fingerprint covers the spec's JSON, so a change to
     {!Tvm_spec.Job_spec.t}'s fields changes every fingerprint: [done]
     records written before the spec dropped its four output-sink
-    fields ([journal_out], [trace_out], [metrics_out], [tune_log]) or
-    its [speculate] field match no job, and those jobs re-execute
-    once. A re-executed tune job replays its measurements from the
+    fields ([journal_out], [trace_out], [metrics_out], [tune_log]),
+    its [speculate] field or its [shards] field match no job, and
+    those jobs re-execute once. A re-executed tune job replays its measurements from the
     store's trial log, so it picks the same best configuration, but it
     is charged the service time of a replayed run, not the recorded
     one.

@@ -34,7 +34,6 @@ type t = {
   max_retries : int;
   timeout_s : float;
   fleet : int;
-  shards : int;
 }
 
 let default =
@@ -60,7 +59,6 @@ let default =
     max_retries = 2;
     timeout_s = 10.;
     fleet = 0;
-    shards = 0;
   }
 
 let make ?(op = default.op) ?(workload = default.workload)
@@ -73,11 +71,11 @@ let make ?(op = default.op) ?(workload = default.workload)
     ?(use_compile_cache = default.use_compile_cache)
     ?(replay = default.replay) ?(fault_rate = default.fault_rate) ?straggler
     ?(max_retries = default.max_retries) ?(timeout_s = default.timeout_s)
-    ?(fleet = default.fleet) ?(shards = default.shards) () =
+    ?(fleet = default.fleet) () =
   {
     op; workload; target; fusion; trials; method_name; seed; batch; sa_steps;
     n_chains; jobs; devices; validate; verbose; use_compile_cache; replay;
-    fault_rate; straggler; max_retries; timeout_s; fleet; shards;
+    fault_rate; straggler; max_retries; timeout_s; fleet;
   }
 
 let to_json t =
@@ -105,7 +103,6 @@ let to_json t =
       ("max_retries", Json.Num (Float.of_int t.max_retries));
       ("timeout_s", Json.num t.timeout_s);
       ("fleet", Json.Num (Float.of_int t.fleet));
-      ("shards", Json.Num (Float.of_int t.shards));
     ]
 
 let of_json j =
@@ -147,7 +144,6 @@ let of_json j =
     max_retries = int "max_retries" d.max_retries;
     timeout_s = num "timeout_s" d.timeout_s;
     fleet = int "fleet" d.fleet;
-    shards = int "shards" d.shards;
   }
 
 let to_string t = Json.to_string (to_json t)

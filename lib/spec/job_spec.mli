@@ -8,11 +8,10 @@
     [workload], [target], [fusion]), how hard to search ([trials],
     [method_name], [seed], [batch], [sa_steps], [n_chains]), what
     resources to use ([jobs] host domains, [devices] simulated
-    devices, or a [fleet] roster cut into [shards]), the replay policy
-    ([replay]) and the fault/retry policy ([fault_rate], [max_retries],
-    [timeout_s]). [straggler] slows one device down; like [jobs],
-    [devices] and [shards] it changes only the simulated makespan,
-    never a result. Output
+    devices, or a [fleet] roster), the replay policy ([replay]) and the
+    fault/retry policy ([fault_rate], [max_retries], [timeout_s]).
+    [straggler] slows one device down; like [jobs] and [devices] it
+    changes only the simulated makespan, never a result. Output
     sinks (journal, trace, metrics, tune log) are not part of a job:
     [tvmc] opens them around the run.
 
@@ -77,7 +76,6 @@ type t = {
       (** size of a heterogeneous measurement roster
           ({!Tvm_rpc.Device_pool.mixed_kinds}); 0 = [devices] replicas
           of the target *)
-  shards : int;  (** shards per device kind in the pool, 0 = auto *)
 }
 
 val default : t
@@ -107,7 +105,6 @@ val make :
   ?max_retries:int ->
   ?timeout_s:float ->
   ?fleet:int ->
-  ?shards:int ->
   unit ->
   t
 (** The one constructor: every field defaults to {!default}'s value. *)
@@ -116,8 +113,8 @@ val to_json : t -> Tvm_obs.Json.t
 val of_json : Tvm_obs.Json.t -> t
 (** Missing fields take {!default}'s value and unknown fields are
     ignored, so specs stay readable across versions (an envelope that
-    still carries the removed [journal_out], [trace_out],
-    [metrics_out], [tune_log] or [speculate] keys parses); raises
+    still carries a removed key, such as [journal_out], [trace_out],
+    [metrics_out], [tune_log] or [speculate], parses); raises
     [Invalid_argument] on non-object JSON. *)
 
 val to_string : t -> string

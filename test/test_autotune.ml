@@ -106,7 +106,7 @@ let test_feature_extraction () =
     if n = 0 then Alcotest.fail "no valid config found"
     else
       let cfg = Cfg.random_config tpl.Tuner.tpl_space rng in
-      match (try Some (tpl.Tuner.tpl_instantiate cfg) with _ -> None) with
+      match Tuner.try_instantiate tpl cfg with
       | Some s -> s
       | None -> get_stmt (n - 1)
   in
@@ -189,7 +189,7 @@ let test_measurement_deterministic () =
     if n = 0 then Alcotest.fail "no valid cfg"
     else
       let cfg = Cfg.random_config tpl.Tuner.tpl_space rng in
-      match (try Some (tpl.Tuner.tpl_instantiate cfg) with _ -> None) with
+      match Tuner.try_instantiate tpl cfg with
       | Some s -> (cfg, s)
       | None -> valid (n - 1)
   in

@@ -258,7 +258,7 @@ let test_equivalence_sweep () =
              write discipline), then read it from worker domains. *)
           let cache = Cache.create ~name:"sweep" () in
           let compile cfg =
-            match (try Some (tpl.Tuner.tpl_instantiate cfg) with _ -> None) with
+            match Tuner.try_instantiate tpl cfg with
             | Some s -> valid (Feature.extract s)
             | None -> Cache.Invalid
           in

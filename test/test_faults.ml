@@ -35,7 +35,7 @@ let some_stmt =
        if n = 0 then Alcotest.fail "no valid config for fault tests"
        else
          let cfg = Cfg.random_config tpl.Tuner.tpl_space rng in
-         match (try Some (tpl.Tuner.tpl_instantiate cfg) with _ -> None) with
+         match Tuner.try_instantiate tpl cfg with
          | Some s -> s
          | None -> find (n - 1)
      in

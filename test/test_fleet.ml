@@ -1,7 +1,8 @@
 (* Device pool tests at fleet scale: placement-invariant results
    (1000 heterogeneous devices, faults, batches of two device kinds),
-   work stealing and stragglers that never change a result, exactly
-   one dispatch per attempt, and job-local backoff accounting. *)
+   roster size, slow devices and stragglers that never change a
+   result, every device of a batch's kind pulling work, exactly one
+   dispatch per attempt, and job-local backoff accounting. *)
 
 open Tvm_tir
 module Par = Tvm_par.Pool
@@ -22,6 +23,7 @@ open Test_helpers
 
 let titan = Pool.Gpu_dev Machine.titan_x
 let xeon = Pool.Cpu_dev Machine.xeon_host
+let mali = Pool.Gpu_dev Machine.mali_t860
 
 (* A small pool of valid (noise key, program) jobs shared by the tests
    (instantiating templates is the expensive part). *)
@@ -36,7 +38,7 @@ let job_pool =
        if List.length acc >= 12 || n = 0 then acc
        else
          let cfg = Cfg.random_config tpl.Tuner.tpl_space rng in
-         match (try Some (tpl.Tuner.tpl_instantiate cfg) with _ -> None) with
+         match Tuner.try_instantiate tpl cfg with
          | Some s -> valid (n - 1) ((Cfg.hash cfg, s) :: acc)
          | None -> valid (n - 1) acc
      in
@@ -59,8 +61,8 @@ let batches_of sizes =
     sizes
   |> Array.of_list
 
-let faulty_catalog ?shards ?straggler n =
-  Pool.catalog ?shards
+let faulty_catalog ?straggler n =
+  Pool.catalog
     ~fault_plan:(Fault.transient ~seed:11 ~rate:0.2 ())
     (Pool.mixed_kinds ?straggler n)
 
@@ -98,59 +100,65 @@ let test_fleet_deterministic_across_j () =
     (Array.fold_left (fun a b -> a + Array.length b) 0 r1)
 
 (* Results (not journals: those record placement) must also be
-   invariant under shard count. *)
-let test_results_invariant_shards () =
+   invariant under roster size and a straggler. [mixed_kinds] puts the
+   first Xeon in slot 5, so six devices run both batches. *)
+let test_results_invariant_roster () =
   let sizes = [ (titan, 30); (xeon, 20) ] in
-  let run ?shards () =
-    let t = Pool.session ~salt:5 (faulty_catalog ?shards 300) in
+  let run ?straggler n =
+    let t = Pool.session ~salt:5 (faulty_catalog ?straggler n) in
     measure_all t (batches_of sizes)
   in
-  let base = run ~shards:4 () in
-  checkb "results invariant under shard count"
-    (base = run ~shards:16 ());
-  checkb "results invariant under auto sharding" (base = run ())
+  let base = run 300 in
+  checkb "results invariant under roster size" (base = run 6);
+  checkb "results invariant under a straggler" (base = run ~straggler:4 300);
+  checkb "results invariant on 1000 devices" (base = run ~straggler:0 1000)
 
-(* The same invariance as a property: for random batch sizes, salts
-   and shard counts, a session's results match a single-shard session
-   of the same catalog and salt. *)
+(* The same invariance as a property: for random batch sizes, salts,
+   roster sizes and stragglers, a session's results match a 2-device
+   session of the same salt. Slots 0 and 1 of [mixed_kinds] are a
+   Titan X and a Mali, so every roster runs both batch kinds; the
+   straggler is drawn from the even (Titan X) slots, because
+   [mixed_kinds] forces it to the primary kind. *)
 let results_invariant_random_batches =
-  QCheck.Test.make ~name:"batch results invariant under random shards"
+  QCheck.Test.make
+    ~name:"batch results invariant under random roster size and straggler"
     ~count:25
     QCheck.(
-      quad (int_range 0 20) (int_range 0 20) (int_range 0 6) (int_range 2 16))
-    (fun (n1, n2, salt, shards) ->
-      let sizes = [ (titan, n1); (xeon, n2); (titan, (n1 + n2) mod 13) ] in
-      let run ~shards =
-        let t = Pool.session ~salt (faulty_catalog ~shards 120) in
+      quad (int_range 0 20) (int_range 0 20) (int_range 0 6)
+        (pair (int_range 2 300) (option (int_range 0 149))))
+    (fun (n1, n2, salt, (n, slow)) ->
+      let sizes = [ (titan, n1); (mali, n2); (titan, (n1 + n2) mod 13) ] in
+      let straggler = Option.map (fun s -> 2 * (s mod ((n + 1) / 2))) slow in
+      let run ?straggler n =
+        let t = Pool.session ~salt (faulty_catalog ?straggler n) in
         measure_all t (batches_of sizes)
       in
-      run ~shards:1 = run ~shards)
+      run 2 = run ?straggler n)
 
 (* ------------------------------------------------------------------ *)
-(* Stealing and scaling                                                 *)
+(* Slow devices and scaling                                             *)
 (* ------------------------------------------------------------------ *)
 
 let costs n = Array.init n (fun i -> 0.06 +. (0.04 *. float_of_int (i mod 7) /. 7.))
 
-(* An all-slow shard must be drained by its siblings, and moving the
-   jobs must not change a single result. *)
-let test_stealing_rebalances () =
-  let roster = List.init 32 (fun i -> (titan, if i < 8 then 6.0 else 1.0)) in
+(* A quarter of the roster is 6x slow. *)
+let slow_quarter = List.init 32 (fun i -> (titan, if i < 8 then 6.0 else 1.0))
+
+(* The fast devices must pull the work the slow ones cannot, and where
+   a job runs must not change a single result. *)
+let test_slow_quarter_changes_no_result () =
   let run roster =
-    let t = Pool.session (Pool.catalog ~shards:4 roster) in
+    let t = Pool.session (Pool.catalog roster) in
     let r = Pool.simulate t ~kind:titan ~cost_s:(costs 400) in
-    (r, Pool.makespan t, Pool.stats t)
+    (r, Pool.makespan t)
   in
-  let r, mk, st = run roster in
-  checkb "steals happened" (st.Pool.fs_steals > 0);
-  checkb "stolen jobs counted" (st.Pool.fs_stolen_jobs > 0);
-  (* Without stealing the slow shard alone would hold its whole slice:
-     100 jobs x ~0.28 s x 6 = ~170 s. Stealing must beat that by a lot. *)
-  checkb
-    (Printf.sprintf "makespan %.1f s beats the no-steal bound" mk)
-    (mk < 60.);
-  let r_flat, _, _ = run (List.init 32 (fun _ -> (titan, 1.0))) in
-  checkb "stealing never changes results"
+  let r, mk = run slow_quarter in
+  (* Cut into even slices, the slow quarter alone would hold 100 jobs x
+     ~0.28 s x 6 = ~170 s. Pulling from one queue must beat that by a
+     lot. *)
+  checkb (Printf.sprintf "makespan %.1f s beats the even-slice bound" mk) (mk < 60.);
+  let r_flat, _ = run (List.init 32 (fun _ -> (titan, 1.0))) in
+  checkb "slow devices never change results"
     (Array.map (fun (x : R.t) -> (x.R.status, x.R.time_s)) r
     = Array.map (fun (x : R.t) -> (x.R.status, x.R.time_s)) r_flat)
 
@@ -260,37 +268,30 @@ let event_queue_matches_model =
       && Q.is_empty q && pop ())
 
 (* ------------------------------------------------------------------ *)
-(* Report integration                                                   *)
+(* Pull queue, seen through the report                                  *)
 (* ------------------------------------------------------------------ *)
 
-let test_report_shard_tallies () =
+(* On the slow-quarter roster every device pulls work, and each slow
+   device runs fewer attempts than any fast one. *)
+let test_every_device_pulls () =
   Journal.set_enabled true;
   Journal.set_job_tags (Array.init 400 (fun i -> i));
-  let roster = List.init 32 (fun i -> (titan, if i = 0 then 12.0 else 1.0)) in
-  let t = Pool.session (Pool.catalog ~shards:4 roster) in
+  let t = Pool.session (Pool.catalog slow_quarter) in
   ignore (Pool.simulate t ~kind:titan ~cost_s:(costs 400));
   Journal.clear_job_tags ();
   let rp = Report.analyze (Journal.entries ()) in
   Journal.set_enabled false;
-  let st = Pool.stats t in
-  checkb "report sees the shards" (List.length rp.Report.rp_shards = 4);
-  (* fs_stolen_jobs counts steal *events* (a job re-stolen counts per
-     hop); the journal records one dispatch per attempt. *)
-  checkb "report sees stolen dispatches" (rp.Report.rp_stolen > 0);
-  checkb "stolen dispatches bounded by steal events"
-    (rp.Report.rp_stolen <= st.Pool.fs_stolen_jobs);
-  let total_share =
-    List.fold_left (fun a s -> a +. s.Report.sh_share) 0. rp.Report.rp_shards
-  in
-  checkb "shard utilization shares sum to 1"
-    (Float.abs (total_share -. 1.) < 1e-9);
-  let contains hay needle =
-    let nh = String.length hay and nn = String.length needle in
-    let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
-    go 0
-  in
-  checkb "render has a fleet shards section"
-    (contains (Report.render rp) "fleet shards:")
+  let devs = rp.Report.rp_devices in
+  Alcotest.(check int) "every device reported" 32 (List.length devs);
+  checkb "every device ran attempts"
+    (List.for_all (fun d -> d.Report.ds_attempts > 0) devs);
+  let slow, fast = List.partition (fun d -> d.Report.ds_dev < 8) devs in
+  let most l = List.fold_left (fun a d -> max a d.Report.ds_attempts) 0 l in
+  let least l = List.fold_left (fun a d -> min a d.Report.ds_attempts) max_int l in
+  checkb
+    (Printf.sprintf "slow devices ran fewer attempts (%d < %d)" (most slow)
+       (least fast))
+    (most slow < least fast)
 
 (* ------------------------------------------------------------------ *)
 (* SA propose memo (satellite 1)                                        *)
@@ -338,11 +339,11 @@ let suite =
   [
     Alcotest.test_case "1000-device fleet: -j1 = -j8 (results + journal)"
       `Quick test_fleet_deterministic_across_j;
-    Alcotest.test_case "results invariant under shard count" `Quick
-      test_results_invariant_shards;
+    Alcotest.test_case "results invariant under roster size and straggler"
+      `Quick test_results_invariant_roster;
     QCheck_alcotest.to_alcotest results_invariant_random_batches;
-    Alcotest.test_case "stealing rebalances without changing results" `Quick
-      test_stealing_rebalances;
+    Alcotest.test_case "a slow quarter of the roster changes no result" `Quick
+      test_slow_quarter_changes_no_result;
     Alcotest.test_case "scaling efficiency >= 0.7 at 8 -> 256" `Quick
       test_scaling_efficiency;
     Alcotest.test_case "one dispatch per attempt" `Quick
@@ -351,8 +352,8 @@ let suite =
       test_straggler_changes_no_result;
     Alcotest.test_case "retry_at is job-local" `Quick test_retry_at_is_job_local;
     QCheck_alcotest.to_alcotest event_queue_matches_model;
-    Alcotest.test_case "report: shard/steal tallies" `Quick
-      test_report_shard_tallies;
+    Alcotest.test_case "each device of the batch's kind pulls work" `Quick
+      test_every_device_pulls;
     Alcotest.test_case "sa propose memo caps predictor calls" `Quick
       test_sa_propose_memo;
   ]

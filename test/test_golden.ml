@@ -33,7 +33,7 @@ let programs =
        let rs = Random.State.make [| 1913; seed |] in
        for _ = 1 to n do
          let cfg = Cfg.random_config tpl.Tuner.tpl_space rs in
-         let stmt = try Some (tpl.Tuner.tpl_instantiate cfg) with _ -> None in
+         let stmt = Tuner.try_instantiate tpl cfg in
          entries := (label ^ " " ^ Cfg.to_string cfg, stmt) :: !entries
        done
      in
@@ -435,18 +435,6 @@ let stats_line (s : Pool.stats) =
   Printf.sprintf "dev %d jobs %d att %d retries %d" s.Pool.fs_devices
     s.Pool.fs_jobs s.Pool.fs_attempts s.Pool.fs_retries
 
-(* The dispatch line without its shard fields (every kind is one
-   shard here, so they carry nothing). *)
-let strip_shard line =
-  let key = {|,"shard":|} in
-  let n = String.length key in
-  let rec find i =
-    if i + n > String.length line then line
-    else if String.sub line i n = key then String.sub line 0 i ^ "}"
-    else find (i + 1)
-  in
-  find 0
-
 (* Synthetic model times with many exact ties, a few over the 10 s
    budget (deterministic overruns) and a few rejected schedules. *)
 let pool_costs ~salt n =
@@ -463,7 +451,7 @@ let pool_corpus () =
   List.iter
     (fun (label, rate, straggler, n_devs) ->
       let cat =
-        Pool.catalog ~shards:1
+        Pool.catalog
           ~fault_plan:(Tvm_rpc.Fault.transient ~seed:17 ~rate ())
           (Pool.mixed_kinds ?straggler n_devs)
       in
@@ -482,7 +470,7 @@ let pool_corpus () =
         (fun e ->
           match e with
           | Journal.Dispatch _ ->
-              Buffer.add_string buf (strip_shard (Journal.entry_to_line e) ^ "\n")
+              Buffer.add_string buf (Journal.entry_to_line e ^ "\n")
           | _ -> ())
         (Journal.entries ());
       Journal.set_enabled false;

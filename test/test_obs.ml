@@ -336,8 +336,7 @@ let test_journal_roundtrip () =
       Journal.Prepare { q_uid = 1; q_cache = "miss"; q_valid = false };
       Journal.Dispatch
         { d_uid = 0; d_dev = 2; d_device = "gpu"; d_attempt = 1;
-          d_outcome = "timeout"; d_cost_s = 10.; d_queue_s = 0.25;
-          d_shard = -1; d_stolen = false };
+          d_outcome = "timeout"; d_cost_s = 10.; d_queue_s = 0.25 };
       Journal.Measure
         { m_uid = 0; m_status = "ok"; m_time_s = Some 1.5e-4; m_attempts = 2 };
       Journal.Measure
@@ -356,17 +355,16 @@ let test_journal_roundtrip () =
              both print as null *)
           Alcotest.(check string) "round-trip stable" line (Journal.entry_to_line e'))
     samples;
-  (* A dispatch line from a pool that could run an attempt twice: its
-     "spec" key is ignored and "cancelled" is an ordinary outcome. *)
+  (* A dispatch line from a pool that had shards, work stealing and
+     speculation: its "shard", "stolen" and "spec" keys are ignored and
+     "cancelled" is an ordinary outcome. *)
   let old =
     {|{"ev":"dispatch","uid":2,"dev":40,"device":"gpu","attempt":0,"outcome":"cancelled","cost_s":0.3,"queue_s":0,"shard":5,"stolen":true,"spec":true}|}
   in
   (match Journal.parse_line old with
-  | Some (Journal.Dispatch { d_outcome = "cancelled"; d_shard = 5; d_stolen = true; _ })
-    as e ->
+  | Some (Journal.Dispatch { d_outcome = "cancelled"; _ }) as e ->
       let rp = Report.analyze (Option.to_list e) in
-      Alcotest.(check int) "old line is one dispatch" 1 rp.Report.rp_dispatches;
-      Alcotest.(check int) "old line counts as stolen" 1 rp.Report.rp_stolen
+      Alcotest.(check int) "old line is one dispatch" 1 rp.Report.rp_dispatches
   | _ -> Alcotest.fail ("old dispatch line unparsed: " ^ old));
   checkb "blank line skipped" (Journal.parse_line "" = None);
   checkb "foreign line skipped" (Journal.parse_line {|{"ev":"wat"}|} = None);
@@ -507,8 +505,7 @@ let test_report_straggler () =
       add
         (Journal.Dispatch
            { d_uid = u; d_dev = dev; d_device = "gpu"; d_attempt = 0;
-             d_outcome = "ok"; d_cost_s = 0.5; d_queue_s = 0.;
-             d_shard = -1; d_stolen = false });
+             d_outcome = "ok"; d_cost_s = 0.5; d_queue_s = 0. });
       add
         (Journal.Measure
            { m_uid = u; m_status = "ok";
@@ -528,13 +525,11 @@ let test_report_straggler () =
     add
       (Journal.Dispatch
          { d_uid = u; d_dev = 0; d_device = "gpu"; d_attempt = 0;
-           d_outcome = "timeout"; d_cost_s = 10.; d_queue_s = 0.;
-           d_shard = -1; d_stolen = false });
+           d_outcome = "timeout"; d_cost_s = 10.; d_queue_s = 0. });
     add
       (Journal.Dispatch
          { d_uid = u; d_dev = 1; d_device = "gpu"; d_attempt = 1;
-           d_outcome = "ok"; d_cost_s = 0.5; d_queue_s = 0.1;
-           d_shard = -1; d_stolen = false });
+           d_outcome = "ok"; d_cost_s = 0.5; d_queue_s = 0.1 });
     add
       (Journal.Measure
          { m_uid = u; m_status = "ok"; m_time_s = Some 0.002; m_attempts = 2 })
@@ -572,8 +567,7 @@ let test_report_clean_fleet () =
     add
       (Journal.Dispatch
          { d_uid = u; d_dev = u mod 4; d_device = "gpu"; d_attempt = 0;
-           d_outcome = "ok"; d_cost_s = 0.5; d_queue_s = 0.;
-           d_shard = -1; d_stolen = false });
+           d_outcome = "ok"; d_cost_s = 0.5; d_queue_s = 0. });
     add
       (Journal.Measure
          { m_uid = u; m_status = "ok"; m_time_s = Some 0.001; m_attempts = 1 })
@@ -594,8 +588,7 @@ let test_report_slow_device () =
     entries :=
       Journal.Dispatch
         { d_uid = u; d_dev = dev; d_device = "gpu"; d_attempt = 0;
-          d_outcome = outcome; d_cost_s = cost; d_queue_s = 0.;
-          d_shard = 0; d_stolen = false }
+          d_outcome = outcome; d_cost_s = cost; d_queue_s = 0. }
       :: !entries
   in
   for dev = 0 to 3 do

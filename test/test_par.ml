@@ -292,7 +292,7 @@ let test_measure_batch_matches_sequential () =
     if List.length acc >= 6 || n = 0 then acc
     else
       let cfg = Cfg.random_config tpl.Tuner.tpl_space rng in
-      match (try Some (tpl.Tuner.tpl_instantiate cfg) with _ -> None) with
+      match Tuner.try_instantiate tpl cfg with
       | Some s -> valid (n - 1) ((Cfg.hash cfg, s) :: acc)
       | None -> valid (n - 1) acc
   in

@@ -51,9 +51,9 @@ let test_job_spec_roundtrip () =
   Alcotest.(check bool)
     "defaults fill in" true
     (Job_spec.of_string "{}" = Job_spec.default);
-  (* Envelopes written before the spec dropped its output sinks and its
-     speculation flag still carry those keys: they parse, and the keys
-     are ignored. *)
+  (* Envelopes written before the spec dropped its output sinks, its
+     speculation flag and its shard count still carry those keys: they
+     parse, and the keys are ignored. *)
   let r = Tvm_serve.Tvmd.request ~tenant:"t" (Job_spec.make ~trials:3 ()) in
   let s = Tvm_serve.Tvmd.to_string r in
   let n = String.length s in
@@ -61,9 +61,9 @@ let test_job_spec_roundtrip () =
     (String.sub s (n - 2) 2);
   let old =
     String.sub s 0 (n - 2)
-    ^ {|,"journal_out":"j.txt","trace_out":"t.json","metrics_out":"m.txt","tune_log":"l.jsonl","speculate":true}}|}
+    ^ {|,"journal_out":"j.txt","trace_out":"t.json","metrics_out":"m.txt","tune_log":"l.jsonl","speculate":true,"shards":16}}|}
   in
-  Alcotest.(check bool) "old sink and speculate keys ignored" true
+  Alcotest.(check bool) "old sink, speculate and shards keys ignored" true
     (Tvm_serve.Tvmd.of_string old = r)
 
 (* ------------------------------------------------------------------ *)
