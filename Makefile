@@ -2,7 +2,7 @@
 
 .PHONY: all build test check check-fault check-validate check-par check-cache \
   check-journal check-serve check-servert check-spool check-compact \
-  check-fleet check-bench bench-json bench-baseline clean
+  check-fleet check-bench bench-json bench-baseline perf-ab clean
 
 all: build
 
@@ -255,6 +255,16 @@ bench-json:
 bench-baseline:
 	dune exec bench/main.exe -- --quick -j 4 --json BENCH_obs.json \
 	  partune lower cache serve serve_rt fleet
+
+# A/B of the repository benchmark, a base revision against the working
+# tree: PAIRS alternating perfbench runs of WORKLOAD per side, then each
+# end-to-end metric's median per side and how many pairs the working
+# tree won. The base is exported and built under _build/perf-ab/.
+BASE ?= HEAD
+WORKLOAD ?= compile_nets
+PAIRS ?= 10
+perf-ab:
+	python3 bench/perf_ab.py --base $(BASE) --workload $(WORKLOAD) --pairs $(PAIRS)
 
 clean:
 	dune clean

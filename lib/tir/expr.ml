@@ -261,6 +261,16 @@ module Phys = struct
           s.busy <- false;
           raise e
     end
+
+  (** Composite nodes a per-call pass ([Interval.eval],
+      [Visit.map_expr_shared]) walks by plain recursion before it
+      raises {!Over_limit} and reruns through a scratch memo. Almost
+      every index expression fits, and below this size a memo costs
+      two hashes per node for a hit rate under 10%; above it, the memo
+      keeps a shared DAG linear in its node count. *)
+  let direct_limit = 64
+
+  exception Over_limit
 end
 
 (** The intern tables behind the smart constructors. Each domain owns

@@ -49,13 +49,8 @@ let modulo a b =
 let min_ a b = { lo = min a.lo b.lo; hi = min a.hi b.hi }
 let max_ a b = { lo = max a.lo b.lo; hi = max a.hi b.hi }
 
-(* The worker behind {!eval}: [memo] caches the interval of composite
-   nodes by physical identity for the duration of one evaluation, so
-   subtrees shared by hash-consed construction are analyzed once.
-   Only successes are cached — [Not_analyzable] propagates before the
-   store. The environment is fixed for the whole call, so caching is
-   sound. *)
-let rec eval_memo memo env (e : Expr.t) : t =
+(* One node's interval, its children evaluated by [go st env]. *)
+let node go st env (e : Expr.t) : t =
   match e with
   | Expr.IntImm n -> point n
   | Expr.FloatImm _ -> raise (Not_analyzable "float in index")
@@ -66,47 +61,55 @@ let rec eval_memo memo env (e : Expr.t) : t =
   | Expr.Cmp _ | Expr.And _ | Expr.Or _ | Expr.Not _ -> { lo = 0; hi = 1 }
   | Expr.Load _ -> raise (Not_analyzable "load in index")
   | Expr.Call (n, _) -> raise (Not_analyzable ("call " ^ n ^ " in index"))
+  | Expr.Binop (op, a, b) -> (
+      let ia = go st env a and ib = go st env b in
+      match op with
+      | Expr.Add -> add ia ib
+      | Expr.Sub -> sub ia ib
+      | Expr.Mul -> mul ia ib
+      | Expr.Div -> div ia ib
+      | Expr.FloorMod -> modulo ia ib
+      | Expr.Min -> min_ ia ib
+      | Expr.Max -> max_ ia ib)
+  | Expr.Select (_, t, f) -> union (go st env t) (go st env f)
+  | Expr.Cast (_, a) -> go st env a
+
+(* Plain recursion, counting composite nodes down from [left]. *)
+let rec direct left env (e : Expr.t) =
+  match e with
+  | Expr.Binop _ | Expr.Select _ | Expr.Cast _ ->
+      decr left;
+      if !left < 0 then raise_notrace Expr.Phys.Over_limit;
+      node direct left env e
+  | _ -> node direct left env e
+
+(* The over-limit fallback: [memo] caches the interval of composite
+   nodes by physical identity for one call, so a hash-consed DAG is
+   analyzed once per distinct node. Only successes are cached —
+   [Not_analyzable] propagates before the store. *)
+let rec shared memo env (e : Expr.t) =
+  match e with
   | Expr.Binop _ | Expr.Select _ | Expr.Cast _ -> (
       match Expr.Phys.find_opt memo e with
       | Some i -> i
       | None ->
-          let i =
-            match e with
-            | Expr.Binop (op, a, b) -> (
-                let ia = eval_memo memo env a and ib = eval_memo memo env b in
-                match op with
-                | Expr.Add -> add ia ib
-                | Expr.Sub -> sub ia ib
-                | Expr.Mul -> mul ia ib
-                | Expr.Div -> div ia ib
-                | Expr.FloorMod -> modulo ia ib
-                | Expr.Min -> min_ ia ib
-                | Expr.Max -> max_ ia ib)
-            | Expr.Select (_, t, f) ->
-                union (eval_memo memo env t) (eval_memo memo env f)
-            | Expr.Cast (_, a) -> eval_memo memo env a
-            | _ -> assert false
-          in
+          let i = node shared memo env e in
           Expr.Phys.add memo e i;
           i)
+  | _ -> node shared memo env e
 
-(* Leaf evaluations never consult the memo; sharing one empty table
-   avoids an allocation on those (frequent) calls. *)
-let leaf_memo : t Expr.Phys.t = Expr.Phys.create 1
-
-(* Composite evaluations reuse one memo per domain: feature extraction
-   evaluates every access at every loop level, too often to allocate a
-   table per call. *)
+(* The fallback's memo, one per domain. *)
 let scratch = Expr.Phys.scratch 16
 
 (** Evaluate expression [e] to an interval under [env : var id -> t].
     Raises {!Not_analyzable} on constructs outside the affine fragment
-    (calls, loads); callers either guarantee affine indices or catch. *)
+    (calls, loads); callers either guarantee affine indices or catch.
+    Both walks visit children in the same order, so they raise the same
+    [Not_analyzable] first. *)
 let eval env (e : Expr.t) : t =
-  match e with
-  | Expr.Binop _ | Expr.Select _ | Expr.Cast _ ->
-      Expr.Phys.with_scratch scratch (fun memo -> eval_memo memo env e)
-  | _ -> eval_memo leaf_memo env e
+  try direct (ref Expr.Phys.direct_limit) env e
+  with Expr.Phys.Over_limit ->
+    Expr.Phys.with_scratch scratch (fun memo -> shared memo env e)
 
 (** Evaluate under an association list from vars to intervals. As with
     a table filled in list order, the last binding of a var wins. *)

@@ -17,44 +17,57 @@ let rec map_expr f (e : Expr.t) : Expr.t =
   in
   f e
 
-(* [Stmt.map_exprs] maps a program's expressions one by one, so the
-   memo is reused per domain rather than allocated per expression. *)
+(* One node rebuilt from its children mapped by [go f st], then [f]. *)
+let rebuild go f st (e : Expr.t) : Expr.t =
+  match e with
+  | Expr.IntImm _ | Expr.FloatImm _ | Expr.Var _ -> f e
+  | Expr.Binop (op, a, b) -> f (Expr.binop op (go f st a) (go f st b))
+  | Expr.Cmp (op, a, b) -> f (Expr.cmp op (go f st a) (go f st b))
+  | Expr.And (a, b) -> f (Expr.and_ (go f st a) (go f st b))
+  | Expr.Or (a, b) -> f (Expr.or_ (go f st a) (go f st b))
+  | Expr.Not a -> f (Expr.not_ (go f st a))
+  | Expr.Select (c, t, fl) -> f (Expr.select (go f st c) (go f st t) (go f st fl))
+  | Expr.Cast (d, a) -> f (Expr.cast d (go f st a))
+  | Expr.Load (b, idx) -> f (Expr.load b (List.map (go f st) idx))
+  | Expr.Call (n, args) -> f (Expr.call n (List.map (go f st) args))
+
+(* Plain recursion, counting composite nodes down from [left]. *)
+let rec direct f left (e : Expr.t) =
+  match e with
+  | Expr.IntImm _ | Expr.FloatImm _ | Expr.Var _ -> f e
+  | _ ->
+      decr left;
+      if !left < 0 then raise_notrace Expr.Phys.Over_limit;
+      rebuild direct f left e
+
+(* The over-limit fallback: [memo] maps each physically distinct node
+   to its image for one call. *)
+let rec shared f memo (e : Expr.t) =
+  match e with
+  | Expr.IntImm _ | Expr.FloatImm _ -> f e
+  | _ -> (
+      match Expr.Phys.find_opt memo e with
+      | Some r -> r
+      | None ->
+          let r = rebuild shared f memo e in
+          Expr.Phys.add memo e r;
+          r)
+
+(* The fallback's memo, one per domain: [Stmt.map_exprs] maps a
+   program's expressions one by one, too often to allocate a table per
+   expression. *)
 let scratch = Expr.Phys.scratch 64
 
 (** Like {!map_expr} for a {e pure} [f], exploiting structural sharing:
-    each physically distinct subtree is visited once per call, so DAGs
-    that print exponentially large map in time linear in their node
-    count. Not for stateful [f] — a callback counting visits would see
-    each shared node once, not once per occurrence. *)
+    an expression past {!Expr.Phys.direct_limit} composite nodes is
+    remapped with each physically distinct subtree visited once, so
+    DAGs that print exponentially large map in time linear in their
+    node count. Not for stateful [f] — a callback counting visits would
+    see neither each occurrence nor each shared node exactly once. *)
 let map_expr_shared f (e : Expr.t) : Expr.t =
-  match e with
-  | Expr.IntImm _ | Expr.FloatImm _ | Expr.Var _ -> f e  (* nothing to share *)
-  | _ ->
-      Expr.Phys.with_scratch scratch @@ fun memo ->
-      let rec go e =
-        match e with
-        | Expr.IntImm _ | Expr.FloatImm _ -> f e
-        | _ -> (
-            match Expr.Phys.find_opt memo e with
-            | Some r -> r
-            | None ->
-                let r =
-                  match e with
-                  | Expr.IntImm _ | Expr.FloatImm _ | Expr.Var _ -> f e
-                  | Expr.Binop (op, a, b) -> f (Expr.binop op (go a) (go b))
-                  | Expr.Cmp (op, a, b) -> f (Expr.cmp op (go a) (go b))
-                  | Expr.And (a, b) -> f (Expr.and_ (go a) (go b))
-                  | Expr.Or (a, b) -> f (Expr.or_ (go a) (go b))
-                  | Expr.Not a -> f (Expr.not_ (go a))
-                  | Expr.Select (c, t, fl) -> f (Expr.select (go c) (go t) (go fl))
-                  | Expr.Cast (d, a) -> f (Expr.cast d (go a))
-                  | Expr.Load (b, idx) -> f (Expr.load b (List.map go idx))
-                  | Expr.Call (n, args) -> f (Expr.call n (List.map go args))
-                in
-                Expr.Phys.add memo e r;
-                r)
-      in
-      go e
+  try direct f (ref Expr.Phys.direct_limit) e
+  with Expr.Phys.Over_limit ->
+    Expr.Phys.with_scratch scratch (fun memo -> shared f memo e)
 
 let rec fold_expr f acc (e : Expr.t) =
   let acc = f acc e in

@@ -427,6 +427,127 @@ let test_retarget () =
     s';
   checkb "no b1 store left" (not !uses_b1)
 
+(* ------------------------------------------------------------------ *)
+(* Direct walks vs memo walks                                           *)
+(* ------------------------------------------------------------------ *)
+
+(* The memo walk [Interval.eval] ran on every call before it walked
+   small expressions directly; kept here as the reference. *)
+let rec memo_eval memo env (e : Expr.t) : Interval.t =
+  match e with
+  | Expr.Binop _ | Expr.Select _ | Expr.Cast _ -> (
+      match Expr.Phys.find_opt memo e with
+      | Some i -> i
+      | None ->
+          let i =
+            match e with
+            | Expr.Binop (op, a, b) -> (
+                let ia = memo_eval memo env a and ib = memo_eval memo env b in
+                match op with
+                | Expr.Add -> Interval.add ia ib
+                | Expr.Sub -> Interval.sub ia ib
+                | Expr.Mul -> Interval.mul ia ib
+                | Expr.Div -> Interval.div ia ib
+                | Expr.FloorMod -> Interval.modulo ia ib
+                | Expr.Min -> Interval.min_ ia ib
+                | Expr.Max -> Interval.max_ ia ib)
+            | Expr.Select (_, t, f) -> Interval.union (memo_eval memo env t) (memo_eval memo env f)
+            | Expr.Cast (_, a) -> memo_eval memo env a
+            | _ -> assert false
+          in
+          Expr.Phys.add memo e i;
+          i)
+  | _ -> Interval.eval env e (* no recursion below these *)
+
+let outcome f = match f () with i -> Ok i | exception Interval.Not_analyzable m -> Error m
+
+(* A random hash-consed DAG over [vars]: each step combines earlier
+   entries of a pool, mostly the last three, so subtrees are shared and
+   the last entry's tree size often passes [Expr.Phys.direct_limit] composite nodes many
+   times over. A cap on tree size keeps the unshared [Visit.map_expr]
+   affordable. Rare leaves (a load, a call, a float, an unbound var, a
+   variable divisor) put each [Not_analyzable] case in reach. *)
+let random_dag rng vars =
+  let buf = Expr.Buffer.create "b" [ Expr.int 16 ] in
+  let any_var () = Expr.var vars.(Random.State.int rng (Array.length vars)) in
+  let leaf () =
+    match Random.State.int rng 60 with
+    | 0 -> Expr.load buf [ any_var () ]
+    | 1 -> Expr.call "popcount" [ any_var () ]
+    | 2 -> Expr.float 0.5
+    | 3 -> Expr.var (Expr.Var.fresh "unbound")
+    | 4 -> Expr.binop Expr.Div (any_var ()) (any_var ())
+    | k when k < 25 -> Expr.int (Random.State.int rng 9 - 2)
+    | _ -> any_var ()
+  in
+  let n = 2 + Random.State.int rng 60 in
+  let pool = Array.make n (Expr.zero, 1) in
+  for k = 0 to n - 1 do
+    let pick () =
+      if k = 0 || Random.State.int rng 6 = 0 then (leaf (), 1)
+      else pool.(k - 1 - Random.State.int rng (min k 3))
+    in
+    let (a, sa), (b, sb) = (pick (), pick ()) in
+    let d () = Expr.int (1 + Random.State.int rng 4) in
+    pool.(k) <-
+      (if sa + sb > 2000 then (a, sa)
+       else
+         match Random.State.int rng 10 with
+         | 0 | 1 -> (Expr.(a + b), sa + sb + 1)
+         | 2 -> (Expr.(a - b), sa + sb + 1)
+         | 3 | 4 -> (Expr.(a * b), sa + sb + 1)
+         | 5 -> (Expr.(a / d ()), sa + 2)
+         | 6 -> (Expr.(a % d ()), sa + 2)
+         | 7 -> ((if Random.State.bool rng then Expr.min_ a b else Expr.max_ a b), sa + sb + 1)
+         | 8 -> (Expr.select Expr.(a < b) a b, (2 * (sa + sb)) + 2)
+         | _ -> (Expr.cast Dtype.Int64 a, sa + 1))
+  done;
+  fst pool.(n - 1)
+
+let dag_vars = Array.init 3 (fun i -> Expr.Var.fresh (Printf.sprintf "v%d" i))
+
+let dag_env vid =
+  if vid = dag_vars.(0).Expr.vid then Some (Interval.make 0 7)
+  else if vid = dag_vars.(1).Expr.vid then Some (Interval.make (-3) 2)
+  else if vid = dag_vars.(2).Expr.vid then Some (Interval.point 5)
+  else None
+
+let direct_eval_matches_memo_walk =
+  QCheck.Test.make ~name:"direct interval eval = memo walk" ~count:500
+    QCheck.(int_range 0 1_000_000)
+    (fun seed ->
+      let e = random_dag (Random.State.make [| seed |]) dag_vars in
+      outcome (fun () -> Interval.eval dag_env e)
+      = outcome (fun () -> memo_eval (Expr.Phys.create 16) dag_env e))
+
+(* A pure callback that rewrites both variables and constants. *)
+let dag_rewrite = function
+  | Expr.Var v when Expr.Var.equal v dag_vars.(0) -> Expr.(var dag_vars.(1) + int 1)
+  | Expr.IntImm n when n >= 0 -> Expr.int (n + 1)
+  | e -> e
+
+let map_shared_matches_map =
+  QCheck.Test.make ~name:"map_expr_shared = map_expr for a pure callback" ~count:500
+    QCheck.(int_range 0 1_000_000)
+    (fun seed ->
+      let e = random_dag (Random.State.make [| seed |]) dag_vars in
+      Expr.equal (Visit.map_expr dag_rewrite e) (Visit.map_expr_shared dag_rewrite e))
+
+(* e_{k+1} = e_k * 3 + e_k: 40 levels make a tree of about 2^40 nodes
+   from 81 distinct ones, so only the memo fallback finishes. *)
+let test_deep_dag_bounded () =
+  let x = Expr.Var.fresh "x" and y = Expr.Var.fresh "y" in
+  let rec build e k = if k = 0 then e else build Expr.((e * int 3) + e) (k - 1) in
+  let e = build (Expr.var x) 40 in
+  let t0 = Sys.time () in
+  let env_x vid = if vid = x.Expr.vid then Some (Interval.make 0 1) else None in
+  let env_y vid = if vid = y.Expr.vid then Some (Interval.make 0 1) else None in
+  let itv = Interval.eval env_x e in
+  let e' = Visit.subst_var_expr x (Expr.var y) e in
+  checkb "substituted eval" (Interval.eval env_y e' = itv);
+  checkb "memo walk agrees" (memo_eval (Expr.Phys.create 16) env_x e = itv);
+  checkb "under a second" (Sys.time () -. t0 < 1.0)
+
 let suite =
   [
     Alcotest.test_case "dtype roundtrip" `Quick test_dtype_roundtrip;
@@ -453,4 +574,7 @@ let suite =
     Alcotest.test_case "substitution" `Quick test_subst;
     Alcotest.test_case "free vars" `Quick test_free_vars;
     Alcotest.test_case "retarget buffer" `Quick test_retarget;
+    QCheck_alcotest.to_alcotest direct_eval_matches_memo_walk;
+    QCheck_alcotest.to_alcotest map_shared_matches_map;
+    Alcotest.test_case "40-level DAG in bounded time" `Quick test_deep_dag_bounded;
   ]
