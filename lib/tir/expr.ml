@@ -236,35 +236,9 @@ module Phys = struct
     let hash = hash
   end)
 
-  (** A memo that is valid for one call only (it closes over that
-      call's environment or callback), reused across calls: one table
-      per domain, emptied after each call instead of allocated per
-      call. [reset] merely clears a table still at its initial size. A
-      reentrant call gets a private table. *)
-  type 'a scratch_slot = { memo : 'a t; size : int; mutable busy : bool }
-
-  let scratch size =
-    Domain.DLS.new_key (fun () -> { memo = create size; size; busy = false })
-
-  let with_scratch key f =
-    let s = Domain.DLS.get key in
-    if s.busy then f (create s.size)
-    else begin
-      s.busy <- true;
-      match f s.memo with
-      | r ->
-          reset s.memo;
-          s.busy <- false;
-          r
-      | exception e ->
-          reset s.memo;
-          s.busy <- false;
-          raise e
-    end
-
   (** Composite nodes a per-call pass ([Interval.eval],
       [Visit.map_expr_shared]) walks by plain recursion before it
-      raises {!Over_limit} and reruns through a scratch memo. Almost
+      raises {!Over_limit} and reruns with a memo of its own. Almost
       every index expression fits, and below this size a memo costs
       two hashes per node for a hit rate under 10%; above it, the memo
       keeps a shared DAG linear in its node count. *)

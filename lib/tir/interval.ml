@@ -98,9 +98,6 @@ let rec shared memo env (e : Expr.t) =
           i)
   | _ -> node shared memo env e
 
-(* The fallback's memo, one per domain. *)
-let scratch = Expr.Phys.scratch 16
-
 (** Evaluate expression [e] to an interval under [env : var id -> t].
     Raises {!Not_analyzable} on constructs outside the affine fragment
     (calls, loads); callers either guarantee affine indices or catch.
@@ -109,7 +106,7 @@ let scratch = Expr.Phys.scratch 16
 let eval env (e : Expr.t) : t =
   try direct (ref Expr.Phys.direct_limit) env e
   with Expr.Phys.Over_limit ->
-    Expr.Phys.with_scratch scratch (fun memo -> shared memo env e)
+    shared (Expr.Phys.create 16) env e
 
 (** Evaluate under an association list from vars to intervals. As with
     a table filled in list order, the last binding of a var wins. *)

@@ -53,11 +53,6 @@ let rec shared f memo (e : Expr.t) =
           Expr.Phys.add memo e r;
           r)
 
-(* The fallback's memo, one per domain: [Stmt.map_exprs] maps a
-   program's expressions one by one, too often to allocate a table per
-   expression. *)
-let scratch = Expr.Phys.scratch 64
-
 (** Like {!map_expr} for a {e pure} [f], exploiting structural sharing:
     an expression past {!Expr.Phys.direct_limit} composite nodes is
     remapped with each physically distinct subtree visited once, so
@@ -67,7 +62,7 @@ let scratch = Expr.Phys.scratch 64
 let map_expr_shared f (e : Expr.t) : Expr.t =
   try direct f (ref Expr.Phys.direct_limit) e
   with Expr.Phys.Over_limit ->
-    Expr.Phys.with_scratch scratch (fun memo -> shared f memo e)
+    shared f (Expr.Phys.create 64) e
 
 let rec fold_expr f acc (e : Expr.t) =
   let acc = f acc e in
