@@ -261,7 +261,6 @@ bench-baseline:
 # end-to-end metric's median per side and how many pairs the working
 # tree won. The base is exported and built under _build/perf-ab/.
 BASE ?= HEAD
-WORKLOAD ?= compile_nets
 PAIRS ?= 10
 perf-ab:
 	python3 bench/perf_ab.py --base $(BASE) --workload $(WORKLOAD) --pairs $(PAIRS)

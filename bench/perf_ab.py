@@ -1,18 +1,17 @@
 #!/usr/bin/env python3
 """A/B the repository benchmark: a base revision against the working tree.
 
-    python3 bench/perf_ab.py --base REV --workload W [--pairs N]
-        [--seconds S] [--seed K]
+    python3 bench/perf_ab.py --base REV --workload W [--pairs N] [--seed K]
 
 Run from the repository root (`make perf-ab BASE=REV WORKLOAD=W
 PAIRS=N` does). Exports REV with `git archive` into
 _build/perf-ab/<sha>/, then runs `python3 perfbench/run.py` N times on
 each side, alternating which side goes first from pair to pair so that
-a drift in the host's load falls on both. Runs last BENCHMARK.json's
-run_seconds unless --seconds says otherwise. Prints each end-to-end
-metric's median and quartiles per side, the change in the median, and
-in how many pairs the working tree was better (ties count for
-neither). Writes nothing outside _build/.
+a drift in the host's load falls on both. Each run lasts
+BENCHMARK.json's run_seconds. Prints each end-to-end metric's median
+and quartiles per side, the change in the median, and in how many
+pairs the working tree was better (ties count for neither). Writes
+nothing outside _build/.
 """
 
 import argparse
@@ -45,7 +44,6 @@ def main():
     p.add_argument("--base", required=True)
     p.add_argument("--workload", required=True)
     p.add_argument("--pairs", type=int, default=10)
-    p.add_argument("--seconds", type=int)
     p.add_argument("--seed", type=int, default=1)
     args = p.parse_args()
     sha = subprocess.check_output(["git", "rev-parse", args.base], text=True).strip()
@@ -58,7 +56,7 @@ def main():
     with open("BENCHMARK.json") as f:
         declared = json.load(f)
     metrics = declared["end_to_end"]
-    args.seconds = args.seconds or declared["run_seconds"]
+    args.seconds = declared["run_seconds"]
     runs = {"base": [], "work": []}
     for i in range(args.pairs):
         order = ["base", "work"] if i % 2 == 0 else ["work", "base"]
@@ -67,7 +65,7 @@ def main():
         print("pair %d/%d done" % (i + 1, args.pairs), file=sys.stderr)
     print("%s: %s vs working tree, %d pairs of %d s runs"
           % (args.workload, sha[:12], args.pairs, args.seconds))
-    print("%-20s %26s %26s %8s  %s"
+    print("%-20s %30s %30s %8s  %s"
           % ("metric", "base median [q1, q3]", "work median [q1, q3]", "change", "work better"))
     for m in metrics:
         name, lower = m["name"], m["better"] == "lower"
@@ -78,7 +76,7 @@ def main():
         wins = sum((y < x) if lower else (y > x) for x, y in zip(b, w))
         mb = statistics.median(b)
         change = (statistics.median(w) - mb) / mb * 100 if mb else float("nan")
-        print("%-20s %26s %26s %+7.1f%%  %d of %d pairs"
+        print("%-20s %30s %30s %+7.1f%%  %d of %d pairs"
               % (name, spread(b), spread(w), change, wins, args.pairs))
 
 

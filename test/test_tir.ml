@@ -431,8 +431,8 @@ let test_retarget () =
 (* Direct walks vs memo walks                                           *)
 (* ------------------------------------------------------------------ *)
 
-(* The memo walk [Interval.eval] ran on every call before it walked
-   small expressions directly; kept here as the reference. *)
+(* Reference for [Interval.eval]: a memo walk over the whole
+   expression, with no node limit. *)
 let rec memo_eval memo env (e : Expr.t) : Interval.t =
   match e with
   | Expr.Binop _ | Expr.Select _ | Expr.Cast _ -> (
@@ -462,11 +462,12 @@ let rec memo_eval memo env (e : Expr.t) : Interval.t =
 let outcome f = match f () with i -> Ok i | exception Interval.Not_analyzable m -> Error m
 
 (* A random hash-consed DAG over [vars]: each step combines earlier
-   entries of a pool, mostly the last three, so subtrees are shared and
-   the last entry's tree size often passes [Expr.Phys.direct_limit] composite nodes many
-   times over. A cap on tree size keeps the unshared [Visit.map_expr]
-   affordable. Rare leaves (a load, a call, a float, an unbound var, a
-   variable divisor) put each [Not_analyzable] case in reach. *)
+   entries of a pool, mostly the last three, so subtrees are shared.
+   About a quarter of the DAGs pass [Expr.Phys.direct_limit] composite
+   nodes, some many times over; a cap on tree size keeps the unshared
+   [Visit.map_expr] affordable. Rare leaves (a load, a call, a float, an
+   unbound var, a variable divisor) put each [Not_analyzable] case in
+   reach. *)
 let random_dag rng vars =
   let buf = Expr.Buffer.create "b" [ Expr.int 16 ] in
   let any_var () = Expr.var vars.(Random.State.int rng (Array.length vars)) in
@@ -533,8 +534,8 @@ let map_shared_matches_map =
       let e = random_dag (Random.State.make [| seed |]) dag_vars in
       Expr.equal (Visit.map_expr dag_rewrite e) (Visit.map_expr_shared dag_rewrite e))
 
-(* e_{k+1} = e_k * 3 + e_k: 40 levels make a tree of about 2^40 nodes
-   from 81 distinct ones, so only the memo fallback finishes. *)
+(* e_{k+1} = e_k * 3 + e_k: 40 levels make a tree of more than 2^40
+   nodes from 82 distinct ones, so only the memo fallback finishes. *)
 let test_deep_dag_bounded () =
   let x = Expr.Var.fresh "x" and y = Expr.Var.fresh "y" in
   let rec build e k = if k = 0 then e else build Expr.((e * int 3) + e) (k - 1) in
