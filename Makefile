@@ -2,7 +2,7 @@
 
 .PHONY: all build test check check-fault check-validate check-par check-cache \
   check-journal check-serve check-servert check-spool check-compact \
-  check-fleet check-bench bench-json bench-baseline perf-ab clean
+  check-fleet check-bench perf-ab clean
 
 all: build
 
@@ -229,32 +229,17 @@ check-fleet: build
 	dune exec bench/main.exe -- --quick --json _build/check-fleet/obs.json \
 	  fleet
 
-# Benchmark regression gate: rerun the gated scopes and compare the
-# metrics dump against the committed BENCH_obs.json baseline under
-# Bench_gate.default_rules (exits nonzero on regression). When a
-# change legitimately moves the numbers, regenerate the baseline with
-# `make bench-baseline` and commit the diff.
+# Benchmark regression gate: `bench/main.exe --check` runs the gated
+# experiments at --quick -j 4 and compares their deterministic values
+# against exact pins, and two wall-clock values against fixed bounds,
+# all kept in bench/main.ml (exits nonzero on any miss or any
+# experiment that raised).
 check-bench: build
-	mkdir -p _build/check-bench
-	dune exec bench/main.exe -- --quick -j 4 \
-	  --json _build/check-bench/obs.json --baseline BENCH_obs.json \
-	  partune lower cache serve serve_rt fleet
+	dune exec bench/main.exe -- --check
 
 check: build test check-fault check-validate check-par check-cache \
   check-journal check-serve check-servert check-spool check-compact \
   check-fleet check-bench
-
-# Machine-readable perf snapshot for the current tree (see README
-# "Observability"): runs the quick benchmark sweep and dumps the
-# metrics registry.
-bench-json:
-	dune exec bench/main.exe -- --quick --json BENCH_obs.json
-
-# Regenerate the committed check-bench baseline (same scope and -j as
-# the gate itself, so the comparison is apples to apples).
-bench-baseline:
-	dune exec bench/main.exe -- --quick -j 4 --json BENCH_obs.json \
-	  partune lower cache serve serve_rt fleet
 
 # A/B of the repository benchmark, a base revision against the working
 # tree: PAIRS alternating perfbench runs of WORKLOAD per side, then each

@@ -3,23 +3,19 @@
     the service, cache and fleet benchmarks. Per-layer costs of the
     compiler's hot paths are timed by [perfbench/run.py].
 
-    Usage: [main.exe [--quick] [--json FILE] [--baseline FILE] [-j N]
-    [exp ...]] where [exp] is one of fig4 fig6 fig7 fig10 fig12 fig14
-    fig15 fig16 fig17 fig18 fig19 fig21 table1 table2 ablations partune
-    lower cache serve serve_rt fleet all (default: all). [-j N] sets
-    the domain/device count the [partune] throughput comparison scales
-    to (default 4).
+    Usage: [main.exe [--quick] [--json FILE] [-j N] [exp ...]] where
+    [exp] is one of fig4 fig6 fig7 fig10 fig12 fig14 fig15 fig16 fig17
+    fig18 fig19 fig21 table1 table2 ablations partune lower cache serve
+    serve_rt fleet all (default: all). [-j N] sets the domain/device
+    count the [partune] throughput comparison scales to (default 4).
 
     [--json FILE] dumps the observability metrics registry (including
-    one [bench.<exp>.duration_s] gauge per experiment run) as JSON —
-    e.g. [--json BENCH_obs.json] — so the perf trajectory of the repo
-    is machine-readable PR over PR.
+    one [bench.<exp>.duration_s] gauge per experiment run) as JSON.
 
-    [--baseline FILE] compares the run's metrics against a committed
-    baseline dump under {!Tvm_obs.Bench_gate.default_rules} and exits
-    nonzero on regression — the [make check-bench] gate. Update the
-    baseline with [make bench-baseline] when a change legitimately
-    moves the numbers. *)
+    [main.exe --check] is the [make check-bench] gate: it runs the
+    gated experiments at [--quick -j 4] and compares values read from
+    the metrics registry against {!checks}, printing every check and
+    exiting 1 if any fails or any experiment raised. *)
 
 module E = Tvm_experiments.Exp_util
 module Fm = Tvm_experiments.Fig_micro
@@ -288,7 +284,10 @@ let bench_serve_rt () =
   Tvm_obs.Metrics.set_gauge "serve_rt.naive_bytes" batched.Ms.oc_naive_bytes;
   Tvm_obs.Metrics.set_gauge "serve_rt.mean_batch" batched.Ms.oc_mean_batch;
   Tvm_obs.Metrics.set_gauge "serve_rt.slo_misses"
-    (float_of_int batched.Ms.oc_slo_misses)
+    (float_of_int batched.Ms.oc_slo_misses);
+  (* The [serve_rt.latency_s] histogram mixes all four runs above; the
+     gated p99 is the batched run's own (exact, not bucketed). *)
+  Tvm_obs.Metrics.set_gauge "bench.serve_rt.batched_p99_s" batched.Ms.oc_p99_s
 
 (* ------------------------------------------------------------------ *)
 (* Measurement fleet                                                    *)
@@ -372,56 +371,139 @@ let experiments : (string * (unit -> unit)) list =
     ("fleet", fun () -> bench_fleet ());
   ]
 
-(** Pull [--json FILE] out of the raw argument list. *)
-let rec extract_json_flag = function
-  | [] -> (None, [])
-  | "--json" :: file :: rest ->
-      let _, others = extract_json_flag rest in
-      (Some file, others)
-  | "--json" :: [] -> invalid_arg "--json requires a FILE argument"
-  | a :: rest ->
-      let file, others = extract_json_flag rest in
-      (file, a :: others)
+(* ------------------------------------------------------------------ *)
+(* Regression check                                                     *)
+(* ------------------------------------------------------------------ *)
 
-(** Pull [--baseline FILE] out of the raw argument list. *)
-let rec extract_baseline_flag = function
-  | [] -> (None, [])
-  | "--baseline" :: file :: rest ->
-      let _, others = extract_baseline_flag rest in
-      (Some file, others)
-  | "--baseline" :: [] -> invalid_arg "--baseline requires a FILE argument"
-  | a :: rest ->
-      let file, others = extract_baseline_flag rest in
-      (file, a :: others)
+(* What [--check] runs, always at [--quick -j 4]. *)
+let gated = [ "partune"; "lower"; "cache"; "serve"; "serve_rt"; "fleet" ]
 
-(** Pull [-j N] out of the raw argument list. *)
-let rec extract_jobs_flag = function
-  | [] -> (None, [])
-  | "-j" :: n :: rest ->
-      let _, others = extract_jobs_flag rest in
-      (Some (int_of_string n), others)
-  | "-j" :: [] -> invalid_arg "-j requires a count argument"
-  | a :: rest ->
-      let n, others = extract_jobs_flag rest in
-      (n, a :: others)
+type bound =
+  | Pin of float  (** deterministic: must equal the literal exactly *)
+  | At_least of float  (** host wall-clock floor *)
+  | At_most of float  (** host wall-clock ceiling *)
 
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
+(* [clock] says what a value is measured on: "virtual" (the simulated
+   devices', fleets' and servers' clock), "none" (counts, bytes and
+   identity flags) or "wall" (this host). *)
+type check = {
+  label : string;
+  clock : string;
+  read : unit -> float option;
+  bound : bound;
+}
+
+let metric ?(clock = "virtual") name bound =
+  { label = name; clock; read = (fun () -> Tvm_obs.Metrics.get name); bound }
+
+let pct name p bound =
+  {
+    label = Printf.sprintf "%s p%g" name p;
+    clock = "virtual";
+    read = (fun () -> Tvm_obs.Metrics.percentile name p);
+    bound;
+  }
+
+(** The gate. Every [Pin] is a deterministic value of the gated run
+    written as a [%h] literal: a change that moves one updates the
+    literal on purpose and gives the reason in CHANGES.md, the way
+    [test_golden]'s digests are regenerated. The two wall-clock
+    values have fixed bounds that only catch a collapse. *)
+let checks =
+  [
+    (* Tuner throughput at 1 vs 4 devices: a ratio of virtual fleet
+       makespans, not of host time. *)
+    metric "bench.partune.speedup" (Pin 0x1.7fb02b643df28p+1);
+    metric "bench.partune.identical_best" ~clock:"none" (Pin 1.);
+    (* Best measured time of partune's own -j1 tune. *)
+    metric "bench.partune.best_time_s" (Pin 0x1.7dd90526ec0adp-16);
+    metric "bench.cache.hit_rate" ~clock:"none" (Pin 0x1.a1a1a1a1a1a1ap-5);
+    pct "pool.job_cost_s" 90. (Pin 0x1.01e8e3941cfcp-1);
+    pct "pool.queue_wait_s" 90. (Pin 0x1.14c8d23220bb2p+1);
+    metric "bench.serve.warm_speedup" (Pin 0x1.43fffffffffffp+6);
+    metric "bench.serve.identical_schedule" ~clock:"none" (Pin 1.);
+    metric "tvmd.concurrent_speedup" (Pin 0x1.f4a6a2665536cp+1);
+    metric "store.compact_ratio" ~clock:"none" (Pin 0x1.b18f54dba1df4p-2);
+    pct "tvmd.queue_wait_s" 90. (Pin 0x1.ae343873fe62cp+2);
+    pct "tvmd.completion_s" 50. (Pin 0x1.a90583851901fp+1);
+    pct "tvmd.completion_s" 99. (Pin 0x1.aab6dd5e16203p+4);
+    metric "bench.fleet.scaling_efficiency" (Pin 0x1.ca0297fdeccd8p-1);
+    metric "serve_rt.batch_speedup" (Pin 0x1.22a5de152f231p+2);
+    metric "serve_rt.slab_saving" ~clock:"none" (Pin 0x1.2dd76e2d3ea64p-1);
+    metric "serve_rt.identical_results" ~clock:"none" (Pin 1.);
+    metric "bench.serve_rt.batched_p99_s" (Pin 0x1.3f252fb181fdp-6);
+    (* Cold lowering vs a feature-memo hit, and the SA propose phase. *)
+    metric "bench.lower.warm_speedup" ~clock:"wall" (At_least 73.57);
+    metric "bench.partune.propose_s" ~clock:"wall" (At_most 2.149);
+    (* An experiment that raised may have set its gauges first. *)
+    metric "bench.failures" ~clock:"none" (Pin 0.);
+  ]
+
+(** Print every check; return the labels of those that failed. *)
+let run_checks () =
+  Printf.printf "\nbench check (--quick -j 4 %s):\n" (String.concat " " gated);
+  Printf.printf "%-34s %-7s %-26s %s\n" "check" "clock" "want" "current";
+  let failed =
+    List.filter_map
+      (fun c ->
+        let cur = c.read () in
+        let ok =
+          match (cur, c.bound) with
+          | None, _ -> false
+          | Some v, Pin p -> Float.equal v p
+          | Some v, At_least b -> v >= b
+          | Some v, At_most b -> v <= b
+        in
+        let want =
+          match c.bound with
+          | Pin p -> Printf.sprintf "= %h" p
+          | At_least b -> Printf.sprintf ">= %g" b
+          | At_most b -> Printf.sprintf "<= %g" b
+        in
+        let cur =
+          match (cur, c.bound) with
+          | None, _ -> "missing"
+          | Some v, Pin _ -> Printf.sprintf "%h (%.6g)" v v
+          | Some v, _ -> Printf.sprintf "%.6g" v
+        in
+        Printf.printf "%-34s %-7s %-26s %s%s\n" c.label c.clock want cur
+          (if ok then "" else "  FAIL");
+        if ok then None else Some c.label)
+      checks
+  in
+  Printf.printf "bench check: %d checks, %d failed%s\n" (List.length checks)
+    (List.length failed)
+    (if failed = [] then "" else ": " ^ String.concat ", " failed);
+  failed
+
+(** Pull [flag VALUE] out of the raw argument list. *)
+let rec extract_flag flag = function
+  | [] -> (None, [])
+  | f :: v :: rest when f = flag ->
+      let _, others = extract_flag flag rest in
+      (Some v, others)
+  | [ f ] when f = flag -> invalid_arg (flag ^ " requires an argument")
+  | a :: rest ->
+      let v, others = extract_flag flag rest in
+      (v, a :: others)
 
 let () =
   Tvm_graph.Std_ops.register_all ();
   let args = Array.to_list Sys.argv |> List.tl in
-  let json_out, args = extract_json_flag args in
-  let baseline, args = extract_baseline_flag args in
-  let jobs, args = extract_jobs_flag args in
-  Option.iter (fun j -> bench_jobs := max 1 j) jobs;
-  let quick = List.mem "--quick" args in
-  if quick then E.trial_scale := 0.3;
-  let wanted = List.filter (fun a -> a <> "--quick") args in
-  let wanted = if wanted = [] || List.mem "all" wanted then List.map fst experiments else wanted in
+  let json_out, args = extract_flag "--json" args in
+  let jobs, args = extract_flag "-j" args in
+  let check = List.mem "--check" args in
+  let wanted = List.filter (fun a -> a <> "--quick" && a <> "--check") args in
+  if check && (wanted <> [] || jobs <> None) then
+    invalid_arg "--check runs its own experiments at -j 4";
+  Option.iter (fun j -> bench_jobs := max 1 (int_of_string j)) jobs;
+  if check || List.mem "--quick" args then E.trial_scale := 0.3;
+  let wanted =
+    if check then gated
+    else if wanted = [] || List.mem "all" wanted then List.map fst experiments
+    else wanted
+  in
+  Tvm_obs.Metrics.incr ~by:0. "bench.failures";
   let t0 = Unix.gettimeofday () in
   List.iter
     (fun name ->
@@ -443,15 +525,4 @@ let () =
       Tvm_obs.Metrics.write_json path;
       Printf.printf "metrics written to %s\n" path
   | None -> ());
-  match baseline with
-  | None -> ()
-  | Some path ->
-      let base = Tvm_obs.Json.parse (read_file path) in
-      let checks =
-        Tvm_obs.Bench_gate.compare_metrics
-          ~rules:Tvm_obs.Bench_gate.default_rules ~baseline:base
-          ~current:(Tvm_obs.Metrics.to_json ())
-      in
-      Printf.printf "\nregression gate vs %s:\n%s" path
-        (Tvm_obs.Bench_gate.render checks);
-      if Tvm_obs.Bench_gate.failed checks <> [] then exit 1
+  if check && run_checks () <> [] then exit 1

@@ -105,21 +105,31 @@ let to_json t =
       ("fleet", Json.Num (Float.of_int t.fleet));
     ]
 
+let max_batch = 1024
+let max_n_chains = 1024
+let max_jobs = 128
+let max_devices = 10_000
+let max_fleet = 10_000
+
+(* 2^53: past it a double no longer holds every integer exactly. *)
+let max_exact = 1 lsl 53
+
 let of_json j =
   (match j with Json.Obj _ -> () | _ -> invalid_arg "job_spec: expected a JSON object");
   let str key d = Option.value ~default:d (Option.bind (Json.member key j) Json.to_string_opt) in
-  let num key d =
-    match Option.bind (Json.member key j) Json.to_num_opt with
-    | Some v -> v
-    | None -> d
+  let num_opt key = Option.bind (Json.member key j) Json.to_num_opt in
+  let num key d = Option.value ~default:d (num_opt key) in
+  let checked ?(lo = -max_exact) ?(hi = max_exact) key v =
+    if Float.is_integer v && v >= Float.of_int lo && v <= Float.of_int hi then
+      int_of_float v
+    else
+      invalid_arg
+        (Printf.sprintf "job_spec: %s must be an integer in [%d, %d], got %g"
+           key lo hi v)
   in
-  let int key d = int_of_float (num key (Float.of_int d)) in
+  let int ?lo ?hi key d = Option.fold ~none:d ~some:(checked ?lo ?hi key) (num_opt key) in
   let bool key d =
     match Json.member key j with Some (Json.Bool b) -> b | _ -> d
-  in
-  let opt_str key = Option.bind (Json.member key j) Json.to_string_opt in
-  let opt_int key =
-    Option.map int_of_float (Option.bind (Json.member key j) Json.to_num_opt)
   in
   let d = default in
   {
@@ -127,23 +137,23 @@ let of_json j =
     workload = str "workload" d.workload;
     target = str "target" d.target;
     fusion = bool "fusion" d.fusion;
-    trials = int "trials" d.trials;
+    trials = int ~lo:0 "trials" d.trials;
     method_name = str "method" d.method_name;
     seed = int "seed" d.seed;
-    batch = int "batch" d.batch;
-    sa_steps = int "sa_steps" d.sa_steps;
-    n_chains = int "n_chains" d.n_chains;
-    jobs = int "jobs" d.jobs;
-    devices = int "devices" d.devices;
+    batch = int ~lo:1 ~hi:max_batch "batch" d.batch;
+    sa_steps = int ~lo:0 "sa_steps" d.sa_steps;
+    n_chains = int ~lo:1 ~hi:max_n_chains "n_chains" d.n_chains;
+    jobs = int ~lo:1 ~hi:max_jobs "jobs" d.jobs;
+    devices = int ~lo:1 ~hi:max_devices "devices" d.devices;
     validate = bool "validate" d.validate;
     verbose = bool "verbose" d.verbose;
     use_compile_cache = bool "use_compile_cache" d.use_compile_cache;
     replay = bool "replay" d.replay;
     fault_rate = num "fault_rate" d.fault_rate;
-    straggler = opt_int "straggler";
-    max_retries = int "max_retries" d.max_retries;
+    straggler = Option.map (checked ~lo:0 "straggler") (num_opt "straggler");
+    max_retries = int ~lo:0 "max_retries" d.max_retries;
     timeout_s = num "timeout_s" d.timeout_s;
-    fleet = int "fleet" d.fleet;
+    fleet = int ~lo:0 ~hi:max_fleet "fleet" d.fleet;
   }
 
 let to_string t = Json.to_string (to_json t)

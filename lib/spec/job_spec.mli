@@ -109,13 +109,43 @@ val make :
   t
 (** The one constructor: every field defaults to {!default}'s value. *)
 
+(** {2 Envelope caps}
+
+    The largest value {!of_json} accepts for each field that sizes an
+    up-front allocation, so one hostile spool line cannot make [tvmd]
+    build a billion-entry list. Each is well above what any caller in
+    this repository passes. {!make} does not check them. *)
+
+val max_batch : int
+(** 1024: configurations per measurement batch (the genetic explorer's
+    population). The device pool widens a tvmd batch to at most 512. *)
+
+val max_n_chains : int
+(** 1024: simulated-annealing chains. *)
+
+val max_jobs : int
+(** 128: host domains, the most an OCaml 5 program can run at once. *)
+
+val max_devices : int
+(** 10,000: replicas in the measurement pool. *)
+
+val max_fleet : int
+(** 10,000: devices in a heterogeneous roster ([make check-fleet]
+    drives 1,000). *)
+
 val to_json : t -> Tvm_obs.Json.t
 val of_json : Tvm_obs.Json.t -> t
 (** Missing fields take {!default}'s value and unknown fields are
     ignored, so specs stay readable across versions (an envelope that
     still carries a removed key, such as [journal_out], [trace_out],
-    [metrics_out], [tune_log] or [speculate], parses); raises
-    [Invalid_argument] on non-object JSON. *)
+    [metrics_out], [tune_log] or [speculate], parses).
+
+    Raises [Invalid_argument] on non-object JSON, and on an integer
+    field whose number is not an integer or is out of range: [trials],
+    [sa_steps], [max_retries], [straggler] and [fleet] must be [>= 0];
+    [batch], [n_chains], [jobs] and [devices] [>= 1]; the five capped
+    fields at most their cap above; and every other integer field,
+    like [seed], within [±2^53], where a JSON number is exact. *)
 
 val to_string : t -> string
 (** Single-line JSON (the [tvmc submit] wire format). *)

@@ -13,7 +13,6 @@ module Metrics = Tvm_obs.Metrics
 module Profile = Tvm_obs.Profile
 module Journal = Tvm_obs.Journal
 module Report = Tvm_obs.Report
-module Gate = Tvm_obs.Bench_gate
 module Par = Tvm_par.Pool
 module Tuner = Tvm_autotune.Tuner
 module Templates = Tvm_autotune.Templates
@@ -603,58 +602,6 @@ let test_report_slow_device () =
     "only the slow device is flagged" [ 2 ]
     (List.map (fun d -> d.Report.ds_dev) (Report.stragglers r))
 
-(* ---- bench gate ---- *)
-
-let test_bench_gate () =
-  let base =
-    Json.parse
-      {|{"gauges":{"bench.partune.speedup":4.0,"bench.partune.identical_best":1},
-         "histograms":{"pool.job_cost_s":{"p90":1.0}}}|}
-  in
-  let rules =
-    [
-      Gate.rule "gauges" "bench.partune.speedup" ~dir:Gate.Higher_better ~tol:0.5;
-      Gate.rule "gauges" "bench.partune.identical_best" ~dir:Gate.Exact ~tol:0.;
-      Gate.rule "histograms" "pool.job_cost_s" ~field:"p90" ~dir:Gate.Lower_better
-        ~tol:0.5;
-      Gate.rule "gauges" "bench.not_yet_in_baseline" ~dir:Gate.Higher_better
-        ~tol:0.1;
-    ]
-  in
-  (* identity: the baseline vs itself passes every present rule *)
-  let checks = Gate.compare_metrics ~rules ~baseline:base ~current:base in
-  checkb "identity run passes" (Gate.failed checks = []);
-  checkb "unknown metric skipped, not failed"
-    (List.exists
-       (fun c -> match c.Gate.ck_verdict with Gate.Skip _ -> true | _ -> false)
-       checks);
-  (* within tolerance: a mild dip passes *)
-  let mild =
-    Json.parse
-      {|{"gauges":{"bench.partune.speedup":2.1,"bench.partune.identical_best":1},
-         "histograms":{"pool.job_cost_s":{"p90":1.4}}}|}
-  in
-  checkb "mild drift tolerated"
-    (Gate.failed (Gate.compare_metrics ~rules ~baseline:base ~current:mild) = []);
-  (* injected regression: speedup collapse, determinism drift, and a
-     metric the run stopped producing — all three must fail *)
-  let bad =
-    Json.parse
-      {|{"gauges":{"bench.partune.speedup":1.2,"bench.partune.identical_best":0},
-         "histograms":{}}|}
-  in
-  let checks = Gate.compare_metrics ~rules ~baseline:base ~current:bad in
-  Alcotest.(check int) "three failures" 3 (List.length (Gate.failed checks));
-  let text = Gate.render checks in
-  checkb "render reports FAIL" (contains text "FAIL");
-  checkb "render totals the damage" (contains text "3 failed");
-  (* the committed default rules address real metric names *)
-  List.iter
-    (fun r ->
-      checkb "rule section valid"
-        (List.mem r.Gate.ru_section [ "counters"; "gauges"; "histograms" ]))
-    Gate.default_rules
-
 (* ---- profile report ---- *)
 
 let test_profile_report () =
@@ -695,6 +642,5 @@ let suite =
     Alcotest.test_case "report clean fleet" `Quick test_report_clean_fleet;
     Alcotest.test_case "report flags a slow device with few attempts" `Quick
       test_report_slow_device;
-    Alcotest.test_case "bench gate" `Quick test_bench_gate;
     Alcotest.test_case "profile report" `Quick test_profile_report;
   ]

@@ -554,6 +554,97 @@ let test_request_roundtrip () =
     && d.Tvmd.rq_quota = None && d.Tvmd.rq_share = false
     && d.Tvmd.rq_spec = Job_spec.default)
 
+(* An integer spec field that is fractional, non-finite, below its
+   minimum or above its cap is rejected when the envelope is parsed,
+   before tvmd sizes anything by it; the caps themselves parse. *)
+let test_job_spec_ranges () =
+  List.iter
+    (fun (field, v) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%s = %s rejected" field v)
+        true
+        (match Job_spec.of_string (Printf.sprintf {|{"%s":%s}|} field v) with
+        | _ -> false
+        | exception Invalid_argument _ -> true))
+    [ ("fleet", "1e9"); ("n_chains", "-1"); ("trials", "2.5");
+      ("jobs", "1e999"); ("batch", "0"); ("straggler", "-1");
+      ("seed", "1e300");
+      ("devices", string_of_int (Job_spec.max_devices + 1)) ];
+  let caps =
+    Job_spec.of_string
+      (Printf.sprintf
+         {|{"batch":%d,"n_chains":%d,"jobs":%d,"devices":%d,"fleet":%d}|}
+         Job_spec.max_batch Job_spec.max_n_chains Job_spec.max_jobs
+         Job_spec.max_devices Job_spec.max_fleet)
+  in
+  Alcotest.(check (list int)) "caps parse"
+    [ Job_spec.max_batch; Job_spec.max_n_chains; Job_spec.max_jobs;
+      Job_spec.max_devices; Job_spec.max_fleet ]
+    [ caps.batch; caps.n_chains; caps.jobs; caps.devices; caps.fleet ]
+
+(* Envelope fuzzer: a valid envelope with one to three of its values
+   (in the spec or around it) replaced by a hostile JSON token. Parsing
+   either yields a spec inside every documented range or raises
+   [Invalid_argument]; no other exception escapes. *)
+let envelope_fuzz =
+  let module Json = Tvm_obs.Json in
+  let tokens =
+    [| "0"; "1"; "-1"; "7"; "2.5"; "-0.5"; "1e9"; "1e300"; "-1e300"; "1e999";
+       "-1e999"; "9007199254740993"; "true"; "null"; {|"x"|}; "[]"; "{}" |]
+  in
+  let spec_keys =
+    [| "trials"; "seed"; "batch"; "sa_steps"; "n_chains"; "jobs"; "devices";
+       "straggler"; "max_retries"; "fleet"; "fault_rate"; "timeout_s"; "op" |]
+  in
+  let env_keys = [| "weight"; "quota"; "priority"; "submit_s"; "tenant" |] in
+  let raw = function
+    | Json.Obj kvs -> List.map (fun (k, v) -> (k, Json.to_string v)) kvs
+    | _ -> assert false
+  in
+  let env =
+    raw
+      (Json.parse
+         (Tvmd.to_string
+            (Tvmd.request ~tenant:"t" (Job_spec.make ~trials:8 ~jobs:2 ()))))
+  in
+  let spec = raw (Json.parse (List.assoc "spec" env)) in
+  let env = List.remove_assoc "spec" env in
+  let obj kvs =
+    "{" ^ String.concat "," (List.map (fun (k, v) -> Printf.sprintf "%S:%s" k v) kvs) ^ "}"
+  in
+  let set kvs k v = List.remove_assoc k kvs @ [ (k, v) ] in
+  let gen =
+    QCheck.Gen.(
+      map
+        (fun muts ->
+          let env, spec =
+            List.fold_left
+              (fun (env, spec) (where, key, tok) ->
+                let tok = tokens.(tok mod Array.length tokens) in
+                if where = 0 then
+                  (set env env_keys.(key mod Array.length env_keys) tok, spec)
+                else (env, set spec spec_keys.(key mod Array.length spec_keys) tok))
+              (env, spec) muts
+          in
+          obj (env @ [ ("spec", obj spec) ]))
+        (list_size (int_range 1 3) (triple (int_bound 3) nat nat)))
+  in
+  let in_range (s : Job_spec.t) =
+    s.trials >= 0 && s.sa_steps >= 0 && s.max_retries >= 0
+    && Option.fold ~none:true ~some:(fun k -> k >= 0) s.straggler
+    && 1 <= s.batch && s.batch <= Job_spec.max_batch
+    && 1 <= s.n_chains && s.n_chains <= Job_spec.max_n_chains
+    && 1 <= s.jobs && s.jobs <= Job_spec.max_jobs
+    && 1 <= s.devices && s.devices <= Job_spec.max_devices
+    && 0 <= s.fleet && s.fleet <= Job_spec.max_fleet
+  in
+  QCheck.Test.make ~name:"hostile envelope: in-range spec or Invalid_argument"
+    ~count:500 (QCheck.make ~print:Fun.id gen)
+    (fun text ->
+      match Tvmd.of_string text with
+      | r -> in_range r.Tvmd.rq_spec
+      | exception Invalid_argument _ -> true)
+
 (* The restart contract: kill tvmd mid-trace, restart on the same
    store, and the final results file is byte-identical to an
    uninterrupted run — done jobs are answered from their recorded
@@ -778,10 +869,10 @@ let test_tvmd_spool () =
   Alcotest.(check (list string))
     "envelopes archived" [ "00-a.req"; "01-b.req" ] archived
 
-(* One envelope the fair-share scheduler cannot serve (weight 0, quota
-   0) must be rejected alone: the good envelope next to it is served
-   and every file is archived, so a restarted daemon does not trip on
-   the same file again. *)
+(* One envelope tvmd cannot serve (weight 0, quota 0, or a spec whose
+   fleet would size a billion-device roster) must be rejected alone:
+   the good envelope next to it is served and every file is archived,
+   so a restarted daemon does not trip on the same file again. *)
 let test_tvmd_spool_bad_envelope () =
   let dir = Filename.temp_file "tvmspool" "" in
   Sys.remove dir;
@@ -798,17 +889,26 @@ let test_tvmd_spool_bad_envelope () =
       ~jobs:2 ()
   in
   let good = Tvmd.to_string (Tvmd.request ~tenant:"good" spec) in
-  let zero field =
-    let module Json = Tvm_obs.Json in
-    match Json.parse (Tvmd.to_string (Tvmd.request ~tenant:"bad" spec)) with
+  let module Json = Tvm_obs.Json in
+  let set field x = function
     | Json.Obj kvs ->
-        Json.to_string
-          (Json.Obj (List.map (fun (k, v) -> (k, if k = field then Json.num 0. else v)) kvs))
+        Json.Obj (List.map (fun (k, v) -> (k, if k = field then x else v)) kvs)
     | _ -> Alcotest.fail "envelope is a JSON object"
   in
+  let bad ?(in_spec = false) field x =
+    let env = Json.parse (Tvmd.to_string (Tvmd.request ~tenant:"bad" spec)) in
+    let spec_of = function
+      | Json.Obj kvs -> List.assoc "spec" kvs
+      | _ -> Alcotest.fail "envelope is a JSON object"
+    in
+    Json.to_string
+      (if in_spec then set "spec" (set field (Json.num x) (spec_of env)) env
+       else set field (Json.num x) env)
+  in
   let files =
-    [ ("00-good.req", good); ("01-zero-weight.req", zero "weight");
-      ("02-zero-quota.req", zero "quota") ]
+    [ ("00-good.req", good); ("01-zero-weight.req", bad "weight" 0.);
+      ("02-zero-quota.req", bad "quota" 0.);
+      ("03-huge-fleet.req", bad ~in_spec:true "fleet" 1e9) ]
   in
   List.iter
     (fun (f, line) ->
@@ -920,6 +1020,11 @@ let suite =
       test_scheduler_policies;
     Alcotest.test_case "tvmd request envelope round trip" `Quick
       test_request_roundtrip;
+    Alcotest.test_case "job spec: out-of-range integer fields rejected" `Quick
+      test_job_spec_ranges;
+    QCheck_alcotest.to_alcotest ~speed_level:`Quick
+      ~rand:(Random.State.make [| 29 |])
+      envelope_fuzz;
     Alcotest.test_case "tvmd kill/restart: byte-identical results" `Slow
       test_tvmd_restart;
     Alcotest.test_case "tvmd: a corrupt block is reported once" `Slow
