@@ -74,8 +74,9 @@ let of_string s =
       | _ -> "default")
     ~weight:(num "weight" 1.)
     ?quota:
-      (Option.map int_of_float (Option.bind (Json.member "quota" j) Json.to_num_opt))
-    ~priority:(int_of_float (num "priority" 0.))
+      (Option.map (Spec.int_of_num "tvmd: quota")
+         (Option.bind (Json.member "quota" j) Json.to_num_opt))
+    ~priority:(Spec.int_of_num "tvmd: priority" (num "priority" 0.))
     ~submit_s:(num "submit_s" 0.)
     ~share:
       (match Json.member "share" j with

@@ -107,8 +107,10 @@ val to_string : request -> string
 
 (** Inverse of {!to_string}; missing fields take defaults (tenant
     ["default"], weight 1, no quota, priority 0, submit 0, share
-    false). Raises [Failure] on malformed JSON and [Invalid_argument]
-    on a weight or quota {!request} rejects. *)
+    false). Raises [Failure] on malformed JSON, and [Invalid_argument]
+    on a [quota] or [priority] that is not an integer within [±2^53]
+    ({!Tvm_spec.Job_spec.int_of_num}) or on a weight or quota
+    {!request} rejects. *)
 val of_string : string -> request
 
 (** {!Tvm_autotune.Store.compact} rules covering every kind a [tvmd]

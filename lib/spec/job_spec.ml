@@ -114,19 +114,17 @@ let max_fleet = 10_000
 (* 2^53: past it a double no longer holds every integer exactly. *)
 let max_exact = 1 lsl 53
 
+let int_of_num ?(lo = -max_exact) ?(hi = max_exact) what v =
+  if Float.is_integer v && v >= Float.of_int lo && v <= Float.of_int hi then
+    int_of_float v
+  else invalid_arg (Printf.sprintf "%s must be an integer in [%d, %d], got %g" what lo hi v)
+
 let of_json j =
   (match j with Json.Obj _ -> () | _ -> invalid_arg "job_spec: expected a JSON object");
   let str key d = Option.value ~default:d (Option.bind (Json.member key j) Json.to_string_opt) in
   let num_opt key = Option.bind (Json.member key j) Json.to_num_opt in
   let num key d = Option.value ~default:d (num_opt key) in
-  let checked ?(lo = -max_exact) ?(hi = max_exact) key v =
-    if Float.is_integer v && v >= Float.of_int lo && v <= Float.of_int hi then
-      int_of_float v
-    else
-      invalid_arg
-        (Printf.sprintf "job_spec: %s must be an integer in [%d, %d], got %g"
-           key lo hi v)
-  in
+  let checked ?lo ?hi key v = int_of_num ?lo ?hi ("job_spec: " ^ key) v in
   let int ?lo ?hi key d = Option.fold ~none:d ~some:(checked ?lo ?hi key) (num_opt key) in
   let bool key d =
     match Json.member key j with Some (Json.Bool b) -> b | _ -> d

@@ -133,6 +133,12 @@ val max_fleet : int
 (** 10,000: devices in a heterogeneous roster ([make check-fleet]
     drives 1,000). *)
 
+(** [int_of_num ?lo ?hi what v] is [v] as an int. Raises
+    [Invalid_argument], naming [what], unless [v] is an integer in
+    [[lo, hi]] (default [±2^53], where a JSON number is exact). Every
+    integer field of a spec or a tvmd envelope is read through it. *)
+val int_of_num : ?lo:int -> ?hi:int -> string -> float -> int
+
 val to_json : t -> Tvm_obs.Json.t
 val of_json : Tvm_obs.Json.t -> t
 (** Missing fields take {!default}'s value and unknown fields are

@@ -29,18 +29,20 @@ let mul a b =
   let products = [ a.lo * b.lo; a.lo * b.hi; a.hi * b.lo; a.hi * b.hi ] in
   { lo = List.fold_left min max_int products; hi = List.fold_left max min_int products }
 
+let fdiv x d = if x >= 0 then x / d else -(((-x) + d - 1) / d)
+let fmod x d = ((x mod d) + d) mod d
+
 let div a b =
   (* Conservative: only handle positive constant divisors precisely. *)
   if b.lo = b.hi && b.lo > 0 then
     let d = b.lo in
-    let fdiv x = if x >= 0 then x / d else -(((-x) + d - 1) / d) in
-    { lo = fdiv a.lo; hi = fdiv a.hi }
+    { lo = fdiv a.lo d; hi = fdiv a.hi d }
   else raise (Not_analyzable "non-constant or non-positive divisor")
 
 let modulo a b =
   if b.lo = b.hi && b.lo > 0 then
     let d = b.lo in
-    if a.lo = a.hi then point (((a.lo mod d) + d) mod d)
+    if a.lo = a.hi then point (fmod a.lo d)
     else if a.lo >= 0 && a.hi - a.lo + 1 >= d then { lo = 0; hi = d - 1 }
     else if a.lo >= 0 && a.lo / d = a.hi / d then { lo = a.lo mod d; hi = a.hi mod d }
     else { lo = 0; hi = d - 1 }

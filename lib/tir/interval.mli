@@ -34,6 +34,12 @@ val modulo : t -> t -> t
 val min_ : t -> t -> t
 val max_ : t -> t -> t
 
+(** [fdiv x d] and [fmod x d] for [d > 0]: what {!div} and {!modulo}
+    give on the points [x] and [d]. *)
+val fdiv : int -> int -> int
+
+val fmod : int -> int -> int
+
 (** Evaluate an expression to an interval under [env : var id ->
     interval option]; raises {!Not_analyzable} on constructs outside the
     analyzable fragment (loads, calls, unbound variables, division by

@@ -17,19 +17,50 @@ let rec map_expr f (e : Expr.t) : Expr.t =
   in
   f e
 
-(* One node rebuilt from its children mapped by [go f st], then [f]. *)
+(* [List.map g l], returning [l] itself when [g] maps every element to
+   itself. *)
+let rec map_same g l =
+  match l with
+  | [] -> l
+  | x :: rest ->
+      let x' = g x in
+      let rest' = map_same g rest in
+      if x' == x && rest' == rest then l else x' :: rest'
+
+(* One node rebuilt from its children mapped by [go f st], then [f].
+   When every child maps to itself the node is kept as it is, not
+   re-interned: a raw [Load]/[Call] stays raw, which changes sharing
+   only (the smart constructors fold nothing a kept node could hold). *)
 let rebuild go f st (e : Expr.t) : Expr.t =
   match e with
   | Expr.IntImm _ | Expr.FloatImm _ | Expr.Var _ -> f e
-  | Expr.Binop (op, a, b) -> f (Expr.binop op (go f st a) (go f st b))
-  | Expr.Cmp (op, a, b) -> f (Expr.cmp op (go f st a) (go f st b))
-  | Expr.And (a, b) -> f (Expr.and_ (go f st a) (go f st b))
-  | Expr.Or (a, b) -> f (Expr.or_ (go f st a) (go f st b))
-  | Expr.Not a -> f (Expr.not_ (go f st a))
-  | Expr.Select (c, t, fl) -> f (Expr.select (go f st c) (go f st t) (go f st fl))
-  | Expr.Cast (d, a) -> f (Expr.cast d (go f st a))
-  | Expr.Load (b, idx) -> f (Expr.load b (List.map (go f st) idx))
-  | Expr.Call (n, args) -> f (Expr.call n (List.map (go f st) args))
+  | Expr.Binop (op, a, b) ->
+      let a' = go f st a and b' = go f st b in
+      f (if a' == a && b' == b then e else Expr.binop op a' b')
+  | Expr.Cmp (op, a, b) ->
+      let a' = go f st a and b' = go f st b in
+      f (if a' == a && b' == b then e else Expr.cmp op a' b')
+  | Expr.And (a, b) ->
+      let a' = go f st a and b' = go f st b in
+      f (if a' == a && b' == b then e else Expr.and_ a' b')
+  | Expr.Or (a, b) ->
+      let a' = go f st a and b' = go f st b in
+      f (if a' == a && b' == b then e else Expr.or_ a' b')
+  | Expr.Not a ->
+      let a' = go f st a in
+      f (if a' == a then e else Expr.not_ a')
+  | Expr.Select (c, t, fl) ->
+      let c' = go f st c and t' = go f st t and fl' = go f st fl in
+      f (if c' == c && t' == t && fl' == fl then e else Expr.select c' t' fl')
+  | Expr.Cast (d, a) ->
+      let a' = go f st a in
+      f (if a' == a then e else Expr.cast d a')
+  | Expr.Load (b, idx) ->
+      let idx' = map_same (go f st) idx in
+      f (if idx' == idx then e else Expr.load b idx')
+  | Expr.Call (n, args) ->
+      let args' = map_same (go f st) args in
+      f (if args' == args then e else Expr.call n args')
 
 (* Plain recursion, counting composite nodes down from [left]. *)
 let rec direct f left (e : Expr.t) =

@@ -552,7 +552,14 @@ let test_request_roundtrip () =
     "defaults fill in" true
     (d.Tvmd.rq_tenant = "default" && d.Tvmd.rq_weight = 1.
     && d.Tvmd.rq_quota = None && d.Tvmd.rq_share = false
-    && d.Tvmd.rq_spec = Job_spec.default)
+    && d.Tvmd.rq_spec = Job_spec.default);
+  List.iter
+    (fun text ->
+      Alcotest.(check bool) (text ^ " rejected") true
+        (match Tvmd.of_string text with
+        | _ -> false
+        | exception Invalid_argument _ -> true))
+    [ {|{"quota":2.5}|}; {|{"priority":1e300}|}; {|{"priority":0.5}|} ]
 
 (* An integer spec field that is fractional, non-finite, below its
    minimum or above its cap is rejected when the envelope is parsed,
@@ -583,8 +590,10 @@ let test_job_spec_ranges () =
     [ caps.batch; caps.n_chains; caps.jobs; caps.devices; caps.fleet ]
 
 (* Envelope fuzzer: a valid envelope with one to three of its values
-   (in the spec or around it) replaced by a hostile JSON token. Parsing
-   either yields a spec inside every documented range or raises
+   (in the spec or around it, each side equally likely) replaced by a
+   hostile JSON token. Parsing either yields a spec inside every
+   documented range and an envelope whose weight tvmd can serve and
+   whose integer fields hold exactly the numbers written, or raises
    [Invalid_argument]; no other exception escapes. *)
 let envelope_fuzz =
   let module Json = Tvm_obs.Json in
@@ -627,7 +636,7 @@ let envelope_fuzz =
               (env, spec) muts
           in
           obj (env @ [ ("spec", obj spec) ]))
-        (list_size (int_range 1 3) (triple (int_bound 3) nat nat)))
+        (list_size (int_range 1 3) (triple (int_bound 1) nat nat)))
   in
   let in_range (s : Job_spec.t) =
     s.trials >= 0 && s.sa_steps >= 0 && s.max_retries >= 0
@@ -638,11 +647,18 @@ let envelope_fuzz =
     && 1 <= s.devices && s.devices <= Job_spec.max_devices
     && 0 <= s.fleet && s.fleet <= Job_spec.max_fleet
   in
+  let envelope_ok (r : Tvmd.request) text =
+    let written key = Option.bind (Json.member key (Json.parse text)) Json.to_num_opt in
+    let exact key n = Option.fold ~none:true ~some:(Float.equal (Float.of_int n)) (written key) in
+    Float.is_finite r.Tvmd.rq_weight && r.Tvmd.rq_weight > 0.
+    && Option.fold ~none:true ~some:(fun q -> q >= 1 && exact "quota" q) r.Tvmd.rq_quota
+    && exact "priority" r.Tvmd.rq_priority
+  in
   QCheck.Test.make ~name:"hostile envelope: in-range spec or Invalid_argument"
     ~count:500 (QCheck.make ~print:Fun.id gen)
     (fun text ->
       match Tvmd.of_string text with
-      | r -> in_range r.Tvmd.rq_spec
+      | r -> in_range r.Tvmd.rq_spec && envelope_ok r text
       | exception Invalid_argument _ -> true)
 
 (* The restart contract: kill tvmd mid-trace, restart on the same

@@ -302,7 +302,15 @@ let test_footprints () =
   in
   check Alcotest.int "whole" 64 (Analysis.footprint_at_level load 0);
   check Alcotest.int "inner tile" 8 (Analysis.footprint_at_level load 1);
-  check Alcotest.int "point" 1 (Analysis.footprint_at_level load 2)
+  check Alcotest.int "point" 1 (Analysis.footprint_at_level load 2);
+  (* Occurrences of one variable are never merged: [x - x] over 8
+     iterations spans [-7, 7], interval arithmetic's 15, not 1. *)
+  let x = Expr.Var.fresh "x" in
+  let a = Expr.Buffer.create "a" [ Expr.int 64 ] in
+  let store = Stmt.Store (a, [ Expr.(var x - var x) ], Expr.f32 0.) in
+  match accesses_of (Stmt.for_ x Expr.zero (Expr.int 8) store) with
+  | [ acc ] -> check Alcotest.int "x - x" 15 (Analysis.footprint_at_level acc 0)
+  | _ -> Alcotest.fail "expected one access"
 
 let test_strides () =
   let stmt, _, _ = tiled_copy () in
@@ -315,6 +323,138 @@ let test_strides () =
       checkb "stride i" (Analysis.stride_wrt load i.Analysis.lvar = Some 1)
   | _ -> Alcotest.fail "expected two loops");
   checkb "unit innermost" (Analysis.is_unit_stride_innermost load)
+
+(* The walk the index skeletons replaced, kept as their reference:
+   an association-list environment per query, through
+   [Interval.eval_under]. *)
+let ref_env_at_level (a : Analysis.access) level =
+  List.mapi
+    (fun depth l ->
+      let m = Option.value ~default:0 (Interval.const_of_expr l.Analysis.lmin) in
+      let itv =
+        if depth >= level then Interval.of_extent ~min:m ~extent:l.Analysis.lextent
+        else Interval.point m
+      in
+      (l.Analysis.lvar, itv))
+    a.Analysis.acc_loops
+
+let ref_footprint (a : Analysis.access) level =
+  let env = ref_env_at_level a level in
+  try
+    List.fold_left
+      (fun acc idx -> acc * Interval.length (Interval.eval_under env idx))
+      1 a.Analysis.acc_indices
+  with Interval.Not_analyzable _ -> (
+    try Expr.Buffer.num_elems a.Analysis.acc_buffer with _ -> 1)
+
+let ref_stride (a : Analysis.access) (v : Expr.var) =
+  let shape = try Expr.Buffer.const_shape a.Analysis.acc_buffer with _ -> [] in
+  if shape = [] || List.length shape <> List.length a.Analysis.acc_indices then None
+  else
+    let rec build = function [] -> [] | _ :: rest -> List.fold_left ( * ) 1 rest :: build rest in
+    let flat_at value =
+      let env =
+        List.map
+          (fun l ->
+            let m = Option.value ~default:0 (Interval.const_of_expr l.Analysis.lmin) in
+            (l.Analysis.lvar, Interval.point (if Expr.Var.equal l.Analysis.lvar v then value else m)))
+          a.Analysis.acc_loops
+      in
+      try
+        Some
+          (List.fold_left ( + ) 0
+             (List.map2
+                (fun idx stride ->
+                  let itv = Interval.eval_under env idx in
+                  if itv.Interval.lo = itv.Interval.hi then itv.Interval.lo * stride
+                  else raise (Interval.Not_analyzable "range"))
+                a.Analysis.acc_indices (build shape)))
+      with Interval.Not_analyzable _ -> None
+    in
+    match (flat_at 0, flat_at 1) with Some x, Some y -> Some (y - x) | _ -> None
+
+(* A random loop nest over a pool of three vars (so a var id can bind
+   two depths) with extents from -1 to 5 (extent-1 loops, and empty
+   ranges that take the fallback), minima from -2 to 3 (now and then
+   not constant), and one store whose one or two indices are random
+   raw trees: repeated vars under [+]/[-], nested [*] by constants from
+   -3 to 3 on either side, div and mod (now and then by a subtree,
+   which may be zero, negative or a range), min, max, select, cast,
+   comparisons, a rare constant past 2^31, and rare float, load, call
+   and unbound-var leaves. Loads in the indices are accesses too. *)
+let random_nest rng =
+  let pool = Array.init 3 (fun i -> Expr.Var.fresh (Printf.sprintf "l%d" i)) in
+  let foreign = Expr.Var.fresh "foreign" in
+  let int n = Expr.IntImm n in
+  let between lo hi = lo + Random.State.int rng (hi - lo + 1) in
+  let buf = Expr.Buffer.create "g" [ Expr.int 16 ] in
+  let leaf () =
+    match Random.State.int rng 80 with
+    | 0 -> Expr.FloatImm 0.5
+    | 1 -> Expr.Load (buf, [ Expr.Var pool.(0) ])
+    | 2 -> Expr.Call ("popcount", [])
+    | 3 -> Expr.Var foreign
+    | 4 -> int ((1 lsl 31) + 1)
+    | k when k < 30 -> int (between (-3) 5)
+    | _ -> Expr.Var pool.(Random.State.int rng 3)
+  in
+  let rec gen n =
+    if n = 0 then leaf ()
+    else
+      let sub () = gen (n - 1) in
+      let bin op a b = Expr.Binop (op, a, b) in
+      match Random.State.int rng 16 with
+      | 0 | 1 | 2 -> bin Expr.Add (sub ()) (sub ())
+      | 3 | 4 | 5 -> bin Expr.Sub (sub ()) (sub ())
+      | 6 | 7 -> bin Expr.Mul (sub ()) (int (between (-3) 3))
+      | 8 -> bin Expr.Mul (int (between (-3) 3)) (sub ())
+      | 9 -> bin Expr.Mul (sub ()) (sub ())
+      | 10 ->
+          let divisor = if Random.State.int rng 4 = 0 then sub () else int (between 1 4) in
+          bin (if Random.State.bool rng then Expr.Div else Expr.FloorMod) (sub ()) divisor
+      | 11 -> bin (if Random.State.bool rng then Expr.Min else Expr.Max) (sub ()) (sub ())
+      | 12 -> Expr.Select (Expr.Cmp (Expr.Lt, sub (), sub ()), sub (), sub ())
+      | 13 -> Expr.Cast (Dtype.Int64, sub ())
+      | 14 -> Expr.Cmp (Expr.Ge, sub (), sub ())
+      | _ -> leaf ()
+  in
+  let n_idx = between 1 2 in
+  let rank = if Random.State.int rng 5 = 0 then 3 - n_idx else n_idx in
+  let dst = Expr.Buffer.create "dst" (List.init rank (fun _ -> Expr.int 16)) in
+  let body = Stmt.Store (dst, List.init n_idx (fun _ -> gen (between 0 4)), Expr.FloatImm 0.) in
+  let nest =
+    List.fold_left
+      (fun body _ ->
+        let min_ = if Random.State.int rng 12 = 0 then Expr.Var foreign else int (between (-2) 3) in
+        Stmt.For
+          { Stmt.loop_var = pool.(Random.State.int rng 3); min_;
+            extent = int (between (-1) 5); kind = Stmt.Serial; body })
+      body
+      (List.init (between 0 4) Fun.id)
+  in
+  (nest, Array.to_list pool @ [ foreign ])
+
+let shuffle rng l =
+  List.map snd (List.sort compare (List.map (fun x -> (Random.State.bits rng, x)) l))
+
+(* Footprints at every level -1..depth+1, asked twice in a shuffled
+   order (a stale or misplaced memo entry would show), and strides for
+   every var, equal the association-list walk on every access. *)
+let skeleton_matches_interval_walk =
+  QCheck.Test.make ~name:"index skeletons = interval walk" ~count:1000
+    QCheck.(int_range 0 1_000_000)
+    (fun seed ->
+      let rng = Random.State.make [| seed |] in
+      let nest, vars = random_nest rng in
+      List.for_all
+        (fun (a : Analysis.access) ->
+          let depth = List.length a.Analysis.acc_loops in
+          let levels = List.init (depth + 3) (fun l -> l - 1) in
+          List.for_all
+            (fun l -> Analysis.footprint_at_level a l = ref_footprint a l)
+            (shuffle rng levels @ shuffle rng levels)
+          && List.for_all (fun v -> Analysis.stride_wrt a v = ref_stride a v) vars)
+        (accesses_of nest))
 
 let test_flops () =
   let b = Expr.Buffer.create "acc" [ Expr.int 1 ] in
@@ -534,6 +674,24 @@ let map_shared_matches_map =
       let e = random_dag (Random.State.make [| seed |]) dag_vars in
       Expr.equal (Visit.map_expr dag_rewrite e) (Visit.map_expr_shared dag_rewrite e))
 
+(* A callback that changes nothing returns its input itself, raw
+   (uninterned) nodes included; one that changes part of the tree
+   agrees with [map_expr]. *)
+let map_shared_keeps_unchanged =
+  let buf = Expr.Buffer.create "raw" [ Expr.int 16 ] in
+  let only_v2 = function
+    | Expr.Var v when Expr.Var.equal v dag_vars.(2) -> Expr.int 5
+    | e -> e
+  in
+  QCheck.Test.make ~name:"map_expr_shared keeps what the callback keeps" ~count:500
+    QCheck.(int_range 0 1_000_000)
+    (fun seed ->
+      let e = random_dag (Random.State.make [| seed |]) dag_vars in
+      let raw = Expr.Call ("exp", [ Expr.Load (buf, [ e ]) ]) in
+      Visit.map_expr_shared Fun.id e == e
+      && Visit.map_expr_shared Fun.id raw == raw
+      && Expr.equal (Visit.map_expr only_v2 raw) (Visit.map_expr_shared only_v2 raw))
+
 (* e_{k+1} = e_k * 3 + e_k: 40 levels make a tree of more than 2^40
    nodes from 82 distinct ones, so only the memo fallback finishes. *)
 let test_deep_dag_bounded () =
@@ -568,6 +726,7 @@ let suite =
     Alcotest.test_case "collect accesses" `Quick test_collect_accesses;
     Alcotest.test_case "footprints" `Quick test_footprints;
     Alcotest.test_case "strides" `Quick test_strides;
+    QCheck_alcotest.to_alcotest skeleton_matches_interval_walk;
     Alcotest.test_case "flops" `Quick test_flops;
     Alcotest.test_case "ann summary" `Quick test_ann_summary;
     Alcotest.test_case "non-constant extent" `Quick test_non_constant_extent;
@@ -577,5 +736,6 @@ let suite =
     Alcotest.test_case "retarget buffer" `Quick test_retarget;
     QCheck_alcotest.to_alcotest direct_eval_matches_memo_walk;
     QCheck_alcotest.to_alcotest map_shared_matches_map;
+    QCheck_alcotest.to_alcotest map_shared_keeps_unchanged;
     Alcotest.test_case "40-level DAG in bounded time" `Quick test_deep_dag_bounded;
   ]
