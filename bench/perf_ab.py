@@ -10,8 +10,10 @@ each side, alternating which side goes first from pair to pair so that
 a drift in the host's load falls on both. Each run lasts
 BENCHMARK.json's run_seconds. Prints each end-to-end metric's median
 and quartiles per side, the change in the median, and in how many
-pairs the working tree was better (ties count for neither). Writes
-nothing outside _build/.
+pairs the working tree was better (ties count for neither), then each
+side's attempted and failed operation counts and every run that
+reported `correct: false`. Exits 1 when the working tree's failed share
+is above the base's. Writes nothing outside _build/.
 """
 
 import argparse
@@ -28,10 +30,12 @@ def run_bench(root, args):
     out = subprocess.run(cmd, cwd=root, stdout=subprocess.PIPE,
                          stderr=subprocess.DEVNULL, text=True)
     lines = out.stdout.strip().splitlines()
-    if out.returncode != 0 or not lines:
+    # An incorrect run exits 1 but still prints its result line.
+    if out.returncode not in (0, 1) or not lines:
         sys.exit("perf-ab: benchmark failed in %s" % root)
     result = json.loads(lines[-1])
-    return {k: m["value"] for k, m in result["metrics"].items()}
+    result["metrics"] = {k: m["value"] for k, m in result["metrics"].items()}
+    return result
 
 
 def spread(xs):
@@ -69,15 +73,26 @@ def main():
           % ("metric", "base median [q1, q3]", "work median [q1, q3]", "change", "work better"))
     for m in metrics:
         name, lower = m["name"], m["better"] == "lower"
-        if name not in runs["base"][0]:
+        if name not in runs["base"][0]["metrics"]:
             continue
-        b = [r[name] for r in runs["base"]]
-        w = [r[name] for r in runs["work"]]
+        b = [r["metrics"][name] for r in runs["base"]]
+        w = [r["metrics"][name] for r in runs["work"]]
         wins = sum((y < x) if lower else (y > x) for x, y in zip(b, w))
         mb = statistics.median(b)
         change = (statistics.median(w) - mb) / mb * 100 if mb else float("nan")
         print("%-20s %30s %30s %+7.1f%%  %d of %d pairs"
               % (name, spread(b), spread(w), change, wins, args.pairs))
+    share = {}
+    for side in ("base", "work"):
+        attempted = sum(r["attempted"] for r in runs[side])
+        failed = sum(r["failed"] for r in runs[side])
+        share[side] = failed / attempted if attempted else 0.0
+        print("%s: %d attempted, %d failed (share %.4g)" % (side, attempted, failed, share[side]))
+        for i, r in enumerate(runs[side]):
+            if not r["correct"]:
+                print("%s: run %d of %d reported correct: false" % (side, i + 1, args.pairs))
+    if share["work"] > share["base"]:
+        sys.exit("perf-ab: the working tree's failed share is above the base's")
 
 
 if __name__ == "__main__":

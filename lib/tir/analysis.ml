@@ -82,8 +82,7 @@ exception Non_constant_extent of string
 (* Per-domain memo: [expr_flops] is pure and structural, so the count
    of a hash-consed (physically shared) subtree is computed once per
    domain. Bounded like the other pass memos. *)
-let flops_memo_limit = 1 lsl 16
-let flops_memo_key = Domain.DLS.new_key (fun () -> Expr.Phys.create 1024)
+let flops_memo_key = Domain.DLS.new_key (fun () -> Expr.Memo.create ~limit:(1 lsl 16) 1024)
 
 let rec expr_flops (e : Expr.t) =
   match e with
@@ -92,30 +91,22 @@ let rec expr_flops (e : Expr.t) =
       (* Address computation is loop/index overhead, not arithmetic
          throughput; the timing models price it separately. *)
       0.
-  | _ -> (
-      let memo = Domain.DLS.get flops_memo_key in
-      match Expr.Phys.find_opt memo e with
-      | Some n -> n
-      | None ->
-          let n =
-            match e with
-            | Expr.IntImm _ | Expr.FloatImm _ | Expr.Var _ | Expr.Load _ -> 0.
-            | Expr.Binop (_, a, b) -> 1. +. expr_flops a +. expr_flops b
-            | Expr.Cmp (_, a, b) ->
-                (* Predicates (padding guards) compile to flags/masks
-                   hoisted out of the arithmetic pipe; not arithmetic
-                   throughput. *)
-                expr_flops a +. expr_flops b
-            | Expr.And (a, b) | Expr.Or (a, b) -> expr_flops a +. expr_flops b
-            | Expr.Not a | Expr.Cast (_, a) -> expr_flops a
-            | Expr.Select (_, t, f) -> Float.max (expr_flops t) (expr_flops f)
-            | Expr.Call (_, args) ->
-                (* Transcendental intrinsics priced as several flops. *)
-                8. +. List.fold_left (fun acc a -> acc +. expr_flops a) 0. args
-          in
-          if Expr.Phys.length memo >= flops_memo_limit then Expr.Phys.reset memo;
-          Expr.Phys.add memo e n;
-          n)
+  | _ -> Expr.Memo.memo (Domain.DLS.get flops_memo_key) node_flops e
+
+and node_flops (e : Expr.t) =
+  match e with
+  | Expr.IntImm _ | Expr.FloatImm _ | Expr.Var _ | Expr.Load _ -> 0.
+  | Expr.Binop (_, a, b) -> 1. +. expr_flops a +. expr_flops b
+  | Expr.Cmp (_, a, b) ->
+      (* Predicates (padding guards) compile to flags/masks hoisted out
+         of the arithmetic pipe; not arithmetic throughput. *)
+      expr_flops a +. expr_flops b
+  | Expr.And (a, b) | Expr.Or (a, b) -> expr_flops a +. expr_flops b
+  | Expr.Not a | Expr.Cast (_, a) -> expr_flops a
+  | Expr.Select (_, t, f) -> Float.max (expr_flops t) (expr_flops f)
+  | Expr.Call (_, args) ->
+      (* Transcendental intrinsics priced as several flops. *)
+      8. +. List.fold_left (fun acc a -> acc +. expr_flops a) 0. args
 
 (** One loop site: the loop's kind, its extent as written (before
     let-substitution), and its enclosing loops, innermost first. *)
@@ -275,8 +266,8 @@ let weighed w vars = if w > leaf_bound then raise Inexact else (w lsl 1) lor var
 
 (* -1 when [e] is not a leaf; otherwise twice the bound on its summed
    magnitudes, plus 1 when it mentions a loop variable. [depth_of vid]
-   is the innermost depth binding [vid] (the last binding wins, as in
-   {!Interval.eval_under}), or -1. Raises [Inexact] past
+   is the innermost depth binding [vid] (when a var is bound at several
+   depths, the innermost binding wins), or -1. Raises [Inexact] past
    [leaf_bound]. *)
 let rec leaf_weight depth_of (e : Expr.t) =
   match e with

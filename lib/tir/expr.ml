@@ -222,29 +222,80 @@ let hash e =
   let h = (h lxor (h lsr 29)) * 0x14d049bb133111eb in
   (h lxor (h lsr 32)) land max_int
 
-(** Physical-identity hash tables over expressions: the memo-table key
-    type for every pass that caches per-node results ([Simplify],
-    [Analysis], [Visit], [Interval]). Equality is pointer equality,
-    which hash-consed construction makes meaningful — structurally
-    equal subtrees built through the smart constructors on one domain
-    are physically equal. *)
-module Phys = struct
-  include Hashtbl.Make (struct
-    type nonrec t = t
-
-    let equal = ( == )
-    let hash = hash
-  end)
+(** Hash tables over expressions that hash each key once per probe: the
+    per-node memos of [Simplify], [Analysis], [Visit] and [Interval],
+    and (below) the intern table. A miss inserts under the probe's hash;
+    a table that reaches its [limit] empties but keeps its buckets, so
+    it does not grow back. A cell is a key, a datum and a link, the size
+    of a [Hashtbl] binding. *)
+module Memo = struct
+  type 'a bucket = Empty | Cons of { key : t; data : 'a; mutable next : 'a bucket }
+  type nonrec 'a t = { mutable buckets : 'a bucket array; mutable size : int; limit : int }
 
   (** Composite nodes a per-call pass ([Interval.eval],
       [Visit.map_expr_shared]) walks by plain recursion before it
       raises {!Over_limit} and reruns with a memo of its own. Almost
-      every index expression fits, and below this size a memo costs
-      two hashes per node for a hit rate under 10%; above it, the memo
-      keeps a shared DAG linear in its node count. *)
+      every index expression fits, and below this size a memo costs a
+      hash per node for a hit rate under 10%; above it, the memo keeps a
+      shared DAG linear in its node count. *)
   let direct_limit = 64
 
   exception Over_limit
+
+  (** An empty memo of at least [n] buckets (a power of two, at least
+      16, as [Hashtbl.create] rounds) holding at most [limit] keys. *)
+  let create ?(limit = max_int) n =
+    let rec pow2 k = if k >= n then k else pow2 (2 * k) in
+    { buckets = Array.make (pow2 16) Empty; size = 0; limit }
+
+  (* Double the buckets, relinking each cell in place under [rehash key
+     data]. *)
+  let grow m rehash =
+    let n = 2 * Array.length m.buckets in
+    let b = Array.make n Empty in
+    let rec relink = function
+      | Empty -> ()
+      | Cons c as cell ->
+          let next = c.next in
+          let i = rehash c.key c.data land (n - 1) in
+          c.next <- b.(i);
+          b.(i) <- cell;
+          relink next
+    in
+    Array.iter relink m.buckets;
+    m.buckets <- b
+
+  (* Bind [key] (not yet present, hash [h]) to [data], emptying a full
+     table first. Reads [m.buckets] afresh, so it is safe after a
+     compute that used [m]. *)
+  let add m h key data rehash =
+    if m.size >= m.limit then begin
+      Array.fill m.buckets 0 (Array.length m.buckets) Empty;
+      m.size <- 0
+    end;
+    let b = m.buckets in
+    let i = h land (Array.length b - 1) in
+    b.(i) <- Cons { key; data; next = b.(i) };
+    m.size <- m.size + 1;
+    if m.size > 2 * Array.length b then grow m rehash
+
+  let rehash key _ = hash key
+
+  let rec find key = function
+    | Empty -> Empty
+    | Cons c as cell -> if c.key == key then cell else find key c.next
+
+  (** [memo m compute e]: [compute e] the first time [m] sees [e] (by
+      physical identity), the stored result after. [compute] must be
+      pure; it may itself use [m]. *)
+  let memo m compute e =
+    let h = hash e in
+    match find e m.buckets.(h land (Array.length m.buckets - 1)) with
+    | Cons c -> c.data
+    | Empty ->
+        let r = compute e in
+        add m h e r rehash;
+        r
 end
 
 (** The intern tables behind the smart constructors. Each domain owns
@@ -299,43 +350,44 @@ module Hashcons = struct
     | Call (n1, a1), Call (n2, a2) -> String.equal n1 n2 && imm_equal_list a1 a2
     | _ -> false
 
-  module Tbl = Hashtbl.Make (struct
-    type nonrec t = t
-
-    let equal = shallow_equal
-    let hash = hash
-  end)
-
-  (* Maps each interned node to itself: a probe with a fresh node
-     returns the canonical one. *)
-  type state = { tbl : t Tbl.t; mutable population : int }
-
-  (* Bound the per-domain table so a long tuning run cannot hold every
-     expression it ever built; on overflow the table resets wholesale
-     (plain FIFO would need a second structure on the hot path). *)
+  (* Each interned node keyed to its own hash, so growth relinks
+     without hashing. Bounded so a long tuning run cannot hold every
+     expression it ever built: at [limit] the table empties (plain
+     FIFO would need a second structure on the hot path). *)
   let limit = 1 lsl 17
 
-  let key =
-    Domain.DLS.new_key (fun () -> { tbl = Tbl.create 4096; population = 0 })
+  let key = Domain.DLS.new_key (fun () -> Memo.create ~limit 4096)
+  let stored _ h = h
+
+  let rec find h node = function
+    | Memo.Empty -> Memo.Empty
+    | Memo.Cons c as cell ->
+        if Int.equal c.data h && shallow_equal c.key node then cell
+        else find h node c.next
 
   (** Canonical representative of [node] on this domain; interns it on
       first sight. *)
   let cons node =
     let st = Domain.DLS.get key in
-    match Tbl.find_opt st.tbl node with
-    | Some canon -> canon
-    | None ->
-        if st.population >= limit then begin
-          Tbl.reset st.tbl;
-          st.population <- 0
-        end;
-        Tbl.add st.tbl node node;
-        st.population <- st.population + 1;
+    let h = hash node in
+    match find h node st.Memo.buckets.(h land (Array.length st.Memo.buckets - 1)) with
+    | Memo.Cons c -> c.key
+    | Memo.Empty ->
+        Memo.add st h node h stored;
         node
+
+  type stats = { population : int; buckets : int }
+
+  (** This domain's intern table: its entries and buckets. *)
+  let stats () =
+    let st = Domain.DLS.get key in
+    { population = st.Memo.size; buckets = Array.length st.Memo.buckets }
 
   (** Longest bucket of this domain's intern table: the hash-quality
       figure a test bounds. *)
-  let max_bucket () = (Tbl.stats (Domain.DLS.get key).tbl).Hashtbl.max_bucket_length
+  let max_bucket () =
+    let rec length n = function Memo.Empty -> n | Memo.Cons c -> length (n + 1) c.next in
+    Array.fold_left (fun m b -> max m (length 0 b)) 0 (Domain.DLS.get key).Memo.buckets
 end
 
 (* ------------------------------------------------------------------ *)

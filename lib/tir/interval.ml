@@ -81,24 +81,22 @@ let rec direct left env (e : Expr.t) =
   match e with
   | Expr.Binop _ | Expr.Select _ | Expr.Cast _ ->
       decr left;
-      if !left < 0 then raise_notrace Expr.Phys.Over_limit;
+      if !left < 0 then raise_notrace Expr.Memo.Over_limit;
       node direct left env e
   | _ -> node direct left env e
 
-(* The over-limit fallback: [memo] caches the interval of composite
+(* The over-limit fallback: a memo caches the interval of composite
    nodes by physical identity for one call, so a hash-consed DAG is
    analyzed once per distinct node. Only successes are cached —
    [Not_analyzable] propagates before the store. *)
-let rec shared memo env (e : Expr.t) =
-  match e with
-  | Expr.Binop _ | Expr.Select _ | Expr.Cast _ -> (
-      match Expr.Phys.find_opt memo e with
-      | Some i -> i
-      | None ->
-          let i = node shared memo env e in
-          Expr.Phys.add memo e i;
-          i)
-  | _ -> node shared memo env e
+let shared env (e : Expr.t) =
+  let memo = Expr.Memo.create 16 in
+  let rec go () env (e : Expr.t) =
+    match e with
+    | Expr.Binop _ | Expr.Select _ | Expr.Cast _ -> Expr.Memo.memo memo compute e
+    | _ -> node go () env e
+  and compute e = node go () env e in
+  go () env e
 
 (** Evaluate expression [e] to an interval under [env : var id -> t].
     Raises {!Not_analyzable} on constructs outside the affine fragment
@@ -106,19 +104,7 @@ let rec shared memo env (e : Expr.t) =
     Both walks visit children in the same order, so they raise the same
     [Not_analyzable] first. *)
 let eval env (e : Expr.t) : t =
-  try direct (ref Expr.Phys.direct_limit) env e
-  with Expr.Phys.Over_limit ->
-    shared (Expr.Phys.create 16) env e
-
-(** Evaluate under an association list from vars to intervals. As with
-    a table filled in list order, the last binding of a var wins. *)
-let eval_under bindings e =
-  let rec last vid found = function
-    | [] -> found
-    | ((v : Expr.var), i) :: rest ->
-        last vid (if v.Expr.vid = vid then Some i else found) rest
-  in
-  eval (fun vid -> last vid None bindings) e
+  try direct (ref Expr.Memo.direct_limit) env e with Expr.Memo.Over_limit -> shared env e
 
 (** Constant-fold an expression to an int if the interval is a point. *)
 let const_of_expr e =

@@ -46,8 +46,5 @@ val fmod : int -> int -> int
     anything but a positive constant). *)
 val eval : (int -> t option) -> Expr.t -> t
 
-(** {!eval} under an association list from variables to intervals. *)
-val eval_under : (Expr.var * t) list -> Expr.t -> t
-
 (** Constant-fold to an int when the interval is a single point. *)
 val const_of_expr : Expr.t -> int option

@@ -12,38 +12,27 @@
    re-normalized once per domain instead of once per occurrence.
    Sound because the rebuild is pure and nodes are immutable; bounded
    so a long tuning run cannot pin every expression it ever saw. *)
-let memo_limit = 1 lsl 16
-let memo_key = Domain.DLS.new_key (fun () -> Expr.Phys.create 4096)
+let memo_key = Domain.DLS.new_key (fun () -> Expr.Memo.create ~limit:(1 lsl 16) 4096)
 
 (** Deep re-normalization of an expression: rebuilding through the
     smart constructors folds any constants exposed by substitution. *)
-let expr e =
-  let memo = Domain.DLS.get memo_key in
-  let rec go e =
-    match e with
-    | Expr.IntImm _ | Expr.FloatImm _ | Expr.Var _ -> e
-    | _ -> (
-        match Expr.Phys.find_opt memo e with
-        | Some r -> r
-        | None ->
-            let r =
-              match e with
-              | Expr.IntImm _ | Expr.FloatImm _ | Expr.Var _ -> e
-              | Expr.Binop (op, a, b) -> Expr.binop op (go a) (go b)
-              | Expr.Cmp (op, a, b) -> Expr.cmp op (go a) (go b)
-              | Expr.And (a, b) -> Expr.and_ (go a) (go b)
-              | Expr.Or (a, b) -> Expr.or_ (go a) (go b)
-              | Expr.Not a -> Expr.not_ (go a)
-              | Expr.Select (c, t, f) -> Expr.select (go c) (go t) (go f)
-              | Expr.Cast (d, a) -> Expr.cast d (go a)
-              | Expr.Load (b, idx) -> Expr.load b (List.map go idx)
-              | Expr.Call (n, args) -> Expr.call n (List.map go args)
-            in
-            if Expr.Phys.length memo >= memo_limit then Expr.Phys.reset memo;
-            Expr.Phys.add memo e r;
-            r)
-  in
-  go e
+let rec expr e =
+  match e with
+  | Expr.IntImm _ | Expr.FloatImm _ | Expr.Var _ -> e
+  | _ -> Expr.Memo.memo (Domain.DLS.get memo_key) renormalize e
+
+and renormalize e =
+  match e with
+  | Expr.IntImm _ | Expr.FloatImm _ | Expr.Var _ -> e
+  | Expr.Binop (op, a, b) -> Expr.binop op (expr a) (expr b)
+  | Expr.Cmp (op, a, b) -> Expr.cmp op (expr a) (expr b)
+  | Expr.And (a, b) -> Expr.and_ (expr a) (expr b)
+  | Expr.Or (a, b) -> Expr.or_ (expr a) (expr b)
+  | Expr.Not a -> Expr.not_ (expr a)
+  | Expr.Select (c, t, f) -> Expr.select (expr c) (expr t) (expr f)
+  | Expr.Cast (d, a) -> Expr.cast d (expr a)
+  | Expr.Load (b, idx) -> Expr.load b (List.map expr idx)
+  | Expr.Call (n, args) -> Expr.call n (List.map expr args)
 
 (* [env] maps the var ids bound so far to their cheap values. One
    substitution per expression gives what substituting binding by

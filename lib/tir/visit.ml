@@ -68,32 +68,28 @@ let rec direct f left (e : Expr.t) =
   | Expr.IntImm _ | Expr.FloatImm _ | Expr.Var _ -> f e
   | _ ->
       decr left;
-      if !left < 0 then raise_notrace Expr.Phys.Over_limit;
+      if !left < 0 then raise_notrace Expr.Memo.Over_limit;
       rebuild direct f left e
 
-(* The over-limit fallback: [memo] maps each physically distinct node
+(* The over-limit fallback: a memo maps each physically distinct node
    to its image for one call. *)
-let rec shared f memo (e : Expr.t) =
-  match e with
-  | Expr.IntImm _ | Expr.FloatImm _ -> f e
-  | _ -> (
-      match Expr.Phys.find_opt memo e with
-      | Some r -> r
-      | None ->
-          let r = rebuild shared f memo e in
-          Expr.Phys.add memo e r;
-          r)
+let shared f (e : Expr.t) =
+  let memo = Expr.Memo.create 64 in
+  let rec go f () (e : Expr.t) =
+    match e with
+    | Expr.IntImm _ | Expr.FloatImm _ -> f e
+    | _ -> Expr.Memo.memo memo compute e
+  and compute e = rebuild go f () e in
+  go f () e
 
 (** Like {!map_expr} for a {e pure} [f], exploiting structural sharing:
-    an expression past {!Expr.Phys.direct_limit} composite nodes is
+    an expression past {!Expr.Memo.direct_limit} composite nodes is
     remapped with each physically distinct subtree visited once, so
     DAGs that print exponentially large map in time linear in their
     node count. Not for stateful [f] — a callback counting visits would
     see neither each occurrence nor each shared node exactly once. *)
 let map_expr_shared f (e : Expr.t) : Expr.t =
-  try direct f (ref Expr.Phys.direct_limit) e
-  with Expr.Phys.Over_limit ->
-    shared f (Expr.Phys.create 64) e
+  try direct f (ref Expr.Memo.direct_limit) e with Expr.Memo.Over_limit -> shared f e
 
 let rec fold_expr f acc (e : Expr.t) =
   let acc = f acc e in

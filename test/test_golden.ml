@@ -196,6 +196,46 @@ let hash_agrees_with_structure =
           let again = build r in
           again == e && Expr.hash (fresh_copy e) = Expr.hash e)
 
+(* On a fresh domain (an empty table of 4,096 buckets), built nodes
+   must intern to themselves after the table doubles twice; at 2^17
+   entries the table must empty without shrinking, and interning must
+   stay consistent after. *)
+let intern_survives_growth_and_clear =
+  QCheck.Test.make ~name:"interning across growth and overflow" ~count:10
+    (QCheck.make (QCheck.Gen.list_size (QCheck.Gen.int_range 1 30) gen_recipe))
+    (fun recipes ->
+      let build_all () =
+        List.filter_map (fun r -> try Some (build r) with Invalid_argument _ -> None) recipes
+      in
+      let same xs ys = List.for_all2 ( == ) xs ys in
+      let filler = ref 0 in
+      let fill () =
+        incr filler;
+        ignore (Expr.int ((1 lsl 40) + !filler))
+      in
+      let stats = Expr.Hashcons.stats in
+      Domain.join
+        (Domain.spawn (fun () ->
+             let first = build_all () in
+             let start = (stats ()).Expr.Hashcons.buckets in
+             while (stats ()).Expr.Hashcons.buckets < 4 * start do fill () done;
+             let grown = same first (build_all ()) in
+             (* fill until the population drops: the overflow clear *)
+             let rec until_clear before =
+               fill ();
+               let now = stats () in
+               if now.Expr.Hashcons.population > before.Expr.Hashcons.population then
+                 until_clear now
+               else (before, now)
+             in
+             let full, cleared = until_clear (stats ()) in
+             let after = build_all () in
+             start = 4096 && grown
+             && full.Expr.Hashcons.population = Expr.Hashcons.limit
+             && cleared.Expr.Hashcons.buckets = full.Expr.Hashcons.buckets
+             && List.for_all2 Expr.equal first after
+             && same after (build_all ()))))
+
 let test_hash_edge_cases () =
   let x1 = Expr.var hq_vars.(0) and x2 = Expr.var hq_vars.(1) in
   checkb "same-name vars stay distinct nodes" (x1 != x2);
@@ -576,6 +616,7 @@ let suite =
     Alcotest.test_case "intern buckets stay short on the corpus" `Quick
       test_intern_buckets;
     QCheck_alcotest.to_alcotest hash_agrees_with_structure;
+    QCheck_alcotest.to_alcotest intern_survives_growth_and_clear;
     Alcotest.test_case "hash edge cases: floats, same-name vars" `Quick
       test_hash_edge_cases;
     Alcotest.test_case "hash allocates nothing" `Quick test_hash_allocates_nothing;

@@ -62,6 +62,17 @@ let test_buffer () =
 (* Interval analysis                                                    *)
 (* ------------------------------------------------------------------ *)
 
+(* [Interval.eval] under an association list from vars to intervals,
+   the reference environment of these tests. As with a table filled in
+   list order, the last binding of a var wins. *)
+let eval_under bindings e =
+  let rec last vid found = function
+    | [] -> found
+    | ((v : Expr.var), i) :: rest ->
+        last vid (if v.Expr.vid = vid then Some i else found) rest
+  in
+  Interval.eval (fun vid -> last vid None bindings) e
+
 let test_interval_basics () =
   let open Interval in
   check Alcotest.int "len" 8 (length (of_extent ~min:0 ~extent:8));
@@ -74,7 +85,7 @@ let test_interval_eval () =
   let x = Expr.Var.fresh "x" and y = Expr.Var.fresh "y" in
   let e = Expr.((Var x * int 8) + Var y) in
   let itv =
-    Interval.eval_under
+    eval_under
       [ (x, Interval.of_extent ~min:0 ~extent:4); (y, Interval.of_extent ~min:0 ~extent:8) ]
       e
   in
@@ -83,10 +94,10 @@ let test_interval_eval () =
 let test_interval_divmod () =
   let x = Expr.Var.fresh "x" in
   let env = [ (x, Interval.of_extent ~min:0 ~extent:12) ] in
-  checkb "div" (Interval.eval_under env Expr.(Var x / int 4) = Interval.make 0 2);
-  checkb "mod crossing" (Interval.eval_under env Expr.(Var x % int 4) = Interval.make 0 3);
+  checkb "div" (eval_under env Expr.(Var x / int 4) = Interval.make 0 2);
+  checkb "mod crossing" (eval_under env Expr.(Var x % int 4) = Interval.make 0 3);
   checkb "mod small"
-    (Interval.eval_under [ (x, Interval.make 4 6) ] Expr.(Var x % int 8) = Interval.make 4 6)
+    (eval_under [ (x, Interval.make 4 6) ] Expr.(Var x % int 8) = Interval.make 4 6)
 
 (* Property: interval evaluation is sound — the concrete value of a
    random affine expression always lies within the computed interval. *)
@@ -101,7 +112,7 @@ let interval_soundness =
         [ (x, Interval.of_extent ~min:0 ~extent:ext_x);
           (y, Interval.of_extent ~min:0 ~extent:ext_y) ]
       in
-      let itv = Interval.eval_under env e in
+      let itv = eval_under env e in
       let ok = ref true in
       for vx = 0 to ext_x - 1 do
         for vy = 0 to ext_y - 1 do
@@ -326,7 +337,7 @@ let test_strides () =
 
 (* The walk the index skeletons replaced, kept as their reference:
    an association-list environment per query, through
-   [Interval.eval_under]. *)
+   [eval_under]. *)
 let ref_env_at_level (a : Analysis.access) level =
   List.mapi
     (fun depth l ->
@@ -342,7 +353,7 @@ let ref_footprint (a : Analysis.access) level =
   let env = ref_env_at_level a level in
   try
     List.fold_left
-      (fun acc idx -> acc * Interval.length (Interval.eval_under env idx))
+      (fun acc idx -> acc * Interval.length (eval_under env idx))
       1 a.Analysis.acc_indices
   with Interval.Not_analyzable _ -> (
     try Expr.Buffer.num_elems a.Analysis.acc_buffer with _ -> 1)
@@ -365,7 +376,7 @@ let ref_stride (a : Analysis.access) (v : Expr.var) =
           (List.fold_left ( + ) 0
              (List.map2
                 (fun idx stride ->
-                  let itv = Interval.eval_under env idx in
+                  let itv = eval_under env idx in
                   if itv.Interval.lo = itv.Interval.hi then itv.Interval.lo * stride
                   else raise (Interval.Not_analyzable "range"))
                 a.Analysis.acc_indices (build shape)))
@@ -526,7 +537,7 @@ let test_variable_divisor () =
   let dst = Expr.Buffer.create "dst" [ Expr.int 64 ] in
   let idx = Expr.(var x / var y) in
   let env = [ (x, Interval.of_extent ~min:0 ~extent:8); (y, Interval.of_extent ~min:1 ~extent:4) ] in
-  (match Interval.eval_under env idx with
+  (match eval_under env idx with
   | _ -> Alcotest.fail "expected Not_analyzable"
   | exception Interval.Not_analyzable _ -> ());
   let stmt =
@@ -571,12 +582,21 @@ let test_retarget () =
 (* Direct walks vs memo walks                                           *)
 (* ------------------------------------------------------------------ *)
 
+(* A plain [Hashtbl] over physical identity, independent of the
+   [Expr.Memo] tables under test. *)
+module Phys = Hashtbl.Make (struct
+  type t = Expr.t
+
+  let equal = ( == )
+  let hash = Expr.hash
+end)
+
 (* Reference for [Interval.eval]: a memo walk over the whole
    expression, with no node limit. *)
 let rec memo_eval memo env (e : Expr.t) : Interval.t =
   match e with
   | Expr.Binop _ | Expr.Select _ | Expr.Cast _ -> (
-      match Expr.Phys.find_opt memo e with
+      match Phys.find_opt memo e with
       | Some i -> i
       | None ->
           let i =
@@ -595,7 +615,7 @@ let rec memo_eval memo env (e : Expr.t) : Interval.t =
             | Expr.Cast (_, a) -> memo_eval memo env a
             | _ -> assert false
           in
-          Expr.Phys.add memo e i;
+          Phys.add memo e i;
           i)
   | _ -> Interval.eval env e (* no recursion below these *)
 
@@ -603,7 +623,7 @@ let outcome f = match f () with i -> Ok i | exception Interval.Not_analyzable m 
 
 (* A random hash-consed DAG over [vars]: each step combines earlier
    entries of a pool, mostly the last three, so subtrees are shared.
-   About a quarter of the DAGs pass [Expr.Phys.direct_limit] composite
+   About a quarter of the DAGs pass [Expr.Memo.direct_limit] composite
    nodes, some many times over; a cap on tree size keeps the unshared
    [Visit.map_expr] affordable. Rare leaves (a load, a call, a float, an
    unbound var, a variable divisor) put each [Not_analyzable] case in
@@ -659,7 +679,7 @@ let direct_eval_matches_memo_walk =
     (fun seed ->
       let e = random_dag (Random.State.make [| seed |]) dag_vars in
       outcome (fun () -> Interval.eval dag_env e)
-      = outcome (fun () -> memo_eval (Expr.Phys.create 16) dag_env e))
+      = outcome (fun () -> memo_eval (Phys.create 16) dag_env e))
 
 (* A pure callback that rewrites both variables and constants. *)
 let dag_rewrite = function
@@ -704,8 +724,104 @@ let test_deep_dag_bounded () =
   let itv = Interval.eval env_x e in
   let e' = Visit.subst_var_expr x (Expr.var y) e in
   checkb "substituted eval" (Interval.eval env_y e' = itv);
-  checkb "memo walk agrees" (memo_eval (Expr.Phys.create 16) env_x e = itv);
+  checkb "memo walk agrees" (memo_eval (Phys.create 16) env_x e = itv);
   checkb "under a second" (Sys.time () -. t0 < 1.0)
+
+(* ------------------------------------------------------------------ *)
+(* Expr.Memo                                                            *)
+(* ------------------------------------------------------------------ *)
+
+(* [n] physically distinct keys; key [k] and key [k + n/2] are
+   structurally equal but not the same node. *)
+let memo_keys n =
+  let x = Expr.Var.fresh "x" in
+  Array.init n (fun k -> Expr.Binop (Expr.Add, Expr.Var x, Expr.IntImm (k mod (n / 2))))
+
+let key_value = function Expr.Binop (_, _, Expr.IntImm k) -> k * 7 | _ -> -1
+
+(* Below the limit, [compute] runs once per physically distinct key,
+   however often the table grows from its 16 buckets. *)
+let test_memo_computes_once () =
+  let keys = memo_keys 600 in
+  let memo = Expr.Memo.create 16 and computed = ref 0 in
+  let compute e = incr computed; key_value e in
+  for round = 1 to 3 do
+    Array.iteri
+      (fun i _ ->
+        (* a different order each round *)
+        let e = keys.((i * (2 * round + 1)) mod Array.length keys) in
+        if Expr.Memo.memo memo compute e <> key_value e then Alcotest.fail "wrong value")
+      keys
+  done;
+  check Alcotest.int "one compute per distinct key" (Array.length keys) !computed
+
+(* Past its limit the table empties and keeps answering correctly. *)
+let test_memo_overflow () =
+  let keys = memo_keys 200 in
+  let memo = Expr.Memo.create ~limit:50 16 and computed = ref 0 in
+  let compute e = incr computed; key_value e in
+  for _ = 1 to 2 do
+    Array.iter
+      (fun e -> if Expr.Memo.memo memo compute e <> key_value e then Alcotest.fail "wrong value")
+      keys
+  done;
+  checkb "overflow recomputed" (!computed > Array.length keys)
+
+(* A compute that recurses into the same table, as [Simplify.expr]
+   does, grows the table (and, with a small limit, empties it) under
+   its own probe. The results must still be the tree sizes of the
+   shared DAG, and without a limit each distinct composite node is
+   computed once. *)
+let memo_reentrant =
+  QCheck.Test.make ~name:"re-entrant memo compute = plain recursion" ~count:300
+    QCheck.(pair (int_range 0 1_000_000) (int_range 8 200))
+    (fun (seed, limit) ->
+      (* four DAGs, so most tables grow past their 16 buckets *)
+      let rng = Random.State.make [| seed |] in
+      let e = List.fold_left Expr.( + ) Expr.zero (List.init 4 (fun _ -> random_dag rng dag_vars)) in
+      let rec plain (e : Expr.t) =
+        match e with
+        | Expr.Binop (_, a, b) -> 1 + plain a + plain b
+        | Expr.Cast (_, a) -> 1 + plain a
+        | Expr.Select (c, t, f) -> 1 + plain c + plain t + plain f
+        | _ -> 1
+      in
+      let distinct = Phys.create 16 in
+      let rec collect (e : Expr.t) =
+        match e with
+        | (Expr.Binop _ | Expr.Cast _ | Expr.Select _) when not (Phys.mem distinct e) -> (
+            Phys.add distinct e ();
+            match e with
+            | Expr.Binop (_, a, b) -> collect a; collect b
+            | Expr.Cast (_, a) -> collect a
+            | Expr.Select (c, t, f) -> collect c; collect t; collect f
+            | _ -> ())
+        | _ -> ()
+      in
+      collect e;
+      let sizes memo =
+        let computed = ref 0 in
+        let rec size (e : Expr.t) =
+          match e with
+          | Expr.Binop _ | Expr.Cast _ | Expr.Select _ -> Expr.Memo.memo memo node e
+          | _ -> 1
+        and node (e : Expr.t) =
+          incr computed;
+          match e with
+          | Expr.Binop (_, a, b) -> 1 + size a + size b
+          | Expr.Cast (_, a) -> 1 + size a
+          | Expr.Select (c, t, f) -> 1 + size c + size t + size f
+          | _ -> 1
+        in
+        let first = size e in
+        let second = size e in
+        (first, second, !computed)
+      in
+      let expected = plain e in
+      let a, a', computed = sizes (Expr.Memo.create 16) in
+      let b, b', _ = sizes (Expr.Memo.create ~limit 16) in
+      a = expected && a' = expected && computed = Phys.length distinct
+      && b = expected && b' = expected)
 
 let suite =
   [
@@ -738,4 +854,7 @@ let suite =
     QCheck_alcotest.to_alcotest map_shared_matches_map;
     QCheck_alcotest.to_alcotest map_shared_keeps_unchanged;
     Alcotest.test_case "40-level DAG in bounded time" `Quick test_deep_dag_bounded;
+    Alcotest.test_case "memo computes once per node" `Quick test_memo_computes_once;
+    Alcotest.test_case "memo overflow" `Quick test_memo_overflow;
+    QCheck_alcotest.to_alcotest memo_reentrant;
   ]
