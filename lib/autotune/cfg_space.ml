@@ -16,10 +16,18 @@ let knob name choices =
   if choices = [] then invalid_arg ("knob " ^ name ^ ": empty choices");
   { k_name = name; k_choices = Array.of_list choices }
 
-(** All divisors of [n], ascending — the tiling-factor choice sets. *)
+(** All divisors of [n], ascending — the tiling-factor choice sets.
+    Pairs (d, n/d) up to √n: [small] collects d descending, [large]
+    collects n/d ascending. *)
 let divisors n =
-  let rec go d acc = if d > n then List.rev acc else go (d + 1) (if n mod d = 0 then d :: acc else acc) in
-  go 1 []
+  let rec go d small large =
+    if d > n / d then List.rev_append small large
+    else if n mod d <> 0 then go (d + 1) small large
+    else
+      let q = n / d in
+      go (d + 1) (d :: small) (if q = d then large else q :: large)
+  in
+  if n < 1 then [] else go 1 [] []
 
 (** Divisors of [n] no larger than [cap]. *)
 let divisors_upto n cap = List.filter (fun d -> d <= cap) (divisors n)

@@ -232,11 +232,12 @@ let load_tuned_scope blocks ~scope =
 
 let cache_kind = "cache"
 
-let cache_entry_out (key, (entry : Compile_cache.entry)) =
-  match entry with
-  | Compile_cache.Invalid ->
-      Printf.sprintf "%s\tinvalid" (Cfg_space.to_string key)
-  | Compile_cache.Valid feats ->
+(* [Compile_cache.iter_entries] forces every entry, so [feats] only
+   reads stored features here. *)
+let cache_entry_out (key, entry) =
+  match Compile_cache.feats entry with
+  | None -> Printf.sprintf "%s\tinvalid" (Cfg_space.to_string key)
+  | Some feats ->
       Printf.sprintf "%s\tvalid\t%s" (Cfg_space.to_string key)
         (String.concat " "
            (List.map (Printf.sprintf "%h") (Array.to_list feats)))

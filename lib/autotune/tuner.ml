@@ -13,11 +13,11 @@
     failure category, but never pollute the cost model's training
     set.
 
-    The loop is multicore (§5.3): candidate lowering + feature
-    extraction, the simulated-annealing chains, and the GBT split
-    search all fan out over a {!Tvm_par.Pool.t} of [Options.jobs]
-    domains. Every parallel section merges its results in a fixed
-    input order, so the tuning log and the best configuration are
+    The loop is multicore (§5.3): candidate lowering (and feature
+    extraction when a fit follows), the simulated-annealing chains, and
+    the GBT split search all fan out over a {!Tvm_par.Pool.t} of
+    [Options.jobs] domains. Every parallel section merges its results in
+    a fixed input order, so the tuning log and the best configuration are
     bit-identical for a given seed at any [jobs] count. *)
 
 module Obs_trace = Tvm_obs.Trace
@@ -167,15 +167,14 @@ let timed_phase name f =
     ~finally:(fun () -> Obs_metrics.incr ~by:(now_s () -. t0) ("tune.phase." ^ name ^ "_s"))
     f
 
-(** Lowering and feature extraction, the two layers inside propose and
-    prepare, timed into [tune.phase.lower_s] / [tune.phase.feature_s].
-    These are busy time summed over every domain that runs them (worker
-    domains buffer them under [Metrics.with_local_counters]), so at
-    [-j N] they can exceed the wall time of the phases they sit in. *)
+(** Lowering, the layer inside propose and prepare, timed into
+    [tune.phase.lower_s] ({!Compile_cache.featurize} times feature
+    extraction into [tune.phase.feature_s]). These are busy time summed
+    over every domain that runs them (worker domains buffer them under
+    [Metrics.with_local_counters]), so at [-j N] they can exceed the
+    wall time of the phases they sit in. *)
 let instantiate template cfg =
   timed_phase "lower" (fun () -> try_instantiate template cfg)
-
-let features stmt = timed_phase "feature" (fun () -> Feature.extract stmt)
 
 let tune ?(spec = Tvm_spec.Job_spec.default) ?db ?cache ?measure_batch
     ~(method_ : method_) ~(measure : measure_fn) ~(n_trials : int)
@@ -207,7 +206,9 @@ let tune ?(spec = Tvm_spec.Job_spec.default) ?db ?cache ?measure_batch
      queried, merged back in chain order). *)
   let known : (Cfg_space.config, unit) Hashtbl.t = Hashtbl.create 256 in
   let note_known cfg = Hashtbl.replace known (Cfg_space.canonical cfg) () in
-  let xs = ref [] and ys = ref [] in
+  (* Training rows, newest first. A row's features are forced only
+     when a fit reads them (on the coordinator). *)
+  let xs : float array Lazy.t list ref = ref [] and ys = ref [] in
   let history = ref [] in
   let best_time = ref Float.max_float in
   let best_config = ref None in
@@ -215,8 +216,8 @@ let tune ?(spec = Tvm_spec.Job_spec.default) ?db ?cache ?measure_batch
   let trial_index = ref 0 in
   (* Shared feature memo (features + validity), keyed by canonical
      config value so distinct configurations can never collide
-     (structural equality, not int hash). Written only between
-     parallel sections; during SA it is read-only. *)
+     (structural equality, not int hash). Written (and forced) only
+     between parallel sections; during SA it is read-only. *)
   let memo =
     match cache with
     | Some c -> c
@@ -224,15 +225,15 @@ let tune ?(spec = Tvm_spec.Job_spec.default) ?db ?cache ?measure_batch
   in
   let compile cfg =
     match instantiate template cfg with
-    | Some s -> Compile_cache.Valid (features s)
+    | Some s -> Compile_cache.Valid (Compile_cache.featurize s)
     | None -> Compile_cache.Invalid
   in
   (* Record one measured configuration: training set, incumbent, db,
      history, metrics. Sequential bookkeeping — always called on the
      coordinator, in batch order. *)
-  let record_trial ~replayed uid cfg stmt (feats : float array option)
+  let record_trial ~replayed uid cfg stmt (row : float array Lazy.t option)
       (result : Measure_result.t) =
-    (match (feats, result.Measure_result.time_s) with
+    (match (row, result.Measure_result.time_s) with
     | Some f, Some time ->
         (* Only successful measurements train the cost model. *)
         xs := f :: !xs;
@@ -286,9 +287,13 @@ let tune ?(spec = Tvm_spec.Job_spec.default) ?db ?cache ?measure_batch
   in
   (* Measure a batch of configurations (each with its provenance) and
      return each one's result in input order ([None] past the trial
-     budget). Three stages: prepare (lowering + feature extraction,
-     fanned out over the domain pool), measure (the batch callback
-     overlaps jobs on free devices, or the per-config callback runs
+     budget). [lowered] is the program of the batch's only
+     configuration when this tune's seek has just lowered it.
+     [fit_after] says a fit follows the batch while budget remains: only
+     then does prepare extract features, since the fit reads them at
+     once. Three stages: prepare (lowering, plus feature extraction when
+     a fit follows, fanned out over the domain pool), measure (the batch
+     callback overlaps jobs on free devices, or the per-config callback runs
      them one by one), record (sequential bookkeeping in input order).
      Results are independent of the domain count: prepared values land
      in per-index slots and every later stage walks them in input
@@ -297,8 +302,8 @@ let tune ?(spec = Tvm_spec.Job_spec.default) ?db ?cache ?measure_batch
      the parallel prepare, prepare/dispatch/measure records after it —
      which is what keeps the journal byte-identical at any [-j] and
      whatever the feature memo holds. *)
-  let run_batch (cfgs : (Cfg_space.config * origin) list) :
-      Measure_result.t option list =
+  let run_batch ?lowered ?(fit_after = false)
+      (cfgs : (Cfg_space.config * origin) list) : Measure_result.t option list =
     let take = max 0 (min (List.length cfgs) (n_trials - !trial_index)) in
     let taken = List.filteri (fun i _ -> i < take) cfgs in
     List.iter
@@ -316,10 +321,10 @@ let tune ?(spec = Tvm_spec.Job_spec.default) ?db ?cache ?measure_batch
         tagged
     in
     (* Replay resume: a configuration already measured in a persisted
-       [db] (with its features preloaded in the cache) skips both
-       instantiation and the pool dispatch, reusing the recorded
-       result. Feats must come from the cache so the cost model trains
-       on the same trajectory; without them we fall through to a live
+       [db] (and valid in the cache) skips both instantiation and the
+       pool dispatch, reusing the recorded result. Its features must
+       come from the cache so the cost model trains on the same
+       trajectory; without an entry we fall through to a live
        measurement. *)
     let replay_hit =
       Array.map
@@ -331,7 +336,8 @@ let tune ?(spec = Tvm_spec.Job_spec.default) ?db ?cache ?measure_batch
                 | None -> None
                 | Some r -> (
                     match Compile_cache.find ~record:false memo cfg with
-                    | Some (Compile_cache.Valid feats) -> Some (r, feats)
+                    | Some (Compile_cache.Valid _ | Compile_cache.Pending _) ->
+                        Some r
                     | Some Compile_cache.Invalid | None -> None)))
         tagged
     in
@@ -343,45 +349,63 @@ let tune ?(spec = Tvm_spec.Job_spec.default) ?db ?cache ?measure_batch
           if Obs_trace.enabled () then
             Obs_trace.flow ~id:uids.(i) Obs_trace.Flow_start "trial")
         tagged;
+    let featurize = fit_after && !trial_index + take < n_trials in
     let prepared =
       timed_phase "prepare" @@ fun () ->
       Tvm_par.Pool.parallel_map par
         (fun i ->
           let cfg = fst tagged.(i) in
-          match replay_hit.(i) with
-          | Some (_, feats) -> (cfg, None, Some feats)
-          | None -> (
-              match Compile_cache.find memo cfg with
-              | Some Compile_cache.Invalid -> (cfg, None, None)  (* skip *)
-              | found ->
-                  (* Measurement needs the program, so lower it here;
-                     features come from the memo when it has them. *)
-                  let stmt = instantiate template cfg in
-                  let feats =
-                    match found with
-                    | Some (Compile_cache.Valid f) -> Some f
-                    | _ -> Option.map features stmt
-                  in
-                  (cfg, stmt, feats)))
+          if replay_hit.(i) <> None then (cfg, None, None)
+          else
+            match Compile_cache.find memo cfg with
+            | Some Compile_cache.Invalid -> (cfg, None, None)  (* skip *)
+            | found ->
+                (* Measurement needs the program, so lower it here
+                   unless the seek just did; features come from the
+                   memo when it has them. *)
+                let stmt =
+                  if lowered <> None then lowered else instantiate template cfg
+                in
+                let feats =
+                  match found with
+                  | Some (Compile_cache.Valid f) -> Some f
+                  | _ when featurize -> Option.map Compile_cache.featurize stmt
+                  | _ -> None
+                in
+                (cfg, stmt, feats))
         (Array.init (Array.length tagged) Fun.id)
     in
     (* Merge fresh compilations into the shared memo, in input order
-       (all cache writes happen here on the coordinator). Replay hits
-       are already present in the preloaded memo. *)
+       (all cache writes happen here on the coordinator): features, or
+       the program until something reads them. Replay hits are already
+       present in the preloaded memo. *)
     Array.iteri
       (fun i (cfg, stmt, feats) ->
         if replay_hit.(i) = None then
-          match (stmt, feats) with
-          | Some _, Some f -> Compile_cache.add memo cfg (Compile_cache.Valid f)
-          | None, _ -> Compile_cache.add memo cfg Compile_cache.Invalid
-          | Some _, None -> ())
+          Compile_cache.add memo cfg
+            (match (stmt, feats) with
+            | None, _ -> Compile_cache.Invalid
+            | Some _, Some f -> Compile_cache.Valid f
+            | Some s, None -> Compile_cache.Pending s))
       prepared;
     Array.iter (fun (cfg, _, _) -> note_known cfg) prepared;
+    (* Each valid row's features: extracted above, or read from the memo
+       when a fit first needs them. *)
+    let rows =
+      Array.mapi
+        (fun i (cfg, stmt, feats) ->
+          match feats with
+          | Some f -> Some (Lazy.from_val f)
+          | None when stmt <> None || replay_hit.(i) <> None ->
+              Some (lazy (Option.get (Compile_cache.force memo cfg)))
+          | None -> None)
+        prepared
+    in
     Array.iteri
-      (fun i (_, _, feats) ->
+      (fun i row ->
         Journal.prepare ~uid:uids.(i) ~cache:cache_state.(i)
-          ~valid:(feats <> None))
-      prepared;
+          ~valid:(row <> None))
+      rows;
     (* A job is dispatched to the pool iff it has a program: invalid
        configurations and replay hits never leave the coordinator. Pool
        job [j] is tagged with its trial uid so the pool's dispatch
@@ -422,7 +446,7 @@ let tune ?(spec = Tvm_spec.Job_spec.default) ?db ?cache ?measure_batch
       Array.mapi
         (fun i (_, stmt, _) ->
           match (replay_hit.(i), stmt) with
-          | Some (r, _), _ -> r
+          | Some r, _ -> r
           | None, None -> Measure_result.invalid_config
           | None, Some _ ->
               let r = measured.(!next) in
@@ -431,9 +455,9 @@ let tune ?(spec = Tvm_spec.Job_spec.default) ?db ?cache ?measure_batch
         prepared
     in
     Array.iteri
-      (fun i (cfg, stmt, feats) ->
-        record_trial ~replayed:(replay_hit.(i) <> None) uids.(i) cfg stmt feats
-          results.(i))
+      (fun i (cfg, stmt, _) ->
+        record_trial ~replayed:(replay_hit.(i) <> None) uids.(i) cfg stmt
+          rows.(i) results.(i))
       prepared;
     List.mapi
       (fun i _ -> if i < take then Some results.(i) else None)
@@ -441,16 +465,23 @@ let tune ?(spec = Tvm_spec.Job_spec.default) ?db ?cache ?measure_batch
   in
   (* Seed the search with one known-valid configuration: heavily
      constrained spaces (odd shapes) can otherwise yield all-invalid
-     random batches. A cheap instantiation check suffices. *)
+     random batches. A cheap instantiation check suffices, and its
+     program is the one the seed batch measures. A memo hit is lowered
+     again by prepare: the memo's program may be another tune's. *)
   (let seed_attempts = min 4000 (4 * Cfg_space.size template.tpl_space) in
    let rec seek i =
      if i < seed_attempts && !trial_index = 0 then begin
        let cfg = Cfg_space.random_config template.tpl_space rng in
-       let entry = Compile_cache.find_or_compile memo cfg ~compile in
        note_known cfg;
-       (match entry with
-       | Compile_cache.Valid _ -> ignore (run_batch [ (cfg, origin "seed") ])
-       | Compile_cache.Invalid -> ());
+       (match Compile_cache.find memo cfg with
+       | Some Compile_cache.Invalid -> ()
+       | Some _ -> ignore (run_batch [ (cfg, origin "seed") ])
+       | None -> (
+           match instantiate template cfg with
+           | None -> Compile_cache.add memo cfg Compile_cache.Invalid
+           | Some s ->
+               Compile_cache.add memo cfg (Compile_cache.Pending s);
+               ignore (run_batch ~lowered:s [ (cfg, origin "seed") ])));
        seek (i + 1)
      end
    in
@@ -498,7 +529,8 @@ let tune ?(spec = Tvm_spec.Job_spec.default) ?db ?cache ?measure_batch
           | Some m ->
               (* The shared memo is read-only while the chains run: each
                  chain lists the configurations it queries, with the
-                 entry it compiled on a miss. The explorer scores each
+                 entry it compiled on a miss or featurized from a pending
+                 program. The explorer scores each
                  configuration once per chain, so one recording probe
                  per query counts it exactly once. Afterwards the lists
                  fold into [known] and the memo in chain-index order, so
@@ -507,6 +539,10 @@ let tune ?(spec = Tvm_spec.Job_spec.default) ?db ?cache ?measure_batch
               let predict_for_chain ci cfg =
                 let entry, compiled =
                   match Compile_cache.find memo cfg with
+                  | Some (Compile_cache.Pending s) ->
+                      (* Featurized here; the coordinator stores it. *)
+                      let e = Compile_cache.Valid (Compile_cache.featurize s) in
+                      (e, Some e)
                   | Some e -> (e, None)
                   | None ->
                       let e = compile cfg in
@@ -549,14 +585,17 @@ let tune ?(spec = Tvm_spec.Job_spec.default) ?db ?cache ?measure_batch
                      ~batch:batch_now)
               else proposed @ filler
         in
-        ignore (run_batch cfgs);
+        ignore (run_batch ~fit_after:true cfgs);
         (* Refit only for a proposal round still to come: a model fitted
-           after the last batch would never be read. *)
-        if !xs <> [] && !trial_index > before && !trial_index < n_trials then
+           after the last batch would never be read. Rows whose features
+           are still pending are featurized here, on the coordinator. *)
+        if !xs <> [] && !trial_index > before && !trial_index < n_trials then begin
+          let rows = Array.of_list (List.map Lazy.force !xs) in
           model :=
             Some
               (timed_phase "fit" @@ fun () ->
-               Gbt.fit ~pool:par (Array.of_list !xs) (Array.of_list !ys)));
+               Gbt.fit ~pool:par rows (Array.of_list !ys))
+        end);
     (* A round with no new measurements means the space is exhausted. *)
     if !trial_index = before then exhausted := true
   done;

@@ -114,7 +114,7 @@ end
     call; neither changes results.
 
     With [spec.replay] set, configurations whose measurement is already
-    recorded in [db] (for this template, with cached features) reuse
+    recorded in [db] (for this template, valid in [cache]) reuse
     the recorded result instead of dispatching to the device pool — the
     warm-restart resume path. On a clean fleet the trial history is
     byte-identical to an uninterrupted run; replayed trials skip the

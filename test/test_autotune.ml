@@ -22,6 +22,43 @@ let test_divisors () =
   Alcotest.(check (list int)) "divisors 12" [ 1; 2; 3; 4; 6; 12 ] (Cfg.divisors 12);
   Alcotest.(check (list int)) "capped" [ 1; 2; 3; 4 ] (Cfg.divisors_upto 12 5)
 
+(* Trial division up to [n]: the reference for the √n enumeration. *)
+let naive_divisors n =
+  let rec go d acc =
+    if d < 1 then acc else go (d - 1) (if n mod d = 0 then d :: acc else acc)
+  in
+  go n []
+
+(* Perfect squares, where d = n/d, are drawn as often as other n. *)
+let divisors_match_trial_division =
+  QCheck.Test.make ~name:"divisors = trial division" ~count:100
+    QCheck.(
+      oneof
+        [ int_range (-3) (1 lsl 22); map (fun k -> k * k) (int_range 0 2048) ])
+    (fun n -> Cfg.divisors n = naive_divisors n)
+
+(* The output sizes of every fused group of the five full-size serving
+   networks — the [n] the compiler's templates enumerate. *)
+let test_divisors_network_sizes () =
+  let sizes =
+    List.concat_map
+      (fun (_, graph) ->
+        List.map
+          (fun g ->
+            let out, _ = Tvm_graph.Fusion.build_group_te graph g in
+            List.fold_left ( * ) 1 (Tensor.const_shape out))
+          (Tvm_graph.Fusion.fuse graph))
+      (Tvm_models.Models.serving_suite ~full:true ())
+    |> List.sort_uniq compare
+  in
+  checkb "resnet18's first conv is among them" (List.mem 802_816 sizes);
+  List.iter
+    (fun n ->
+      Alcotest.(check (list int))
+        (Printf.sprintf "divisors %d" n)
+        (naive_divisors n) (Cfg.divisors n))
+    sizes
+
 let test_space_size () =
   Alcotest.(check int) "3*2*4" 24 (Cfg.size (small_space ()))
 
@@ -182,6 +219,33 @@ let test_no_unread_fit () =
   checkb "single batch: no fit" (fit_s 12 = None);
   checkb "second round: fitted" (fit_s 24 <> None)
 
+(* A compile-shaped tune (the seed probe plus one random round, no
+   fit) reads no features, so it extracts none, and hands the seed's
+   program forward, so no configuration is lowered twice. *)
+let test_compile_shaped_tune () =
+  let tpl = conv_template () in
+  let lowered = Hashtbl.create 64 in
+  let tpl_instantiate cfg =
+    let k = Cfg.canonical cfg in
+    Hashtbl.replace lowered k (1 + Option.value ~default:0 (Hashtbl.find_opt lowered k));
+    tpl.Tuner.tpl_instantiate cfg
+  in
+  Tvm_obs.Metrics.reset ();
+  let res =
+    Tuner.tune
+      ~spec:(Tvm_spec.Job_spec.make ~seed:3 ~batch:16 ())
+      ~cache:(Tvm_autotune.Compile_cache.create ())
+      ~method_:Tuner.Ml_model ~measure:(measure_fn_for Machine.titan_x)
+      ~n_trials:12 { tpl with Tuner.tpl_instantiate }
+  in
+  Alcotest.(check int) "12 trials" 12 (List.length res.Tuner.history);
+  checkb "no feature extracted" (Tvm_obs.Metrics.get "tune.phase.feature_s" = None);
+  Hashtbl.iter
+    (fun k n ->
+      if n > 1 then
+        Alcotest.failf "%s lowered %d times" (Cfg.to_string k) n)
+    lowered
+
 let test_measurement_deterministic () =
   let tpl = conv_template () in
   let rng = Random.State.make [| 17 |] in
@@ -227,6 +291,9 @@ let test_db_records () =
 let suite =
   [
     Alcotest.test_case "divisors" `Quick test_divisors;
+    QCheck_alcotest.to_alcotest divisors_match_trial_division;
+    Alcotest.test_case "divisors of network output sizes" `Quick
+      test_divisors_network_sizes;
     Alcotest.test_case "space size" `Quick test_space_size;
     QCheck_alcotest.to_alcotest config_roundtrip;
     QCheck_alcotest.to_alcotest mutate_stays_valid;
@@ -240,6 +307,8 @@ let suite =
     Alcotest.test_case "tuner improves" `Quick test_tuner_improves;
     Alcotest.test_case "ml >= random on budget" `Quick test_ml_beats_random_on_budget;
     Alcotest.test_case "no fit after the last batch" `Quick test_no_unread_fit;
+    Alcotest.test_case "compile-shaped tune: no features, one lowering" `Quick
+      test_compile_shaped_tune;
     Alcotest.test_case "deterministic measurement" `Quick test_measurement_deterministic;
     Alcotest.test_case "tuning database" `Quick test_db_records;
   ]

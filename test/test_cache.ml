@@ -137,6 +137,66 @@ let test_best_stmt_is_measured_program () =
       checkb "best_stmt is the program measured for best_config"
         (Hashtbl.find measured (Cfg.canonical r.Tuner.best_config) == s)
 
+(* The store's persistence walk forces pending entries: a memo saved
+   while its last batch still holds programs writes the same bytes as
+   one whose every entry was featurized first, and each stored feature
+   vector is that of a fresh lowering. *)
+let test_save_forces_pending_entries () =
+  let tpl, _ = counting_template "sfp" in
+  (* The compile's shape: the seed probe and one random batch, no fit,
+     so every valid row is still pending at the end. *)
+  let tune () =
+    let cache = Cache.create () in
+    (cache, tune_on_pool ~cache ~seed:5 ~n_trials:12 tpl)
+  in
+  let pending cache (r : Tuner.result) =
+    List.filter
+      (fun (t : Tuner.trial) ->
+        match Cache.find ~record:false cache t.Tuner.config with
+        | Some (Cache.Pending _) -> true
+        | _ -> false)
+      r.Tuner.history
+  in
+  let save cache =
+    let path = Filename.temp_file "tvm_cache" ".store" in
+    Sys.remove path;
+    Fun.protect ~finally:(fun () -> if Sys.file_exists path then Sys.remove path)
+    @@ fun () ->
+    ignore (Tvm_autotune.Store.save_cache path ~scope:"sfp" cache);
+    let bytes = In_channel.with_open_bin path In_channel.input_all in
+    let loaded = Cache.create () in
+    ignore
+      (Tvm_autotune.Store.load_cache
+         (Tvm_autotune.Store.load_blocks path)
+         ~scope:"sfp" ~into:loaded);
+    (bytes, loaded)
+  in
+  let lazy_cache, r = tune () in
+  checkb "the last batch is still pending" (pending lazy_cache r <> []);
+  let lazy_bytes, loaded = save lazy_cache in
+  checkb "saving forced every entry" (pending lazy_cache r = []);
+  let forced_cache, r' = tune () in
+  (* Force in reverse trial order: the walk's order must not depend on
+     when entries were forced. *)
+  List.iter
+    (fun (t : Tuner.trial) -> ignore (Cache.force forced_cache t.Tuner.config))
+    (List.rev r'.Tuner.history);
+  checkb "nothing left pending" (pending forced_cache r' = []);
+  let forced_bytes, _ = save forced_cache in
+  Alcotest.(check string) "store bytes independent of forcing" forced_bytes
+    lazy_bytes;
+  let n_valid = ref 0 in
+  Cache.iter_entries loaded (fun cfg e ->
+      match e with
+      | Cache.Valid f ->
+          incr n_valid;
+          let fresh = Feature.extract (tpl.Tuner.tpl_instantiate cfg) in
+          checkb (Cfg.to_string cfg ^ ": stored features = fresh extraction")
+            (f = fresh)
+      | Cache.Invalid -> ()
+      | Cache.Pending _ -> Alcotest.fail "a loaded entry is pending");
+  checkb "valid entries were stored" (!n_valid > 0)
+
 (* Kernel table, and the cache verdict of every compiler record in
    the journal, of a journaled dqn build on [tuned]. *)
 let compile_outputs tuned =
@@ -359,6 +419,8 @@ let suite =
     Alcotest.test_case
       "compile hands tuned programs forward; tuned-cache hits re-lower"
       `Quick test_compile_hands_programs_forward;
+    Alcotest.test_case "saving forces pending entries; same bytes" `Quick
+      test_save_forces_pending_entries;
     Alcotest.test_case "graph adjacency = brute-force scans" `Quick
       test_graph_adjacency_matches_scan;
     Alcotest.test_case "cached lowering ≡ uncached across workloads" `Slow
