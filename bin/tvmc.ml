@@ -4,8 +4,8 @@
      compile  — build one of the evaluation networks for a target and
                 report per-kernel estimates
      tune     — run the automated optimizer on a Table-2 workload
-     profile  — compile a network, run it, and report the per-kernel
-                latency breakdown (TVM's debug-executor view)
+     profile  — compile a network and price one inference per kernel
+                (TVM's debug-executor view; executes nothing)
      devices  — list the simulated machines
 
    [compile], [tune] and [profile] all accept [--trace-out FILE]
@@ -334,13 +334,10 @@ let profile_cmd =
   let trials =
     Arg.(value & opt int 16 & info [ "trials" ] ~doc:"Tuning trials per kernel (0 = default schedules)")
   in
-  let runs =
-    Arg.(value & opt int 1 & info [ "runs" ] ~doc:"Profiled inference runs")
-  in
   let profile_out =
     Arg.(value & opt (some string) None & info [ "profile-out" ] ~doc:"Write the per-kernel profile as JSON")
   in
-  let run network target trials runs profile_out trace_out metrics_out =
+  let run network target trials profile_out trace_out metrics_out =
     with_obs ~trace_out ~metrics_out @@ fun () ->
     let graph = Models.of_name network in
     let tgt = Tvm.Target.of_name target in
@@ -352,14 +349,7 @@ let profile_cmd =
     let _result, exec = Tvm.Compiler.build_executor ~spec graph tgt in
     Printf.printf "compiled %s for %s in %.1fs\n" network (Tvm.Target.name tgt)
       (Unix.gettimeofday () -. t0);
-    let module Exec = Tvm_runtime.Graph_executor in
-    Exec.set_params exec (Models.random_params graph);
-    List.iter (fun (n, v) -> Exec.set_input exec n v) (Models.random_inputs graph);
-    let report = ref None in
-    for _ = 1 to max 1 runs do
-      report := Some (Exec.profile_run ~mode:`Reference exec)
-    done;
-    let report = Option.get !report in
+    let report = Tvm_runtime.Graph_executor.profile exec in
     Printf.printf "\n%s" (Obs.Profile.to_table report);
     (match profile_out with
     | Some path ->
@@ -371,9 +361,9 @@ let profile_cmd =
   in
   Cmd.v
     (Cmd.info "profile"
-       ~doc:"Compile and run a network, reporting the per-kernel latency breakdown")
+       ~doc:"Compile a network and price one inference per kernel (runs nothing)")
     Term.(
-      const run $ network $ target $ trials $ runs $ profile_out $ trace_out_arg
+      const run $ network $ target $ trials $ profile_out $ trace_out_arg
       $ metrics_out_arg)
 
 (* ---- report ---- *)

@@ -1,13 +1,12 @@
 (** Per-kernel runtime profiling report — the shape of TVM's debug
-    executor output. The graph executor produces one [kernel_record]
-    per fused group per profiled run; this module owns the report type
+    executor output. The graph executor prices one [kernel_record] per
+    fused group of one inference; this module owns the report type
     and its renderings (ranked text table, JSON) so every consumer
     (tvmc, bench, tests) agrees on the format. *)
 
 type kernel_record = {
   pr_name : string;  (** workload signature of the kernel, or node name *)
   pr_group : int;  (** fusion group id *)
-  pr_calls : int;  (** cumulative invocations of this kernel on the executor *)
   pr_time_s : float;  (** simulated kernel time for one call *)
   pr_launch_s : float;  (** per-call launch/framework overhead *)
   pr_bytes : float;  (** bytes touched per call (inputs + output) *)
@@ -29,8 +28,8 @@ let launch_time_s r =
 let to_table r =
   let buf = Buffer.create 1024 in
   Buffer.add_string buf
-    (Printf.sprintf "%-4s %10s %6s %6s %9s %9s  %s\n" "rank" "time/call" "%" "calls"
-       "GFLOP/s" "MB" "kernel");
+    (Printf.sprintf "%-4s %10s %6s %9s %9s  %s\n" "rank" "time/call" "%" "GFLOP/s"
+       "MB" "kernel");
   let ranked =
     List.sort (fun a b -> compare b.pr_time_s a.pr_time_s) r.rp_records
   in
@@ -42,8 +41,8 @@ let to_table r =
       in
       let gflops = if p.pr_time_s > 0. then p.pr_flops /. p.pr_time_s /. 1e9 else 0. in
       Buffer.add_string buf
-        (Printf.sprintf "%-4d %8.3fms %5.1f%% %6d %9.1f %9.3f  %s\n" (i + 1)
-           (1e3 *. p.pr_time_s) pct p.pr_calls gflops (p.pr_bytes /. 1e6) p.pr_name))
+        (Printf.sprintf "%-4d %8.3fms %5.1f%% %9.1f %9.3f  %s\n" (i + 1)
+           (1e3 *. p.pr_time_s) pct gflops (p.pr_bytes /. 1e6) p.pr_name))
     ranked;
   Buffer.add_string buf
     (Printf.sprintf
@@ -69,7 +68,6 @@ let to_json r =
                  [
                    ("name", Json.Str p.pr_name);
                    ("group", Json.Num (Float.of_int p.pr_group));
-                   ("calls", Json.Num (Float.of_int p.pr_calls));
                    ("time_s", Json.Num p.pr_time_s);
                    ("launch_s", Json.Num p.pr_launch_s);
                    ("bytes", Json.Num p.pr_bytes);

@@ -10,8 +10,9 @@
     - [`Reference]: run each node's reference ndarray kernel — much
       faster, used for end-to-end functional checks on larger nets.
 
-    Timing always comes from the kernels' model estimates plus a
-    per-launch framework overhead. *)
+    Timing never comes from execution: {!estimated_time_s} and the
+    per-kernel {!profile} price the compiled kernels' model estimates
+    plus a per-launch framework overhead, and neither runs anything. *)
 
 module Nd = Tvm_nd.Ndarray
 module Graph_ir = Tvm_graph.Graph_ir
@@ -29,7 +30,6 @@ type t = {
   plan : Mem_plan.plan;
   values : (int, Nd.t) Hashtbl.t;  (** node id → current value *)
   target_name : string;
-  calls : (int, int) Hashtbl.t;  (** group id → cumulative profiled invocations *)
 }
 
 let launch_overhead_s = 10e-6
@@ -49,7 +49,6 @@ let create ~(graph : Graph_ir.t)
     plan;
     values = Hashtbl.create 32;
     target_name = module_.Rt_module.m_target_name;
-    calls = Hashtbl.create 16;
   }
 
 let set_input t name (v : Nd.t) =
@@ -93,8 +92,10 @@ let run_group_reference t (g : Fusion.group) =
       | Graph_ir.Input | Graph_ir.Param -> ())
     g.Fusion.g_nodes
 
+let group_kernel t (g : Fusion.group) = List.assoc_opt g.Fusion.g_id t.kernels
+
 let run_group_compiled t (g : Fusion.group) =
-  match List.assoc_opt g.Fusion.g_id t.kernels with
+  match group_kernel t g with
   | None ->
       (* No kernel was compiled for this group (e.g. CPU fallback):
          reference execution keeps the graph runnable. *)
@@ -110,8 +111,6 @@ let run_group t mode g =
   match mode with
   | `Reference -> run_group_reference t g
   | `Compiled -> run_group_compiled t g
-
-let group_kernel t (g : Fusion.group) = List.assoc_opt g.Fusion.g_id t.kernels
 
 let group_name t (g : Fusion.group) =
   match group_kernel t g with
@@ -140,65 +139,41 @@ let run ?(mode = `Reference) t =
       else run_group t mode g)
     t.groups
 
-(** Run the graph once in profiling mode: every group is executed under
-    a trace span and accounted into a {!Tvm_obs.Profile.report} with its
-    simulated kernel time, launch overhead, bytes touched and cumulative
-    invocation count — the debug-executor view of one inference. *)
-let profile_run ?(mode = `Reference) t : Profile.report =
-  let records =
-    List.map
-      (fun g ->
-        let k = group_kernel t g in
-        let name = group_name t g in
-        let time_s = match k with Some k -> k.Rt_module.k_time_s | None -> 0. in
-        let flops = match k with Some k -> k.Rt_module.k_flops | None -> 0. in
-        let exec () = run_group t mode g in
-        (if Trace.enabled () then
-           Trace.with_span "kernel"
-             ~attrs:
-               [ ("name", name); ("sim_ms", Printf.sprintf "%.6f" (1e3 *. time_s)) ]
-             exec
-         else exec ());
-        let calls =
-          1 + Option.value ~default:0 (Hashtbl.find_opt t.calls g.Fusion.g_id)
-        in
-        Hashtbl.replace t.calls g.Fusion.g_id calls;
-        Metrics.incr "executor.kernel_launches";
-        Metrics.observe "executor.kernel_time_s" time_s;
-        {
-          Profile.pr_name = name;
-          pr_group = g.Fusion.g_id;
-          pr_calls = calls;
-          pr_time_s = time_s;
-          pr_launch_s = launch_overhead_s;
-          pr_bytes = group_bytes t g;
-          pr_flops = flops;
-        })
-      t.groups
-  in
-  let total =
-    List.fold_left (fun acc r -> acc +. r.Profile.pr_time_s +. r.Profile.pr_launch_s)
-      0. records
-  in
-  Metrics.incr "executor.profiled_runs";
-  { Profile.rp_target = t.target_name; rp_records = records; rp_total_s = total }
-
 let get_output t i =
   let id = List.nth t.graph.Graph_ir.outputs i in
   value_of t id
+
+let kernel_time_s t g =
+  match group_kernel t g with Some k -> k.Rt_module.k_time_s | None -> 0.
 
 (** Estimated end-to-end latency: sum of kernel estimates plus launch
     overhead per group (the framework overhead MXNet/TF also pay). *)
 let estimated_time_s t =
   List.fold_left
-    (fun acc g ->
-      let k_time =
-        match List.assoc_opt g.Fusion.g_id t.kernels with
-        | Some k -> k.Rt_module.k_time_s
-        | None -> 0.
-      in
-      acc +. k_time +. launch_overhead_s)
+    (fun acc g -> acc +. kernel_time_s t g +. launch_overhead_s)
     0. t.groups
+
+(** Price one inference without executing anything: one record per
+    fused group, in execution order, from its kernel's modelled time
+    and flops, the launch overhead and the graph's shapes — the
+    debug-executor view. The total is {!estimated_time_s}. *)
+let profile t : Profile.report =
+  let record g =
+    {
+      Profile.pr_name = group_name t g;
+      pr_group = g.Fusion.g_id;
+      pr_time_s = kernel_time_s t g;
+      pr_launch_s = launch_overhead_s;
+      pr_bytes = group_bytes t g;
+      pr_flops =
+        (match group_kernel t g with Some k -> k.Rt_module.k_flops | None -> 0.);
+    }
+  in
+  {
+    Profile.rp_target = t.target_name;
+    rp_records = List.map record t.groups;
+    rp_total_s = estimated_time_s t;
+  }
 
 (** Memory footprint comparison from the static plan. *)
 type memory_stats = { pooled_bytes : int; naive_bytes : int }

@@ -1,7 +1,7 @@
 (** Minimal graph executor over a compiled module (§2's
     [runtime.create]): topological execution of the fused groups,
-    memory planned by {!Tvm_graph.Mem_plan}, per-kernel profiling for
-    the debug-executor view.
+    memory planned by {!Tvm_graph.Mem_plan}, and a per-kernel price
+    list for the debug-executor view that executes nothing.
 
     Sealed surface: clients (the compiler's [build_executor], [tvmc],
     [tvmd]) see an abstract handle plus the run/profile/query
@@ -11,7 +11,7 @@
 type t
 
 (** Per-kernel-launch framework cost, in seconds, charged by
-    {!estimated_time_s}, {!profile_run} and the serving executor. *)
+    {!estimated_time_s}, {!profile} and the serving executor. *)
 val launch_overhead_s : float
 
 (** Wire a compiled module to its graph and fusion groups. *)
@@ -35,10 +35,12 @@ val set_params : t -> (int * Tvm_nd.Ndarray.t) list -> unit
     kernel. *)
 val run : ?mode:[ `Reference | `Compiled ] -> t -> unit
 
-(** {!run} with per-group timing: the debug executor's per-kernel
-    latency breakdown. *)
-val profile_run :
-  ?mode:[ `Reference | `Compiled ] -> t -> Tvm_obs.Profile.report
+(** The debug executor's per-kernel latency breakdown of one
+    inference, priced from the compiled module and the graph: one
+    record per fused group in execution order. Executes nothing, so it
+    needs no bound params or inputs. Its [rp_total_s] is
+    {!estimated_time_s}, bit for bit. *)
+val profile : t -> Tvm_obs.Profile.report
 
 (** [i]-th graph output of the last {!run}; raises if the graph has
     not run yet. *)

@@ -313,9 +313,6 @@ let serve ?(slots = 2) ?store ?max_jobs ?(retry = Tvm_rpc.Retry_policy.default)
       Compiler.build_executor ~spec:{ spec with Spec.jobs = 1 } ~db:st.sc_db
         ~tuned:st.sc_tuned graph tgt
     in
-    Exec.set_params exec (Models.random_params graph);
-    List.iter (fun (n, v) -> Exec.set_input exec n v) (Models.random_inputs graph);
-    ignore (Exec.profile_run ~mode:`Reference exec);
     let t = Exec.estimated_time_s exec in
     (0.05 +. t, Printf.sprintf "estimated %h s/run" t)
   in

@@ -58,6 +58,15 @@
     using {!store_rules}). Corrupt or version-mismatched store blocks
     are skipped with one warning each, never a crash.
 
+    A store file is byte-reproducible only at [slots = 1]
+    ([tvmc serve --slots 1]). At 2 or more slots, lanes append each
+    finished job's blocks in wall-clock order, so two runs of one trace
+    can write the same blocks in different orders. Every block is
+    scope-tagged, so loading either file restores the same state, and
+    the results file stays byte-identical at any slot count. Compare
+    store files across runs at one slot, or compare their sorted
+    blocks.
+
     A fingerprint covers the spec's JSON, so a change to
     {!Tvm_spec.Job_spec.t}'s fields changes every fingerprint: [done]
     records written before the spec dropped its four output-sink

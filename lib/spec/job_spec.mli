@@ -26,7 +26,9 @@
 type op =
   | Compile  (** build a whole network end to end *)
   | Tune  (** optimize one Table-2 operator workload *)
-  | Profile  (** compile, run once, report the per-kernel breakdown *)
+  | Profile
+      (** compile, then price one inference from the kernels' modelled
+          times without executing it *)
 
 val op_name : op -> string
 (** ["compile"] / ["tune"] / ["profile"]. *)

@@ -607,9 +607,9 @@ let test_report_slow_device () =
 let test_profile_report () =
   let records =
     [
-      { Profile.pr_name = "conv"; pr_group = 0; pr_calls = 2; pr_time_s = 2e-3;
+      { Profile.pr_name = "conv"; pr_group = 0; pr_time_s = 2e-3;
         pr_launch_s = 1e-5; pr_bytes = 1e6; pr_flops = 1e9 };
-      { Profile.pr_name = "dense"; pr_group = 1; pr_calls = 2; pr_time_s = 1e-3;
+      { Profile.pr_name = "dense"; pr_group = 1; pr_time_s = 1e-3;
         pr_launch_s = 1e-5; pr_bytes = 2e5; pr_flops = 1e8 };
     ]
   in

@@ -1007,6 +1007,34 @@ let test_tvmd_unknown_target () =
       Alcotest.(check string) "llvm job ok" "ok" good
   | l -> Alcotest.failf "expected two result lines, got %d" (List.length l)
 
+(* A profile job prices the compiled module: its summary and charged
+   service come from the executor's estimate of the same build. *)
+let test_tvmd_profile_job () =
+  let spec =
+    Job_spec.make ~op:Job_spec.Profile ~workload:"dqn" ~trials:0 ~jobs:2 ()
+  in
+  let _, exec =
+    Tvm.Compiler.build_executor ~spec:{ spec with Job_spec.jobs = 1 }
+      ~tuned:(Tvm.Compiler.create_tuned_cache ())
+      (Tvm_models.Models.of_name "dqn")
+      (Tvm.Target.of_name spec.Job_spec.target)
+  in
+  let t = Tvm_runtime.Graph_executor.estimated_time_s exec in
+  let o = Tvmd.serve ~slots:1 [ Tvmd.request ~tenant:"alpha" spec ] in
+  (match o.Tvmd.oc_lines with
+  | [ line ] ->
+      let summary = List.hd (List.rev (String.split_on_char '\t' line)) in
+      Alcotest.(check string) "summary is the estimate"
+        (Printf.sprintf "estimated %h s/run" t) (Scanf.unescaped summary)
+  | l -> Alcotest.failf "expected one result line, got %d" (List.length l));
+  match o.Tvmd.oc_completions with
+  | [ c ] ->
+      Alcotest.(check bool)
+        (Printf.sprintf "service %h = 0.05 + %h" c.Sched.cp_service_s t)
+        true
+        (Float.equal c.Sched.cp_service_s (0.05 +. t))
+  | l -> Alcotest.failf "expected one completion, got %d" (List.length l)
+
 let suite =
   [
     Alcotest.test_case "Job_spec JSON round trip" `Quick test_job_spec_roundtrip;
@@ -1057,4 +1085,6 @@ let suite =
       test_tvmd_isolation;
     Alcotest.test_case "tvmd fails a tune job on an unknown target" `Quick
       test_tvmd_unknown_target;
+    Alcotest.test_case "tvmd profile job: the executor's estimate" `Quick
+      test_tvmd_profile_job;
   ]
