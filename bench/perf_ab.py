@@ -13,7 +13,9 @@ and quartiles per side, the change in the median, and in how many
 pairs the working tree was better (ties count for neither), then each
 side's attempted and failed operation counts and every run that
 reported `correct: false`. Exits 1 when the working tree's failed share
-is above the base's. Writes nothing outside _build/.
+is above the base's. A run that exits with another code (an uncaught
+OCaml exception exits 2) stops the A/B with its side, pair, exit code
+and last stderr lines. Writes nothing outside _build/.
 """
 
 import argparse
@@ -23,16 +25,23 @@ import statistics
 import subprocess
 import sys
 
+STDERR_LINES = 20
 
-def run_bench(root, args):
+
+def run_bench(root, args, side, pair):
     cmd = [sys.executable, "perfbench/run.py", "--workload", args.workload,
            "--seed", str(args.seed), "--seconds", str(args.seconds), "--trace", "0"]
     out = subprocess.run(cmd, cwd=root, stdout=subprocess.PIPE,
-                         stderr=subprocess.DEVNULL, text=True)
+                         stderr=subprocess.PIPE, text=True)
     lines = out.stdout.strip().splitlines()
     # An incorrect run exits 1 but still prints its result line.
     if out.returncode not in (0, 1) or not lines:
-        sys.exit("perf-ab: benchmark failed in %s" % root)
+        # An uncaught OCaml exception exits 2 and prints its message
+        # last on stderr.
+        tail = "\n".join(out.stderr.rstrip().splitlines()[-STDERR_LINES:])
+        sys.exit("perf-ab: benchmark failed on the %s side in pair %d of %d (%s), exit code %d;"
+                 " last stderr lines:\n%s"
+                 % (side, pair + 1, args.pairs, root, out.returncode, tail))
     result = json.loads(lines[-1])
     result["metrics"] = {k: m["value"] for k, m in result["metrics"].items()}
     return result
@@ -65,7 +74,7 @@ def main():
     for i in range(args.pairs):
         order = ["base", "work"] if i % 2 == 0 else ["work", "base"]
         for side in order:
-            runs[side].append(run_bench(base if side == "base" else ".", args))
+            runs[side].append(run_bench(base if side == "base" else ".", args, side, i))
         print("pair %d/%d done" % (i + 1, args.pairs), file=sys.stderr)
     print("%s: %s vs working tree, %d pairs of %d s runs"
           % (args.workload, sha[:12], args.pairs, args.seconds))

@@ -15,9 +15,13 @@
     - {b unrolling}: reduces per-iteration loop overhead.
 
     The program is walked once, by {!Analysis.program}; loop trip
-    counts and the parallel extent are derived from that record. The
-    returned time is deterministic; the autotuning layer adds
-    measurement noise separately (DESIGN.md §6). *)
+    counts and the parallel extent are derived from that record. Its
+    accesses are then grouped once into loop nests by loop-variable id
+    list; a nest's working set at each level is computed once and
+    shared by all its accesses and both caches, and each global access
+    prices L2 and L1 misses in one walk of its loop stack. The returned
+    time is deterministic; the autotuning layer adds measurement noise
+    separately (DESIGN.md §6). *)
 
 open Tvm_tir
 module Tensor_intrin = Tvm_schedule.Tensor_intrin
@@ -33,55 +37,70 @@ type breakdown = {
   total_s : float;
 }
 
-(** Loop-stack signature used to group accesses of the same nest. *)
-let stack_key (a : Analysis.access) =
-  String.concat "." (List.map (fun l -> string_of_int l.Analysis.lvar.Expr.vid) a.Analysis.acc_loops)
+(** The accesses of one loop nest (one loop-variable id list, so a
+    reduction's init and update stay together) and the nest's combined
+    working set at each level above the innermost, filled on first use
+    ([nan] until then) and shared by every mate and both caches. *)
+type nest = { mutable mates : Analysis.access list; ws : float array }
 
-(** Misses an access generates against a cache of [size] bytes:
-    find the outermost loop level at which the nest's combined working
-    set fits, then charge the access's footprint at that level once per
-    dependent outer-loop trip. *)
-let miss_bytes ~size ~nest_mates (a : Analysis.access) =
-  let depth = List.length a.Analysis.acc_loops in
-  (* Combined working set of the nest at each level: per-buffer max. *)
-  let working_set level =
+(* Working set of [nest] at [level]: per-buffer max of the mates'
+   footprints, summed over buffers in sorted order so the float result
+   is independent of bucket order (buffer ids vary under parallel
+   instantiation). *)
+let working_set nest level =
+  if Float.is_nan nest.ws.(level) then begin
     let tbl = Hashtbl.create 8 in
     List.iter
       (fun (b : Analysis.access) ->
-        let lvl = min level (List.length b.Analysis.acc_loops) in
-        let fp = Analysis.footprint_bytes_at_level b lvl in
+        let fp = Analysis.footprint_bytes_at_level b level in
         let key = b.Analysis.acc_buffer.Expr.bid in
         let prev = try Hashtbl.find tbl key with Not_found -> 0. in
         Hashtbl.replace tbl key (Float.max prev fp))
-      nest_mates;
-    (* Sorted-value summation: keep the float result independent of
-       bucket order (buffer ids vary under parallel instantiation). *)
-    Hashtbl.fold (fun _ v acc -> v :: acc) tbl []
-    |> List.sort compare
-    |> List.fold_left ( +. ) 0.
-  in
-  let rec find_level k = if k >= depth then depth else if working_set k <= size then k else find_level (k + 1) in
-  let k = find_level 0 in
-  let fp = Analysis.footprint_bytes_at_level a k in
-  (* Outer trips that actually change the data this access touches. *)
-  let dependent_trips =
-    List.fold_left
-      (fun acc (i, l) ->
-        if i >= k then acc
-        else
-          match Analysis.stride_wrt a l.Analysis.lvar with
-          | Some 0 -> acc
-          | Some _ | None -> acc * l.Analysis.lextent)
-      1
-      (List.mapi (fun i l -> (i, l)) a.Analysis.acc_loops)
-  in
-  fp *. float_of_int dependent_trips *. a.Analysis.acc_weight
+      nest.mates;
+    nest.ws.(level) <-
+      Hashtbl.fold (fun _ v acc -> v :: acc) tbl []
+      |> List.sort compare
+      |> List.fold_left ( +. ) 0.
+  end;
+  nest.ws.(level)
 
-let is_global (a : Analysis.access) = a.Analysis.acc_buffer.Expr.bscope = Expr.Global
+(** Misses an access generates against the L2 and the L1 cache, as a
+    pair: for each, find the outermost loop level at which the nest's
+    combined working set fits, then charge the access's footprint at
+    that level once per dependent outer-loop trip. One walk of the loop
+    stack reads the prefix product of dependent trips at both levels. *)
+let miss_bytes (cpu : Machine.cpu) nest (a : Analysis.access) =
+  let depth = Array.length nest.ws in
+  let fit size =
+    let rec find k = if k >= depth || working_set nest k <= size then k else find (k + 1) in
+    find 0
+  in
+  let k2 = fit cpu.Machine.l2_bytes and k1 = fit cpu.Machine.l1_bytes in
+  let lo = min k2 k1 and hi = max k2 k1 in
+  (* Outer trips that actually change the data this access touches:
+     [p] over the loops above [i], [p_lo] over those above [lo]. *)
+  let rec trips i p p_lo loops =
+    let p_lo = if i = lo then p else p_lo in
+    match loops with
+    | l :: rest when i < hi ->
+        let p =
+          match Analysis.stride_wrt a l.Analysis.lvar with
+          | Some 0 -> p
+          | Some _ | None -> p * l.Analysis.lextent
+        in
+        trips (i + 1) p p_lo rest
+    | _ -> (p_lo, p)
+  in
+  let p_lo, p_hi = trips 0 1 1 a.Analysis.acc_loops in
+  let charge k =
+    let t = if k = lo then p_lo else p_hi in
+    Analysis.footprint_bytes_at_level a k *. float_of_int t *. a.Analysis.acc_weight
+  in
+  (charge k2, charge k1)
 
 (** Vector efficiency of a store site: fraction of the machine's SIMD
     lanes the surrounding loop structure can use. *)
-let vector_eff (cpu : Machine.cpu) accesses (store : Analysis.access) =
+let vector_eff (cpu : Machine.cpu) nest (store : Analysis.access) =
   match Analysis.innermost_loop store with
   | None -> 1.
   | Some l ->
@@ -96,49 +115,48 @@ let vector_eff (cpu : Machine.cpu) accesses (store : Analysis.access) =
         if not store_ok then 1.
         else
           (* Loads in the same nest: strided gathers halve throughput. *)
-          let key = stack_key store in
-          let loads =
-            List.filter
-              (fun a -> (not a.Analysis.acc_is_store) && stack_key a = key)
-              accesses
-          in
           let bad =
             List.exists
               (fun a ->
+                (not a.Analysis.acc_is_store)
+                &&
                 match Analysis.stride_wrt a l.Analysis.lvar with
                 | Some s -> abs s > 1
                 | None -> true)
-              loads
+              nest.mates
           in
           if bad then lanes /. 2. else lanes
 
 let estimate (cpu : Machine.cpu) (stmt : Stmt.t) : breakdown =
   let p = Analysis.program ~intrin_flops:Tensor_intrin.flops_of stmt in
   let accesses = Analysis.accesses_exn p in
-  let globals = List.filter is_global accesses in
-  let by_nest = Hashtbl.create 16 in
-  List.iter
-    (fun a ->
-      let key = stack_key a in
-      Hashtbl.replace by_nest key (a :: (try Hashtbl.find by_nest key with Not_found -> [])))
-    accesses;
-  let nest_mates a = try Hashtbl.find by_nest (stack_key a) with Not_found -> [ a ] in
-  let dram_bytes =
-    List.fold_left
-      (fun acc a -> acc +. miss_bytes ~size:cpu.Machine.l2_bytes ~nest_mates:(nest_mates a) a)
-      0. globals
+  let nests = Hashtbl.create 16 in
+  let with_nest a =
+    let key = List.map (fun l -> l.Analysis.lvar.Expr.vid) a.Analysis.acc_loops in
+    let nest =
+      match Hashtbl.find_opt nests key with
+      | Some n -> n
+      | None ->
+          let n = { mates = []; ws = Array.make (List.length key) Float.nan } in
+          Hashtbl.add nests key n;
+          n
+    in
+    nest.mates <- a :: nest.mates;
+    (a, nest)
   in
-  let l2_bytes =
-    List.fold_left
-      (fun acc a -> acc +. miss_bytes ~size:cpu.Machine.l1_bytes ~nest_mates:(nest_mates a) a)
-      0. globals
-  in
-  (* Compute: per store site, flops scaled by its vector efficiency. *)
-  let scalar_cycles = ref 0. in
+  let accesses = List.map with_nest accesses in
+  (* Cache misses per global access; compute per store site, flops
+     scaled by its vector efficiency. *)
+  let dram_bytes = ref 0. and l2_bytes = ref 0. and scalar_cycles = ref 0. in
   List.iter
-    (fun a ->
+    (fun (a, nest) ->
+      if a.Analysis.acc_buffer.Expr.bscope = Expr.Global then begin
+        let dram, l2 = miss_bytes cpu nest a in
+        dram_bytes := !dram_bytes +. dram;
+        l2_bytes := !l2_bytes +. l2
+      end;
       if a.Analysis.acc_is_store && a.Analysis.acc_value_flops > 0. then begin
-        let eff = vector_eff cpu accesses a in
+        let eff = vector_eff cpu nest a in
         let per_cycle = eff *. float_of_int cpu.Machine.fma_per_cycle *. 2. in
         scalar_cycles :=
           !scalar_cycles
@@ -148,7 +166,7 @@ let estimate (cpu : Machine.cpu) (stmt : Stmt.t) : breakdown =
   (* Tensorized micro-kernels run near peak. *)
   let store_flops =
     List.fold_left
-      (fun acc a ->
+      (fun acc (a, _) ->
         if a.Analysis.acc_is_store then
           acc +. (float_of_int a.Analysis.acc_count *. a.Analysis.acc_value_flops)
         else acc)
@@ -207,6 +225,7 @@ let estimate (cpu : Machine.cpu) (stmt : Stmt.t) : breakdown =
   let hz = cpu.Machine.freq_ghz *. 1e9 in
   let compute_s = (!scalar_cycles +. intrin_cycles) /. hz /. Float.max 1. balance in
   let overhead_s = overhead_cycles /. hz /. Float.max 1. balance in
+  let dram_bytes = !dram_bytes and l2_bytes = !l2_bytes in
   let dram_s = dram_bytes /. (cpu.Machine.dram_gbps *. 1e9) in
   let l2_s = l2_bytes /. (cpu.Machine.l2_gbps *. 1e9) in
   let total_s = Float.max (compute_s +. overhead_s) (dram_s +. l2_s) +. 2e-6 in
@@ -214,4 +233,3 @@ let estimate (cpu : Machine.cpu) (stmt : Stmt.t) : breakdown =
     total_s }
 
 let time_s cpu stmt = (estimate cpu stmt).total_s
-let time_ms cpu stmt = 1e3 *. time_s cpu stmt

@@ -70,20 +70,19 @@ let thread_extents (p : Analysis.program) =
     enclosing loop extents, counting only the innermost occurrence of
     each thread tag. *)
 let device_count (a : Analysis.access) =
-  (* Walk from innermost outwards; skip outer duplicates of a tag. *)
-  let seen = Hashtbl.create 4 in
-  List.fold_left
-    (fun acc l ->
-      match l.Analysis.lkind with
-      | Stmt.Thread_binding tag ->
-          if Hashtbl.mem seen tag then acc
-          else begin
-            Hashtbl.replace seen tag ();
-            acc * l.Analysis.lextent
-          end
-      | _ -> acc * l.Analysis.lextent)
-    1
-    (List.rev a.Analysis.acc_loops)
+  let rec bound_inside tag = function
+    | [] -> false
+    | { Analysis.lkind = Stmt.Thread_binding t; _ } :: _ when t = tag -> true
+    | _ :: rest -> bound_inside tag rest
+  in
+  (* Innermost first; skip outer duplicates of a tag. *)
+  let rec count = function
+    | [] -> 1
+    | { Analysis.lkind = Stmt.Thread_binding tag; _ } :: rest when bound_inside tag rest ->
+        count rest
+    | l :: rest -> count rest * l.Analysis.lextent
+  in
+  count a.Analysis.acc_loops
 
 (** Find the loop var bound to [tag] closest to the access. *)
 let tag_var (a : Analysis.access) tag =
@@ -234,4 +233,3 @@ let estimate ?force_dtype (gpu : Machine.gpu) (stmt : Stmt.t) : breakdown =
           compute_s; global_s; shared_s; total_s; valid = true }
 
 let time_s ?force_dtype gpu stmt = (estimate ?force_dtype gpu stmt).total_s
-let time_ms ?force_dtype gpu stmt = 1e3 *. time_s ?force_dtype gpu stmt

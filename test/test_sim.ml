@@ -133,6 +133,249 @@ let test_cpu_parallel_helps () =
   checkb "parallel faster"
     (Cpu_model.time_s Machine.arm_a53 parallel < Cpu_model.time_s Machine.arm_a53 serial)
 
+(* The CPU model as it priced each access before nests were grouped
+   once per program: every global access rebuilt its nest's working set
+   at each level it scanned, for each cache, and every vectorized store
+   filtered all accesses by a loop-stack string. *)
+module Per_access_cpu = struct
+  let stack_key (a : Analysis.access) =
+    String.concat "." (List.map (fun l -> string_of_int l.Analysis.lvar.Expr.vid) a.Analysis.acc_loops)
+
+  let miss_bytes ~size ~nest_mates (a : Analysis.access) =
+    let depth = List.length a.Analysis.acc_loops in
+    let working_set level =
+      let tbl = Hashtbl.create 8 in
+      List.iter
+        (fun (b : Analysis.access) ->
+          let lvl = min level (List.length b.Analysis.acc_loops) in
+          let fp = Analysis.footprint_bytes_at_level b lvl in
+          let key = b.Analysis.acc_buffer.Expr.bid in
+          let prev = try Hashtbl.find tbl key with Not_found -> 0. in
+          Hashtbl.replace tbl key (Float.max prev fp))
+        nest_mates;
+      Hashtbl.fold (fun _ v acc -> v :: acc) tbl []
+      |> List.sort compare
+      |> List.fold_left ( +. ) 0.
+    in
+    let rec find_level k =
+      if k >= depth then depth else if working_set k <= size then k else find_level (k + 1)
+    in
+    let k = find_level 0 in
+    let fp = Analysis.footprint_bytes_at_level a k in
+    let dependent_trips =
+      List.fold_left
+        (fun acc (i, l) ->
+          if i >= k then acc
+          else
+            match Analysis.stride_wrt a l.Analysis.lvar with
+            | Some 0 -> acc
+            | Some _ | None -> acc * l.Analysis.lextent)
+        1
+        (List.mapi (fun i l -> (i, l)) a.Analysis.acc_loops)
+    in
+    fp *. float_of_int dependent_trips *. a.Analysis.acc_weight
+
+  let vector_eff (cpu : Machine.cpu) accesses (store : Analysis.access) =
+    match Analysis.innermost_loop store with
+    | None -> 1.
+    | Some l ->
+        if l.Analysis.lkind <> Stmt.Vectorized then 1.
+        else
+          let lanes = float_of_int cpu.Machine.vector_lanes in
+          let store_ok =
+            match Analysis.stride_wrt store l.Analysis.lvar with
+            | Some s -> abs s <= 1
+            | None -> false
+          in
+          if not store_ok then 1.
+          else
+            let key = stack_key store in
+            let loads =
+              List.filter (fun a -> (not a.Analysis.acc_is_store) && stack_key a = key) accesses
+            in
+            let bad =
+              List.exists
+                (fun a ->
+                  match Analysis.stride_wrt a l.Analysis.lvar with
+                  | Some s -> abs s > 1
+                  | None -> true)
+                loads
+            in
+            if bad then lanes /. 2. else lanes
+
+  let estimate (cpu : Machine.cpu) (stmt : Stmt.t) : Cpu_model.breakdown =
+    let p = Analysis.program ~intrin_flops:Tvm_schedule.Tensor_intrin.flops_of stmt in
+    let accesses = Analysis.accesses_exn p in
+    let globals =
+      List.filter (fun a -> a.Analysis.acc_buffer.Expr.bscope = Expr.Global) accesses
+    in
+    let by_nest = Hashtbl.create 16 in
+    List.iter
+      (fun a ->
+        let key = stack_key a in
+        Hashtbl.replace by_nest key (a :: (try Hashtbl.find by_nest key with Not_found -> [])))
+      accesses;
+    let nest_mates a = try Hashtbl.find by_nest (stack_key a) with Not_found -> [ a ] in
+    let miss size =
+      List.fold_left
+        (fun acc a -> acc +. miss_bytes ~size ~nest_mates:(nest_mates a) a)
+        0. globals
+    in
+    let dram_bytes = miss cpu.Machine.l2_bytes in
+    let l2_bytes = miss cpu.Machine.l1_bytes in
+    let scalar_cycles = ref 0. in
+    List.iter
+      (fun a ->
+        if a.Analysis.acc_is_store && a.Analysis.acc_value_flops > 0. then begin
+          let eff = vector_eff cpu accesses a in
+          let per_cycle = eff *. float_of_int cpu.Machine.fma_per_cycle *. 2. in
+          scalar_cycles :=
+            !scalar_cycles
+            +. (float_of_int a.Analysis.acc_count *. a.Analysis.acc_value_flops /. per_cycle)
+        end)
+      accesses;
+    let store_flops =
+      List.fold_left
+        (fun acc a ->
+          if a.Analysis.acc_is_store then
+            acc +. (float_of_int a.Analysis.acc_count *. a.Analysis.acc_value_flops)
+          else acc)
+        0. accesses
+    in
+    let intrin_flops_total = Float.max 0. (p.Analysis.flops -. store_flops) in
+    let peak_per_cycle =
+      float_of_int (cpu.Machine.vector_lanes * cpu.Machine.fma_per_cycle * 2)
+    in
+    let intrin_cycles = intrin_flops_total /. (peak_per_cycle *. 0.9) in
+    let const_extent (site : Analysis.loop_site) =
+      Interval.const_of_expr site.Analysis.site_extent
+    in
+    let overhead_cycles =
+      List.fold_right
+        (fun (site : Analysis.loop_site) acc ->
+          match const_extent site with
+          | None -> acc
+          | Some extent ->
+              let outer =
+                List.fold_left
+                  (fun m o -> match const_extent o with Some e -> m * e | None -> m)
+                  1 site.Analysis.site_outer
+              in
+              let per =
+                match site.Analysis.site_kind with
+                | Stmt.Unrolled -> cpu.Machine.loop_overhead_cycles *. 0.15
+                | Stmt.Vectorized ->
+                    cpu.Machine.loop_overhead_cycles *. 0.15
+                    /. float_of_int cpu.Machine.vector_lanes
+                | Stmt.Serial | Stmt.Parallel -> cpu.Machine.loop_overhead_cycles
+                | Stmt.Thread_binding _ | Stmt.Vthread -> 0.
+              in
+              acc +. (float_of_int (outer * extent) *. per))
+        p.Analysis.loops 0.
+    in
+    let par_threads =
+      List.find_map
+        (fun (site : Analysis.loop_site) ->
+          match (site.Analysis.site_kind, site.Analysis.site_extent) with
+          | Stmt.Parallel, Expr.IntImm e -> Some (min cpu.Machine.cores e)
+          | _ -> None)
+        p.Analysis.loops
+      |> Option.value ~default:1
+    in
+    let balance = if par_threads <= 1 then 1. else float_of_int par_threads *. 0.92 in
+    let hz = cpu.Machine.freq_ghz *. 1e9 in
+    let compute_s = (!scalar_cycles +. intrin_cycles) /. hz /. Float.max 1. balance in
+    let overhead_s = overhead_cycles /. hz /. Float.max 1. balance in
+    let dram_s = dram_bytes /. (cpu.Machine.dram_gbps *. 1e9) in
+    let l2_s = l2_bytes /. (cpu.Machine.l2_gbps *. 1e9) in
+    let total_s = Float.max (compute_s +. overhead_s) (dram_s +. l2_s) +. 2e-6 in
+    { Cpu_model.compute_s; dram_s; l2_s; overhead_s; dram_bytes; l2_bytes;
+      flops = p.Analysis.flops; total_s }
+end
+
+(* Random valid cpu_flat programs: [per_template] configs of every
+   Table-2 workload and [per_group] of every fused group of the reduced
+   networks (conv+bn+relu epilogues, dense layers, LSTM cells). *)
+let cpu_flat_programs ~per_template ~per_group =
+  let module Cfg = Tvm_autotune.Cfg_space in
+  let module Tuner = Tvm_autotune.Tuner in
+  let module Templates = Tvm_autotune.Templates in
+  let module Models = Tvm_models.Models in
+  let module Fusion = Tvm_graph.Fusion in
+  let programs = ref [] in
+  let sample label out ~seed n =
+    let tpl = Templates.cpu_flat ~name:("diff_" ^ label) out in
+    let rs = Random.State.make [| 4217; seed |] in
+    for _ = 1 to n do
+      let cfg = Cfg.random_config tpl.Tuner.tpl_space rs in
+      Option.iter
+        (fun stmt -> programs := (label ^ " " ^ Cfg.to_string cfg, stmt) :: !programs)
+        (Tuner.try_instantiate tpl cfg)
+    done
+  in
+  List.iteri
+    (fun i (w : Tvm_models.Workloads.conv) ->
+      sample w.Tvm_models.Workloads.name (Tvm_experiments.Fig_e2e.conv_tensor w) ~seed:i
+        per_template)
+    Tvm_models.Workloads.all;
+  List.iteri
+    (fun ni (net, graph) ->
+      List.iteri
+        (fun gi g ->
+          let out, _ = Fusion.build_group_te graph g in
+          sample (Printf.sprintf "%s/g%d" net gi) out ~seed:((1000 * (ni + 1)) + gi) per_group)
+        (Fusion.fuse graph))
+    [
+      ("resnet18", Models.resnet18 ~input_hw:32 ~width:0.125 ~num_classes:10 ());
+      ("mobilenet", Models.mobilenet ~input_hw:32 ~width:0.125 ~num_classes:10 ());
+      ("lstm", Models.lstm_lm ~hidden:32 ~layers:2 ~vocab:50 ());
+      ("dqn", Models.dqn ~input_hw:40 ());
+      ("dcgan", Models.dcgan ~code_dim:8 ~base:4 ());
+    ];
+  List.rev !programs
+
+(* Whether some loop nest of [stmt] (one loop-variable id list) holds
+   two stores to one buffer, as a reduction's init and update do when
+   they share their loops. *)
+let has_shared_nest stmt =
+  let p = Analysis.program ~intrin_flops:Tvm_schedule.Tensor_intrin.flops_of stmt in
+  let stores = Hashtbl.create 16 in
+  List.exists
+    (fun (a : Analysis.access) ->
+      a.Analysis.acc_is_store
+      &&
+      let key =
+        ( List.map (fun l -> l.Analysis.lvar.Expr.vid) a.Analysis.acc_loops,
+          a.Analysis.acc_buffer.Expr.bid )
+      in
+      Hashtbl.mem stores key || (Hashtbl.add stores key (); false))
+    (Analysis.accesses_exn p)
+
+let test_cpu_nest_grouping_differential () =
+  let programs = cpu_flat_programs ~per_template:8 ~per_group:4 in
+  checkb "sampled many programs" (List.length programs > 400);
+  checkb "some program has init and update stores in one nest"
+    (List.exists (fun (_, stmt) -> has_shared_nest stmt) programs);
+  let fields (r : Cpu_model.breakdown) =
+    Cpu_model.
+      [ ("compute_s", r.compute_s); ("dram_s", r.dram_s); ("l2_s", r.l2_s);
+        ("overhead_s", r.overhead_s); ("dram_bytes", r.dram_bytes);
+        ("l2_bytes", r.l2_bytes); ("flops", r.flops); ("total_s", r.total_s) ]
+  in
+  List.iter
+    (fun (label, stmt) ->
+      List.iter
+        (fun (mname, m) ->
+          let want = Per_access_cpu.estimate m stmt and got = Cpu_model.estimate m stmt in
+          List.iter2
+            (fun (field, w) (_, g) ->
+              if not (Float.equal w g) then
+                Alcotest.failf "%s on %s: %s is %h, per-access model gives %h" label mname
+                  field g w)
+            (fields want) (fields got))
+        [ ("xeon_host", Machine.xeon_host); ("arm_a53", Machine.arm_a53) ])
+    programs
+
 let gpu_dense ~coop () =
   let a = Tensor.placeholder "gm_a" [ Expr.int 256; Expr.int 256 ] in
   let b = Tensor.placeholder "gm_b" [ Expr.int 256; Expr.int 256 ] in
@@ -216,6 +459,8 @@ let suite =
     Alcotest.test_case "interp intrinsics" `Quick test_interp_intrinsics;
     Alcotest.test_case "cpu: vectorize helps" `Quick test_cpu_vectorize_helps;
     Alcotest.test_case "cpu: parallel helps" `Quick test_cpu_parallel_helps;
+    Alcotest.test_case "cpu: nest grouping = per-access pricing" `Quick
+      test_cpu_nest_grouping_differential;
     Alcotest.test_case "gpu: coop cuts traffic" `Quick test_gpu_coop_reduces_traffic;
     Alcotest.test_case "gpu: invalid configs" `Quick test_gpu_invalid_configs;
     Alcotest.test_case "gpu: fp16 on Mali" `Quick test_gpu_fp16_faster_on_mali;
