@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """A/B the repository benchmark: a base revision against the working tree.
 
-    python3 bench/perf_ab.py --base REV --workload W [--pairs N] [--seed K]
+    python3 bench/perf_ab.py --base REV --workload W [--pairs N] [--seed K] [--trace 0|1]
 
 Run from the repository root (`make perf-ab BASE=REV WORKLOAD=W
 PAIRS=N` does). Exports REV with `git archive` into
@@ -16,6 +16,12 @@ reported `correct: false`. Exits 1 when the working tree's failed share
 is above the base's. A run that exits with another code (an uncaught
 OCaml exception exits 2) stops the A/B with its side, pair, exit code
 and last stderr lines. Writes nothing outside _build/.
+
+With --trace 1 the runs are traced, and the table covers every
+`metric` line the runs print, not only the result line's: the median
+per side of each, with pair wins in the direction BENCHMARK.json
+declares for it, or counted as lower where it declares none (such as
+sim.cpu_ms_per_estimate).
 """
 
 import argparse
@@ -30,7 +36,7 @@ STDERR_LINES = 20
 
 def run_bench(root, args, side, pair):
     cmd = [sys.executable, "perfbench/run.py", "--workload", args.workload,
-           "--seed", str(args.seed), "--seconds", str(args.seconds), "--trace", "0"]
+           "--seed", str(args.seed), "--seconds", str(args.seconds), "--trace", str(args.trace)]
     out = subprocess.run(cmd, cwd=root, stdout=subprocess.PIPE,
                          stderr=subprocess.PIPE, text=True)
     lines = out.stdout.strip().splitlines()
@@ -43,7 +49,12 @@ def run_bench(root, args, side, pair):
                  " last stderr lines:\n%s"
                  % (side, pair + 1, args.pairs, root, out.returncode, tail))
     result = json.loads(lines[-1])
-    result["metrics"] = {k: m["value"] for k, m in result["metrics"].items()}
+    if args.trace:
+        # metric NAME VALUE UNIT CLOCK
+        result["metrics"] = {f[1]: float(f[2]) for f in map(str.split, lines)
+                             if len(f) >= 3 and f[0] == "metric"}
+    else:
+        result["metrics"] = {k: m["value"] for k, m in result["metrics"].items()}
     return result
 
 
@@ -58,6 +69,7 @@ def main():
     p.add_argument("--workload", required=True)
     p.add_argument("--pairs", type=int, default=10)
     p.add_argument("--seed", type=int, default=1)
+    p.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = p.parse_args()
     sha = subprocess.check_output(["git", "rev-parse", args.base], text=True).strip()
     base = os.path.join("_build", "perf-ab", sha[:12])
@@ -68,7 +80,7 @@ def main():
         os.rename(base + ".tmp", base)
     with open("BENCHMARK.json") as f:
         declared = json.load(f)
-    metrics = declared["end_to_end"]
+    better = {m["name"]: m["better"] for m in declared["end_to_end"] + declared["per_layer"]}
     args.seconds = declared["run_seconds"]
     runs = {"base": [], "work": []}
     for i in range(args.pairs):
@@ -76,21 +88,26 @@ def main():
         for side in order:
             runs[side].append(run_bench(base if side == "base" else ".", args, side, i))
         print("pair %d/%d done" % (i + 1, args.pairs), file=sys.stderr)
-    print("%s: %s vs working tree, %d pairs of %d s runs"
-          % (args.workload, sha[:12], args.pairs, args.seconds))
-    print("%-20s %30s %30s %8s  %s"
+    print("%s: %s vs working tree, %d pairs of %d s%s runs"
+          % (args.workload, sha[:12], args.pairs, args.seconds, " traced" if args.trace else ""))
+    print("%-36s %30s %30s %8s  %s"
           % ("metric", "base median [q1, q3]", "work median [q1, q3]", "change", "work better"))
-    for m in metrics:
-        name, lower = m["name"], m["better"] == "lower"
-        if name not in runs["base"][0]["metrics"]:
-            continue
+    if args.trace:
+        names = [n for n in runs["base"][0]["metrics"]
+                 if all(n in r["metrics"] for r in runs["base"] + runs["work"])]
+    else:
+        names = [m["name"] for m in declared["end_to_end"]
+                 if m["name"] in runs["base"][0]["metrics"]]
+    for name in names:
+        lower = better.get(name, "lower") == "lower"
         b = [r["metrics"][name] for r in runs["base"]]
         w = [r["metrics"][name] for r in runs["work"]]
         wins = sum((y < x) if lower else (y > x) for x, y in zip(b, w))
         mb = statistics.median(b)
         change = (statistics.median(w) - mb) / mb * 100 if mb else float("nan")
-        print("%-20s %30s %30s %+7.1f%%  %d of %d pairs"
-              % (name, spread(b), spread(w), change, wins, args.pairs))
+        print("%-36s %30s %30s %+7.1f%%  %d of %d pairs%s"
+              % (name, spread(b), spread(w), change, wins, args.pairs,
+                 "" if name in better else " (lower)"))
     share = {}
     for side in ("base", "work"):
         attempted = sum(r["attempted"] for r in runs[side])

@@ -13,7 +13,12 @@
     + tensorize pattern-matching and replacement with intrinsic calls,
     + DMA rewriting of accelerator-scope copy stages.
 
-    The finished program goes through one {!Simplify.stmt} pass.
+    Expressions come from the smart constructors of {!Expr}, directly
+    or through {!Visit} substitution, or are raw [Load]/[Call] nodes,
+    which the constructors would not fold either; so each is normal as
+    built and nothing re-normalizes it. The finished program goes
+    through one {!Simplify.stmt} pass, which substitutes unit loops and
+    cheap lets and prunes trivial control flow.
     The virtual-thread transformation of §4.4 is a separate pass
     ({!Vthread_lower}) running on the output of this one. *)
 
@@ -263,7 +268,7 @@ let infer_region ~(buf : Expr.buffer) ~(inner : (Expr.var * int) list) exprs =
             in
             let hull = List.fold_left Interval.union (List.hd bounds) (List.tl bounds) in
             let offsets =
-              List.map (fun idx -> Simplify.expr (minimize_inner ~inner (List.nth idx d))) all
+              List.map (fun idx -> minimize_inner ~inner (List.nth idx d)) all
             in
             let offset =
               List.fold_left (fun acc o -> Expr.min_ acc o) (List.hd offsets)
@@ -302,7 +307,7 @@ let match_intrinsic (st : Sched.stage) (intrin : Tensor_intrin.t)
       Some Expr.zero
     else None
   in
-  let base idx = List.map (fun e -> Simplify.expr (Visit.subst_expr zero_tensorized e)) idx in
+  let base idx = List.map (Visit.subst_expr zero_tensorized) idx in
   (* Input regions: loads in the source expression, in order of
      appearance, one per declared input. *)
   let src =
@@ -327,7 +332,7 @@ let match_intrinsic (st : Sched.stage) (intrin : Tensor_intrin.t)
     List.map
       (fun iv ->
         let v = Hashtbl.find values iv.Iter_var.var.Expr.vid in
-        Simplify.expr (Visit.subst_expr zero_tensorized v))
+        Visit.subst_expr zero_tensorized v)
       st.Sched.s_root_axes
   in
   (inputs, out_base)
@@ -443,9 +448,7 @@ let rec emit_stage ctx (st : Sched.stage) ~(region : region option) : Stmt.t =
               match region with
               | None -> out_base
               | Some r ->
-                  List.map2
-                    (fun b off -> Simplify.expr (Expr.( - ) b off))
-                    out_base r.rz_offsets
+                  List.map2 Expr.( - ) out_base r.rz_offsets
             in
             Some (pos, intrin, inputs, (out_buf, out_base), has_outer_reduce)
       in
@@ -571,8 +574,7 @@ and emit_attached ctx ~consumer ~consumer_values ~consumer_extents ~level sub
          still reads the original full buffer: retarget into the region. *)
       let continuation =
         Visit.retarget_buffer ~old_b:sub.Sched.s_out ~new_b:rz_buf
-          ~remap:(fun idx ->
-            List.map2 (fun i off -> Simplify.expr (Expr.( - ) i off)) idx offsets)
+          ~remap:(fun idx -> List.map2 Expr.( - ) idx offsets)
           continuation
       in
       Stmt.Allocate (rz_buf, Stmt.seq [ producer_nest; continuation ])

@@ -223,10 +223,10 @@ let hash e =
   (h lxor (h lsr 32)) land max_int
 
 (** Hash tables over expressions that hash each key once per probe: the
-    per-node memos of [Simplify], [Analysis], [Visit] and [Interval],
-    and (below) the intern table. A miss inserts under the probe's hash;
-    a table that reaches its [limit] empties but keeps its buckets, so
-    it does not grow back. A cell is a key, a datum and a link, the size
+    per-node memos of [Analysis], [Visit] and [Interval], and (below)
+    the intern table. A miss inserts under the probe's hash; a table
+    that reaches its [limit] empties but keeps its buckets, so it does
+    not grow back. A cell is a key, a datum and a link, the size
     of a [Hashtbl] binding. *)
 module Memo = struct
   type 'a bucket = Empty | Cons of { key : t; data : 'a; mutable next : 'a bucket }

@@ -1,47 +1,23 @@
-(** Simplification passes.
+(** Statement simplification.
 
     The smart constructors in {!Expr} fold constants at construction
-    time; these passes re-apply them after substitution (which can
-    expose new constants) and prune trivial control flow. The
-    statement pass is a single walk: cheap let bindings and serial
-    unit loops extend an environment that the expressions below them
-    are substituted from, so each expression is rebuilt once. *)
+    time, so an expression they built is already normal and rebuilding
+    it would return it unchanged (DESIGN, "Expressions are normal by
+    construction"). This pass only substitutes and prunes, in a single
+    walk: cheap let bindings and serial unit loops extend an
+    environment that the expressions below them are substituted from
+    (substitution rebuilds through the constructors, which fold what
+    it exposes), and trivial control flow is pruned. *)
 
-(* Per-domain memo over physically-shared nodes: hash-consed
-   construction makes shared subtrees physically equal, so each is
-   re-normalized once per domain instead of once per occurrence.
-   Sound because the rebuild is pure and nodes are immutable; bounded
-   so a long tuning run cannot pin every expression it ever saw. *)
-let memo_key = Domain.DLS.new_key (fun () -> Expr.Memo.create ~limit:(1 lsl 16) 4096)
-
-(** Deep re-normalization of an expression: rebuilding through the
-    smart constructors folds any constants exposed by substitution. *)
-let rec expr e =
-  match e with
-  | Expr.IntImm _ | Expr.FloatImm _ | Expr.Var _ -> e
-  | _ -> Expr.Memo.memo (Domain.DLS.get memo_key) renormalize e
-
-and renormalize e =
-  match e with
-  | Expr.IntImm _ | Expr.FloatImm _ | Expr.Var _ -> e
-  | Expr.Binop (op, a, b) -> Expr.binop op (expr a) (expr b)
-  | Expr.Cmp (op, a, b) -> Expr.cmp op (expr a) (expr b)
-  | Expr.And (a, b) -> Expr.and_ (expr a) (expr b)
-  | Expr.Or (a, b) -> Expr.or_ (expr a) (expr b)
-  | Expr.Not a -> Expr.not_ (expr a)
-  | Expr.Select (c, t, f) -> Expr.select (expr c) (expr t) (expr f)
-  | Expr.Cast (d, a) -> Expr.cast d (expr a)
-  | Expr.Load (b, idx) -> Expr.load b (List.map expr idx)
-  | Expr.Call (n, args) -> Expr.call n (List.map expr args)
-
-(* [env] maps the var ids bound so far to their cheap values. One
-   substitution per expression gives what substituting binding by
-   binding would, because the smart constructors fold only locally
-   (DESIGN, "Substitution commutes with folding"). *)
+(* [env] maps the var ids bound so far to their cheap values; with
+   nothing bound an expression is kept as it is. One substitution per
+   expression gives what substituting binding by binding would,
+   because the smart constructors fold only locally (DESIGN,
+   "Substitution commutes with folding"). *)
 let rec stmt_in env (s : Stmt.t) : Stmt.t =
   let ex =
     match env with
-    | [] -> expr
+    | [] -> Fun.id
     | _ -> Visit.subst_expr (fun v -> List.assoc_opt v.Expr.vid env)
   in
   let go = stmt_in env in
@@ -100,8 +76,7 @@ and bind env v e body =
   | Expr.IntImm _ | Expr.FloatImm _ | Expr.Var _ -> stmt_in ((v.Expr.vid, e) :: env) body
   | _ -> Stmt.Let_stmt (v, e, stmt_in env body)
 
-(** Re-normalize every expression of a statement, substitute cheap let
-    bindings (and serial unit loops) through, and prune trivial control
-    flow: zero-trip loops, constant conditions, empty branches and
-    allocations. *)
+(** Substitute cheap let bindings (and serial unit loops) through a
+    statement and prune trivial control flow: zero-trip loops,
+    constant conditions, empty branches and allocations. *)
 let stmt s = stmt_in [] s

@@ -498,7 +498,7 @@ let check_race st what (b : Expr.buffer) (idx : Expr.t list) =
           | exception (NA _ | Unreachable) -> false
         in
         let invariant e =
-          let at n = Simplify.expr (Visit.subst_var_expr t.t_var (Expr.IntImm n) e) in
+          let at n = Visit.subst_var_expr t.t_var (Expr.IntImm n) e in
           Expr.equal (at t.t_min) (at (t.t_min + 1))
         in
         if (not single_copy) && List.for_all invariant idx then

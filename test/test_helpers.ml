@@ -62,3 +62,57 @@ let run_default output bindings =
   run sched bindings
 
 let approx ?(tol = 1e-4) name a b = checkb name (Nd.equal_approx ~tol a b)
+
+(** Expressions keyed by physical identity. *)
+module Phys = Hashtbl.Make (struct
+  type t = Expr.t
+
+  let equal = ( == )
+  let hash = Expr.hash
+end)
+
+(** The re-normalization [Simplify] once ran over every expression of a
+    lowered program, kept as an oracle: rebuild bottom-up through the
+    smart constructors, each physically distinct node once per call. An
+    expression the constructors built is a structural fixed point of it
+    (DESIGN, "Expressions are normal by construction"). *)
+let renormalize e =
+  let memo = Phys.create 64 in
+  let rec go (e : Expr.t) =
+    match e with
+    | Expr.IntImm _ | Expr.FloatImm _ | Expr.Var _ -> e
+    | _ -> (
+        match Phys.find_opt memo e with
+        | Some r -> r
+        | None ->
+            let r = rebuild e in
+            Phys.add memo e r;
+            r)
+  and rebuild (e : Expr.t) =
+    match e with
+    | Expr.IntImm _ | Expr.FloatImm _ | Expr.Var _ -> e
+    | Expr.Binop (op, a, b) -> Expr.binop op (go a) (go b)
+    | Expr.Cmp (op, a, b) -> Expr.cmp op (go a) (go b)
+    | Expr.And (a, b) -> Expr.and_ (go a) (go b)
+    | Expr.Or (a, b) -> Expr.or_ (go a) (go b)
+    | Expr.Not a -> Expr.not_ (go a)
+    | Expr.Select (c, t, f) -> Expr.select (go c) (go t) (go f)
+    | Expr.Cast (d, a) -> Expr.cast d (go a)
+    | Expr.Load (b, idx) -> Expr.load b (List.map go idx)
+    | Expr.Call (n, args) -> Expr.call n (List.map go args)
+  in
+  go e
+
+(** [f ()] on a fresh domain, which interns into an empty table of its
+    own. The main domain's intern table empties at
+    [Expr.Hashcons.limit] entries, so where it stands when a test
+    starts depends on every test before it. A test that builds an
+    expression twice and compares the results by [==] runs here, so
+    that the table cannot empty in between; so does a test that interns
+    expressions in bulk, so that it does not move the main table. *)
+let on_fresh_domain f = Domain.join (Domain.spawn f)
+
+(** A QCheck property as an Alcotest case run by {!on_fresh_domain}. *)
+let qcheck_on_fresh_domain t =
+  let name, speed, run = QCheck_alcotest.to_alcotest t in
+  Alcotest.test_case name speed (fun () -> on_fresh_domain run)

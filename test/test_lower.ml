@@ -240,7 +240,8 @@ let substitute_and_evaluate ~inner e =
 (* Random index expressions over three inner vars (extents 1 to 5) and
    an outer var: sums, differences and products with small constants of
    either sign, floor division and modulus by positive constants, min
-   and max. *)
+   and max. Runs on a fresh domain: the two results are one node only
+   if the intern table does not empty between them. *)
 let minimize_inner_matches_substitution =
   QCheck.Test.make ~name:"offset minimization = substitute-and-evaluate" ~count:500
     QCheck.(int_range 0 1_000_000)
@@ -269,12 +270,91 @@ let minimize_inner_matches_substitution =
           | _ -> Expr.max_ a b
       in
       let e = gen 5 in
-      let expected = Simplify.expr (substitute_and_evaluate ~inner e) in
-      let got = Simplify.expr (Lower.minimize_inner ~inner e) in
+      let expected = renormalize (substitute_and_evaluate ~inner e) in
+      let got = renormalize (Lower.minimize_inner ~inner e) in
       expected == got
       || QCheck.Test.fail_reportf "%s: substitute-and-evaluate %s, minimize_inner %s"
            (Printer.expr_to_string e) (Printer.expr_to_string expected)
            (Printer.expr_to_string got))
+
+(* What lowering leaves for [Simplify] to re-normalize: nothing. Every
+   expression of every lowered program must be a structural fixed
+   point of the re-normalization [Simplify] no longer runs (DESIGN,
+   "Expressions are normal by construction"). The corpus: random valid
+   gpu_flat and cpu_flat configs of every Table-2 workload, gpu_matmul
+   configs of a dense layer, one VDLA tensorized conv (lowered for the
+   accelerator, then through the virtual-thread pass), and every
+   kernel [Compiler.build] emits for the five reduced networks on cuda
+   and llvm. *)
+let lowered_corpus () =
+  let module Cfg = Tvm_autotune.Cfg_space in
+  let module Tuner = Tvm_autotune.Tuner in
+  let module Templates = Tvm_autotune.Templates in
+  let module Models = Tvm_models.Models in
+  let module V = Tvm_vdla.Vdla_schedule in
+  let programs = ref [] in
+  let add label stmt = programs := (label, stmt) :: !programs in
+  let sample label (tpl : Tuner.template) ~seed n =
+    let rs = Random.State.make [| 3571; seed |] in
+    for _ = 1 to n do
+      let cfg = Cfg.random_config tpl.Tuner.tpl_space rs in
+      Option.iter (add (label ^ " " ^ Cfg.to_string cfg)) (Tuner.try_instantiate tpl cfg)
+    done
+  in
+  List.iteri
+    (fun wi (w : Tvm_models.Workloads.conv) ->
+      let out = Tvm_experiments.Fig_e2e.conv_tensor w in
+      List.iteri
+        (fun ti (tname, mk) ->
+          let name = w.Tvm_models.Workloads.name ^ "/" ^ tname in
+          sample name (mk ~name:("normal_" ^ name) out) ~seed:((wi * 2) + ti) 6)
+        [ ("gpu_flat", Templates.gpu_flat); ("cpu_flat", Templates.cpu_flat) ])
+    Tvm_models.Workloads.all;
+  let _, _, c = mk_dense ~m:128 ~n:128 ~k:128 "normal" in
+  sample "dense/gpu_matmul" (Templates.gpu_matmul ~name:"normal_mm" c) ~seed:1000 16;
+  let m, n, k = V.conv_as_gemm ~h:14 ~w:14 ~ic:32 ~oc:32 ~kernel:3 ~stride:1 in
+  add "vdla conv" (V.schedule ~vthreads:2 (V.gemm_workload ~name:"normal_vdla" ~m ~n ~k ()));
+  let spec = Tvm_spec.Job_spec.make ~trials:4 () in
+  List.iter
+    (fun (net, graph) ->
+      List.iter
+        (fun target ->
+          let r = Tvm.Compiler.build ~spec graph target in
+          List.iter
+            (fun (kn : Tvm_runtime.Rt_module.kernel) ->
+              add
+                (Printf.sprintf "%s/%s %s" net (Tvm.Target.name target)
+                   kn.Tvm_runtime.Rt_module.k_name)
+                kn.Tvm_runtime.Rt_module.k_stmt)
+            (Tvm_runtime.Rt_module.kernels r.Tvm.Compiler.module_))
+        [ Tvm.Target.cuda (); Tvm.Target.llvm () ])
+    [
+      ("resnet18", Models.resnet18 ~input_hw:32 ~width:0.125 ~num_classes:10 ());
+      ("mobilenet", Models.mobilenet ~input_hw:32 ~width:0.125 ~num_classes:10 ());
+      ("lstm", Models.lstm_lm ~hidden:32 ~layers:2 ~vocab:50 ());
+      ("dqn", Models.dqn ~input_hw:40 ());
+      ("dcgan", Models.dcgan ~code_dim:8 ~base:4 ());
+    ];
+  List.rev !programs
+
+let test_lowered_programs_normal () =
+  let programs = lowered_corpus () and exprs = ref 0 in
+  List.iter
+    (fun (label, stmt) ->
+      Stmt.fold_exprs
+        (fun () e ->
+          incr exprs;
+          let r = renormalize e in
+          if not (Expr.equal r e) then
+            Alcotest.failf "%s: %s re-normalizes to %s" label (Printer.expr_to_string e)
+              (Printer.expr_to_string r))
+        () stmt)
+    programs;
+  let has prefix = List.exists (fun (l, _) -> String.starts_with ~prefix l) programs in
+  checkb "every part of the corpus lowered"
+    (List.for_all has [ "C1/gpu_flat"; "C1/cpu_flat"; "dense/gpu_matmul"; "vdla conv";
+                        "resnet18/cuda"; "dcgan/llvm" ]);
+  checkb "thousands of expressions checked" (!exprs > 5000)
 
 let suite =
   [
@@ -286,5 +366,7 @@ let suite =
     Alcotest.test_case "tensorize mismatch rejected" `Quick test_tensorize_shape_mismatch;
     Alcotest.test_case "shared staging + barrier" `Quick test_gpu_barrier_insertion;
     QCheck_alcotest.to_alcotest random_schedule_preserves_semantics;
-    QCheck_alcotest.to_alcotest minimize_inner_matches_substitution;
+    qcheck_on_fresh_domain minimize_inner_matches_substitution;
+    Alcotest.test_case "lowered programs are normal" `Quick (fun () ->
+        on_fresh_domain test_lowered_programs_normal);
   ]

@@ -58,6 +58,109 @@ let test_buffer () =
   checkb "scope changed" (Expr.Buffer.scope b2 = Expr.Shared);
   checkb "distinct id" (not (Expr.Buffer.equal b b2))
 
+(* Rebuilding through the constructors returns an equal expression:
+   every rule of [binop]/[cmp]/[and_]/[or_]/[not_]/[select]/[cast]
+   returns an operand, a constant, or the node itself over the same
+   children (DESIGN, "Expressions are normal by construction"). The
+   random trees lean on the inputs those rules inspect: 0/1
+   identities, constant operands, equal [min]/[max] operands built
+   apart, constant conditions, casts between Int32, Int64 and Float32,
+   float [-0.], and raw [Load]/[Call] nodes no constructor built. *)
+type recipe =
+  | R_int of int
+  | R_float of float
+  | R_var of int
+  | R_bin of Expr.binop * recipe * recipe
+  | R_same of Expr.binop * recipe  (** [op r r], each side built on its own *)
+  | R_cmp of Expr.cmpop * recipe * recipe
+  | R_and of recipe * recipe
+  | R_or of recipe * recipe
+  | R_not of recipe
+  | R_select of recipe * recipe * recipe
+  | R_cast of Dtype.t * recipe
+  | R_load of bool * recipe list  (** raw when [true] *)
+  | R_call of bool * recipe list
+
+let idem_vars =
+  [| Expr.Var.fresh "x"; Expr.Var.fresh "y"; Expr.Var.fresh ~dtype:Dtype.Int64 "w";
+     Expr.Var.fresh ~dtype:Dtype.Float32 "f" |]
+
+let idem_buf = Expr.Buffer.create "idem" [ Expr.int 8; Expr.int 8 ]
+
+let rec build_recipe = function
+  | R_int n -> Expr.int n
+  | R_float f -> Expr.float f
+  | R_var i -> Expr.var idem_vars.(i)
+  | R_bin (op, a, b) -> Expr.binop op (build_recipe a) (build_recipe b)
+  | R_same (op, a) -> Expr.binop op (build_recipe a) (build_recipe a)
+  | R_cmp (op, a, b) -> Expr.cmp op (build_recipe a) (build_recipe b)
+  | R_and (a, b) -> Expr.and_ (build_recipe a) (build_recipe b)
+  | R_or (a, b) -> Expr.or_ (build_recipe a) (build_recipe b)
+  | R_not a -> Expr.not_ (build_recipe a)
+  | R_select (c, t, f) -> Expr.select (build_recipe c) (build_recipe t) (build_recipe f)
+  | R_cast (d, a) -> Expr.cast d (build_recipe a)
+  | R_load (raw, idx) ->
+      let idx = List.map build_recipe idx in
+      if raw then Expr.Load (idem_buf, idx) else Expr.load idem_buf idx
+  | R_call (raw, args) ->
+      let args = List.map build_recipe args in
+      if raw then Expr.Call ("exp", args) else Expr.call "exp" args
+
+let gen_recipe =
+  let open QCheck.Gen in
+  let binops = Expr.[ Add; Sub; Mul; Div; FloorMod; Min; Max ] in
+  let cmpops = Expr.[ Eq; Ne; Lt; Le; Gt; Ge ] in
+  let leaf =
+    frequency
+      [
+        (4, map (fun n -> R_int n) (oneofl [ -1; 0; 0; 1; 1; 2; 3; 7; -5; 300 ]));
+        (1, map (fun n -> R_int n) int);
+        (2, map (fun f -> R_float f) (oneofl [ 0.; -0.; 1.; 1.5; -2. ]));
+        (4, map (fun i -> R_var i) (int_bound (Array.length idem_vars - 1)));
+      ]
+  in
+  let cond = oneofl [ R_int 0; R_int 1 ] in
+  sized_size (int_bound 64)
+  @@ fix (fun self n ->
+         if n = 0 then leaf
+         else
+           let sub = self (n / 2) in
+           frequency
+             [
+               (2, leaf);
+               (10, map3 (fun op a b -> R_bin (op, a, b)) (oneofl binops) sub sub);
+               (2, map2 (fun op a -> R_same (op, a)) (oneofl Expr.[ Min; Max; Sub; Div ]) sub);
+               (2, map3 (fun op a b -> R_cmp (op, a, b)) (oneofl cmpops) sub sub);
+               (1, map2 (fun a b -> R_and (a, b)) (oneof [ cond; sub ]) sub);
+               (1, map2 (fun a b -> R_or (a, b)) sub (oneof [ cond; sub ]));
+               (1, map (fun a -> R_not a) (oneof [ cond; sub ]));
+               (2, map3 (fun c t f -> R_select (c, t, f)) (oneof [ cond; sub ]) sub sub);
+               ( 2,
+                 map2 (fun d a -> R_cast (d, a))
+                   (oneofl [ Dtype.Int32; Dtype.Int64; Dtype.Float32 ])
+                   sub );
+               (1, map2 (fun raw idx -> R_load (raw, idx)) bool (list_size (int_range 1 2) sub));
+               (1, map2 (fun raw args -> R_call (raw, args)) bool (list_size (int_range 1 2) sub));
+             ])
+
+(* Division or modulus by a zero constant raises while folding; those
+   recipes build nothing and are skipped. *)
+let constructors_idempotent =
+  QCheck.Test.make ~name:"constructor-built expressions are normal" ~count:5000
+    (QCheck.make
+       ~print:(fun r ->
+         match build_recipe r with
+         | e -> Printer.expr_to_string e
+         | exception Invalid_argument m -> m)
+       gen_recipe)
+    (fun r ->
+      match build_recipe r with
+      | exception Invalid_argument _ -> QCheck.assume_fail ()
+      | e ->
+          let again = Test_helpers.renormalize e in
+          Expr.equal again e
+          || QCheck.Test.fail_reportf "re-normalized to %s" (Printer.expr_to_string again))
+
 (* ------------------------------------------------------------------ *)
 (* Interval analysis                                                    *)
 (* ------------------------------------------------------------------ *)
@@ -159,12 +262,12 @@ let test_empty_if_dropped () =
 
 (* The per-binding simplifier [Simplify.stmt] replaced, as the oracle
    for its single pass: every cheap binding rewrites its whole body
-   through [Visit.subst_var_stmt], and a serial unit loop's body is
-   simplified once before and once after its binding is substituted.
-   Its empty-[If] rule is today's, under which simplification is
-   idempotent. *)
+   through [Visit.subst_var_stmt], a serial unit loop's body is
+   simplified once before and once after its binding is substituted,
+   and every expression is re-normalized. Its empty-[If] rule is
+   today's, under which simplification is idempotent. *)
 let rec per_binding_simplify (s : Stmt.t) : Stmt.t =
-  let go = per_binding_simplify and ex = Simplify.expr in
+  let go = per_binding_simplify and ex = Test_helpers.renormalize in
   match s with
   | Stmt.Store (b, idx, v) -> Stmt.Store (b, List.map ex idx, ex v)
   | Stmt.For l -> (
@@ -272,6 +375,8 @@ let random_program rng =
   in
   gen [ free ] 7
 
+(* Runs on a fresh domain: the two passes build physically equal
+   expressions only if the intern table does not empty between them. *)
 let single_pass_simplify_matches_per_binding =
   QCheck.Test.make ~name:"single-pass simplify = per-binding simplify" ~count:500
     QCheck.(int_range 0 1_000_000)
@@ -584,12 +689,7 @@ let test_retarget () =
 
 (* A plain [Hashtbl] over physical identity, independent of the
    [Expr.Memo] tables under test. *)
-module Phys = Hashtbl.Make (struct
-  type t = Expr.t
-
-  let equal = ( == )
-  let hash = Expr.hash
-end)
+module Phys = Test_helpers.Phys
 
 (* Reference for [Interval.eval]: a memo walk over the whole
    expression, with no node limit. *)
@@ -767,11 +867,11 @@ let test_memo_overflow () =
   done;
   checkb "overflow recomputed" (!computed > Array.length keys)
 
-(* A compute that recurses into the same table, as [Simplify.expr]
-   does, grows the table (and, with a small limit, empties it) under
-   its own probe. The results must still be the tree sizes of the
-   shared DAG, and without a limit each distinct composite node is
-   computed once. *)
+(* A compute that recurses into the same table, as
+   [Analysis.expr_flops] does, grows the table (and, with a small
+   limit, empties it) under its own probe. The results must still be
+   the tree sizes of the shared DAG, and without a limit each distinct
+   composite node is computed once. *)
 let memo_reentrant =
   QCheck.Test.make ~name:"re-entrant memo compute = plain recursion" ~count:300
     QCheck.(pair (int_range 0 1_000_000) (int_range 8 200))
@@ -831,6 +931,7 @@ let suite =
     Alcotest.test_case "cmp folding" `Quick test_cmp_folding;
     Alcotest.test_case "dtype_of" `Quick test_dtype_of;
     Alcotest.test_case "buffer" `Quick test_buffer;
+    Test_helpers.qcheck_on_fresh_domain constructors_idempotent;
     Alcotest.test_case "interval basics" `Quick test_interval_basics;
     Alcotest.test_case "interval eval" `Quick test_interval_eval;
     Alcotest.test_case "interval div/mod" `Quick test_interval_divmod;
@@ -838,7 +939,7 @@ let suite =
     Alcotest.test_case "simplify stmt" `Quick test_simplify_stmt;
     Alcotest.test_case "single-trip loop" `Quick test_single_trip_loop;
     Alcotest.test_case "empty if dropped" `Quick test_empty_if_dropped;
-    QCheck_alcotest.to_alcotest single_pass_simplify_matches_per_binding;
+    Test_helpers.qcheck_on_fresh_domain single_pass_simplify_matches_per_binding;
     Alcotest.test_case "collect accesses" `Quick test_collect_accesses;
     Alcotest.test_case "footprints" `Quick test_footprints;
     Alcotest.test_case "strides" `Quick test_strides;
