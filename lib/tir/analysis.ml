@@ -79,34 +79,54 @@ exception Non_constant_extent of string
 (* The one walk                                                        *)
 (* ------------------------------------------------------------------ *)
 
-(* Per-domain memo: [expr_flops] is pure and structural, so the count
-   of a hash-consed (physically shared) subtree is computed once per
-   domain. Bounded like the other pass memos. *)
-let flops_memo_key = Domain.DLS.new_key (fun () -> Expr.Memo.create ~limit:(1 lsl 16) 1024)
-
-let rec expr_flops (e : Expr.t) =
+(* Arithmetic of one node, its children counted by [go st]. *)
+let node_flops go st (e : Expr.t) =
   match e with
   | Expr.IntImm _ | Expr.FloatImm _ | Expr.Var _ -> 0.
   | Expr.Load (_, _) ->
       (* Address computation is loop/index overhead, not arithmetic
          throughput; the timing models price it separately. *)
       0.
-  | _ -> Expr.Memo.memo (Domain.DLS.get flops_memo_key) node_flops e
-
-and node_flops (e : Expr.t) =
-  match e with
-  | Expr.IntImm _ | Expr.FloatImm _ | Expr.Var _ | Expr.Load _ -> 0.
-  | Expr.Binop (_, a, b) -> 1. +. expr_flops a +. expr_flops b
+  | Expr.Binop (_, a, b) -> 1. +. go st a +. go st b
   | Expr.Cmp (_, a, b) ->
       (* Predicates (padding guards) compile to flags/masks hoisted out
          of the arithmetic pipe; not arithmetic throughput. *)
-      expr_flops a +. expr_flops b
-  | Expr.And (a, b) | Expr.Or (a, b) -> expr_flops a +. expr_flops b
-  | Expr.Not a | Expr.Cast (_, a) -> expr_flops a
-  | Expr.Select (_, t, f) -> Float.max (expr_flops t) (expr_flops f)
+      go st a +. go st b
+  | Expr.And (a, b) | Expr.Or (a, b) -> go st a +. go st b
+  | Expr.Not a | Expr.Cast (_, a) -> go st a
+  | Expr.Select (_, t, f) -> Float.max (go st t) (go st f)
   | Expr.Call (_, args) ->
       (* Transcendental intrinsics priced as several flops. *)
-      8. +. List.fold_left (fun acc a -> acc +. expr_flops a) 0. args
+      8. +. List.fold_left (fun acc a -> acc +. go st a) 0. args
+
+(* Plain recursion, counting composite nodes down from [left]. *)
+let rec direct_flops left (e : Expr.t) =
+  match e with
+  | Expr.IntImm _ | Expr.FloatImm _ | Expr.Var _ | Expr.Load _ -> 0.
+  | _ ->
+      decr left;
+      if !left < 0 then raise_notrace Expr.Memo.Over_limit;
+      node_flops direct_flops left e
+
+(* The over-limit fallback: a memo counts each physically distinct
+   composite node once for one call. *)
+let shared_flops (e : Expr.t) =
+  let memo = Expr.Memo.create 16 in
+  let rec go () (e : Expr.t) =
+    match e with
+    | Expr.IntImm _ | Expr.FloatImm _ | Expr.Var _ | Expr.Load _ -> 0.
+    | _ -> Expr.Memo.memo memo (node_flops go ()) e
+  in
+  go () e
+
+(** Arithmetic in one evaluation of [e]. An expression past
+    {!Expr.Memo.direct_limit} composite nodes is counted with each
+    physically distinct subtree visited once, so a shared DAG costs
+    time linear in its node count. A memo kept across calls would not
+    pay: on the tuner's programs it hit under 0.3% of its probes, and
+    none within one program. *)
+let expr_flops e =
+  try direct_flops (ref Expr.Memo.direct_limit) e with Expr.Memo.Over_limit -> shared_flops e
 
 (** One loop site: the loop's kind, its extent as written (before
     let-substitution), and its enclosing loops, innermost first. *)

@@ -124,38 +124,11 @@ module Buffer = struct
     { b with bid = 1 + Atomic.fetch_and_add counter 1; bscope = scope }
 end
 
-(** Structural equality modulo nothing — plain [Stdlib.(=)] is unsafe on
-    this type only because of floats; we use compare-based equality.
-    Hash-consed construction (below) makes physically-equal nodes the
-    common case, so the [==] fast path usually answers in O(1). *)
-let rec equal a b =
-  a == b
-  ||
-  match (a, b) with
-  | IntImm x, IntImm y -> Stdlib.( = ) x y
-  | FloatImm x, FloatImm y -> Float.equal x y
-  | Var x, Var y -> Var.equal x y
-  | Binop (o1, a1, b1), Binop (o2, a2, b2) -> Stdlib.( = ) o1 o2 && equal a1 a2 && equal b1 b2
-  | Cmp (o1, a1, b1), Cmp (o2, a2, b2) -> Stdlib.( = ) o1 o2 && equal a1 a2 && equal b1 b2
-  | And (a1, b1), And (a2, b2) | Or (a1, b1), Or (a2, b2) -> equal a1 a2 && equal b1 b2
-  | Not a, Not b -> equal a b
-  | Select (c1, t1, f1), Select (c2, t2, f2) -> equal c1 c2 && equal t1 t2 && equal f1 f2
-  | Cast (d1, a), Cast (d2, b) -> Dtype.equal d1 d2 && equal a b
-  | Load (b1, i1), Load (b2, i2) ->
-      Buffer.equal b1 b2
-      && Stdlib.( = ) (List.length i1) (List.length i2)
-      && List.for_all2 equal i1 i2
-  | Call (n1, a1), Call (n2, a2) ->
-      String.equal n1 n2
-      && Stdlib.( = ) (List.length a1) (List.length a2)
-      && List.for_all2 equal a1 a2
-  | _ -> false
-
 (* ------------------------------------------------------------------ *)
-(* Hash-consing                                                         *)
+(* Hashing, memos and equality                                          *)
 (* ------------------------------------------------------------------ *)
 
-(** Structural hash of an expression, shared by both tables below.
+(** Structural hash of an expression: the key of every {!Memo}.
 
     It walks the node in pre-order and stops after [hash_budget] nodes,
     mixing only immediates: constructor and operator codes, integer
@@ -166,10 +139,9 @@ let rec equal a b =
     [((((o*12544 + ...)/28)/28)/128)] that differ only deep inside
     still spread over the buckets.
 
-    It agrees with both equalities the tables use: physically equal
-    nodes are structurally identical, and {!Hashcons.shallow_equal}
-    nodes have the same constructor, immediates and vid/bid, and
-    physically equal (so identical) children.
+    Nodes of identical structure hash the same (floats compared by
+    bits: [0.] and [-0.] are {!equal} but may hash apart), so a memo
+    keyed by physical identity agrees with one keyed by structure.
 
     The walk allocates nothing: one immediate int carries the running
     hash in its high bits and the remaining node budget in its low
@@ -222,22 +194,22 @@ let hash e =
   let h = (h lxor (h lsr 29)) * 0x14d049bb133111eb in
   (h lxor (h lsr 32)) land max_int
 
-(** Hash tables over expressions that hash each key once per probe: the
-    per-node memos of [Analysis], [Visit] and [Interval], and (below)
-    the intern table. A miss inserts under the probe's hash; a table
-    that reaches its [limit] empties but keeps its buckets, so it does
-    not grow back. A cell is a key, a datum and a link, the size
+(** Hash tables over expressions keyed by physical identity, that hash
+    each key once per probe: the per-node memos of [Analysis], [Visit],
+    [Interval] and {!equal}. A miss inserts under the probe's hash; a
+    table that reaches its [limit] empties but keeps its buckets, so it
+    does not grow back. A cell is a key, a datum and a link, the size
     of a [Hashtbl] binding. *)
 module Memo = struct
   type 'a bucket = Empty | Cons of { key : t; data : 'a; mutable next : 'a bucket }
   type nonrec 'a t = { mutable buckets : 'a bucket array; mutable size : int; limit : int }
 
   (** Composite nodes a per-call pass ([Interval.eval],
-      [Visit.map_expr_shared]) walks by plain recursion before it
-      raises {!Over_limit} and reruns with a memo of its own. Almost
-      every index expression fits, and below this size a memo costs a
-      hash per node for a hit rate under 10%; above it, the memo keeps a
-      shared DAG linear in its node count. *)
+      [Visit.map_expr_shared], [Analysis.expr_flops], {!equal}) walks
+      by plain recursion before it raises {!Over_limit} and reruns with
+      a memo of its own. Almost every index expression fits, and below
+      this size a memo costs a hash per node for a hit rate under 10%;
+      above it, the memo keeps a shared DAG linear in its node count. *)
   let direct_limit = 64
 
   exception Over_limit
@@ -298,114 +270,72 @@ module Memo = struct
         r
 end
 
-(** The intern tables behind the smart constructors. Each domain owns
-    its table ([Domain.DLS]): template instantiation fans out over
-    [Tvm_par.Pool] domains, and per-domain tables need no locking on
-    the construction fast path. Interning is only a canonicalization
-    cache — two domains may hold physically distinct copies of the same
-    structure, which costs sharing but never correctness. *)
-module Hashcons = struct
-  (* Shallow equality: same constructor, immediates compared by value,
-     children by physical identity (they are already interned when the
-     parent is built on the same domain). Floats compare bitwise so
-     [-0.]/[0.]/NaN payloads are never conflated — printing must not
-     depend on intern insertion order. Buffers compare physically:
-     [bid]-equal buffers are the same record everywhere in the
-     compiler. Every shallow-equal pair is structurally equal, so it
-     has equal {!hash}es. *)
-  let imm_equal a b =
+(* Same constructor and immediates, children compared by [eq st]. *)
+let same_node eq st a b =
+  match (a, b) with
+  | IntImm x, IntImm y -> Int.equal x y
+  | FloatImm x, FloatImm y -> Float.equal x y
+  | Var x, Var y -> Var.equal x y
+  | Binop (o1, a1, b1), Binop (o2, a2, b2) -> o1 = o2 && eq st a1 a2 && eq st b1 b2
+  | Cmp (o1, a1, b1), Cmp (o2, a2, b2) -> o1 = o2 && eq st a1 a2 && eq st b1 b2
+  | And (a1, b1), And (a2, b2) | Or (a1, b1), Or (a2, b2) -> eq st a1 a2 && eq st b1 b2
+  | Not a, Not b -> eq st a b
+  | Select (c1, t1, f1), Select (c2, t2, f2) -> eq st c1 c2 && eq st t1 t2 && eq st f1 f2
+  | Cast (d1, a), Cast (d2, b) -> Dtype.equal d1 d2 && eq st a b
+  | Load (b1, i1), Load (b2, i2) -> Buffer.equal b1 b2 && List.equal (eq st) i1 i2
+  | Call (n1, a1), Call (n2, a2) -> String.equal n1 n2 && List.equal (eq st) a1 a2
+  | _ -> false
+
+(* Plain recursion, counting composite nodes of [a] down from [left]. *)
+let rec direct_equal left a b =
+  a == b
+  ||
+  match a with
+  | IntImm _ | FloatImm _ | Var _ -> same_node direct_equal left a b
+  | _ ->
+      decr left;
+      if !left < 0 then raise_notrace Memo.Over_limit;
+      same_node direct_equal left a b
+
+(* The over-limit fallback: a memo maps each composite node of [a] to
+   the nodes of [b] already found equal to it, for one call. One
+   unequal pair makes the whole comparison false, so only equal pairs
+   are kept, and two DAGs each shared within itself compare in time
+   linear in their node count. *)
+let shared_equal a b =
+  let memo = Memo.create 64 in
+  let rec go () a b =
     a == b
     ||
-    match (a, b) with
-    | IntImm x, IntImm y -> Stdlib.( = ) x y
-    | FloatImm x, FloatImm y ->
-        Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
-    | _ -> false
+    match a with
+    | IntImm _ | FloatImm _ | Var _ -> same_node go () a b
+    | _ ->
+        let known = Memo.memo memo (fun _ -> ref []) a in
+        List.memq b !known || (same_node go () a b && (known := b :: !known; true))
+  in
+  go () a b
 
-  let rec imm_equal_list xs ys =
-    match (xs, ys) with
-    | [], [] -> true
-    | x :: xs, y :: ys -> imm_equal x y && imm_equal_list xs ys
-    | _ -> false
-
-  let shallow_equal a b =
-    a == b
-    ||
-    match (a, b) with
-    | IntImm x, IntImm y -> Stdlib.( = ) x y
-    | FloatImm x, FloatImm y ->
-        Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
-    | Var x, Var y -> x == y
-    | Binop (o1, a1, b1), Binop (o2, a2, b2) ->
-        Stdlib.( = ) o1 o2 && imm_equal a1 a2 && imm_equal b1 b2
-    | Cmp (o1, a1, b1), Cmp (o2, a2, b2) ->
-        Stdlib.( = ) o1 o2 && imm_equal a1 a2 && imm_equal b1 b2
-    | And (a1, b1), And (a2, b2) | Or (a1, b1), Or (a2, b2) ->
-        imm_equal a1 a2 && imm_equal b1 b2
-    | Not a, Not b -> imm_equal a b
-    | Select (c1, t1, f1), Select (c2, t2, f2) ->
-        imm_equal c1 c2 && imm_equal t1 t2 && imm_equal f1 f2
-    | Cast (d1, a), Cast (d2, b) -> Dtype.equal d1 d2 && imm_equal a b
-    | Load (b1, i1), Load (b2, i2) -> b1 == b2 && imm_equal_list i1 i2
-    | Call (n1, a1), Call (n2, a2) -> String.equal n1 n2 && imm_equal_list a1 a2
-    | _ -> false
-
-  (* Each interned node keyed to its own hash, so growth relinks
-     without hashing. Bounded so a long tuning run cannot hold every
-     expression it ever built: at [limit] the table empties (plain
-     FIFO would need a second structure on the hot path). *)
-  let limit = 1 lsl 17
-
-  let key = Domain.DLS.new_key (fun () -> Memo.create ~limit 4096)
-  let stored _ h = h
-
-  let rec find h node = function
-    | Memo.Empty -> Memo.Empty
-    | Memo.Cons c as cell ->
-        if Int.equal c.data h && shallow_equal c.key node then cell
-        else find h node c.next
-
-  (** Canonical representative of [node] on this domain; interns it on
-      first sight. *)
-  let cons node =
-    let st = Domain.DLS.get key in
-    let h = hash node in
-    match find h node st.Memo.buckets.(h land (Array.length st.Memo.buckets - 1)) with
-    | Memo.Cons c -> c.key
-    | Memo.Empty ->
-        Memo.add st h node h stored;
-        node
-
-  type stats = { population : int; buckets : int }
-
-  (** This domain's intern table: its entries and buckets. *)
-  let stats () =
-    let st = Domain.DLS.get key in
-    { population = st.Memo.size; buckets = Array.length st.Memo.buckets }
-
-  (** Longest bucket of this domain's intern table: the hash-quality
-      figure a test bounds. *)
-  let max_bucket () =
-    let rec length n = function Memo.Empty -> n | Memo.Cons c -> length (n + 1) c.next in
-    Array.fold_left (fun m b -> max m (length 0 b)) 0 (Domain.DLS.get key).Memo.buckets
-end
+(** Structural equality. Floats compare with [Float.equal], vars and
+    buffers by id. Two builds of one expression are equal but not
+    physically equal (the constructors keep no table of built nodes),
+    so past {!Memo.direct_limit} composite nodes the walk memoizes the
+    pairs it has found equal, and a DAG that prints exponentially
+    large compares in time linear in its node count. *)
+let equal a b =
+  try direct_equal (ref Memo.direct_limit) a b with Memo.Over_limit -> shared_equal a b
 
 (* ------------------------------------------------------------------ *)
 (* Smart constructors.  They fold constants eagerly so that lowering   *)
-(* produces readable, mostly-simplified code without a separate pass,  *)
-(* and intern every node they build (see [Hashcons]) so structurally   *)
-(* equal subtrees come out physically shared.                          *)
+(* produces readable, mostly-simplified code without a separate pass.  *)
+(* A node is shared only where its builder shares it.                 *)
 (* ------------------------------------------------------------------ *)
 
-let intern = Hashcons.cons
-
 (* The common small integers are preallocated: loop bounds, strides and
-   folded guards produce them constantly, and a fixed pool keeps them
-   shared across domains without touching the intern tables. *)
+   folded guards produce them constantly. *)
 let int_pool = Array.init 258 (fun i -> IntImm (i - 1))
-let int n = if n >= -1 && n <= 256 then int_pool.(n + 1) else intern (IntImm n)
-let float f = intern (FloatImm f)
-let var v = intern (Var v)
+let int n = if n >= -1 && n <= 256 then int_pool.(n + 1) else IntImm n
+let float f = FloatImm f
+let var v = Var v
 let zero = int 0
 let one = int 1
 let f32 = float
@@ -471,7 +401,7 @@ let binop op a b =
       | Div, e, IntImm 1 -> e
       | FloorMod, _, IntImm 1 -> zero
       | (Min | Max), x, y when equal x y -> x
-      | _ -> intern (Binop (op, a, b)))
+      | _ -> Binop (op, a, b))
 
 let ( + ) a b = binop Add a b
 let ( - ) a b = binop Sub a b
@@ -494,7 +424,7 @@ let cmp op a b =
         | Ge -> Stdlib.( >= ) x y
       in
       if r then one else zero
-  | _ -> intern (Cmp (op, a, b))
+  | _ -> Cmp (op, a, b)
 
 let ( = ) a b = cmp Eq a b
 let ( <> ) a b = cmp Ne a b
@@ -507,31 +437,31 @@ let and_ a b =
   match (a, b) with
   | IntImm 1, e | e, IntImm 1 -> e
   | (IntImm 0 as z), _ | _, (IntImm 0 as z) -> z
-  | _ -> intern (And (a, b))
+  | _ -> And (a, b)
 
 let or_ a b =
   match (a, b) with
   | IntImm 0, e | e, IntImm 0 -> e
   | (IntImm 1 as o), _ | _, (IntImm 1 as o) -> o
-  | _ -> intern (Or (a, b))
+  | _ -> Or (a, b)
 
-let not_ = function IntImm 0 -> one | IntImm 1 -> zero | e -> intern (Not e)
+let not_ = function IntImm 0 -> one | IntImm 1 -> zero | e -> Not e
 
 let select cond t f =
   match cond with
   | IntImm 0 -> f
   | IntImm 1 -> t
-  | _ -> intern (Select (cond, t, f))
+  | _ -> Select (cond, t, f)
 
 let cast d e =
   match e with
   | FloatImm f when Dtype.equal d Dtype.Int32 -> int (int_of_float f)
   | IntImm n when Dtype.is_float d -> float (float_of_int n)
   | e when Dtype.equal (dtype_of e) d -> e
-  | e -> intern (Cast (d, e))
+  | e -> Cast (d, e)
 
-let load buf indices = intern (Load (buf, indices))
-let call name args = intern (Call (name, args))
+let load buf indices = Load (buf, indices)
+let call name args = Call (name, args)
 
 let binop_to_string = function
   | Add -> "+"

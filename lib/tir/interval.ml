@@ -86,8 +86,8 @@ let rec direct left env (e : Expr.t) =
   | _ -> node direct left env e
 
 (* The over-limit fallback: a memo caches the interval of composite
-   nodes by physical identity for one call, so a hash-consed DAG is
-   analyzed once per distinct node. Only successes are cached —
+   nodes by physical identity for one call, so a DAG shared by its
+   builder is analyzed once per distinct node. Only successes are cached —
    [Not_analyzable] propagates before the store. *)
 let shared env (e : Expr.t) =
   let memo = Expr.Memo.create 16 in

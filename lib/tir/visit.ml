@@ -29,8 +29,8 @@ let rec map_same g l =
 
 (* One node rebuilt from its children mapped by [go f st], then [f].
    When every child maps to itself the node is kept as it is, not
-   re-interned: a raw [Load]/[Call] stays raw, which changes sharing
-   only (the smart constructors fold nothing a kept node could hold). *)
+   rebuilt: a raw [Load]/[Call] stays raw (the smart constructors fold
+   nothing a kept node could hold). *)
 let rebuild go f st (e : Expr.t) : Expr.t =
   match e with
   | Expr.IntImm _ | Expr.FloatImm _ | Expr.Var _ -> f e

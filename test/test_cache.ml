@@ -1,8 +1,7 @@
-(* Feature-memo and hash-consing tests: cached features equal a fresh
-   extraction at any -j, the memo is first-wins and never changes a
-   tuning log, lowered programs are handed forward ([best_stmt], the
-   compiler's final lowering) instead of being kept, and interned TIR
-   construction gives physically-shared nodes. *)
+(* Feature-memo tests: cached features equal a fresh extraction at any
+   -j, the memo is first-wins and never changes a tuning log, and
+   lowered programs are handed forward ([best_stmt], the compiler's
+   final lowering) instead of being kept. *)
 
 open Tvm_tir
 module Par = Tvm_par.Pool
@@ -20,29 +19,6 @@ module G = Tvm_graph.Graph_ir
 module Tensor = Tvm_te.Tensor
 module Op = Tvm_te.Operators
 open Test_helpers
-
-(* ------------------------------------------------------------------ *)
-(* Hash-consed expression construction                                  *)
-(* ------------------------------------------------------------------ *)
-
-let test_hashcons_interning () =
-  (* Equal immediates intern to one node (small ints via the pool,
-     large ones and floats via the intern table)... *)
-  checkb "pooled ints share" (Expr.int 5 == Expr.int 5);
-  checkb "interned ints share" (Expr.int 3000 == Expr.int 3000);
-  checkb "interned floats share" (Expr.float 2.5 == Expr.float 2.5);
-  (* ...and so do composite nodes built from shared children. *)
-  let v = Expr.var (Expr.Var.fresh "hc_x") in
-  let mk () = Expr.binop Expr.Add (Expr.binop Expr.Mul v (Expr.int 7)) (Expr.int 3) in
-  checkb "identical composites are physically equal" (mk () == mk ());
-  checkb "structural equality agrees" (Expr.equal (mk ()) (mk ()));
-  (* Distinct values must stay distinct. *)
-  checkb "different constants differ"
-    (not (Expr.equal (Expr.int 3000) (Expr.int 3001)));
-  (* -0. and 0. are bitwise-distinct: interning must not conflate them
-     (the printer distinguishes them, so conflation would change
-     output). *)
-  checkb "negative zero not conflated" (Expr.float 0. != Expr.float (-0.))
 
 (* ------------------------------------------------------------------ *)
 (* Compile_cache unit behavior                                          *)
@@ -408,8 +384,6 @@ let test_tune_log_invariant_to_cache_and_jobs () =
 
 let suite =
   [
-    Alcotest.test_case "hash-consed construction interns nodes" `Quick
-      test_hashcons_interning;
     Alcotest.test_case "first-wins adds; invalid entries are terminal" `Quick
       test_first_wins;
     Alcotest.test_case "best_stmt prints like a fresh lowering of best_config"

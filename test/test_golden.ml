@@ -5,7 +5,7 @@
    change to the IR's hashing, memoization or construction that claims
    "same output, less time" is held to it. A second digest pins both
    machine models on the same programs. The corpus also drives the
-   hash-quality checks on the expression intern table. *)
+   hash-quality check on the expression memos. *)
 
 open Tvm_tir
 module Cfg = Tvm_autotune.Cfg_space
@@ -84,21 +84,56 @@ let test_corpus_digest () =
     (Digest.to_hex (Digest.string out))
 
 (* ------------------------------------------------------------------ *)
-(* Hash quality of the hash-consed IR                                   *)
+(* Hash quality                                                         *)
 (* ------------------------------------------------------------------ *)
+
+(* Expressions keyed by structure, each distinct node once. *)
+module Structural = Hashtbl.Make (struct
+  type t = Expr.t
+
+  let equal = Expr.equal
+  let hash = Expr.hash
+end)
 
 (* The corpus builds many node families that differ only deep inside
    (fused-axis index chains); a hash that sees only their first few
-   words piles each family into one bucket. *)
-let test_intern_buckets () =
-  ignore (Lazy.force corpus);
-  let longest = Expr.Hashcons.max_bucket () in
+   words piles each family into one bucket of the [Expr.Memo] tables
+   that [Analysis], [Visit], [Interval] and [Expr.equal] key by it.
+   Every structurally distinct node of the corpus programs goes into
+   one memo. *)
+let test_memo_buckets () =
+  let distinct = Structural.create 4096 in
+  let rec add (e : Expr.t) =
+    if not (Structural.mem distinct e) then begin
+      Structural.add distinct e ();
+      match e with
+      | Expr.IntImm _ | Expr.FloatImm _ | Expr.Var _ -> ()
+      | Expr.Binop (_, a, b) | Expr.Cmp (_, a, b) | Expr.And (a, b) | Expr.Or (a, b) ->
+          add a;
+          add b
+      | Expr.Not a | Expr.Cast (_, a) -> add a
+      | Expr.Select (c, t, f) -> add c; add t; add f
+      | Expr.Load (_, es) | Expr.Call (_, es) -> List.iter add es
+    end
+  in
+  List.iter
+    (fun (_, stmt) -> Option.iter (Stmt.fold_exprs (fun () e -> add e) ()) stmt)
+    (Lazy.force programs);
+  let memo = Expr.Memo.create 4096 in
+  Structural.iter (fun e () -> Expr.Memo.memo memo ignore e) distinct;
+  let rec length n = function
+    | Expr.Memo.Empty -> n
+    | Expr.Memo.Cons c -> length (n + 1) c.next
+  in
+  let longest = Array.fold_left (fun m b -> max m (length 0 b)) 0 memo.Expr.Memo.buckets in
+  checkb "the corpus has thousands of distinct nodes" (Structural.length distinct > 5000);
   if longest > 32 then
-    Alcotest.failf "intern table's longest bucket is %d after the corpus (> 32)" longest
+    Alcotest.failf "memo's longest bucket is %d over %d corpus nodes (> 32)" longest
+      (Structural.length distinct)
 
 (* A recipe for an expression; building it twice through the smart
-   constructors must give one interned node, and a physically fresh
-   copy of that node must hash the same. *)
+   constructors must give two equal nodes of one hash, and a physically
+   fresh copy of that node must hash the same. *)
 type recipe =
   | R_int of int
   | R_float of float
@@ -180,9 +215,7 @@ let gen_recipe =
              ])
 
 (* [Div]/[FloorMod] by a zero constant raise while folding; those
-   recipes build nothing and are skipped. Run on a fresh domain: the
-   two builds are one node only if the intern table does not empty
-   between them. *)
+   recipes build nothing and are skipped. *)
 let hash_agrees_with_structure =
   QCheck.Test.make ~name:"equal structure, equal hash" ~count:500
     (QCheck.make
@@ -196,61 +229,22 @@ let hash_agrees_with_structure =
       | exception Invalid_argument _ -> QCheck.assume_fail ()
       | e ->
           let again = build r in
-          again == e && Expr.hash (fresh_copy e) = Expr.hash e)
-
-(* On a fresh domain (an empty table of 4,096 buckets), built nodes
-   must intern to themselves after the table doubles twice; at 2^17
-   entries the table must empty without shrinking, and interning must
-   stay consistent after. *)
-let intern_survives_growth_and_clear =
-  QCheck.Test.make ~name:"interning across growth and overflow" ~count:10
-    (QCheck.make (QCheck.Gen.list_size (QCheck.Gen.int_range 1 30) gen_recipe))
-    (fun recipes ->
-      let build_all () =
-        List.filter_map (fun r -> try Some (build r) with Invalid_argument _ -> None) recipes
-      in
-      let same xs ys = List.for_all2 ( == ) xs ys in
-      let filler = ref 0 in
-      let fill () =
-        incr filler;
-        ignore (Expr.int ((1 lsl 40) + !filler))
-      in
-      let stats = Expr.Hashcons.stats in
-      Domain.join
-        (Domain.spawn (fun () ->
-             let first = build_all () in
-             let start = (stats ()).Expr.Hashcons.buckets in
-             while (stats ()).Expr.Hashcons.buckets < 4 * start do fill () done;
-             let grown = same first (build_all ()) in
-             (* fill until the population drops: the overflow clear *)
-             let rec until_clear before =
-               fill ();
-               let now = stats () in
-               if now.Expr.Hashcons.population > before.Expr.Hashcons.population then
-                 until_clear now
-               else (before, now)
-             in
-             let full, cleared = until_clear (stats ()) in
-             let after = build_all () in
-             start = 4096 && grown
-             && full.Expr.Hashcons.population = Expr.Hashcons.limit
-             && cleared.Expr.Hashcons.buckets = full.Expr.Hashcons.buckets
-             && List.for_all2 Expr.equal first after
-             && same after (build_all ()))))
+          Expr.equal again e
+          && Expr.hash again = Expr.hash e
+          && Expr.hash (fresh_copy e) = Expr.hash e)
 
 let test_hash_edge_cases () =
   let x1 = Expr.var hq_vars.(0) and x2 = Expr.var hq_vars.(1) in
   checkb "same-name vars stay distinct nodes" (x1 != x2);
   checkb "same-name vars hash apart" (Expr.hash x1 <> Expr.hash x2);
   checkb "0. and -0. stay distinct nodes" (Expr.float 0. != Expr.float (-0.));
-  checkb "NaN interns to one node" (Expr.float Float.nan == Expr.float Float.nan);
   checkb "NaN signs stay distinct nodes"
     (Expr.float Float.nan != Expr.float (Float.neg Float.nan));
   (* operand order matters *)
   checkb "a-b and b-a hash apart"
     (Expr.hash (Expr.binop Expr.Sub x1 x2) <> Expr.hash (Expr.binop Expr.Sub x2 x1))
 
-(* The hash runs on every intern and memo probe; it must not allocate. *)
+(* The hash runs on every memo probe; it must not allocate. *)
 let test_hash_allocates_nothing () =
   let v = Expr.var hq_vars.(2) in
   let e =
@@ -615,10 +609,8 @@ let check_loop_digest name expected corpus () =
 let suite =
   [
     Alcotest.test_case "golden lowering corpus digest" `Quick test_corpus_digest;
-    Alcotest.test_case "intern buckets stay short on the corpus" `Quick
-      test_intern_buckets;
-    Test_helpers.qcheck_on_fresh_domain hash_agrees_with_structure;
-    QCheck_alcotest.to_alcotest intern_survives_growth_and_clear;
+    Alcotest.test_case "memo buckets stay short on the corpus" `Quick test_memo_buckets;
+    QCheck_alcotest.to_alcotest hash_agrees_with_structure;
     Alcotest.test_case "hash edge cases: floats, same-name vars" `Quick
       test_hash_edge_cases;
     Alcotest.test_case "hash allocates nothing" `Quick test_hash_allocates_nothing;

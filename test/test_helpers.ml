@@ -102,17 +102,3 @@ let renormalize e =
     | Expr.Call (n, args) -> Expr.call n (List.map go args)
   in
   go e
-
-(** [f ()] on a fresh domain, which interns into an empty table of its
-    own. The main domain's intern table empties at
-    [Expr.Hashcons.limit] entries, so where it stands when a test
-    starts depends on every test before it. A test that builds an
-    expression twice and compares the results by [==] runs here, so
-    that the table cannot empty in between; so does a test that interns
-    expressions in bulk, so that it does not move the main table. *)
-let on_fresh_domain f = Domain.join (Domain.spawn f)
-
-(** A QCheck property as an Alcotest case run by {!on_fresh_domain}. *)
-let qcheck_on_fresh_domain t =
-  let name, speed, run = QCheck_alcotest.to_alcotest t in
-  Alcotest.test_case name speed (fun () -> on_fresh_domain run)

@@ -240,8 +240,7 @@ let substitute_and_evaluate ~inner e =
 (* Random index expressions over three inner vars (extents 1 to 5) and
    an outer var: sums, differences and products with small constants of
    either sign, floor division and modulus by positive constants, min
-   and max. Runs on a fresh domain: the two results are one node only
-   if the intern table does not empty between them. *)
+   and max. *)
 let minimize_inner_matches_substitution =
   QCheck.Test.make ~name:"offset minimization = substitute-and-evaluate" ~count:500
     QCheck.(int_range 0 1_000_000)
@@ -272,7 +271,7 @@ let minimize_inner_matches_substitution =
       let e = gen 5 in
       let expected = renormalize (substitute_and_evaluate ~inner e) in
       let got = renormalize (Lower.minimize_inner ~inner e) in
-      expected == got
+      Expr.equal expected got
       || QCheck.Test.fail_reportf "%s: substitute-and-evaluate %s, minimize_inner %s"
            (Printer.expr_to_string e) (Printer.expr_to_string expected)
            (Printer.expr_to_string got))
@@ -366,7 +365,6 @@ let suite =
     Alcotest.test_case "tensorize mismatch rejected" `Quick test_tensorize_shape_mismatch;
     Alcotest.test_case "shared staging + barrier" `Quick test_gpu_barrier_insertion;
     QCheck_alcotest.to_alcotest random_schedule_preserves_semantics;
-    qcheck_on_fresh_domain minimize_inner_matches_substitution;
-    Alcotest.test_case "lowered programs are normal" `Quick (fun () ->
-        on_fresh_domain test_lowered_programs_normal);
+    QCheck_alcotest.to_alcotest minimize_inner_matches_substitution;
+    Alcotest.test_case "lowered programs are normal" `Quick test_lowered_programs_normal;
   ]

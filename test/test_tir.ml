@@ -299,24 +299,24 @@ let rec per_binding_simplify (s : Stmt.t) : Stmt.t =
   | Stmt.Pop_dep _ | Stmt.Skip ->
       s
 
-(* Same statement shape, every expression physically the same node. *)
-let rec phys_equal_stmt (a : Stmt.t) (b : Stmt.t) =
-  let same_exprs = List.equal ( == ) in
+(* Same statement shape, every expression structurally equal. *)
+let rec equal_stmt (a : Stmt.t) (b : Stmt.t) =
   match (a, b) with
   | Stmt.Store (b1, i1, v1), Stmt.Store (b2, i2, v2) ->
-      b1 == b2 && same_exprs i1 i2 && v1 == v2
+      b1 == b2 && List.equal Expr.equal i1 i2 && Expr.equal v1 v2
   | Stmt.For l1, Stmt.For l2 ->
       Expr.Var.equal l1.Stmt.loop_var l2.Stmt.loop_var
-      && l1.Stmt.min_ == l2.Stmt.min_ && l1.Stmt.extent == l2.Stmt.extent
+      && Expr.equal l1.Stmt.min_ l2.Stmt.min_
+      && Expr.equal l1.Stmt.extent l2.Stmt.extent
       && l1.Stmt.kind = l2.Stmt.kind
-      && phys_equal_stmt l1.Stmt.body l2.Stmt.body
+      && equal_stmt l1.Stmt.body l2.Stmt.body
   | Stmt.If_then_else (c1, t1, e1), Stmt.If_then_else (c2, t2, e2) ->
-      c1 == c2 && phys_equal_stmt t1 t2 && Option.equal phys_equal_stmt e1 e2
+      Expr.equal c1 c2 && equal_stmt t1 t2 && Option.equal equal_stmt e1 e2
   | Stmt.Let_stmt (v1, e1, b1), Stmt.Let_stmt (v2, e2, b2) ->
-      Expr.Var.equal v1 v2 && e1 == e2 && phys_equal_stmt b1 b2
-  | Stmt.Seq s1, Stmt.Seq s2 -> List.equal phys_equal_stmt s1 s2
-  | Stmt.Allocate (b1, s1), Stmt.Allocate (b2, s2) -> b1 == b2 && phys_equal_stmt s1 s2
-  | Stmt.Evaluate e1, Stmt.Evaluate e2 -> e1 == e2
+      Expr.Var.equal v1 v2 && Expr.equal e1 e2 && equal_stmt b1 b2
+  | Stmt.Seq s1, Stmt.Seq s2 -> List.equal equal_stmt s1 s2
+  | Stmt.Allocate (b1, s1), Stmt.Allocate (b2, s2) -> b1 == b2 && equal_stmt s1 s2
+  | Stmt.Evaluate e1, Stmt.Evaluate e2 -> Expr.equal e1 e2
   | Stmt.Skip, Stmt.Skip -> true
   | _ -> false
 
@@ -375,15 +375,13 @@ let random_program rng =
   in
   gen [ free ] 7
 
-(* Runs on a fresh domain: the two passes build physically equal
-   expressions only if the intern table does not empty between them. *)
 let single_pass_simplify_matches_per_binding =
   QCheck.Test.make ~name:"single-pass simplify = per-binding simplify" ~count:500
     QCheck.(int_range 0 1_000_000)
     (fun seed ->
       let s = random_program (Random.State.make [| seed |]) in
       let expected = per_binding_simplify s and got = Simplify.stmt s in
-      phys_equal_stmt expected got
+      equal_stmt expected got
       || QCheck.Test.fail_reportf "per-binding:\n%s\nsingle pass:\n%s"
            (Printer.stmt_to_string expected) (Printer.stmt_to_string got))
 
@@ -721,13 +719,12 @@ let rec memo_eval memo env (e : Expr.t) : Interval.t =
 
 let outcome f = match f () with i -> Ok i | exception Interval.Not_analyzable m -> Error m
 
-(* A random hash-consed DAG over [vars]: each step combines earlier
-   entries of a pool, mostly the last three, so subtrees are shared.
-   About a quarter of the DAGs pass [Expr.Memo.direct_limit] composite
-   nodes, some many times over; a cap on tree size keeps the unshared
-   [Visit.map_expr] affordable. Rare leaves (a load, a call, a float, an
-   unbound var, a variable divisor) put each [Not_analyzable] case in
-   reach. *)
+(* A random DAG over [vars]: each step combines earlier entries of a
+   pool, mostly the last three, so subtrees are shared. About a quarter
+   of the DAGs pass [Expr.Memo.direct_limit] composite nodes, some many
+   times over; a cap on tree size keeps the unshared [Visit.map_expr]
+   affordable. Rare leaves (a load, a call, a float, an unbound var, a
+   variable divisor) put each [Not_analyzable] case in reach. *)
 let random_dag rng vars =
   let buf = Expr.Buffer.create "b" [ Expr.int 16 ] in
   let any_var () = Expr.var vars.(Random.State.int rng (Array.length vars)) in
@@ -794,9 +791,9 @@ let map_shared_matches_map =
       let e = random_dag (Random.State.make [| seed |]) dag_vars in
       Expr.equal (Visit.map_expr dag_rewrite e) (Visit.map_expr_shared dag_rewrite e))
 
-(* A callback that changes nothing returns its input itself, raw
-   (uninterned) nodes included; one that changes part of the tree
-   agrees with [map_expr]. *)
+(* A callback that changes nothing returns its input itself, nodes
+   built without the smart constructors included; one that changes
+   part of the tree agrees with [map_expr]. *)
 let map_shared_keeps_unchanged =
   let buf = Expr.Buffer.create "raw" [ Expr.int 16 ] in
   let only_v2 = function
@@ -812,12 +809,16 @@ let map_shared_keeps_unchanged =
       && Visit.map_expr_shared Fun.id raw == raw
       && Expr.equal (Visit.map_expr only_v2 raw) (Visit.map_expr_shared only_v2 raw))
 
-(* e_{k+1} = e_k * 3 + e_k: 40 levels make a tree of more than 2^40
-   nodes from 82 distinct ones, so only the memo fallback finishes. *)
+(* e_{k+1} = e_k * 3 + e_k from e_0 = [v]: 40 levels make a tree of
+   more than 2^40 nodes from 82 distinct ones, so only the memo
+   fallbacks finish. *)
+let deep_chain v =
+  let rec build e k = if k = 0 then e else build Expr.((e * int 3) + e) (k - 1) in
+  build (Expr.var v) 40
+
 let test_deep_dag_bounded () =
   let x = Expr.Var.fresh "x" and y = Expr.Var.fresh "y" in
-  let rec build e k = if k = 0 then e else build Expr.((e * int 3) + e) (k - 1) in
-  let e = build (Expr.var x) 40 in
+  let e = deep_chain x in
   let t0 = Sys.time () in
   let env_x vid = if vid = x.Expr.vid then Some (Interval.make 0 1) else None in
   let env_y vid = if vid = y.Expr.vid then Some (Interval.make 0 1) else None in
@@ -825,7 +826,52 @@ let test_deep_dag_bounded () =
   let e' = Visit.subst_var_expr x (Expr.var y) e in
   checkb "substituted eval" (Interval.eval env_y e' = itv);
   checkb "memo walk agrees" (memo_eval (Phys.create 16) env_x e = itv);
+  (* flops e_{k+1} = 2 flops e_k + 2 *)
+  checkb "flops" (Analysis.expr_flops e = Float.pow 2. 41. -. 2.);
   checkb "under a second" (Sys.time () -. t0 < 1.0)
+
+(* Two builds of the chain share no node. *)
+let test_deep_dag_equal () =
+  let x = Expr.Var.fresh "x" and y = Expr.Var.fresh "y" in
+  let t0 = Sys.time () in
+  let a = deep_chain x and b = deep_chain x in
+  checkb "separate builds" (a != b);
+  checkb "equal" (Expr.equal a b);
+  checkb "max_ folds them" (Expr.max_ a b == a);
+  checkb "chains over different vars differ" (not (Expr.equal a (deep_chain y)));
+  checkb "under a second" (Sys.time () -. t0 < 1.0)
+
+(* Reference for [Expr.equal]: plain recursion over every occurrence. *)
+let rec plain_equal (a : Expr.t) (b : Expr.t) =
+  let all = List.equal plain_equal in
+  match (a, b) with
+  | Expr.IntImm x, Expr.IntImm y -> x = y
+  | Expr.FloatImm x, Expr.FloatImm y -> Float.equal x y
+  | Expr.Var x, Expr.Var y -> Expr.Var.equal x y
+  | Expr.Binop (o1, a1, b1), Expr.Binop (o2, a2, b2) -> o1 = o2 && all [ a1; b1 ] [ a2; b2 ]
+  | Expr.Cmp (o1, a1, b1), Expr.Cmp (o2, a2, b2) -> o1 = o2 && all [ a1; b1 ] [ a2; b2 ]
+  | Expr.And (a1, b1), Expr.And (a2, b2) | Expr.Or (a1, b1), Expr.Or (a2, b2) ->
+      all [ a1; b1 ] [ a2; b2 ]
+  | Expr.Not a, Expr.Not b -> plain_equal a b
+  | Expr.Select (c1, t1, f1), Expr.Select (c2, t2, f2) -> all [ c1; t1; f1 ] [ c2; t2; f2 ]
+  | Expr.Cast (d1, a), Expr.Cast (d2, b) -> Dtype.equal d1 d2 && plain_equal a b
+  | Expr.Load (b1, i1), Expr.Load (b2, i2) -> Expr.Buffer.equal b1 b2 && all i1 i2
+  | Expr.Call (n1, a1), Expr.Call (n2, a2) -> n1 = n2 && all a1 a2
+  | _ -> false
+
+(* Two builds from one seed (equal unless an unbound-var leaf was
+   drawn: each build mints its own), a DAG against its rewrite, and
+   [a + a] against [b + c], where the shared [a] meets a node equal to
+   it first and then one that mostly is not. *)
+let equal_matches_plain =
+  QCheck.Test.make ~name:"Expr.equal = plain recursion" ~count:500
+    QCheck.(int_range 0 1_000_000)
+    (fun seed ->
+      let build () = random_dag (Random.State.make [| seed |]) dag_vars in
+      let a = build () and b = build () in
+      let c = Visit.map_expr dag_rewrite a in
+      let agree x y = Expr.equal x y = plain_equal x y in
+      agree a b && agree a c && agree Expr.(a + a) Expr.(b + c))
 
 (* ------------------------------------------------------------------ *)
 (* Expr.Memo                                                            *)
@@ -931,7 +977,7 @@ let suite =
     Alcotest.test_case "cmp folding" `Quick test_cmp_folding;
     Alcotest.test_case "dtype_of" `Quick test_dtype_of;
     Alcotest.test_case "buffer" `Quick test_buffer;
-    Test_helpers.qcheck_on_fresh_domain constructors_idempotent;
+    QCheck_alcotest.to_alcotest constructors_idempotent;
     Alcotest.test_case "interval basics" `Quick test_interval_basics;
     Alcotest.test_case "interval eval" `Quick test_interval_eval;
     Alcotest.test_case "interval div/mod" `Quick test_interval_divmod;
@@ -939,7 +985,7 @@ let suite =
     Alcotest.test_case "simplify stmt" `Quick test_simplify_stmt;
     Alcotest.test_case "single-trip loop" `Quick test_single_trip_loop;
     Alcotest.test_case "empty if dropped" `Quick test_empty_if_dropped;
-    Test_helpers.qcheck_on_fresh_domain single_pass_simplify_matches_per_binding;
+    QCheck_alcotest.to_alcotest single_pass_simplify_matches_per_binding;
     Alcotest.test_case "collect accesses" `Quick test_collect_accesses;
     Alcotest.test_case "footprints" `Quick test_footprints;
     Alcotest.test_case "strides" `Quick test_strides;
@@ -955,6 +1001,8 @@ let suite =
     QCheck_alcotest.to_alcotest map_shared_matches_map;
     QCheck_alcotest.to_alcotest map_shared_keeps_unchanged;
     Alcotest.test_case "40-level DAG in bounded time" `Quick test_deep_dag_bounded;
+    Alcotest.test_case "40-level DAGs built apart compare equal" `Quick test_deep_dag_equal;
+    QCheck_alcotest.to_alcotest equal_matches_plain;
     Alcotest.test_case "memo computes once per node" `Quick test_memo_computes_once;
     Alcotest.test_case "memo overflow" `Quick test_memo_overflow;
     QCheck_alcotest.to_alcotest memo_reentrant;
